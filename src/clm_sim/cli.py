@@ -81,13 +81,7 @@ def cmd_run(args) -> int:
     written.append(str(summary_path))
 
     if cfg.outputs.figure_csvs:
-        components = [m.name for m in scenario.motors]
-        if scenario.dera is not None:
-            components.append("dera")
-        if scenario.zip_load is not None:
-            components.append("zip")
-        if scenario.elec is not None:
-            components.append("elec")
+        components = [c[:-2] for c in traj.channels if c.endswith(".P") and c != "total.P"]
         for component in components:
             fig_path = out_dir / f"figure_{component}.csv"
             sim.write_csv(traj, fig_path, channels=_figure_channels(traj, component))

@@ -27,16 +27,16 @@ with end-of-step values, never inside integrator stages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import blocks
-from .blocks import DeadbandLimits, SatLimits, NO_LIMIT
+from .blocks import DeadbandLimits, SatLimits
 from .errors import InfeasibleInit, NonFiniteInput
 
 # Floor applied to the filtered voltage before any division.
-VOLTAGE_FLOOR = SatLimits(lo=0.01, hi=NO_LIMIT)
+VOLTAGE_FLOOR = 0.01
 
 # Slack when testing an accumulated dwell timer against its duration, so a
 # dwell of exactly ceil(duration/dt) steps latches despite float summation.
@@ -176,6 +176,18 @@ class DerARefs:
     Freqref: float  # frequency reference (pu)
 
 
+# dera_limiter_flags keys, in the order DerAKernel.flags returns them.
+LIMITER_FLAGS = ("voltage_floor", "iq_command_limit", "iq_injection_limit",
+                 "ip_command_limit", "power_order_limit", "power_order_windup")
+
+
+def _headroom(cmd: float, imax: float, typeflag: int) -> tuple[float, float]:
+    """(lo, hi) of the non-priority current axis beside priority command cmd."""
+    head = imax * imax - cmd * cmd
+    hi = math.sqrt(head) if head > 0.0 else 0.0
+    return (-hi if typeflag == 1 else 0.0), hi
+
+
 def current_limits(Ipcmd: float, Iqcmd: float, params: DerAParams) -> tuple[SatLimits, SatLimits]:
     """(Ip limits, Iq limits) under the configured current-limit priority.
 
@@ -185,26 +197,190 @@ def current_limits(Ipcmd: float, Iqcmd: float, params: DerAParams) -> tuple[SatL
     generators. A companion command beyond Imax yields zero headroom rather
     than a complex root.
     """
-    imax = params.Imax
+    band = SatLimits(-params.Imax, params.Imax)
     if params.PQflag == 0:  # Q priority
-        iq_lim = SatLimits(-imax, imax)
-        head = imax * imax - Iqcmd * Iqcmd
-        ipmax = math.sqrt(head) if head > 0.0 else 0.0
-        ip_lim = SatLimits(-ipmax if params.typeflag == 1 else 0.0, ipmax)
-    else:  # P priority
-        ip_lim = SatLimits(-imax, imax)
-        head = imax * imax - Ipcmd * Ipcmd
-        iqmax = math.sqrt(head) if head > 0.0 else 0.0
-        iq_lim = SatLimits(-iqmax if params.typeflag == 1 else 0.0, iqmax)
-    return ip_lim, iq_lim
+        return SatLimits(*_headroom(Iqcmd, params.Imax, params.typeflag)), band
+    return band, SatLimits(*_headroom(Ipcmd, params.Imax, params.typeflag))
 
 
-def _low_expired(trackers: DerATrackers, params: DerAParams) -> bool:
-    return trackers.low_v_timer >= params.tvl1 - TIMER_EPS
+def dera_outputs(state: DerAState, Vt: float, tripped: bool = False) -> tuple[float, float]:
+    """(P, Q) injected at the terminal; zero once the frequency trip latched.
+
+    P = Vt*S9 and Q = -Vt*S3 (voltage on the d axis, generator convention:
+    a negative q-axis current command injects positive reactive power).
+    """
+    return injection(state.S9, state.S3, Vt, tripped)
 
 
-def _high_expired(trackers: DerATrackers, params: DerAParams) -> bool:
-    return trackers.high_v_timer >= params.tvh1 - TIMER_EPS
+def injection(S9: float, S3: float, Vt: float, tripped: bool) -> tuple[float, float]:
+    """Plain-float body of dera_outputs."""
+    return (0.0, 0.0) if tripped else (Vt * S9, -Vt * S3)
+
+
+class DerAKernel:
+    """DER_A functions over plain floats for one parameter set.
+
+    Every constant (limits, gains, tan(pfaref), dwell thresholds) is
+    computed once here. The tracker memory mem is the tuple of
+    DerATrackers' fields, in order:
+
+    - rhs(s, mem, Vt, Freq): the ten derivatives; s is any sequence S0..S9
+    - commands(S0, S2, S8): (floored S0, Ipcmd, Iqcmd, then the raw commands
+      and limits that flags() tests)
+    - flags(s): the LIMITER_FLAGS values
+    - protection(Vt, mem): the voltage cut-out/recovery multiplier
+    - advance(mem, Vt, Freq): (memory after one step, events it fired)
+    - freq_trip(mem, Vt, Freq): the frequency-trip part of advance
+
+    Nothing here checks its inputs; the public functions below do. Clips
+    follow blocks.saturate (the upper limit wins a tie), deadbands
+    blocks.deadband.
+    """
+
+    __slots__ = ("rhs", "commands", "flags", "protection", "advance", "freq_trip")
+
+    def __init__(self, params: DerAParams, refs: DerARefs | None = None, dt: float = 1e-3):
+        P = params
+        Trv, Tp, Tiq, Tg, Tv, Trf, Tpord = P.Trv, P.Tp, P.Tiq, P.Tg, P.Tv, P.Trf, P.Tpord
+        Vref0, Kqv, dbd1, dbd2, Iql1, Iqh1 = P.Vref0, P.Kqv, P.dbd1, P.dbd2, P.Iql1, P.Iqh1
+        Pmin, Pmax, imax, typeflag = P.Pmin, P.Pmax, P.Imax, P.typeflag
+        q_priority, pf_control = P.PQflag == 0, P.PfFlag == 1
+        voltage_trip, freq_control = P.Vtripflag == 1, P.Freqflag == 1
+        Vl0, Vl1, Vh0, Vh1, Vrfrac = P.Vl0, P.Vl1, P.Vh0, P.Vh1, P.Vrfrac
+        lo_slope, hi_slope = Vl1 - Vl0, Vh0 - Vh1
+        lo_thr, hi_thr = P.tvl1 - TIMER_EPS, P.tvh1 - TIMER_EPS
+        Kig, Kpg_Tp, Ddn, Dup, femin, femax = P.Kig, P.Kpg / P.Tp, P.Ddn, P.Dup, P.femin, P.femax
+        fdbd1, fdbd2, dPmin, dPmax = P.fdbd1, P.fdbd2, P.dPmin, P.dPmax
+        ddn_trf, dup_trf = Ddn / Trf, Dup / Trf
+        g_dn, g_up = -(P.Kpg * Ddn / Trf), -(P.Kpg * Dup / Trf)
+        freq_trip_on, Vpr, fl, fh = P.Ftripflag == 1, P.Vpr, P.fl, P.fh
+        tfl_thr, tfh_thr = P.tfl - TIMER_EPS, P.tfh - TIMER_EPS
+        if refs is not None:
+            Pref, Qref, Freqref = refs.Pref, refs.Qref, refs.Freqref
+            tan_pfa = math.tan(refs.pfaref)
+
+        def commands(S0, S2, S8):
+            s0f = VOLTAGE_FLOOR if S0 <= VOLTAGE_FLOOR else S0
+            x = Vref0 - S0
+            verr = x - dbd2 if x > dbd2 else (x - dbd1 if x < dbd1 else 0.0)
+            inj_raw = Kqv * verr
+            iq_raw = S2 + (Iqh1 if inj_raw >= Iqh1 else (Iql1 if inj_raw <= Iql1 else inj_raw))
+            ip_raw = (Pmax if S8 >= Pmax else (Pmin if S8 <= Pmin else S8)) / s0f
+            if q_priority:
+                iq_lo, iq_hi = -imax, imax
+                iqcmd = iq_hi if iq_raw >= iq_hi else (iq_lo if iq_raw <= iq_lo else iq_raw)
+                ip_lo, ip_hi = _headroom(iqcmd, imax, typeflag)
+                ipcmd = ip_hi if ip_raw >= ip_hi else (ip_lo if ip_raw <= ip_lo else ip_raw)
+            else:
+                ip_lo, ip_hi = -imax, imax
+                ipcmd = ip_hi if ip_raw >= ip_hi else (ip_lo if ip_raw <= ip_lo else ip_raw)
+                iq_lo, iq_hi = _headroom(ipcmd, imax, typeflag)
+                iqcmd = iq_hi if iq_raw >= iq_hi else (iq_lo if iq_raw <= iq_lo else iq_raw)
+            return s0f, ipcmd, iqcmd, ip_raw, iq_raw, inj_raw, ip_lo, ip_hi, iq_lo, iq_hi
+
+        def protection(Vt, mem):
+            vmin, vmax, low, high = mem[0], mem[1], mem[2], mem[3]
+            lv_exp = low >= lo_thr
+            hv_exp = high >= hi_thr
+            if Vl0 <= Vt <= vmin:
+                r = (Vt - Vl0) / lo_slope
+            elif vmin <= Vt <= Vl1 and not lv_exp:
+                r = (Vt - Vl0) / lo_slope
+            elif Vl1 < Vt < Vh1 and not lv_exp:
+                r = 1.0
+            elif Vh1 <= Vt <= Vh0 and not hv_exp:
+                r = (Vh0 - Vt) / hi_slope
+            elif vmin <= Vt <= Vl1 and lv_exp:
+                r = Vrfrac * ((Vt - vmin) / lo_slope)
+            elif Vl1 < Vt < Vh1 and lv_exp:
+                r = Vrfrac * ((Vl1 - vmin) / lo_slope)
+            elif Vh1 <= Vt <= vmax and hv_exp:
+                r = Vrfrac * ((vmax - Vt) / hi_slope)
+            elif vmax <= Vt <= Vh0:
+                r = (Vh0 - Vt) / hi_slope
+            else:
+                r = 0.0
+            r = r if r > 0.0 else 0.0
+            return r if r < 1.0 else 1.0
+
+        def rhs(s, mem, Vt, Freq):
+            S0, S1, S2, S3, S4, S5, S6, S7, S8, S9 = s
+            s0f, ipcmd, iqcmd = commands(S0, S2, S8)[:3]
+            if pf_control:
+                dS2 = -S2 / Tiq + tan_pfa * S1 / (Tiq * s0f)
+            else:
+                dS2 = -S2 / Tiq + Qref / (Tiq * s0f)
+            trip_mult = S4 if voltage_trip else 1.0
+            x = Freqref - S5
+            ferr = x - fdbd2 if x > fdbd2 else (x - fdbd1 if x < fdbd1 else 0.0)
+            dn = Ddn * ferr
+            up = Dup * ferr
+            e = Pref - S1 + (dn if dn <= 0.0 else 0.0) + (up if up > 0.0 else 0.0)
+            fe = Freq - S5  # frequency filter error: droop feedthrough outside the deadband
+            outside = fe < fdbd1 or fe > fdbd2
+            dS6 = (
+                Kig * (femax if e >= femax else (femin if e <= femin else e))
+                + Kpg_Tp * S1
+                + (g_dn * fe if outside and ddn_trf * fe >= 0.0 else 0.0)
+                + (g_up * fe if outside and dup_trf * fe < 0.0 else 0.0)
+                - S8 / Tp
+            )
+            if freq_control:
+                tracked = Pmax if S6 >= Pmax else (Pmin if S6 <= Pmin else S6)
+                ramp = (tracked - S7) / dt
+                dS7 = dPmax if ramp >= dPmax else (dPmin if ramp <= dPmin else ramp)
+            else:
+                dS7 = 0.0
+            return ((Vt - S0) / Trv, (S8 - S1) / Tp, dS2, -(S3 - iqcmd * trip_mult) / Tg,
+                    (protection(S0, mem) - S4) / Tv, (Freq - S5) / Trf, dS6, dS7,
+                    (S7 - S8) / Tpord, (ipcmd * trip_mult - S9) / Tg)
+
+        def flags(s):
+            S0, S6, S8 = s[0], s[6], s[8]
+            _, _, _, ip_raw, iq_raw, inj_raw, ip_lo, ip_hi, iq_lo, iq_hi = commands(S0, s[2], S8)
+            return (S0 <= VOLTAGE_FLOOR, iq_raw < iq_lo or iq_raw > iq_hi,
+                    inj_raw < Iql1 or inj_raw > Iqh1, ip_raw < ip_lo or ip_raw > ip_hi,
+                    S8 < Pmin or S8 > Pmax, S6 < Pmin or S6 > Pmax)
+
+        def freq_trip(mem, Vt, Freq):
+            if not freq_trip_on or mem[6]:
+                return mem
+            vmin, vmax, low, high, f_low, f_high, _ = mem
+            if Vt >= Vpr:
+                if Freq < fl:
+                    f_low += dt
+                elif Freq > fh:
+                    f_high += dt
+                else:
+                    f_low = f_high = 0.0
+            return (vmin, vmax, low, high, f_low, f_high,
+                    f_low >= tfl_thr or f_high >= tfh_thr)
+
+        def advance(mem, Vt, Freq):
+            vmin, vmax, low, high, f_low, f_high, tripped = mem
+            low_expired = low >= lo_thr
+            high_expired = high >= hi_thr
+            if Vt < Vl1:
+                low += dt
+            elif not low_expired:
+                low = 0.0
+            if Vt > Vh1:
+                high += dt
+            elif not high_expired:
+                high = 0.0
+            mem = freq_trip((Vt if Vt < vmin else vmin, Vt if Vt > vmax else vmax,
+                             low, high, f_low, f_high, tripped), Vt, Freq)
+            events = ()
+            if mem[6] and not tripped:
+                events += ("frequency_trip",)
+            if low >= lo_thr and not low_expired:
+                events += ("low_voltage_dwell_expired",)
+            if high >= hi_thr and not high_expired:
+                events += ("high_voltage_dwell_expired",)
+            return mem, events
+
+        self.rhs, self.commands, self.flags, self.protection = rhs, commands, flags, protection
+        self.advance, self.freq_trip = advance, freq_trip
 
 
 def voltage_protection(Vt: float, trackers: DerATrackers, params: DerAParams) -> float:
@@ -219,66 +395,7 @@ def voltage_protection(Vt: float, trackers: DerATrackers, params: DerAParams) ->
     below Vl0), so the result is clamped; inside the bands the clamp never
     binds.
     """
-    vmin = trackers.vmin_seen
-    vmax = trackers.vmax_seen
-    lv_exp = _low_expired(trackers, params)
-    hv_exp = _high_expired(trackers, params)
-    lo_slope = params.Vl1 - params.Vl0
-    hi_slope = params.Vh0 - params.Vh1
-
-    if params.Vl0 <= Vt <= vmin:
-        r = (Vt - params.Vl0) / lo_slope
-    elif vmin <= Vt <= params.Vl1 and not lv_exp:
-        r = (Vt - params.Vl0) / lo_slope
-    elif params.Vl1 < Vt < params.Vh1 and not lv_exp:
-        r = 1.0
-    elif params.Vh1 <= Vt <= params.Vh0 and not hv_exp:
-        r = (params.Vh0 - Vt) / hi_slope
-    elif vmin <= Vt <= params.Vl1 and lv_exp:
-        r = params.Vrfrac * ((Vt - vmin) / lo_slope)
-    elif params.Vl1 < Vt < params.Vh1 and lv_exp:
-        r = params.Vrfrac * ((params.Vl1 - vmin) / lo_slope)
-    elif params.Vh1 <= Vt <= vmax and hv_exp:
-        r = params.Vrfrac * ((vmax - Vt) / hi_slope)
-    elif vmax <= Vt <= params.Vh0:
-        r = (params.Vh0 - Vt) / hi_slope
-    else:
-        r = 0.0
-    return min(1.0, max(0.0, r))
-
-
-def _g_down(x: float, params: DerAParams) -> float:
-    """Down-droop feedthrough on the frequency filter error x = Freq - S5."""
-    if (x < params.fdbd1 or x > params.fdbd2) and (params.Ddn / params.Trf) * x >= 0.0:
-        return -(params.Kpg * params.Ddn / params.Trf) * x
-    return 0.0
-
-
-def _g_up(x: float, params: DerAParams) -> float:
-    """Up-droop feedthrough on the frequency filter error x = Freq - S5."""
-    if (x < params.fdbd1 or x > params.fdbd2) and (params.Dup / params.Trf) * x < 0.0:
-        return -(params.Kpg * params.Dup / params.Trf) * x
-    return 0.0
-
-
-def _commands(state: DerAState, params: DerAParams):
-    """Saturated (Ipcmd, Iqcmd) plus their active limits at this state."""
-    s0f = blocks.saturate(state.S0, VOLTAGE_FLOOR)
-    verr = blocks.deadband(params.Vref0 - state.S0, DeadbandLimits(params.dbd1, params.dbd2))
-    iq_inj = blocks.saturate(params.Kqv * verr, SatLimits(params.Iql1, params.Iqh1))
-    iq_raw = state.S2 + iq_inj
-    ip_raw = blocks.saturate(state.S8, SatLimits(params.Pmin, params.Pmax)) / s0f
-    if params.PQflag == 0:
-        _, iq_lim = current_limits(0.0, 0.0, params)
-        iqcmd = blocks.saturate(iq_raw, iq_lim)
-        ip_lim, _ = current_limits(0.0, iqcmd, params)
-        ipcmd = blocks.saturate(ip_raw, ip_lim)
-    else:
-        ip_lim, _ = current_limits(0.0, 0.0, params)
-        ipcmd = blocks.saturate(ip_raw, ip_lim)
-        _, iq_lim = current_limits(ipcmd, 0.0, params)
-        iqcmd = blocks.saturate(iq_raw, iq_lim)
-    return ipcmd, iqcmd, ip_lim, iq_lim, ip_raw, iq_raw
+    return DerAKernel(params).protection(Vt, astuple(trackers))
 
 
 def dera_derivatives(
@@ -301,61 +418,8 @@ def dera_derivatives(
     """
     if not (math.isfinite(Vt) and math.isfinite(Freq)):
         raise NonFiniteInput("DER_A evaluation received a non-finite bus input")
-
-    s0f = blocks.saturate(state.S0, VOLTAGE_FLOOR)
-    dS0 = (Vt - state.S0) / params.Trv
-    dS1 = (state.S8 - state.S1) / params.Tp
-    dS5 = (Freq - state.S5) / params.Trf
-    dS8 = (state.S7 - state.S8) / params.Tpord
-
-    if params.PfFlag == 0:
-        dS2 = -state.S2 / params.Tiq + refs.Qref / (params.Tiq * s0f)
-    else:
-        dS2 = -state.S2 / params.Tiq + math.tan(refs.pfaref) * state.S1 / (params.Tiq * s0f)
-
-    ipcmd, iqcmd, _, _, _, _ = _commands(state, params)
-    trip_mult = state.S4 if params.Vtripflag == 1 else 1.0
-    dS3 = -(state.S3 - iqcmd * trip_mult) / params.Tg
-    dS9 = (ipcmd * trip_mult - state.S9) / params.Tg
-
-    dS4 = (voltage_protection(state.S0, trackers, params) - state.S4) / params.Tv
-
-    ferr = blocks.deadband(refs.Freqref - state.S5, DeadbandLimits(params.fdbd1, params.fdbd2))
-    pi_error = (
-        refs.Pref
-        - state.S1
-        + blocks.neg_part(params.Ddn * ferr)
-        + blocks.pos_part(params.Dup * ferr)
-    )
-    ffilt_err = Freq - state.S5
-    dS6 = (
-        params.Kig * blocks.saturate(pi_error, SatLimits(params.femin, params.femax))
-        + (params.Kpg / params.Tp) * state.S1
-        + _g_down(ffilt_err, params)
-        + _g_up(ffilt_err, params)
-        - state.S8 / params.Tp
-    )
-
-    if params.Freqflag == 0:
-        dS7 = 0.0
-    else:
-        tracked = blocks.saturate(state.S6, SatLimits(params.Pmin, params.Pmax))
-        dS7 = blocks.rate_limit(
-            (tracked - state.S7) / dt, SatLimits(params.dPmin, params.dPmax)
-        )
-
-    return DerAState(dS0, dS1, dS2, dS3, dS4, dS5, dS6, dS7, dS8, dS9)
-
-
-def dera_outputs(state: DerAState, Vt: float, tripped: bool = False) -> tuple[float, float]:
-    """(P, Q) injected at the terminal; zero once the frequency trip latched.
-
-    P = Vt*S9 and Q = -Vt*S3 (voltage on the d axis, generator convention:
-    a negative q-axis current command injects positive reactive power).
-    """
-    if tripped:
-        return 0.0, 0.0
-    return Vt * state.S9, -Vt * state.S3
+    rhs = DerAKernel(params, refs, dt).rhs
+    return DerAState(*rhs(state.as_array().tolist(), astuple(trackers), Vt, Freq))
 
 
 def frequency_trip(
@@ -368,22 +432,7 @@ def frequency_trip(
     voltage is below Vpr, and reset when the frequency recovers. The latch
     fires when a timer reaches its dwell and is permanent for the run.
     """
-    if params.Ftripflag != 1 or trackers.tripped:
-        return trackers
-    f_low = trackers.freq_low_timer
-    f_high = trackers.freq_high_timer
-    if Vt >= params.Vpr:
-        if Freq < params.fl:
-            f_low += dt
-        elif Freq > params.fh:
-            f_high += dt
-        else:
-            f_low = 0.0
-            f_high = 0.0
-    tripped = f_low >= params.tfl - TIMER_EPS or f_high >= params.tfh - TIMER_EPS
-    return replace(
-        trackers, freq_low_timer=f_low, freq_high_timer=f_high, tripped=tripped
-    )
+    return DerATrackers(*DerAKernel(params, dt=dt).freq_trip(astuple(trackers), Vt, Freq))
 
 
 def advance_trackers(
@@ -395,27 +444,8 @@ def advance_trackers(
     Vl1..Vh1 band, reset on recovery while unexpired, and hold once expired
     (expiry selects the partial-recovery branches permanently).
     """
-    vmin = Vt if Vt < trackers.vmin_seen else trackers.vmin_seen
-    vmax = Vt if Vt > trackers.vmax_seen else trackers.vmax_seen
-
-    if Vt < params.Vl1:
-        low = trackers.low_v_timer + dt
-    elif _low_expired(trackers, params):
-        low = trackers.low_v_timer
-    else:
-        low = 0.0
-
-    if Vt > params.Vh1:
-        high = trackers.high_v_timer + dt
-    elif _high_expired(trackers, params):
-        high = trackers.high_v_timer
-    else:
-        high = 0.0
-
-    updated = replace(
-        trackers, vmin_seen=vmin, vmax_seen=vmax, low_v_timer=low, high_v_timer=high
-    )
-    return frequency_trip(Freq, Vt, updated, params, dt)
+    mem, _ = DerAKernel(params, dt=dt).advance(astuple(trackers), Vt, Freq)
+    return DerATrackers(*mem)
 
 
 def fresh_trackers(Vt0: float) -> DerATrackers:
@@ -482,7 +512,7 @@ def dera_initialize(
     refs = DerARefs(Pref=pref, Qref=s2 * Vt0, pfaref=pfaref, Freqref=Freq0)
 
     # The commanded currents must survive the limiters untouched.
-    ipcmd, iqcmd, _, _, _, _ = _commands(state, params)
+    _, ipcmd, iqcmd = DerAKernel(params).commands(Vt0, s2, Pgen0)[:3]
     if abs(iqcmd - s3) > 1e-12:
         raise InfeasibleInit(
             f"reactive current command {s3:.4g} pu violates the current limits"
@@ -507,17 +537,7 @@ def dera_limiter_flags(
     power_order_windup flags the PI composite sitting outside Pmin..Pmax
     while it keeps integrating (there is deliberately no anti-windup clamp).
     """
-    _, _, ip_lim, iq_lim, ip_raw, iq_raw = _commands(state, params)
-    verr = blocks.deadband(params.Vref0 - state.S0, DeadbandLimits(params.dbd1, params.dbd2))
-    inj_raw = params.Kqv * verr
-    return {
-        "voltage_floor": state.S0 <= VOLTAGE_FLOOR.lo,
-        "iq_command_limit": iq_raw < iq_lim.lo or iq_raw > iq_lim.hi,
-        "iq_injection_limit": inj_raw < params.Iql1 or inj_raw > params.Iqh1,
-        "ip_command_limit": ip_raw < ip_lim.lo or ip_raw > ip_lim.hi,
-        "power_order_limit": state.S8 < params.Pmin or state.S8 > params.Pmax,
-        "power_order_windup": state.S6 < params.Pmin or state.S6 > params.Pmax,
-    }
+    return dict(zip(LIMITER_FLAGS, DerAKernel(params).flags(state.as_array().tolist())))
 
 
 # Preset matching the published DER_A validation setup; frequency-trip

@@ -89,23 +89,53 @@ class MotorInit:
 
 
 def _check_finite(state: MotorState, Vd: float, Vq: float) -> None:
-    if not (
-        math.isfinite(Vd)
-        and math.isfinite(Vq)
-        and math.isfinite(state.Eqp)
-        and math.isfinite(state.Edp)
-        and math.isfinite(state.Eqpp)
-        and math.isfinite(state.Edpp)
-        and math.isfinite(state.slip)
-    ):
+    s = state
+    if not all(map(math.isfinite, (Vd, Vq, s.Eqp, s.Edp, s.Eqpp, s.Edpp, s.slip))):
         raise NonFiniteInput("motor evaluation received a non-finite state or voltage")
 
 
-def load_torque(w: float, params: MotorParams, init: MotorInit) -> float:
-    """Speed-dependent load torque; w clamped at 0 for the exponent term only."""
-    wc = w if w > 0.0 else 0.0
-    poly = params.A * w * w + params.B * w + params.C0 + params.D * wc**params.Etrq
-    return init.Tm0 * poly
+def motor_kernel(params: MotorParams, init: MotorInit):
+    """(algebra, load_torque, rhs) of one motor over plain floats.
+
+    algebra(Eqpp, Edpp, slip, Vd, Vq) -> (Id, Iq, P, Q, w)
+    load_torque(w) -> TL
+    rhs(Eqp, Edp, Eqpp, Edpp, slip, Vd, Vq) -> the five state derivatives
+
+    Constants are computed once, here. Nothing checks its inputs: the
+    public wrappers below do, and the stepper checks the state after every
+    step.
+    """
+    rs, Lp, Lpp, Tp0, Tpp0 = params.rs, params.Lp, params.Lpp, params.Tp0, params.Tpp0
+    den = rs * rs + Lpp * Lpp
+    kr = rs / den
+    kx = Lpp / den
+    A, B, C0, D, Etrq, Tm0 = params.A, params.B, params.C0, params.D, params.Etrq, init.Tm0
+    dLs = params.Ls - Lp
+    omega0, p, q, two_h = params.omega0, params.p, params.q, 2.0 * params.H
+    c_em = (Tp0 - Tpp0) / (Tp0 * Tpp0)
+    c_i = (Tpp0 * dLs + Tp0 * (Lp - Lpp)) / (Tp0 * Tpp0)
+
+    def algebra(Eqpp, Edpp, slip, Vd, Vq):
+        Id = kr * (Vd + Edpp) + kx * (Vq + Eqpp)
+        Iq = kr * (Vq + Eqpp) - kx * (Vd + Edpp)
+        return Id, Iq, Vd * Id + Vq * Iq, Vq * Id - Vd * Iq, 1.0 - slip
+
+    def load_torque(w):
+        wc = w if w > 0.0 else 0.0  # speed clamped for the exponent term only
+        return Tm0 * (A * w * w + B * w + C0 + D * wc**Etrq)
+
+    def rhs(Eqp, Edp, Eqpp, Edpp, slip, Vd, Vq):
+        Id, Iq, _, _, w = algebra(Eqpp, Edpp, slip, Vd, Vq)
+        ws = omega0 * slip
+        return (
+            (-Eqp - Id * dLs - Edp * ws * Tp0) / Tp0,
+            (-Edp + Iq * dLs + Eqp * ws * Tp0) / Tp0,
+            c_em * Eqp - c_i * Id - Eqpp / Tpp0 - ws * Edpp,
+            c_em * Edp + c_i * Iq - Edpp / Tpp0 + ws * Eqpp,
+            -(p * Edpp * Id + q * Eqpp * Iq - load_torque(w)) / two_h,
+        )
+
+    return algebra, load_torque, rhs
 
 
 def motor_algebra(
@@ -113,57 +143,18 @@ def motor_algebra(
 ) -> MotorOutputs:
     """Currents, powers, speed and load torque at one state/voltage point."""
     _check_finite(state, Vd, Vq)
-    den = params.rs * params.rs + params.Lpp * params.Lpp
-    kr = params.rs / den
-    kx = params.Lpp / den
-    Id = kr * (Vd + state.Edpp) + kx * (Vq + state.Eqpp)
-    Iq = kr * (Vq + state.Eqpp) - kx * (Vd + state.Edpp)
-    w = 1.0 - state.slip
-    return MotorOutputs(
-        Id=Id,
-        Iq=Iq,
-        P=Vd * Id + Vq * Iq,
-        Q=Vq * Id - Vd * Iq,
-        TL=load_torque(w, params, init),
-        w=w,
-    )
+    algebra, load_torque, _ = motor_kernel(params, init)
+    Id, Iq, P, Q, w = algebra(state.Eqpp, state.Edpp, state.slip, Vd, Vq)
+    return MotorOutputs(Id, Iq, P, Q, load_torque(w), w)
 
 
 def motor_derivatives(
     state: MotorState, Vd: float, Vq: float, params: MotorParams, init: MotorInit
 ) -> MotorState:
     """Time derivatives of the five motor states."""
-    out = motor_algebra(state, Vd, Vq, params, init)
-    Tp0, Tpp0 = params.Tp0, params.Tpp0
-    dLs = params.Ls - params.Lp
-    ws = params.omega0 * state.slip
-    c_em = (Tp0 - Tpp0) / (Tp0 * Tpp0)
-    c_i = (Tpp0 * dLs + Tp0 * (params.Lp - params.Lpp)) / (Tp0 * Tpp0)
-    dEqp = (-state.Eqp - out.Id * dLs - state.Edp * ws * Tp0) / Tp0
-    dEdp = (-state.Edp + out.Iq * dLs + state.Eqp * ws * Tp0) / Tp0
-    dEqpp = c_em * state.Eqp - c_i * out.Id - state.Eqpp / Tpp0 - ws * state.Edpp
-    dEdpp = c_em * state.Edp + c_i * out.Iq - state.Edpp / Tpp0 + ws * state.Eqpp
-    dslip = -(params.p * state.Edpp * out.Id + params.q * state.Eqpp * out.Iq - out.TL) / (
-        2.0 * params.H
-    )
-    return MotorState(dEqp, dEdp, dEqpp, dEdpp, dslip)
-
-
-def electrical_torque(state: MotorState, out: MotorOutputs, params: MotorParams) -> float:
-    return params.p * state.Edpp * out.Id + params.q * state.Eqpp * out.Iq
-
-
-def _emf_power_residual(x: np.ndarray, Vd: float, Vq: float, params: MotorParams, P0: float):
-    """EMF derivative residuals plus the active-power mismatch at slip x[4].
-
-    Torque balance is not part of the residual: the torque base is chosen
-    afterwards so the slip derivative vanishes at the solution.
-    """
-    state = MotorState.from_array(x)
-    init = MotorInit(Tm0=0.0)  # TL does not enter the EMF equations or P
-    out = motor_algebra(state, Vd, Vq, params, init)
-    d = motor_derivatives(state, Vd, Vq, params, init)
-    return np.array([d.Eqp, d.Edp, d.Eqpp, d.Edpp, out.P - P0])
+    _check_finite(state, Vd, Vq)
+    rhs = motor_kernel(params, init)[2]
+    return MotorState(*rhs(state.Eqp, state.Edp, state.Eqpp, state.Edpp, state.slip, Vd, Vq))
 
 
 def motor_initialize(
@@ -191,8 +182,18 @@ def motor_initialize(
     """
     if math.hypot(Vd0, Vq0) <= 0.0:
         raise NoEquilibrium("terminal voltage magnitude must be positive")
+    # With a unit torque base TL is the speed polynomial itself. TL enters
+    # neither the EMF equations nor P, so the residual (the four EMF
+    # derivatives and the active-power mismatch at slip x[4]) does not
+    # depend on it.
+    algebra, load_torque, rhs = motor_kernel(params, MotorInit(Tm0=1.0))
+
+    def residual(x):
+        d = rhs(*x, Vd0, Vq0)
+        return np.array([d[0], d[1], d[2], d[3], algebra(*x[2:], Vd0, Vq0)[2] - P0])
+
     x = np.array([Vd0, -Vq0, Vd0, -Vq0, 0.01])
-    fx = _emf_power_residual(x, Vd0, Vq0, params, P0)
+    fx = residual(x)
     norm = float(np.max(np.abs(fx)))
     for _ in range(NEWTON_MAX_ITER):
         if norm < NEWTON_TOL:
@@ -204,10 +205,7 @@ def motor_initialize(
             xp[j] += h
             xm = x.copy()
             xm[j] -= h
-            jac[:, j] = (
-                _emf_power_residual(xp, Vd0, Vq0, params, P0)
-                - _emf_power_residual(xm, Vd0, Vq0, params, P0)
-            ) / (2.0 * h)
+            jac[:, j] = (residual(xp) - residual(xm)) / (2.0 * h)
         try:
             dx = np.linalg.solve(jac, -fx)
         except np.linalg.LinAlgError:
@@ -215,7 +213,7 @@ def motor_initialize(
         lam = 1.0
         while True:
             x_new = x + lam * dx
-            f_new = _emf_power_residual(x_new, Vd0, Vq0, params, P0)
+            f_new = residual(x_new)
             n_new = float(np.max(np.abs(f_new)))
             if n_new < norm:
                 break
@@ -231,23 +229,21 @@ def motor_initialize(
             "equilibrium solve did not converge in the iteration budget", residual=norm
         )
 
-    state = MotorState.from_array(x)
-    init0 = MotorInit(Tm0=0.0)
-    out = motor_algebra(state, Vd0, Vq0, params, init0)
-    wc = out.w if out.w > 0.0 else 0.0
-    poly = params.A * out.w * out.w + params.B * out.w + params.C0 + params.D * wc**params.Etrq
+    state = MotorState(*x.tolist())
+    Id, Iq, _, Q, w = algebra(state.Eqpp, state.Edpp, state.slip, Vd0, Vq0)
+    poly = load_torque(w)
     if abs(poly) < 1e-12:
         raise NoEquilibrium("torque-speed polynomial vanishes at the solved speed")
-    te = electrical_torque(state, out, params)
+    te = params.p * state.Edpp * Id + params.q * state.Eqpp * Iq
     init = MotorInit(Tm0=te / poly)
 
-    if Q0 is not None and abs(out.Q - Q0) > 1e-6:
+    if Q0 is not None and abs(Q - Q0) > 1e-6:
         logger.warning(
             "requested Q0=%.6f pu is not consistent with the machine at P0=%.6f "
             "(achieved Q=%.6f); reactive power is not a free boundary condition",
             Q0,
             P0,
-            out.Q,
+            Q,
         )
     return state, init
 

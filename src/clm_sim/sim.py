@@ -8,8 +8,8 @@ advanced exactly once per accepted step using end-of-step values, never
 inside integrator stages. Identical inputs therefore produce bit-identical
 trajectories.
 
-Trajectories are uniformly sampled channel matrices with a leading time
-column. CSV export writes 17 significant digits so float64 values
+Trajectories are channel matrices with a leading, strictly increasing
+time column (uniform for simulated runs). CSV export writes 17 significant digits so float64 values
 round-trip exactly; the binary dump is raw little-endian float64, row
 major, one row per sample in channel order (interpret it with the channel
 list from the CSV header or the run summary).
@@ -17,19 +17,21 @@ list from the CSV header or the run summary).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from math import isfinite
 
 import numpy as np
 
 from . import dera as dera_mod
 from . import staticloads
-from .composite import LoadMix, composite_outputs
+from .composite import LoadMix
 from .dera import DerAParams, DerARefs, DerAState, DerATrackers
 from .errors import (
     ChannelError,
     ConfigError,
     FileFormatError,
     GridMismatch,
+    NonFiniteInput,
     NonFiniteState,
     OutOfRange,
 )
@@ -37,9 +39,9 @@ from .motor3 import (
     MotorInit,
     MotorParams,
     MotorState,
-    motor_algebra,
     motor_derivatives,
     motor_initialize,
+    motor_kernel,
 )
 from .staticloads import ElecParams, ZipParams
 
@@ -47,6 +49,9 @@ INTEGRATION_METHODS = ("rk4", "heun", "euler")
 
 # Tolerance when deciding two time grids are the same grid.
 GRID_ATOL = 1e-12
+
+# Rows formatted per write in write_csv.
+CSV_BLOCK_ROWS = 1000
 
 MOTOR_STATE_CHANNELS = ("Eqp", "Edp", "Eqpp", "Edpp", "slip")
 DERA_STATE_CHANNELS = tuple(f"S{i}" for i in range(10))
@@ -159,7 +164,12 @@ def build_scenario(
 
 
 class Trajectory:
-    """Uniformly sampled channel matrix; column 0 is time."""
+    """Sampled channel matrix; column 0 is time, strictly increasing.
+
+    Simulated trajectories are uniformly sampled; files from other tools
+    may not be (a 1/120 s grid printed to 4 decimals), and nothing here
+    needs them to be: resample interpolates and mse checks grids_match.
+    """
 
     def __init__(self, channels: list[str], data: np.ndarray):
         data = np.asarray(data, dtype=float)
@@ -168,12 +178,8 @@ class Trajectory:
         if not channels or channels[0] != "t":
             raise ValueError("first trajectory channel must be 't'")
         t = data[:, 0]
-        if t.size >= 2:
-            dt = np.diff(t)
-            if np.any(dt <= 0.0):
-                raise ValueError("trajectory time must be strictly increasing")
-            if np.max(np.abs(dt - dt[0])) > 1e-9:
-                raise ValueError("trajectory sample spacing must be constant")
+        if t.size >= 2 and not np.all(np.diff(t) > 0.0):
+            raise ValueError("trajectory time must be strictly increasing")
         self.channels = list(channels)
         self.data = data
         self._index = {name: i for i, name in enumerate(self.channels)}
@@ -227,21 +233,24 @@ def resample(traj: Trajectory, grid) -> Trajectory:
 
 
 def _rk4_step(f, t, y, h):
+    hh = 0.5 * h
     k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + hh, [a + hh * b for a, b in zip(y, k1)])
+    k3 = f(t + hh, [a + hh * b for a, b in zip(y, k2)])
+    k4 = f(t + h, [a + h * b for a, b in zip(y, k3)])
+    h6 = h / 6.0
+    return [a + h6 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
 
 
 def _heun_step(f, t, y, h):
     k1 = f(t, y)
-    k2 = f(t + h, y + h * k1)
-    return y + 0.5 * h * (k1 + k2)
+    k2 = f(t + h, [a + h * b for a, b in zip(y, k1)])
+    hh = 0.5 * h
+    return [a + hh * (b + c) for a, b, c in zip(y, k1, k2)]
 
 
 def _euler_step(f, t, y, h):
-    return y + h * f(t, y)
+    return [a + h * b for a, b in zip(y, f(t, y))]
 
 
 _STEPPERS = {"rk4": _rk4_step, "heun": _heun_step, "euler": _euler_step}
@@ -254,159 +263,139 @@ class SimResult:
 
 
 def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
-    """Integrate the scenario and collect the run summary alongside the data."""
+    """Integrate the scenario and collect the run summary alongside the data.
+
+    The state is a list of plain floats (motors in order, then the DER) and
+    each component runs its plain-float kernel. The steppers keep the
+    floating-point operation order of their array form, so trajectories do
+    not depend on the representation.
+    """
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
+    every = config.record_every
     step = _STEPPERS[config.method]
-    bus = scenario.bus
+    voltage, frequency = scenario.bus.voltage, scenario.bus.frequency
     mix = scenario.mix
+    der, zip_load, elec = scenario.dera, scenario.zip_load, scenario.elec
 
     channels = ["t", "V", "Freq"]
+    count_names = []
+    y = []
+    motors = []  # (offset in y, algebra, rhs, mix weight)
     for m in scenario.motors:
-        channels += [f"{m.name}.{c}" for c in MOTOR_STATE_CHANNELS]
-        channels += [f"{m.name}.P", f"{m.name}.Q"]
-    if scenario.dera is not None:
-        channels += [f"dera.{c}" for c in DERA_STATE_CHANNELS]
-        channels += ["dera.P", "dera.Q", "dera.tripped"]
-    if scenario.zip_load is not None:
+        channels += [f"{m.name}.{c}" for c in (*MOTOR_STATE_CHANNELS, "P", "Q")]
+        count_names.append(f"{m.name}.speed_clamped")
+        algebra, _, m_rhs = motor_kernel(m.params, m.init)
+        motors.append((len(y), algebra, m_rhs, mix.weight(m.name)))
+        y += m.state0.as_array().tolist()
+    if der is not None:
+        channels += [f"dera.{c}" for c in (*DERA_STATE_CHANNELS, "P", "Q", "tripped")]
+        count_names += [f"dera.{name}" for name in dera_mod.LIMITER_FLAGS]
+        kernel = dera_mod.DerAKernel(der.params, der.refs, dt)
+        der_rhs, der_flags, der_advance = kernel.rhs, kernel.flags, kernel.advance
+        der_at, der_w = len(y), mix.weight("dera")
+        mem = astuple(der.trackers0)
+        y += der.state0.as_array().tolist()
+    if zip_load is not None:
         channels += ["zip.P", "zip.Q"]
-    if scenario.elec is not None:
+        zip_w = mix.weight("zip")
+    if elec is not None:
         channels += ["elec.P", "elec.Q", "elec.ct"]
+        elec_w = mix.weight("elec")
+        elec_vmin = staticloads.elec_tracker_init(voltage(0.0), elec).vmin_t
     channels += ["total.P", "total.Q"]
 
-    # Pack the continuous states into one vector.
-    segments: list[tuple[int, int]] = []
-    y_parts = []
-    pos = 0
-    for m in scenario.motors:
-        y_parts.append(m.state0.as_array())
-        segments.append((pos, pos + 5))
-        pos += 5
-    if scenario.dera is not None:
-        y_parts.append(scenario.dera.state0.as_array())
-        dera_seg = (pos, pos + 10)
-        pos += 10
-    y = np.concatenate(y_parts) if y_parts else np.zeros(0)
-
-    trackers = scenario.dera.trackers0 if scenario.dera is not None else None
-    elec_tracker = (
-        staticloads.elec_tracker_init(bus.voltage(0.0), scenario.elec)
-        if scenario.elec is not None
-        else None
-    )
-
-    def rhs(t, yv):
-        v = bus.voltage(t)
-        f = bus.frequency(t)
-        dy = np.empty_like(yv)
-        for m, (a, b) in zip(scenario.motors, segments):
-            st = MotorState(yv[a], yv[a + 1], yv[a + 2], yv[a + 3], yv[a + 4])
-            d = motor_derivatives(st, v, 0.0, m.params, m.init)
-            dy[a] = d.Eqp
-            dy[a + 1] = d.Edp
-            dy[a + 2] = d.Eqpp
-            dy[a + 3] = d.Edpp
-            dy[a + 4] = d.slip
-        if scenario.dera is not None:
-            a, b = dera_seg
-            st = DerAState.from_array(yv[a:b])
-            d = dera_mod.dera_derivatives(
-                st, trackers, v, f, scenario.dera.params, scenario.dera.refs, dt
-            )
-            dy[a:b] = d.as_array()
+    def rhs(t, y):
+        v, f = voltage(t), frequency(t)
+        if not (isfinite(v) and isfinite(f)):
+            raise NonFiniteInput(f"the bus gave a non-finite input at t = {t}")
+        dy = []
+        for a, _, m_rhs, _ in motors:
+            dy += m_rhs(*y[a:a + 5], v, 0.0)
+        if der is not None:
+            dy += der_rhs(y[der_at:], mem, v, f)
         return dy
 
-    limiter_counts: dict[str, int] = {}
-    trip_events: list[dict] = []
-    rows = []
+    counts = [0] * len(count_names)
 
-    def record(t, yv):
-        v = bus.voltage(t)
-        f = bus.frequency(t)
+    def observe(t, y, record):
+        """Count the active limiters; return the row if record (totals as composite_outputs)."""
+        for j, (a, _, _, _) in enumerate(motors):
+            counts[j] += 1.0 - y[a + 4] <= 0.0
+        if der is not None:
+            for j, flag in enumerate(der_flags(y[der_at:]), len(motors)):
+                counts[j] += flag
+        if not record:
+            return None
+        v, f = voltage(t), frequency(t)
         row = [t, v, f]
-        pq = {}
-        for m, (a, b) in zip(scenario.motors, segments):
-            st = MotorState(yv[a], yv[a + 1], yv[a + 2], yv[a + 3], yv[a + 4])
-            out = motor_algebra(st, v, 0.0, m.params, m.init)
-            row += [st.Eqp, st.Edp, st.Eqpp, st.Edpp, st.slip, out.P, out.Q]
-            pq[m.name] = (out.P, out.Q)
-        if scenario.dera is not None:
-            a, b = dera_seg
-            st = DerAState.from_array(yv[a:b])
-            p, q = dera_mod.dera_outputs(st, v, tripped=trackers.tripped)
-            row += list(yv[a:b]) + [p, q, 1.0 if trackers.tripped else 0.0]
-            pq["dera"] = (p, q)
-        if scenario.zip_load is not None:
-            p, q = staticloads.zip_power(v, scenario.zip_load)
-            row += [p, q]
-            pq["zip"] = (p, q)
-        if scenario.elec is not None:
-            p, q, ct, _ = staticloads.elec_power(v, elec_tracker, scenario.elec)
-            row += [p, q, ct]
-            pq["elec"] = (p, q)
-        p_tot, q_tot = composite_outputs(pq, mix)
-        row += [p_tot, q_tot]
-        rows.append(row)
+        P = Q = 0.0
+        for a, algebra, _, w in motors:
+            s = y[a:a + 5]
+            _, _, p, q, _ = algebra(s[2], s[3], s[4], v, 0.0)
+            row += (*s, p, q)
+            P += w * p
+            Q += w * q
+        if der is not None:
+            s = y[der_at:]
+            p, q = dera_mod.injection(s[9], s[3], v, mem[6])
+            row += (*s, p, q, 1.0 if mem[6] else 0.0)
+            P += der_w * p
+            Q += der_w * q
+        if zip_load is not None:
+            p, q = staticloads.zip_power(v, zip_load)
+            row += (p, q)
+            P += zip_w * p
+            Q += zip_w * q
+        if elec is not None:
+            p, q, ct, _ = staticloads.elec_power_at(v, elec_vmin, elec)
+            row += (p, q, ct)
+            P += elec_w * p
+            Q += elec_w * q
+        row += (P, Q)
+        return row
 
-    def count_flags(t, yv):
-        for m, (a, b) in zip(scenario.motors, segments):
-            key = f"{m.name}.speed_clamped"
-            active = (1.0 - yv[a + 4]) <= 0.0
-            limiter_counts[key] = limiter_counts.get(key, 0) + (1 if active else 0)
-        if scenario.dera is not None:
-            a, b = dera_seg
-            st = DerAState.from_array(yv[a:b])
-            flags = dera_mod.dera_limiter_flags(st, trackers, scenario.dera.params)
-            for name, active in flags.items():
-                key = f"dera.{name}"
-                limiter_counts[key] = limiter_counts.get(key, 0) + (1 if active else 0)
-
+    data = np.empty((n_steps // every + 1, len(channels)))
+    trip_events: list[dict] = []
     for i in range(n_steps + 1):
         t = i * dt
-        if i % config.record_every == 0:
-            record(t, y)
-        count_flags(t, y)
+        row = observe(t, y, i % every == 0)
+        if row is not None:
+            data[i // every] = row
         if i == n_steps:
             break
-        y = step(rhs, t, y, dt)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteState(
-                "a state left the finite range during integration "
-                "(instability or too large a step)",
-                step=i + 1,
-            )
+        try:
+            y = step(rhs, t, y, dt)
+            # A finite sum proves every state finite; plain floats raise
+            # where numpy would have produced inf or nan.
+            diverged = not isfinite(sum(y)) and not all(map(isfinite, y))
+        except (OverflowError, ZeroDivisionError):
+            diverged = True
+        if diverged:
+            raise NonFiniteState("a state left the finite range during integration "
+                                 "(instability or too large a step)", step=i + 1)
         t_next = (i + 1) * dt
-        v_next = bus.voltage(t_next)
-        f_next = bus.frequency(t_next)
-        if trackers is not None:
-            prev = trackers
-            trackers = dera_mod.advance_trackers(
-                trackers, v_next, f_next, dt, scenario.dera.params
-            )
-            if trackers.tripped and not prev.tripped:
-                trip_events.append({"type": "frequency_trip", "t": t_next})
-            params = scenario.dera.params
-            if dera_mod._low_expired(trackers, params) and not dera_mod._low_expired(prev, params):
-                trip_events.append({"type": "low_voltage_dwell_expired", "t": t_next})
-            if dera_mod._high_expired(trackers, params) and not dera_mod._high_expired(prev, params):
-                trip_events.append({"type": "high_voltage_dwell_expired", "t": t_next})
-        if elec_tracker is not None:
-            elec_tracker = staticloads.elec_tracker_update(v_next, elec_tracker, scenario.elec)
+        v_next = voltage(t_next)
+        if der is not None:
+            mem, events = der_advance(mem, v_next, frequency(t_next))
+            trip_events += ({"type": kind, "t": t_next} for kind in events)
+        if elec is not None:
+            elec_vmin = staticloads.elec_vmin_update(v_next, elec_vmin, elec)
 
-    traj = Trajectory(channels, np.array(rows))
+    traj = Trajectory(channels, data)
     residuals = {m.name: m.init_residual for m in scenario.motors}
-    if scenario.dera is not None:
-        residuals["dera"] = scenario.dera.init_residual
+    if der is not None:
+        residuals["dera"] = der.init_residual
     summary = {
         "method": config.method,
         "dt": dt,
         "t_end_requested": config.t_end,
         "t_end_actual": n_steps * dt,
         "steps": n_steps,
-        "samples": len(rows),
+        "samples": len(data),
         "initial_residuals": residuals,
         "trip_events": trip_events,
-        "limiter_activity": dict(sorted(limiter_counts.items())),
+        "limiter_activity": dict(sorted(zip(count_names, map(int, counts)))),
     }
     return SimResult(trajectory=traj, summary=summary)
 
@@ -417,20 +406,26 @@ def integrate(scenario: Scenario, config: IntegratorConfig) -> Trajectory:
 
 
 def write_csv(traj: Trajectory, path, channels: list[str] | None = None) -> None:
-    """Write the trajectory as CSV: header row, time first, 17 significant digits."""
+    """Write the trajectory as CSV: header row, time first, 17 significant digits.
+
+    Rows are formatted a block at a time, so only one block is ever held
+    as Python floats.
+    """
     if channels is None:
-        cols = list(range(len(traj.channels)))
         names = traj.channels
+        data = traj.data
     else:
         for c in channels:
             if c not in traj.channels:
                 raise ChannelError(f"no channel named {c!r}")
-        names = ["t"] + [c for c in channels if c != "t"]
-        cols = [traj.channels.index(c) for c in names]
+        names = ["t"] + [c for c in dict.fromkeys(channels) if c != "t"]  # read_csv rejects repeats
+        data = traj.data[:, [traj.channels.index(c) for c in names]]
+    fmt = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        for row in traj.data:
-            fh.write(",".join(f"{row[j]:.17g}" for j in cols) + "\n")
+        for start in range(0, len(data), CSV_BLOCK_ROWS):
+            fh.write("".join([fmt % tuple(row) for row in
+                              data[start:start + CSV_BLOCK_ROWS].tolist()]))
 
 
 def read_csv(path) -> Trajectory:
@@ -446,6 +441,9 @@ def read_csv(path) -> Trajectory:
         channels = header.split(",")
         if channels[0] != "t":
             raise FileFormatError(f"{path}:1: first column must be 't', got {channels[0]!r}")
+        duplicates = sorted({c for c in channels if channels.count(c) > 1})
+        if duplicates:
+            raise FileFormatError(f"{path}:1: duplicate channel name(s) {duplicates}")
         rows = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -462,7 +460,10 @@ def read_csv(path) -> Trajectory:
                 raise FileFormatError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise FileFormatError(f"{path}: no data rows")
-    return Trajectory(channels, np.array(rows))
+    try:
+        return Trajectory(channels, np.array(rows))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def write_binary(traj: Trajectory, path) -> None:

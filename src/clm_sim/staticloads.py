@@ -74,7 +74,12 @@ def elec_tracker_init(V0: float, params: ElecParams) -> ElecTracker:
 
 def elec_tracker_update(Vt: float, tracker: ElecTracker, params: ElecParams) -> ElecTracker:
     """One-step minimum-voltage recursion: max(Vd2, min(Vt, previous))."""
-    return ElecTracker(vmin_t=max(params.Vd2, min(Vt, tracker.vmin_t)))
+    return ElecTracker(vmin_t=elec_vmin_update(Vt, tracker.vmin_t, params))
+
+
+def elec_vmin_update(Vt: float, vmin_t: float, params: ElecParams) -> float:
+    """elec_tracker_update on the tracker's plain-float running minimum."""
+    return max(params.Vd2, min(Vt, vmin_t))
 
 
 def elec_coefficient(Vt: float, tracker: ElecTracker, params: ElecParams) -> tuple[float, int]:
@@ -85,24 +90,28 @@ def elec_coefficient(Vt: float, tracker: ElecTracker, params: ElecParams) -> tup
     while recovering inside the band; 4 full output with no low-voltage
     history; 5 partial recovery above Vd1 after a dip. The tracker must
     already reflect this sample's voltage. Ties at the thresholds follow
-    the comparisons exactly as written below.
+    the comparisons exactly as written in elec_power_at.
     """
-    vmin = tracker.vmin_t
+    return elec_power_at(Vt, tracker.vmin_t, params)[2:]
+
+
+def elec_power(Vt: float, tracker: ElecTracker, params: ElecParams) -> tuple:
+    """(P, Q, ct, mode) of the electronic load at this sample."""
+    return elec_power_at(Vt, tracker.vmin_t, params)
+
+
+def elec_power_at(Vt: float, vmin_t: float, params: ElecParams) -> tuple:
+    """elec_power on the tracker's plain-float running minimum vmin_t."""
     span = params.Vd1 - params.Vd2
     if Vt < params.Vd2:
-        return 0.0, 1
-    if params.Vd2 <= Vt < params.Vd1:
-        if Vt <= vmin:
-            return (Vt - params.Vd2) / span, 2
-        return (vmin - params.Vd2 + params.alpha * (Vt - vmin)) / span, 3
-    if vmin >= params.Vd1:
-        return 1.0, 4
-    return (vmin - params.Vd2 + params.alpha * (params.Vd1 - vmin)) / span, 5
-
-
-def elec_power(
-    Vt: float, tracker: ElecTracker, params: ElecParams
-) -> tuple[float, float, float, int]:
-    """(P, Q, ct, mode) of the electronic load at this sample."""
-    ct, mode = elec_coefficient(Vt, tracker, params)
+        ct, mode = 0.0, 1
+    elif Vt < params.Vd1:
+        if Vt <= vmin_t:
+            ct, mode = (Vt - params.Vd2) / span, 2
+        else:
+            ct, mode = (vmin_t - params.Vd2 + params.alpha * (Vt - vmin_t)) / span, 3
+    elif vmin_t >= params.Vd1:
+        ct, mode = 1.0, 4
+    else:
+        ct, mode = (vmin_t - params.Vd2 + params.alpha * (params.Vd1 - vmin_t)) / span, 5
     return ct * params.PE0, ct * params.QE0, ct, mode

@@ -68,6 +68,14 @@ def test_run_channel_subset_and_overrides(tmp_path):
     assert traj.t[1] - traj.t[0] == pytest.approx(5e-4, abs=1e-12)
 
 
+def test_run_repeated_channel_written_once(tmp_path):
+    cfg = _write_config(tmp_path, BASE_DOC)
+    rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+               "--channels", "total.P,total.P,t", "--t-end", "0.1"])
+    assert rc == 0
+    assert read_csv(tmp_path / "out" / "traj.csv").channels == ["t", "total.P"]
+
+
 def test_bad_fraction_sum_names_field(tmp_path, capsys):
     doc = dict(BASE_DOC)
     doc["mix"] = {"f_a": 0.9}
@@ -259,3 +267,84 @@ def test_incomplete_params_without_preset_rejected(tmp_path):
     doc["motor_a"] = {"overrides": {"rs": 0.04}, "p0": 0.5}
     with pytest.raises(ConfigError):
         parse_config(doc)
+
+
+def test_fractional_record_every_rejected(tmp_path, capsys):
+    doc = dict(BASE_DOC)
+    doc["integrator"] = dict(BASE_DOC["integrator"], record_every=2.5)
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(doc)
+    assert exc_info.value.field == "integrator.record_every"
+    cfg = _write_config(tmp_path, doc)
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: CONFIG_INVALID:")
+    assert "integrator.record_every" in err and err.count("\n") == 1
+
+
+# ------------------------------------------------------ compare on foreign files
+
+def _single_error_line(capsys, code):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {code}:")
+    return lines[0]
+
+
+def test_compare_rounded_time_grid(tmp_path, capsys):
+    # A 1/120 s grid with its times printed to 4 decimals, as exported by
+    # other simulators: increasing, but not evenly spaced.
+    fine = tmp_path / "fine.csv"
+    rounded = tmp_path / "rounded.csv"
+    t = np.arange(1001) * 1e-3
+    fine.write_text("t,x.P\n" + "".join(f"{ti:.17g},{2 * ti:.17g}\n" for ti in t))
+    tr = np.arange(121) / 120.0
+    rounded.write_text("t,x.P\n" + "".join(f"{ti:.4f},{2 * ti:.17g}\n" for ti in tr))
+    assert main(["compare", str(fine), str(rounded), "--channels", "x.P"]) == 0
+    assert main(["compare", str(rounded), str(fine), "--channels", "x.P"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for line in captured.out.splitlines()[1::2]:
+        assert float(line.split()[-1]) < 1e-8  # 5e-5 s of rounding on slope 2
+
+
+def test_compare_duplicate_channel_is_file_format(tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    path.write_text("t,x.P,x.P\n0,1,2\n0.1,1,2\n")
+    assert main(["compare", str(path), str(path)]) == 3
+    line = _single_error_line(capsys, "FILE_FORMAT")
+    assert "dup.csv" in line and "x.P" in line
+
+
+def test_compare_non_increasing_time_is_file_format(tmp_path, capsys):
+    path = tmp_path / "back.csv"
+    path.write_text("t,x.P\n0,1\n0.1,2\n0.1,3\n")
+    assert main(["compare", str(path), str(path)]) == 3
+    assert "back.csv" in _single_error_line(capsys, "FILE_FORMAT")
+
+
+# ------------------------------------------------------------------ divergence
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_rk4_run_reports_non_finite_state(tmp_path, capsys):
+    # motor_a (Tpp0 = 2 ms) is unstable under rk4 at dt = 10 ms.
+    cfg = _write_config(tmp_path, BASE_DOC)
+    rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+               "--dt", "0.01"])
+    assert rc == 4
+    assert "(step " in _single_error_line(capsys, "NON_FINITE_STATE")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_torque_overflow_reports_non_finite_state(tmp_path, capsys):
+    # A motor B with a tiny inertia, driven as a generator, runs away after
+    # the fault: its speed grows until w**Etrq (Etrq = 2) overflows inside
+    # an rk4 stage, which plain floats raise as OverflowError.
+    doc = dict(BASE_DOC, mix={"f_b": 1.0},
+               motor_b={"preset": "motor_b", "overrides": {"H": 0.001}, "p0": -0.6})
+    doc.pop("motor_a")
+    doc["integrator"] = dict(BASE_DOC["integrator"], t_end=2.0)
+    cfg = _write_config(tmp_path, doc)
+    rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 4
+    assert _single_error_line(capsys, "NON_FINITE_STATE").endswith("(step 1017)")

@@ -109,7 +109,10 @@ def test_trajectory_invariants_enforced():
     with pytest.raises(ValueError):
         Trajectory(["t", "x"], np.array([[0.0, 1.0], [0.0, 2.0]]))  # not increasing
     with pytest.raises(ValueError):
-        Trajectory(["t", "x"], np.array([[0.0, 1.0], [0.1, 2.0], [0.3, 3.0]]))
+        Trajectory(["t", "x"], np.array([[0.0, 1.0], [0.2, 2.0], [0.1, 3.0]]))
+    # Uneven but increasing time is a valid trajectory (a rounded export grid).
+    uneven = Trajectory(["t", "x"], np.array([[0.0, 1.0], [0.1, 2.0], [0.3, 3.0]]))
+    assert uneven.t.tolist() == [0.0, 0.1, 0.3]
     with pytest.raises(ValueError):
         Trajectory(["x", "t"], np.zeros((2, 2)))  # time must lead
 
