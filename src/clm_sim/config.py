@@ -31,7 +31,7 @@ from .motor3 import MOTOR_PRESETS, MotorParams
 from .sim import IntegratorConfig, Scenario, build_scenario
 from .staticloads import ElecParams, ZipParams
 
-PRESET_NAMES = (*MOTOR_PRESETS, *DERA_PRESETS)
+PRESET_NAMES = ("motor_a", "motor_b", "motor_c", "dera_table3")
 
 
 def get_motor_preset(name: str) -> MotorParams:
@@ -74,29 +74,31 @@ def _number(node: dict, key: str, where: str, default=None, required=False):
 
 
 @dataclass
-class ComponentSection:
-    """A motor or the DER: a preset and/or overrides, and the initial (P, Q).
-
-    In the YAML document P and Q are p0/q0 for a motor and pgen0/qgen0 for
-    the DER; a motor's q0 is optional, the DER's qgen0 defaults to 0.
-    """
-
+class MotorSection:
     preset: str | None
     overrides: dict
     p0: float
     q0: float | None
-    is_dera: bool = False
 
-    def params(self):
-        if self.preset is None:
-            return (DerAParams if self.is_dera else MotorParams)(**self.overrides)
-        base = (get_dera_preset if self.is_dera else get_motor_preset)(self.preset)
-        return dataclasses.replace(base, **self.overrides) if self.overrides else base
+    def params(self) -> MotorParams:
+        if self.preset is not None:
+            base = get_motor_preset(self.preset)
+            return dataclasses.replace(base, **self.overrides) if self.overrides else base
+        return MotorParams(**self.overrides)
 
-    def to_dict(self) -> dict:
-        p_key, q_key = ("pgen0", "qgen0") if self.is_dera else ("p0", "q0")
-        return {"preset": self.preset, "overrides": dict(self.overrides),
-                p_key: self.p0, q_key: self.q0}
+
+@dataclass
+class DeraSection:
+    preset: str | None
+    overrides: dict
+    pgen0: float
+    qgen0: float
+
+    def params(self) -> DerAParams:
+        if self.preset is not None:
+            base = get_dera_preset(self.preset)
+            return dataclasses.replace(base, **self.overrides) if self.overrides else base
+        return DerAParams(**self.overrides)
 
 
 @dataclass
@@ -131,8 +133,8 @@ class ScenarioConfig:
     mix: LoadMix
     disturbance: DisturbanceSection
     integrator: IntegratorConfig
-    motors: dict[str, ComponentSection]
-    dera: ComponentSection | None
+    motors: dict[str, MotorSection]
+    dera: DeraSection | None
     zip_load: ZipParams | None
     elec: ElecParams | None
     outputs: OutputsSection
@@ -161,9 +163,12 @@ class ScenarioConfig:
             },
         }
         for name, sec in self.motors.items():
-            doc[name] = sec.to_dict()
+            doc[name] = {"preset": sec.preset, "overrides": dict(sec.overrides),
+                         "p0": sec.p0, "q0": sec.q0}
         if self.dera is not None:
-            doc["dera"] = self.dera.to_dict()
+            doc["dera"] = {"preset": self.dera.preset,
+                           "overrides": dict(self.dera.overrides),
+                           "pgen0": self.dera.pgen0, "qgen0": self.dera.qgen0}
         if self.zip_load is not None:
             z = self.zip_load
             doc["zip"] = {"p0": z.P0, "q0": z.Q0, "v0": z.V0,
@@ -192,7 +197,7 @@ class ScenarioConfig:
         }
         dera_load = None
         if self.dera is not None:
-            dera_load = (self.dera.params(), self.dera.p0, self.dera.q0)
+            dera_load = (self.dera.params(), self.dera.pgen0, self.dera.qgen0)
         return build_scenario(self.mix, bus, motor_loads, dera_load,
                               self.zip_load, self.elec)
 
@@ -229,28 +234,48 @@ def _parse_overrides(node, where: str, param_cls) -> dict:
     return out
 
 
-def _parse_component(node, where: str) -> ComponentSection:
-    """A motor section, or the DER section when where is "dera"."""
-    is_dera = where == "dera"
-    p_key, q_key = ("pgen0", "qgen0") if is_dera else ("p0", "q0")
-    param_cls = DerAParams if is_dera else MotorParams
+def _parse_motor(node, where: str) -> MotorSection:
     node = _require_mapping(node, where)
-    _reject_unknown(node, ("preset", "overrides", p_key, q_key), where)
+    _reject_unknown(node, ("preset", "overrides", "p0", "q0"), where)
     preset = node.get("preset")
     if preset is not None and not isinstance(preset, str):
         raise ConfigError(f"preset must be a string, got {preset!r}", field=f"{where}.preset")
-    overrides = _parse_overrides(node.get("overrides", {}), f"{where}.overrides", param_cls)
+    overrides = _parse_overrides(node.get("overrides", {}), f"{where}.overrides", MotorParams)
     if preset is None:
-        required = {f.name for f in dataclasses.fields(param_cls) if f.default is dataclasses.MISSING}
+        required = {f.name for f in dataclasses.fields(MotorParams) if f.default is dataclasses.MISSING}
         missing = sorted(required - set(overrides))
         if missing:
             raise ConfigError(f"no preset given and parameters missing: {missing}", field=where)
-    sec = ComponentSection(
+    sec = MotorSection(
         preset=preset,
         overrides=overrides,
-        p0=_number(node, p_key, where, required=True),
-        q0=_number(node, q_key, where, default=0.0 if is_dera else None),
-        is_dera=is_dera,
+        p0=_number(node, "p0", where, required=True),
+        q0=_number(node, "q0", where, default=None),
+    )
+    try:
+        sec.params()
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc), field=where) from None
+    return sec
+
+
+def _parse_dera(node, where="dera") -> DeraSection:
+    node = _require_mapping(node, where)
+    _reject_unknown(node, ("preset", "overrides", "pgen0", "qgen0"), where)
+    preset = node.get("preset")
+    if preset is not None and not isinstance(preset, str):
+        raise ConfigError(f"preset must be a string, got {preset!r}", field=f"{where}.preset")
+    overrides = _parse_overrides(node.get("overrides", {}), f"{where}.overrides", DerAParams)
+    if preset is None:
+        required = {f.name for f in dataclasses.fields(DerAParams) if f.default is dataclasses.MISSING}
+        missing = sorted(required - set(overrides))
+        if missing:
+            raise ConfigError(f"no preset given and parameters missing: {missing}", field=where)
+    sec = DeraSection(
+        preset=preset,
+        overrides=overrides,
+        pgen0=_number(node, "pgen0", where, required=True),
+        qgen0=_number(node, "qgen0", where, 0.0),
     )
     try:
         sec.params()
@@ -393,13 +418,13 @@ def parse_config(doc: dict) -> ScenarioConfig:
     motors = {}
     for name in ("motor_a", "motor_b", "motor_c"):
         if name in doc:
-            motors[name] = _parse_component(doc[name], name)
+            motors[name] = _parse_motor(doc[name], name)
     return ScenarioConfig(
         mix=_parse_mix(doc["mix"]),
         disturbance=_parse_disturbance(doc["disturbance"]),
         integrator=_parse_integrator(doc["integrator"]),
         motors=motors,
-        dera=_parse_component(doc["dera"], "dera") if "dera" in doc else None,
+        dera=_parse_dera(doc["dera"]) if "dera" in doc else None,
         zip_load=_parse_zip(doc["zip"]) if "zip" in doc else None,
         elec=_parse_elec(doc["elec"]) if "elec" in doc else None,
         outputs=_parse_outputs(doc.get("outputs", {})),

@@ -27,12 +27,11 @@ with end-of-step values, never inside integrator stages.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import blocks
-from .blocks import DeadbandLimits, SatLimits
+from .blocks import SatLimits
 from .errors import InfeasibleInit, NonFiniteInput
 
 # Floor applied to the filtered voltage before any division.
@@ -176,7 +175,7 @@ class DerARefs:
     Freqref: float  # frequency reference (pu)
 
 
-# dera_limiter_flags keys, in the order DerAKernel.flags returns them.
+# dera_limiter_flags keys, in the order dera_algebra's flags returns them.
 LIMITER_FLAGS = ("voltage_floor", "iq_command_limit", "iq_injection_limit",
                  "ip_command_limit", "power_order_limit", "power_order_windup")
 
@@ -217,170 +216,166 @@ def injection(S9: float, S3: float, Vt: float, tripped: bool) -> tuple[float, fl
     return (0.0, 0.0) if tripped else (Vt * S9, -Vt * S3)
 
 
-class DerAKernel:
-    """DER_A functions over plain floats for one parameter set.
+def _memory(trackers: DerATrackers) -> tuple:
+    return tuple(vars(trackers).values())  # the fields in order, without astuple's deep copy
 
-    Every constant (limits, gains, tan(pfaref), dwell thresholds) is
-    computed once here. The tracker memory mem is the tuple of
-    DerATrackers' fields, in order:
 
-    - rhs(s, mem, Vt, Freq): the ten derivatives; s is any sequence S0..S9
-    - commands(S0, S2, S8): (floored S0, Ipcmd, Iqcmd, then the raw commands
-      and limits that flags() tests)
-    - flags(s): the LIMITER_FLAGS values
-    - protection(Vt, mem): the voltage cut-out/recovery multiplier
-    - advance(mem, Vt, Freq): (memory after one step, events it fired)
-    - freq_trip(mem, Vt, Freq): the frequency-trip part of advance
+def dera_algebra(params: DerAParams):
+    """(commands, flags, protection) of the DER_A over plain floats, constants computed once.
 
-    Nothing here checks its inputs; the public functions below do. Clips
-    follow blocks.saturate (the upper limit wins a tie), deadbands
-    blocks.deadband.
+    commands(S0, S2, S8) -> (floored S0, Ipcmd, Iqcmd, raw commands and limits);
+    flags(s) -> the LIMITER_FLAGS values at states S0..S9; protection(Vt, mem)
+    -> the voltage multiplier, mem being the DerATrackers fields (_memory).
+    Input checks are left to the public functions, as in the builders below.
     """
+    P = params
+    Vref0, Kqv, dbd1, dbd2, Iql1, Iqh1 = P.Vref0, P.Kqv, P.dbd1, P.dbd2, P.Iql1, P.Iqh1
+    Pmin, Pmax, imax, typeflag, q_priority = P.Pmin, P.Pmax, P.Imax, P.typeflag, P.PQflag == 0
+    Vl0, Vl1, Vh0, Vh1, Vrfrac = P.Vl0, P.Vl1, P.Vh0, P.Vh1, P.Vrfrac
+    lo_slope, hi_slope = Vl1 - Vl0, Vh0 - Vh1
+    lo_thr, hi_thr = P.tvl1 - TIMER_EPS, P.tvh1 - TIMER_EPS
 
-    __slots__ = ("rhs", "commands", "flags", "protection", "advance", "freq_trip")
+    def commands(S0, S2, S8):
+        s0f = VOLTAGE_FLOOR if S0 <= VOLTAGE_FLOOR else S0
+        x = Vref0 - S0
+        verr = x - dbd2 if x > dbd2 else (x - dbd1 if x < dbd1 else 0.0)
+        inj_raw = Kqv * verr
+        iq_raw = S2 + (Iqh1 if inj_raw >= Iqh1 else (Iql1 if inj_raw <= Iql1 else inj_raw))
+        ip_raw = (Pmax if S8 >= Pmax else (Pmin if S8 <= Pmin else S8)) / s0f
+        if q_priority:
+            iq_lo, iq_hi = -imax, imax
+            iqcmd = iq_hi if iq_raw >= iq_hi else (iq_lo if iq_raw <= iq_lo else iq_raw)
+            ip_lo, ip_hi = _headroom(iqcmd, imax, typeflag)
+            ipcmd = ip_hi if ip_raw >= ip_hi else (ip_lo if ip_raw <= ip_lo else ip_raw)
+        else:
+            ip_lo, ip_hi = -imax, imax
+            ipcmd = ip_hi if ip_raw >= ip_hi else (ip_lo if ip_raw <= ip_lo else ip_raw)
+            iq_lo, iq_hi = _headroom(ipcmd, imax, typeflag)
+            iqcmd = iq_hi if iq_raw >= iq_hi else (iq_lo if iq_raw <= iq_lo else iq_raw)
+        return s0f, ipcmd, iqcmd, ip_raw, iq_raw, inj_raw, ip_lo, ip_hi, iq_lo, iq_hi
 
-    def __init__(self, params: DerAParams, refs: DerARefs | None = None, dt: float = 1e-3):
-        P = params
-        Trv, Tp, Tiq, Tg, Tv, Trf, Tpord = P.Trv, P.Tp, P.Tiq, P.Tg, P.Tv, P.Trf, P.Tpord
-        Vref0, Kqv, dbd1, dbd2, Iql1, Iqh1 = P.Vref0, P.Kqv, P.dbd1, P.dbd2, P.Iql1, P.Iqh1
-        Pmin, Pmax, imax, typeflag = P.Pmin, P.Pmax, P.Imax, P.typeflag
-        q_priority, pf_control = P.PQflag == 0, P.PfFlag == 1
-        voltage_trip, freq_control = P.Vtripflag == 1, P.Freqflag == 1
-        Vl0, Vl1, Vh0, Vh1, Vrfrac = P.Vl0, P.Vl1, P.Vh0, P.Vh1, P.Vrfrac
-        lo_slope, hi_slope = Vl1 - Vl0, Vh0 - Vh1
-        lo_thr, hi_thr = P.tvl1 - TIMER_EPS, P.tvh1 - TIMER_EPS
-        Kig, Kpg_Tp, Ddn, Dup, femin, femax = P.Kig, P.Kpg / P.Tp, P.Ddn, P.Dup, P.femin, P.femax
-        fdbd1, fdbd2, dPmin, dPmax = P.fdbd1, P.fdbd2, P.dPmin, P.dPmax
-        ddn_trf, dup_trf = Ddn / Trf, Dup / Trf
-        g_dn, g_up = -(P.Kpg * Ddn / Trf), -(P.Kpg * Dup / Trf)
-        freq_trip_on, Vpr, fl, fh = P.Ftripflag == 1, P.Vpr, P.fl, P.fh
-        tfl_thr, tfh_thr = P.tfl - TIMER_EPS, P.tfh - TIMER_EPS
-        if refs is not None:
-            Pref, Qref, Freqref = refs.Pref, refs.Qref, refs.Freqref
-            tan_pfa = math.tan(refs.pfaref)
+    def flags(s):
+        S0, S6, S8 = s[0], s[6], s[8]
+        _, _, _, ip_raw, iq_raw, inj_raw, ip_lo, ip_hi, iq_lo, iq_hi = commands(S0, s[2], S8)
+        return (S0 <= VOLTAGE_FLOOR, iq_raw < iq_lo or iq_raw > iq_hi,
+                inj_raw < Iql1 or inj_raw > Iqh1, ip_raw < ip_lo or ip_raw > ip_hi,
+                S8 < Pmin or S8 > Pmax, S6 < Pmin or S6 > Pmax)
 
-        def commands(S0, S2, S8):
-            s0f = VOLTAGE_FLOOR if S0 <= VOLTAGE_FLOOR else S0
-            x = Vref0 - S0
-            verr = x - dbd2 if x > dbd2 else (x - dbd1 if x < dbd1 else 0.0)
-            inj_raw = Kqv * verr
-            iq_raw = S2 + (Iqh1 if inj_raw >= Iqh1 else (Iql1 if inj_raw <= Iql1 else inj_raw))
-            ip_raw = (Pmax if S8 >= Pmax else (Pmin if S8 <= Pmin else S8)) / s0f
-            if q_priority:
-                iq_lo, iq_hi = -imax, imax
-                iqcmd = iq_hi if iq_raw >= iq_hi else (iq_lo if iq_raw <= iq_lo else iq_raw)
-                ip_lo, ip_hi = _headroom(iqcmd, imax, typeflag)
-                ipcmd = ip_hi if ip_raw >= ip_hi else (ip_lo if ip_raw <= ip_lo else ip_raw)
+    def protection(Vt, mem):
+        vmin, vmax, lv_exp, hv_exp = mem[0], mem[1], mem[2] >= lo_thr, mem[3] >= hi_thr
+        if Vl0 <= Vt <= vmin:
+            r = (Vt - Vl0) / lo_slope
+        elif vmin <= Vt <= Vl1 and not lv_exp:
+            r = (Vt - Vl0) / lo_slope
+        elif Vl1 < Vt < Vh1 and not lv_exp:
+            r = 1.0
+        elif Vh1 <= Vt <= Vh0 and not hv_exp:
+            r = (Vh0 - Vt) / hi_slope
+        elif vmin <= Vt <= Vl1 and lv_exp:
+            r = Vrfrac * ((Vt - vmin) / lo_slope)
+        elif Vl1 < Vt < Vh1 and lv_exp:
+            r = Vrfrac * ((Vl1 - vmin) / lo_slope)
+        elif Vh1 <= Vt <= vmax and hv_exp:
+            r = Vrfrac * ((vmax - Vt) / hi_slope)
+        elif vmax <= Vt <= Vh0:
+            r = (Vh0 - Vt) / hi_slope
+        else:
+            r = 0.0
+        r = r if r > 0.0 else 0.0
+        return r if r < 1.0 else 1.0
+
+    return commands, flags, protection
+
+
+def dera_rhs(params: DerAParams, refs: DerARefs, dt: float):
+    """rhs(s, mem, Vt, Freq) -> the ten derivatives; dt as in dera_derivatives."""
+    P = params
+    Trv, Tp, Tiq, Tg, Tv, Trf, Tpord = P.Trv, P.Tp, P.Tiq, P.Tg, P.Tv, P.Trf, P.Tpord
+    pf_control, voltage_trip, freq_control = P.PfFlag == 1, P.Vtripflag == 1, P.Freqflag == 1
+    Kig, Kpg_Tp, Ddn, Dup, femin, femax = P.Kig, P.Kpg / P.Tp, P.Ddn, P.Dup, P.femin, P.femax
+    fdbd1, fdbd2, dPmin, dPmax, Pmin, Pmax = P.fdbd1, P.fdbd2, P.dPmin, P.dPmax, P.Pmin, P.Pmax
+    ddn_trf, dup_trf = Ddn / Trf, Dup / Trf
+    g_dn, g_up = -(P.Kpg * Ddn / Trf), -(P.Kpg * Dup / Trf)
+    Pref, Qref, Freqref, tan_pfa = refs.Pref, refs.Qref, refs.Freqref, math.tan(refs.pfaref)
+    commands, _, protection = dera_algebra(params)
+
+    def rhs(s, mem, Vt, Freq):
+        S0, S1, S2, S3, S4, S5, S6, S7, S8, S9 = s
+        s0f, ipcmd, iqcmd = commands(S0, S2, S8)[:3]
+        dS2 = -S2 / Tiq + (tan_pfa * S1 if pf_control else Qref) / (Tiq * s0f)
+        trip_mult = S4 if voltage_trip else 1.0
+        x = Freqref - S5
+        ferr = x - fdbd2 if x > fdbd2 else (x - fdbd1 if x < fdbd1 else 0.0)
+        dn, up = Ddn * ferr, Dup * ferr
+        e = Pref - S1 + (dn if dn <= 0.0 else 0.0) + (up if up > 0.0 else 0.0)
+        fe = Freq - S5  # frequency filter error: droop feedthrough outside the deadband
+        outside = fe < fdbd1 or fe > fdbd2
+        dS6 = (
+            Kig * (femax if e >= femax else (femin if e <= femin else e))
+            + Kpg_Tp * S1
+            + (g_dn * fe if outside and ddn_trf * fe >= 0.0 else 0.0)
+            + (g_up * fe if outside and dup_trf * fe < 0.0 else 0.0)
+            - S8 / Tp
+        )
+        dS7 = 0.0
+        if freq_control:
+            tracked = Pmax if S6 >= Pmax else (Pmin if S6 <= Pmin else S6)
+            ramp = (tracked - S7) / dt
+            dS7 = dPmax if ramp >= dPmax else (dPmin if ramp <= dPmin else ramp)
+        return ((Vt - S0) / Trv, (S8 - S1) / Tp, dS2, -(S3 - iqcmd * trip_mult) / Tg,
+                (protection(S0, mem) - S4) / Tv, (Freq - S5) / Trf, dS6, dS7,
+                (S7 - S8) / Tpord, (ipcmd * trip_mult - S9) / Tg)
+
+    return rhs
+
+
+def dera_memory(params: DerAParams, dt: float):
+    """(advance, freq_trip) of the DER_A memory over one step of length dt.
+
+    Both take (mem, Vt, Freq); advance also returns the events the step fired.
+    """
+    P = params
+    Vl1, Vh1, lo_thr, hi_thr = P.Vl1, P.Vh1, P.tvl1 - TIMER_EPS, P.tvh1 - TIMER_EPS
+    freq_trip_on, Vpr, fl, fh = P.Ftripflag == 1, P.Vpr, P.fl, P.fh
+    tfl_thr, tfh_thr = P.tfl - TIMER_EPS, P.tfh - TIMER_EPS
+
+    def freq_trip(mem, Vt, Freq):
+        if not freq_trip_on or mem[6]:
+            return mem
+        vmin, vmax, low, high, f_low, f_high, _ = mem
+        if Vt >= Vpr:
+            if Freq < fl:
+                f_low += dt
+            elif Freq > fh:
+                f_high += dt
             else:
-                ip_lo, ip_hi = -imax, imax
-                ipcmd = ip_hi if ip_raw >= ip_hi else (ip_lo if ip_raw <= ip_lo else ip_raw)
-                iq_lo, iq_hi = _headroom(ipcmd, imax, typeflag)
-                iqcmd = iq_hi if iq_raw >= iq_hi else (iq_lo if iq_raw <= iq_lo else iq_raw)
-            return s0f, ipcmd, iqcmd, ip_raw, iq_raw, inj_raw, ip_lo, ip_hi, iq_lo, iq_hi
+                f_low = f_high = 0.0
+        return (vmin, vmax, low, high, f_low, f_high,
+                f_low >= tfl_thr or f_high >= tfh_thr)
 
-        def protection(Vt, mem):
-            vmin, vmax, low, high = mem[0], mem[1], mem[2], mem[3]
-            lv_exp = low >= lo_thr
-            hv_exp = high >= hi_thr
-            if Vl0 <= Vt <= vmin:
-                r = (Vt - Vl0) / lo_slope
-            elif vmin <= Vt <= Vl1 and not lv_exp:
-                r = (Vt - Vl0) / lo_slope
-            elif Vl1 < Vt < Vh1 and not lv_exp:
-                r = 1.0
-            elif Vh1 <= Vt <= Vh0 and not hv_exp:
-                r = (Vh0 - Vt) / hi_slope
-            elif vmin <= Vt <= Vl1 and lv_exp:
-                r = Vrfrac * ((Vt - vmin) / lo_slope)
-            elif Vl1 < Vt < Vh1 and lv_exp:
-                r = Vrfrac * ((Vl1 - vmin) / lo_slope)
-            elif Vh1 <= Vt <= vmax and hv_exp:
-                r = Vrfrac * ((vmax - Vt) / hi_slope)
-            elif vmax <= Vt <= Vh0:
-                r = (Vh0 - Vt) / hi_slope
-            else:
-                r = 0.0
-            r = r if r > 0.0 else 0.0
-            return r if r < 1.0 else 1.0
+    def advance(mem, Vt, Freq):
+        vmin, vmax, low, high, f_low, f_high, tripped = mem
+        low_expired, high_expired = low >= lo_thr, high >= hi_thr
+        if Vt < Vl1:
+            low += dt
+        elif not low_expired:
+            low = 0.0
+        if Vt > Vh1:
+            high += dt
+        elif not high_expired:
+            high = 0.0
+        mem = freq_trip((Vt if Vt < vmin else vmin, Vt if Vt > vmax else vmax,
+                         low, high, f_low, f_high, tripped), Vt, Freq)
+        events = ()
+        if mem[6] and not tripped:
+            events += ("frequency_trip",)
+        if low >= lo_thr and not low_expired:
+            events += ("low_voltage_dwell_expired",)
+        if high >= hi_thr and not high_expired:
+            events += ("high_voltage_dwell_expired",)
+        return mem, events
 
-        def rhs(s, mem, Vt, Freq):
-            S0, S1, S2, S3, S4, S5, S6, S7, S8, S9 = s
-            s0f, ipcmd, iqcmd = commands(S0, S2, S8)[:3]
-            if pf_control:
-                dS2 = -S2 / Tiq + tan_pfa * S1 / (Tiq * s0f)
-            else:
-                dS2 = -S2 / Tiq + Qref / (Tiq * s0f)
-            trip_mult = S4 if voltage_trip else 1.0
-            x = Freqref - S5
-            ferr = x - fdbd2 if x > fdbd2 else (x - fdbd1 if x < fdbd1 else 0.0)
-            dn = Ddn * ferr
-            up = Dup * ferr
-            e = Pref - S1 + (dn if dn <= 0.0 else 0.0) + (up if up > 0.0 else 0.0)
-            fe = Freq - S5  # frequency filter error: droop feedthrough outside the deadband
-            outside = fe < fdbd1 or fe > fdbd2
-            dS6 = (
-                Kig * (femax if e >= femax else (femin if e <= femin else e))
-                + Kpg_Tp * S1
-                + (g_dn * fe if outside and ddn_trf * fe >= 0.0 else 0.0)
-                + (g_up * fe if outside and dup_trf * fe < 0.0 else 0.0)
-                - S8 / Tp
-            )
-            if freq_control:
-                tracked = Pmax if S6 >= Pmax else (Pmin if S6 <= Pmin else S6)
-                ramp = (tracked - S7) / dt
-                dS7 = dPmax if ramp >= dPmax else (dPmin if ramp <= dPmin else ramp)
-            else:
-                dS7 = 0.0
-            return ((Vt - S0) / Trv, (S8 - S1) / Tp, dS2, -(S3 - iqcmd * trip_mult) / Tg,
-                    (protection(S0, mem) - S4) / Tv, (Freq - S5) / Trf, dS6, dS7,
-                    (S7 - S8) / Tpord, (ipcmd * trip_mult - S9) / Tg)
-
-        def flags(s):
-            S0, S6, S8 = s[0], s[6], s[8]
-            _, _, _, ip_raw, iq_raw, inj_raw, ip_lo, ip_hi, iq_lo, iq_hi = commands(S0, s[2], S8)
-            return (S0 <= VOLTAGE_FLOOR, iq_raw < iq_lo or iq_raw > iq_hi,
-                    inj_raw < Iql1 or inj_raw > Iqh1, ip_raw < ip_lo or ip_raw > ip_hi,
-                    S8 < Pmin or S8 > Pmax, S6 < Pmin or S6 > Pmax)
-
-        def freq_trip(mem, Vt, Freq):
-            if not freq_trip_on or mem[6]:
-                return mem
-            vmin, vmax, low, high, f_low, f_high, _ = mem
-            if Vt >= Vpr:
-                if Freq < fl:
-                    f_low += dt
-                elif Freq > fh:
-                    f_high += dt
-                else:
-                    f_low = f_high = 0.0
-            return (vmin, vmax, low, high, f_low, f_high,
-                    f_low >= tfl_thr or f_high >= tfh_thr)
-
-        def advance(mem, Vt, Freq):
-            vmin, vmax, low, high, f_low, f_high, tripped = mem
-            low_expired = low >= lo_thr
-            high_expired = high >= hi_thr
-            if Vt < Vl1:
-                low += dt
-            elif not low_expired:
-                low = 0.0
-            if Vt > Vh1:
-                high += dt
-            elif not high_expired:
-                high = 0.0
-            mem = freq_trip((Vt if Vt < vmin else vmin, Vt if Vt > vmax else vmax,
-                             low, high, f_low, f_high, tripped), Vt, Freq)
-            events = ()
-            if mem[6] and not tripped:
-                events += ("frequency_trip",)
-            if low >= lo_thr and not low_expired:
-                events += ("low_voltage_dwell_expired",)
-            if high >= hi_thr and not high_expired:
-                events += ("high_voltage_dwell_expired",)
-            return mem, events
-
-        self.rhs, self.commands, self.flags, self.protection = rhs, commands, flags, protection
-        self.advance, self.freq_trip = advance, freq_trip
+    return advance, freq_trip
 
 
 def voltage_protection(Vt: float, trackers: DerATrackers, params: DerAParams) -> float:
@@ -395,7 +390,7 @@ def voltage_protection(Vt: float, trackers: DerATrackers, params: DerAParams) ->
     below Vl0), so the result is clamped; inside the bands the clamp never
     binds.
     """
-    return DerAKernel(params).protection(Vt, astuple(trackers))
+    return dera_algebra(params)[2](Vt, _memory(trackers))
 
 
 def dera_derivatives(
@@ -418,8 +413,8 @@ def dera_derivatives(
     """
     if not (math.isfinite(Vt) and math.isfinite(Freq)):
         raise NonFiniteInput("DER_A evaluation received a non-finite bus input")
-    rhs = DerAKernel(params, refs, dt).rhs
-    return DerAState(*rhs(state.as_array().tolist(), astuple(trackers), Vt, Freq))
+    rhs = dera_rhs(params, refs, dt)
+    return DerAState(*rhs(state.as_array().tolist(), _memory(trackers), Vt, Freq))
 
 
 def frequency_trip(
@@ -432,7 +427,7 @@ def frequency_trip(
     voltage is below Vpr, and reset when the frequency recovers. The latch
     fires when a timer reaches its dwell and is permanent for the run.
     """
-    return DerATrackers(*DerAKernel(params, dt=dt).freq_trip(astuple(trackers), Vt, Freq))
+    return DerATrackers(*dera_memory(params, dt)[1](_memory(trackers), Vt, Freq))
 
 
 def advance_trackers(
@@ -444,7 +439,7 @@ def advance_trackers(
     Vl1..Vh1 band, reset on recovery while unexpired, and hold once expired
     (expiry selects the partial-recovery branches permanently).
     """
-    mem, _ = DerAKernel(params, dt=dt).advance(astuple(trackers), Vt, Freq)
+    mem, _ = dera_memory(params, dt)[0](_memory(trackers), Vt, Freq)
     return DerATrackers(*mem)
 
 
@@ -479,9 +474,8 @@ def dera_initialize(
     trackers = fresh_trackers(Vt0)
     s9 = Pgen0 / Vt0
     s3 = -Qgen0 / Vt0
-    verr = blocks.deadband(params.Vref0 - Vt0, DeadbandLimits(params.dbd1, params.dbd2))
-    iq_inj = blocks.saturate(params.Kqv * verr, SatLimits(params.Iql1, params.Iqh1))
-    s2 = s3 - iq_inj
+    commands = dera_algebra(params)[0]
+    s2 = s3 - commands(Vt0, 0.0, Pgen0)[4]  # raw Iq command at S2 = 0: the clipped injection
 
     if params.Kig > 0.0:
         e_star = Pgen0 * (1.0 - params.Kpg) / (params.Tp * params.Kig)
@@ -512,7 +506,7 @@ def dera_initialize(
     refs = DerARefs(Pref=pref, Qref=s2 * Vt0, pfaref=pfaref, Freqref=Freq0)
 
     # The commanded currents must survive the limiters untouched.
-    _, ipcmd, iqcmd = DerAKernel(params).commands(Vt0, s2, Pgen0)[:3]
+    _, ipcmd, iqcmd = commands(Vt0, s2, Pgen0)[:3]
     if abs(iqcmd - s3) > 1e-12:
         raise InfeasibleInit(
             f"reactive current command {s3:.4g} pu violates the current limits"
@@ -537,7 +531,7 @@ def dera_limiter_flags(
     power_order_windup flags the PI composite sitting outside Pmin..Pmax
     while it keeps integrating (there is deliberately no anti-windup clamp).
     """
-    return dict(zip(LIMITER_FLAGS, DerAKernel(params).flags(state.as_array().tolist())))
+    return dict(zip(LIMITER_FLAGS, dera_algebra(params)[1](state.as_array().tolist())))
 
 
 # Preset matching the published DER_A validation setup; frequency-trip

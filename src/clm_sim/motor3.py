@@ -95,15 +95,11 @@ def _check_finite(state: MotorState, Vd: float, Vq: float) -> None:
 
 
 def motor_kernel(params: MotorParams, init: MotorInit):
-    """(algebra, load_torque, rhs) of one motor over plain floats.
+    """(algebra, load_torque, rhs) of one motor over plain floats, constants computed once.
 
-    algebra(Eqpp, Edpp, slip, Vd, Vq) -> (Id, Iq, P, Q, w)
-    load_torque(w) -> TL
-    rhs(Eqp, Edp, Eqpp, Edpp, slip, Vd, Vq) -> the five state derivatives
-
-    Constants are computed once, here. Nothing checks its inputs: the
-    public wrappers below do, and the stepper checks the state after every
-    step.
+    algebra(Eqpp, Edpp, slip, Vd, Vq) -> (Id, Iq, P, Q, w); load_torque(w) -> TL;
+    rhs(Eqp, Edp, Eqpp, Edpp, slip, Vd, Vq) -> the five derivatives. Input
+    checks are left to the public functions below.
     """
     rs, Lp, Lpp, Tp0, Tpp0 = params.rs, params.Lp, params.Lpp, params.Tp0, params.Tpp0
     den = rs * rs + Lpp * Lpp

@@ -8,8 +8,8 @@ advanced exactly once per accepted step using end-of-step values, never
 inside integrator stages. Identical inputs therefore produce bit-identical
 trajectories.
 
-Trajectories are channel matrices with a leading, strictly increasing
-time column (uniform for simulated runs). CSV export writes 17 significant digits so float64 values
+Trajectories are channel matrices with a leading, strictly increasing time
+column. CSV export writes 17 significant digits so float64 values
 round-trip exactly; the binary dump is raw little-endian float64, row
 major, one row per sample in channel order (interpret it with the channel
 list from the CSV header or the run summary).
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dera as dera_mod
 from . import staticloads
-from .composite import LoadMix
+from .composite import LoadMix, weighted_total
 from .dera import DerAParams, DerARefs, DerAState, DerATrackers
 from .errors import (
     ChannelError,
@@ -164,12 +164,7 @@ def build_scenario(
 
 
 class Trajectory:
-    """Sampled channel matrix; column 0 is time, strictly increasing.
-
-    Simulated trajectories are uniformly sampled; files from other tools
-    may not be (a 1/120 s grid printed to 4 decimals), and nothing here
-    needs them to be: resample interpolates and mse checks grids_match.
-    """
+    """Sampled channel matrix; column 0 is time, strictly increasing, maybe unevenly."""
 
     def __init__(self, channels: list[str], data: np.ndarray):
         data = np.asarray(data, dtype=float)
@@ -232,6 +227,7 @@ def resample(traj: Trajectory, grid) -> Trajectory:
     return Trajectory(traj.channels, out)
 
 
+# Steppers over float lists; tests/test_reference_stepper.py checks them bit for bit.
 def _rk4_step(f, t, y, h):
     hh = 0.5 * h
     k1 = f(t, y)
@@ -263,24 +259,16 @@ class SimResult:
 
 
 def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
-    """Integrate the scenario and collect the run summary alongside the data.
-
-    The state is a list of plain floats (motors in order, then the DER) and
-    each component runs its plain-float kernel. The steppers keep the
-    floating-point operation order of their array form, so trajectories do
-    not depend on the representation.
-    """
+    """Integrate the scenario and collect the run summary alongside the data."""
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
     every = config.record_every
     step = _STEPPERS[config.method]
     voltage, frequency = scenario.bus.voltage, scenario.bus.frequency
-    mix = scenario.mix
-    der, zip_load, elec = scenario.dera, scenario.zip_load, scenario.elec
+    mix, der, zip_load, elec = scenario.mix, scenario.dera, scenario.zip_load, scenario.elec
 
     channels = ["t", "V", "Freq"]
-    count_names = []
-    y = []
+    count_names, y = [], []
     motors = []  # (offset in y, algebra, rhs, mix weight)
     for m in scenario.motors:
         channels += [f"{m.name}.{c}" for c in (*MOTOR_STATE_CHANNELS, "P", "Q")]
@@ -291,8 +279,9 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
     if der is not None:
         channels += [f"dera.{c}" for c in (*DERA_STATE_CHANNELS, "P", "Q", "tripped")]
         count_names += [f"dera.{name}" for name in dera_mod.LIMITER_FLAGS]
-        kernel = dera_mod.DerAKernel(der.params, der.refs, dt)
-        der_rhs, der_flags, der_advance = kernel.rhs, kernel.flags, kernel.advance
+        der_rhs = dera_mod.dera_rhs(der.params, der.refs, dt)
+        der_flags = dera_mod.dera_algebra(der.params)[1]
+        der_advance = dera_mod.dera_memory(der.params, dt)[0]
         der_at, der_w = len(y), mix.weight("dera")
         mem = astuple(der.trackers0)
         y += der.state0.as_array().tolist()
@@ -319,7 +308,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
     counts = [0] * len(count_names)
 
     def observe(t, y, record):
-        """Count the active limiters; return the row if record (totals as composite_outputs)."""
+        """Count the active limiters; return the row if record."""
         for j, (a, _, _, _) in enumerate(motors):
             counts[j] += 1.0 - y[a + 4] <= 0.0
         if der is not None:
@@ -329,31 +318,26 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
             return None
         v, f = voltage(t), frequency(t)
         row = [t, v, f]
-        P = Q = 0.0
+        terms = []  # (weight, P, Q) of each component, for the composite total
         for a, algebra, _, w in motors:
             s = y[a:a + 5]
             _, _, p, q, _ = algebra(s[2], s[3], s[4], v, 0.0)
             row += (*s, p, q)
-            P += w * p
-            Q += w * q
+            terms.append((w, p, q))
         if der is not None:
             s = y[der_at:]
             p, q = dera_mod.injection(s[9], s[3], v, mem[6])
             row += (*s, p, q, 1.0 if mem[6] else 0.0)
-            P += der_w * p
-            Q += der_w * q
+            terms.append((der_w, p, q))
         if zip_load is not None:
             p, q = staticloads.zip_power(v, zip_load)
             row += (p, q)
-            P += zip_w * p
-            Q += zip_w * q
+            terms.append((zip_w, p, q))
         if elec is not None:
             p, q, ct, _ = staticloads.elec_power_at(v, elec_vmin, elec)
             row += (p, q, ct)
-            P += elec_w * p
-            Q += elec_w * q
-        row += (P, Q)
-        return row
+            terms.append((elec_w, p, q))
+        return row + list(weighted_total(terms))
 
     data = np.empty((n_steps // every + 1, len(channels)))
     trip_events: list[dict] = []
@@ -366,8 +350,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
             break
         try:
             y = step(rhs, t, y, dt)
-            # A finite sum proves every state finite; plain floats raise
-            # where numpy would have produced inf or nan.
+            # Plain floats raise on overflow or division by zero; a finite sum means all finite.
             diverged = not isfinite(sum(y)) and not all(map(isfinite, y))
         except (OverflowError, ZeroDivisionError):
             diverged = True
@@ -412,8 +395,7 @@ def write_csv(traj: Trajectory, path, channels: list[str] | None = None) -> None
     as Python floats.
     """
     if channels is None:
-        names = traj.channels
-        data = traj.data
+        names, data = traj.channels, traj.data
     else:
         for c in channels:
             if c not in traj.channels:

@@ -177,7 +177,7 @@ def test_dera_branch_variant_matches_reference_stepper(method):
     cfg = load_config(SCENARIOS / "dera_playback.yaml")
     params = dataclasses.replace(cfg.dera.params(), Freqflag=1, PQflag=1, PfFlag=0)
     scenario = build_scenario(cfg.mix, DeepFaultFrequencyStepBus(),
-                              dera_load=(params, cfg.dera.p0, cfg.dera.q0),
+                              dera_load=(params, cfg.dera.pgen0, cfg.dera.qgen0),
                               zip_load=cfg.zip_load)
     config = dataclasses.replace(cfg.integrator, method=method, t_end=T_END)
     result = _assert_bit_identical(scenario, config)
