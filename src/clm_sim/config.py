@@ -13,6 +13,7 @@ time constants and times in seconds, fractions dimensionless.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,15 @@ from .composite import (
 from .dera import DERA_PRESETS, DerAParams
 from .errors import ConfigError, FileFormatError, PresetError
 from .motor3 import MOTOR_PRESETS, MotorParams
-from .sim import IntegratorConfig, Scenario, build_scenario
+from .sim import IntegratorConfig, Scenario, build_scenario, read_table
 from .staticloads import ElecParams, ZipParams
 
-PRESET_NAMES = ("motor_a", "motor_b", "motor_c", "dera_table3")
+PRESET_NAMES = (*MOTOR_PRESETS, *DERA_PRESETS)
+
+# YAML key -> field name, for the sections whose keys differ from their fields.
+ZIP_KEYS = {"p0": "P0", "q0": "Q0", "v0": "V0", "a_p": "ap", "b_p": "bp", "c_p": "cp",
+            "a_q": "aq", "b_q": "bq", "c_q": "cq"}
+ELEC_KEYS = {"pe0": "PE0", "qe0": "QE0", "vd1": "Vd1", "vd2": "Vd2", "alpha": "alpha"}
 
 
 def get_motor_preset(name: str) -> MotorParams:
@@ -62,15 +68,46 @@ def _reject_unknown(node: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown}", field=where)
 
 
+def _finite(v, field: str) -> float:
+    # The comparison is false for nan and inf, and exact for an int beyond the float range.
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"expected a finite number, got {v!r}", field=field)
+    return float(v)
+
+
 def _number(node: dict, key: str, where: str, default=None, required=False):
     v = node.get(key)
     if v is None:  # absent or explicit null
         if required:
             raise ConfigError("missing required key", field=f"{where}.{key}")
         return default
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"expected a number, got {v!r}", field=f"{where}.{key}")
-    return float(v)
+    return _finite(v, f"{where}.{key}")
+
+
+def _parse_numeric(node, where: str, cls, keys=None, **defaults):
+    """Parse a section of numbers into the dataclass cls.
+
+    keys maps YAML keys to field names (default: the field names
+    themselves); required keys and defaults come from the fields, and
+    defaults adds YAML-only defaults by key.
+    """
+    node = _require_mapping(node, where)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    keys = keys or {name: name for name in fields}
+    _reject_unknown(node, keys, where)
+    values = {}
+    for key, name in keys.items():
+        default = defaults.get(key, fields[name].default)
+        values[name] = _number(node, key, where, default,
+                               required=default is dataclasses.MISSING)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=where) from None
+
+
+def _section_dict(obj, keys) -> dict:
+    return {key: getattr(obj, name) for key, name in keys.items()}
 
 
 @dataclass
@@ -78,7 +115,7 @@ class MotorSection:
     preset: str | None
     overrides: dict
     p0: float
-    q0: float | None
+    q0: float | None = None
 
     def params(self) -> MotorParams:
         if self.preset is not None:
@@ -92,7 +129,7 @@ class DeraSection:
     preset: str | None
     overrides: dict
     pgen0: float
-    qgen0: float
+    qgen0: float = 0.0
 
     def params(self) -> DerAParams:
         if self.preset is not None:
@@ -142,50 +179,25 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         """Serialise back to the (normalised) config document."""
         doc: dict = {
-            "mix": {
-                "f_a": self.mix.f_a, "f_b": self.mix.f_b, "f_c": self.mix.f_c,
-                "f_elec": self.mix.f_elec, "f_zip": self.mix.f_zip,
-                "der_scale": self.mix.der_scale, "p_base_mva": self.mix.p_base_mva,
-            },
+            "mix": dataclasses.asdict(self.mix),
             "disturbance": self._disturbance_dict(),
-            "integrator": {
-                "method": self.integrator.method, "dt": self.integrator.dt,
-                "t_end": self.integrator.t_end,
-                "record_every": self.integrator.record_every,
-            },
-            "outputs": {
-                "out_dir": self.outputs.out_dir,
-                "trajectory_csv": self.outputs.trajectory_csv,
-                "summary_json": self.outputs.summary_json,
-                "binary": self.outputs.binary,
-                "channels": self.outputs.channels,
-                "figure_csvs": self.outputs.figure_csvs,
-            },
+            "integrator": dataclasses.asdict(self.integrator),
+            "outputs": dataclasses.asdict(self.outputs),
         }
         for name, sec in self.motors.items():
-            doc[name] = {"preset": sec.preset, "overrides": dict(sec.overrides),
-                         "p0": sec.p0, "q0": sec.q0}
+            doc[name] = dataclasses.asdict(sec)
         if self.dera is not None:
-            doc["dera"] = {"preset": self.dera.preset,
-                           "overrides": dict(self.dera.overrides),
-                           "pgen0": self.dera.pgen0, "qgen0": self.dera.qgen0}
+            doc["dera"] = dataclasses.asdict(self.dera)
         if self.zip_load is not None:
-            z = self.zip_load
-            doc["zip"] = {"p0": z.P0, "q0": z.Q0, "v0": z.V0,
-                          "a_p": z.ap, "b_p": z.bp, "c_p": z.cp,
-                          "a_q": z.aq, "b_q": z.bq, "c_q": z.cq}
+            doc["zip"] = _section_dict(self.zip_load, ZIP_KEYS)
         if self.elec is not None:
-            e = self.elec
-            doc["elec"] = {"pe0": e.PE0, "qe0": e.QE0, "vd1": e.Vd1,
-                           "vd2": e.Vd2, "alpha": e.alpha}
+            doc["elec"] = _section_dict(self.elec, ELEC_KEYS)
         return doc
 
     def _disturbance_dict(self) -> dict:
         d = self.disturbance
         if d.type == "playback":
-            p = d.playback
-            return {"type": "playback", "a": p.a, "b": p.b, "c": p.c, "d": p.d,
-                    "shape": p.shape, "freq": d.freq}
+            return {"type": "playback", **dataclasses.asdict(d.playback), "freq": d.freq}
         if d.type == "constant":
             return {"type": "constant", "v": d.v, "freq": d.freq}
         return {"type": "series", "file": d.file, "freq": d.freq}
@@ -202,120 +214,45 @@ class ScenarioConfig:
                               self.zip_load, self.elec)
 
 
-def _parse_mix(node, where="mix") -> LoadMix:
-    node = _require_mapping(node, where)
-    _reject_unknown(node, ("f_a", "f_b", "f_c", "f_elec", "f_zip",
-                           "der_scale", "p_base_mva"), where)
-    try:
-        return LoadMix(
-            f_a=_number(node, "f_a", where, 0.0),
-            f_b=_number(node, "f_b", where, 0.0),
-            f_c=_number(node, "f_c", where, 0.0),
-            f_elec=_number(node, "f_elec", where, 0.0),
-            f_zip=_number(node, "f_zip", where, 0.0),
-            der_scale=_number(node, "der_scale", where, 0.0),
-            p_base_mva=_number(node, "p_base_mva", where, 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), field=where) from None
-
-
 def _parse_overrides(node, where: str, param_cls) -> dict:
     node = _require_mapping(node, where)
-    valid = {f.name for f in dataclasses.fields(param_cls)}
-    _reject_unknown(node, valid, where)
+    fields = {f.name: f for f in dataclasses.fields(param_cls)}
+    _reject_unknown(node, fields, where)
     out = {}
     for key, value in node.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"expected a number, got {value!r}", field=f"{where}.{key}")
-        flag_like = key in ("PfFlag", "Freqflag", "Vtripflag", "Ftripflag",
-                            "PQflag", "typeflag")
-        out[key] = int(value) if flag_like else float(value)
+        value = _finite(value, f"{where}.{key}")
+        if fields[key].type != "int":
+            out[key] = value
+        elif value.is_integer():  # DER flags
+            out[key] = int(value)
+        else:
+            raise ConfigError(f"expected a whole number, got {value!r}", field=f"{where}.{key}")
     return out
 
 
-def _parse_motor(node, where: str) -> MotorSection:
+def _parse_preset_section(node, where: str, section_cls, param_cls):
+    """Parse a motor or DER section: a preset and/or overrides plus its initial loading."""
     node = _require_mapping(node, where)
-    _reject_unknown(node, ("preset", "overrides", "p0", "q0"), where)
+    fields = dataclasses.fields(section_cls)
+    _reject_unknown(node, [f.name for f in fields], where)
     preset = node.get("preset")
     if preset is not None and not isinstance(preset, str):
         raise ConfigError(f"preset must be a string, got {preset!r}", field=f"{where}.preset")
-    overrides = _parse_overrides(node.get("overrides", {}), f"{where}.overrides", MotorParams)
+    overrides = _parse_overrides(node.get("overrides", {}), f"{where}.overrides", param_cls)
     if preset is None:
-        required = {f.name for f in dataclasses.fields(MotorParams) if f.default is dataclasses.MISSING}
+        required = {f.name for f in dataclasses.fields(param_cls) if f.default is dataclasses.MISSING}
         missing = sorted(required - set(overrides))
         if missing:
             raise ConfigError(f"no preset given and parameters missing: {missing}", field=where)
-    sec = MotorSection(
-        preset=preset,
-        overrides=overrides,
-        p0=_number(node, "p0", where, required=True),
-        q0=_number(node, "q0", where, default=None),
-    )
+    loading = {f.name: _number(node, f.name, where, f.default,
+                               required=f.default is dataclasses.MISSING)
+               for f in fields[2:]}  # the fields after preset and overrides
+    sec = section_cls(preset, overrides, **loading)
     try:
         sec.params()
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc), field=where) from None
     return sec
-
-
-def _parse_dera(node, where="dera") -> DeraSection:
-    node = _require_mapping(node, where)
-    _reject_unknown(node, ("preset", "overrides", "pgen0", "qgen0"), where)
-    preset = node.get("preset")
-    if preset is not None and not isinstance(preset, str):
-        raise ConfigError(f"preset must be a string, got {preset!r}", field=f"{where}.preset")
-    overrides = _parse_overrides(node.get("overrides", {}), f"{where}.overrides", DerAParams)
-    if preset is None:
-        required = {f.name for f in dataclasses.fields(DerAParams) if f.default is dataclasses.MISSING}
-        missing = sorted(required - set(overrides))
-        if missing:
-            raise ConfigError(f"no preset given and parameters missing: {missing}", field=where)
-    sec = DeraSection(
-        preset=preset,
-        overrides=overrides,
-        pgen0=_number(node, "pgen0", where, required=True),
-        qgen0=_number(node, "qgen0", where, 0.0),
-    )
-    try:
-        sec.params()
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc), field=where) from None
-    return sec
-
-
-def _parse_zip(node, where="zip") -> ZipParams:
-    node = _require_mapping(node, where)
-    _reject_unknown(node, ("p0", "q0", "v0", "a_p", "b_p", "c_p", "a_q", "b_q", "c_q"), where)
-    try:
-        return ZipParams(
-            P0=_number(node, "p0", where, required=True),
-            Q0=_number(node, "q0", where, required=True),
-            V0=_number(node, "v0", where, 1.0),
-            ap=_number(node, "a_p", where, required=True),
-            bp=_number(node, "b_p", where, required=True),
-            cp=_number(node, "c_p", where, required=True),
-            aq=_number(node, "a_q", where, required=True),
-            bq=_number(node, "b_q", where, required=True),
-            cq=_number(node, "c_q", where, required=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), field=where) from None
-
-
-def _parse_elec(node, where="elec") -> ElecParams:
-    node = _require_mapping(node, where)
-    _reject_unknown(node, ("pe0", "qe0", "vd1", "vd2", "alpha"), where)
-    try:
-        return ElecParams(
-            PE0=_number(node, "pe0", where, required=True),
-            QE0=_number(node, "qe0", where, required=True),
-            Vd1=_number(node, "vd1", where, required=True),
-            Vd2=_number(node, "vd2", where, required=True),
-            alpha=_number(node, "alpha", where, required=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), field=where) from None
 
 
 def _parse_disturbance(node, where="disturbance") -> DisturbanceSection:
@@ -418,15 +355,17 @@ def parse_config(doc: dict) -> ScenarioConfig:
     motors = {}
     for name in ("motor_a", "motor_b", "motor_c"):
         if name in doc:
-            motors[name] = _parse_motor(doc[name], name)
+            motors[name] = _parse_preset_section(doc[name], name, MotorSection, MotorParams)
     return ScenarioConfig(
-        mix=_parse_mix(doc["mix"]),
+        mix=_parse_numeric(doc["mix"], "mix", LoadMix),
         disturbance=_parse_disturbance(doc["disturbance"]),
         integrator=_parse_integrator(doc["integrator"]),
         motors=motors,
-        dera=_parse_dera(doc["dera"]) if "dera" in doc else None,
-        zip_load=_parse_zip(doc["zip"]) if "zip" in doc else None,
-        elec=_parse_elec(doc["elec"]) if "elec" in doc else None,
+        dera=(_parse_preset_section(doc["dera"], "dera", DeraSection, DerAParams)
+              if "dera" in doc else None),
+        zip_load=(_parse_numeric(doc["zip"], "zip", ZipParams, ZIP_KEYS, v0=1.0)
+                  if "zip" in doc else None),
+        elec=_parse_numeric(doc["elec"], "elec", ElecParams, ELEC_KEYS) if "elec" in doc else None,
         outputs=_parse_outputs(doc.get("outputs", {})),
     )
 
@@ -447,39 +386,14 @@ def load_config(path) -> ScenarioConfig:
 def read_series_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Read an external disturbance series: (t, V) or (t, V, F) CSV.
 
-    A header row is permitted and skipped when its first field is not a
-    number. Values are linearly interpolated between samples at run time.
+    The table rules are read_table's (optional header, one field count,
+    finite values). Values are linearly interpolated between samples at
+    run time.
     """
-    rows = []
-    ncols = None
-    try:
-        with open(path, "r", newline="") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if lineno == 1:
-                    try:
-                        float(parts[0])
-                    except ValueError:
-                        continue  # header row
-                if len(parts) not in (2, 3):
-                    raise FileFormatError(
-                        f"{path}:{lineno}: expected 2 or 3 columns, got {len(parts)}"
-                    )
-                if ncols is None:
-                    ncols = len(parts)
-                elif len(parts) != ncols:
-                    raise FileFormatError(f"{path}:{lineno}: inconsistent column count")
-                try:
-                    rows.append([float(p) for p in parts])
-                except ValueError as exc:
-                    raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-    except OSError as exc:
-        raise FileFormatError(f"cannot read series file: {exc}") from None
-    if len(rows) < 2:
+    _, data = read_table(path, "series file")
+    if data.shape[1] not in (2, 3):
+        raise FileFormatError(f"{path}: expected 2 or 3 columns, got {data.shape[1]}")
+    if len(data) < 2:
         raise FileFormatError(f"{path}: need at least two samples")
-    arr = np.array(rows)
-    f = arr[:, 2] if arr.shape[1] == 3 else None
-    return arr[:, 0], arr[:, 1], f
+    f = data[:, 2] if data.shape[1] == 3 else None
+    return data[:, 0], data[:, 1], f

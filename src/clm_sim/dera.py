@@ -41,6 +41,10 @@ VOLTAGE_FLOOR = 0.01
 # dwell of exactly ceil(duration/dt) steps latches despite float summation.
 TIMER_EPS = 1e-12
 
+# Largest integration step with frequency control on: the S7 rate limit
+# tracks over one step (see dera_derivatives).
+FREQ_CONTROL_MAX_DT = 0.005
+
 
 @dataclass(frozen=True)
 class DerAParams:
@@ -409,7 +413,7 @@ def dera_derivatives(
     which reproduces the limiter-inside-rate-limiter block without an
     algebraic loop. Pass the integration step here (the bundled integrator
     does); this is the one place model behaviour is coupled to the step
-    size, and it needs dt <= 5 ms. Unused when Freqflag is 0.
+    size, and it needs dt <= FREQ_CONTROL_MAX_DT. Unused when Freqflag is 0.
     """
     if not (math.isfinite(Vt) and math.isfinite(Freq)):
         raise NonFiniteInput("DER_A evaluation received a non-finite bus input")

@@ -277,6 +277,9 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
         motors.append((len(y), algebra, m_rhs, mix.weight(m.name)))
         y += m.state0.as_array().tolist()
     if der is not None:
+        if der.params.Freqflag == 1 and dt > dera_mod.FREQ_CONTROL_MAX_DT:
+            raise ConfigError(f"DER frequency control needs dt <= "
+                              f"{dera_mod.FREQ_CONTROL_MAX_DT} s, got {dt}", field="integrator.dt")
         channels += [f"dera.{c}" for c in (*DERA_STATE_CHANNELS, "P", "Q", "tripped")]
         count_names += [f"dera.{name}" for name in dera_mod.LIMITER_FLAGS]
         der_rhs = dera_mod.dera_rhs(der.params, der.refs, dt)
@@ -410,40 +413,62 @@ def write_csv(traj: Trajectory, path, channels: list[str] | None = None) -> None
                               data[start:start + CSV_BLOCK_ROWS].tolist()]))
 
 
-def read_csv(path) -> Trajectory:
-    """Read a trajectory CSV produced by write_csv (or any same-layout file)."""
+def read_table(path, what: str = "file") -> tuple[list[str] | None, np.ndarray]:
+    """Read a CSV of finite floats: (header or None, (n_rows, n_fields) array).
+
+    The first line is a header when its first field is not a number. Blank
+    lines are skipped; every row must have the first line's field count.
+    A bad row or value raises FileFormatError naming file:line.
+    """
     try:
         fh = open(path, "r", newline="")
     except OSError as exc:
-        raise FileFormatError(f"cannot read trajectory file: {exc}") from None
+        raise FileFormatError(f"cannot read {what}: {exc}") from None
+    header, rows, linenos, width = None, [], [], None
     with fh:
-        header = fh.readline().rstrip("\n")
-        if not header:
-            raise FileFormatError(f"{path}:1: empty file")
-        channels = header.split(",")
-        if channels[0] != "t":
-            raise FileFormatError(f"{path}:1: first column must be 't', got {channels[0]!r}")
-        duplicates = sorted({c for c in channels if channels.count(c) > 1})
-        if duplicates:
-            raise FileFormatError(f"{path}:1: duplicate channel name(s) {duplicates}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != len(channels):
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected {len(channels)} columns, got {len(parts)}"
-                )
+            if width is None:
+                width = len(parts)
+                try:
+                    float(parts[0])
+                except ValueError:
+                    header = parts
+                    continue
+            elif len(parts) != width:
+                raise FileFormatError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
             try:
-                rows.append([float(p) for p in parts])
+                rows.append(list(map(float, parts)))
             except ValueError as exc:
                 raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
+            linenos.append(lineno)
+    if width is None:
+        raise FileFormatError(f"{path}: empty file")
+    data = np.array(rows).reshape(len(rows), width)
+    bad = ~np.isfinite(data)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise FileFormatError(f"{path}:{linenos[i]}: non-finite value {data[i, j]} "
+                              f"in field {j + 1}")
+    return header, data
+
+
+def read_csv(path) -> Trajectory:
+    """Read a trajectory CSV produced by write_csv (or any same-layout file)."""
+    channels, data = read_table(path, "trajectory file")
+    if channels is None or channels[0] != "t":
+        raise FileFormatError(f"{path}:1: expected a header starting with 't', "
+                              f"got {channels and channels[0]!r}")
+    duplicates = sorted({c for c in channels if channels.count(c) > 1})
+    if duplicates:
+        raise FileFormatError(f"{path}:1: duplicate channel name(s) {duplicates}")
+    if not len(data):
         raise FileFormatError(f"{path}: no data rows")
     try:
-        return Trajectory(channels, np.array(rows))
+        return Trajectory(channels, data)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
 

@@ -10,6 +10,7 @@ from clm_sim.cli import main
 from clm_sim.config import load_config, parse_config
 from clm_sim.errors import ConfigError
 from clm_sim.sim import read_csv
+from clm_sim.staticloads import ElecParams, ZipParams
 
 
 BASE_DOC = {
@@ -348,3 +349,134 @@ def test_torque_overflow_reports_non_finite_state(tmp_path, capsys):
     rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
     assert rc == 4
     assert _single_error_line(capsys, "NON_FINITE_STATE").endswith("(step 1017)")
+
+
+# ------------------------------------------------------------ input validation
+
+@pytest.mark.parametrize("text", [
+    "t,V\n0.0,1.0\n0.4,1.0\n0.5,nan\n1.0,1.0\n",  # the third sample
+    "0.0,1.0\n\n0.5,1.0\nnan,1.0\n",               # no header, a blank line before
+])
+def test_series_nan_is_file_format_at_load(tmp_path, capsys, text):
+    series = tmp_path / "nan.csv"
+    series.write_text(text)
+    doc = dict(BASE_DOC, disturbance={"type": "series", "file": str(series)})
+    cfg = _write_config(tmp_path, doc)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 3
+    assert "nan.csv:4:" in _single_error_line(capsys, "FILE_FORMAT")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "t,V,F\n0.0,1.0\n1.0,1.0\n",        # header wider than the rows
+    "0.0,1.0\n0.5,1.0,1.0\n1.0,1.0\n",  # a row wider than the first
+    "t,V,F,G\n0,1,1,1\n1,1,1,1\n",      # four columns
+    "t,V\n0.0,1.0\n",                   # one sample
+])
+def test_series_file_shape_rejected(tmp_path, capsys, text):
+    series = tmp_path / "bad.csv"
+    series.write_text(text)
+    doc = dict(BASE_DOC, disturbance={"type": "series", "file": str(series)})
+    cfg = _write_config(tmp_path, doc)
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert "bad.csv" in _single_error_line(capsys, "FILE_FORMAT")
+
+
+def test_compare_infinite_value_is_file_format(tmp_path, capsys):
+    path = tmp_path / "inf.csv"
+    path.write_text("t,x.P\n0,1\n0.1,inf\n0.2,3\n")
+    assert main(["compare", str(path), str(path)]) == 3
+    assert "inf.csv:3:" in _single_error_line(capsys, "FILE_FORMAT")
+
+
+DER_DOC = {
+    "mix": {"f_zip": 1.0, "der_scale": 1.0},
+    "zip": {"p0": 0.0, "q0": 0.0, "a_p": 0.0, "b_p": 0.0, "c_p": 1.0,
+            "a_q": 0.0, "b_q": 0.0, "c_q": 1.0},
+    "dera": {"preset": "dera_table3", "overrides": {"Freqflag": 1}, "pgen0": 0.5},
+    "disturbance": {"type": "constant"},
+    "integrator": {"method": "rk4", "dt": 0.005, "t_end": 0.1},
+    "outputs": {"trajectory_csv": "traj.csv", "summary_json": "summary.json"},
+}
+
+
+def test_der_frequency_control_step_bound(tmp_path, capsys):
+    cfg = _write_config(tmp_path, DER_DOC)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--dt", "0.02"]) == 2
+    assert "integrator.dt" in _single_error_line(capsys, "CONFIG_INVALID")
+    doc = dict(DER_DOC, integrator=dict(DER_DOC["integrator"], dt=0.02))
+    assert main(["run", "--config", str(_write_config(tmp_path, doc, "coarse.yaml"))]) == 2
+    assert "integrator.dt" in _single_error_line(capsys, "CONFIG_INVALID")
+
+
+def test_der_step_bound_only_with_frequency_control(tmp_path):
+    doc = dict(DER_DOC, dera=dict(DER_DOC["dera"], overrides={"Freqflag": 0}))
+    cfg = _write_config(tmp_path, doc)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+                 "--dt", "0.02"]) == 0
+
+
+@pytest.mark.parametrize("section, key, field", [
+    ("zip", "p0", "zip.p0"),
+    ("zip", "c_q", "zip.c_q"),
+    ("elec", "vd2", "elec.vd2"),
+])
+def test_missing_key_names_yaml_field(section, key, field):
+    doc = dict(BASE_DOC, zip=dict(DER_DOC["zip"]),
+               elec={"pe0": 1.0, "qe0": 0.2, "vd1": 0.7, "vd2": 0.5, "alpha": 1.0})
+    doc[section] = {k: v for k, v in doc[section].items() if k != key}
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(doc)
+    assert exc_info.value.field == field
+    assert str(exc_info.value) == f"missing required key (field: {field})"
+
+
+def test_numeric_sections_reject_unknown_and_non_numbers():
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['P0'\] \(field: zip\)"):
+        parse_config(dict(BASE_DOC, zip=dict(DER_DOC["zip"], P0=1.0)))
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(dict(BASE_DOC, mix={"f_a": "1"}))
+    assert exc_info.value.field == "mix.f_a"
+    assert parse_config(dict(BASE_DOC, zip=DER_DOC["zip"])).zip_load.V0 == 1.0  # v0 default
+
+
+def test_zip_and_elec_keys_map_to_fields():
+    doc = dict(BASE_DOC,
+               zip={"p0": 1.0, "q0": 0.3, "v0": 0.9, "a_p": 0.5, "b_p": 0.3, "c_p": 0.2,
+                    "a_q": 0.6, "b_q": 0.1, "c_q": 0.3},
+               elec={"pe0": 0.8, "qe0": 0.2, "vd1": 0.7, "vd2": 0.5, "alpha": 0.25})
+    cfg = parse_config(doc)
+    assert cfg.zip_load == ZipParams(P0=1.0, Q0=0.3, V0=0.9, ap=0.5, bp=0.3, cp=0.2,
+                                     aq=0.6, bq=0.1, cq=0.3)
+    assert cfg.elec == ElecParams(PE0=0.8, QE0=0.2, Vd1=0.7, Vd2=0.5, alpha=0.25)
+    assert cfg.to_dict()["zip"] == doc["zip"] and cfg.to_dict()["elec"] == doc["elec"]
+
+
+def test_fractional_der_flag_rejected():
+    doc = dict(DER_DOC, dera=dict(DER_DOC["dera"], overrides={"Freqflag": 0.7}))
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(doc)
+    assert exc_info.value.field == "dera.overrides.Freqflag"
+    doc["dera"]["overrides"] = {"Freqflag": 1.0}
+    assert parse_config(doc).dera.params().Freqflag == 1
+
+
+@pytest.mark.parametrize("section, key, field", [
+    ("mix", "f_a", "mix.f_a"),
+    ("integrator", "t_end", "integrator.t_end"),
+    ("motor_a", "p0", "motor_a.p0"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
+def test_non_finite_config_number_rejected(tmp_path, capsys, section, key, field, value):
+    doc = dict(BASE_DOC, **{section: dict(BASE_DOC[section], **{key: value})})
+    assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == 2
+    assert field in _single_error_line(capsys, "CONFIG_INVALID")
+
+
+def test_non_finite_override_rejected():
+    doc = dict(BASE_DOC, motor_a=dict(BASE_DOC["motor_a"], overrides={"H": float("nan")}))
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(doc)
+    assert exc_info.value.field == "motor_a.overrides.H"
