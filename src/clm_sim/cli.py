@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import sim
-from .config import PRESET_NAMES, get_dera_preset, get_motor_preset, load_config
+from .config import PRESET_NAMES, get_dera_preset, get_motor_preset, load_config, parse_integrator
 from .dera import DERA_PRESET_BASES
 from .errors import ClmSimError, PresetError
 from .motor3 import MOTOR_PRESETS
@@ -44,12 +44,9 @@ def _figure_channels(traj: sim.Trajectory, component: str) -> list[str]:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    if args.dt is not None or args.t_end is not None:
-        cfg.integrator = dataclasses.replace(
-            cfg.integrator,
-            dt=args.dt if args.dt is not None else cfg.integrator.dt,
-            t_end=args.t_end if args.t_end is not None else cfg.integrator.t_end,
-        )
+    overrides = {key: value for key, value in (("dt", args.dt), ("t_end", args.t_end))
+                 if value is not None}
+    cfg.integrator = parse_integrator({**dataclasses.asdict(cfg.integrator), **overrides})
     if args.out_dir is not None:
         cfg.outputs.out_dir = args.out_dir
     if args.channels is not None:
@@ -94,7 +91,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     a = sim.read_csv(args.traj_a)
-    b = sim.read_csv(args.traj_b)
+    b = a if args.traj_b == args.traj_a else sim.read_csv(args.traj_b)
     if args.channels is not None:
         channels = [c.strip() for c in args.channels.split(",") if c.strip()]
     else:

@@ -293,7 +293,8 @@ def _parse_disturbance(node, where="disturbance") -> DisturbanceSection:
     )
 
 
-def _parse_integrator(node, where="integrator") -> IntegratorConfig:
+def parse_integrator(node, where="integrator") -> IntegratorConfig:
+    """Parse an integrator section; `clm-sim run` checks its --dt/--t-end overrides here too."""
     node = _require_mapping(node, where)
     _reject_unknown(node, ("method", "dt", "t_end", "record_every"), where)
     method = node.get("method", "rk4")
@@ -303,13 +304,12 @@ def _parse_integrator(node, where="integrator") -> IntegratorConfig:
     if not record_every.is_integer():
         raise ConfigError(f"expected a whole number of steps, got {record_every!r}",
                           field=f"{where}.record_every")
+    dt, t_end = _number(node, "dt", where, 1e-3), _number(node, "t_end", where, 5.0)
+    for key, value in (("dt", dt), ("t_end", t_end)):
+        if not value > 0.0:
+            raise ConfigError(f"need {key} > 0, got {value!r}", field=f"{where}.{key}")
     try:
-        return IntegratorConfig(
-            method=method,
-            dt=_number(node, "dt", where, 1e-3),
-            t_end=_number(node, "t_end", where, 5.0),
-            record_every=int(record_every),
-        )
+        return IntegratorConfig(method=method, dt=dt, t_end=t_end, record_every=int(record_every))
     except ValueError as exc:
         raise ConfigError(str(exc), field=where) from None
 
@@ -359,7 +359,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     return ScenarioConfig(
         mix=_parse_numeric(doc["mix"], "mix", LoadMix),
         disturbance=_parse_disturbance(doc["disturbance"]),
-        integrator=_parse_integrator(doc["integrator"]),
+        integrator=parse_integrator(doc["integrator"]),
         motors=motors,
         dera=(_parse_preset_section(doc["dera"], "dera", DeraSection, DerAParams)
               if "dera" in doc else None),

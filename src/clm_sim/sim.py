@@ -8,6 +8,17 @@ advanced exactly once per accepted step using end-of-step values, never
 inside integrator stages. Identical inputs therefore produce bit-identical
 trajectories.
 
+The stepper drives one list of components, one per configured model, each
+made for the run by its type's builder (motor_component, dera_component,
+zip_component, elec_component) from the setup build_scenario initialised.
+A Component has a name and mix weight, state and extra channel names, an
+initial state, rhs(s, v, f) giving the derivatives of its states s at bus
+voltage v and frequency f, output(s, v, f) giving (P, Q, *extra values),
+limiter flag names with flags(s) giving their values, and optionally
+advance(v, f), which moves the memory rhs and output read to the end of
+an accepted step and returns the events it fired. The bus total is the
+weighted sum of the components' P and Q.
+
 Trajectories are channel matrices with a leading, strictly increasing time
 column. CSV export writes 17 significant digits so float64 values
 round-trip exactly; the binary dump is raw little-endian float64, row
@@ -17,15 +28,16 @@ list from the CSV header or the run summary).
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
-from math import isfinite
+from collections.abc import Callable, Sequence
+from dataclasses import astuple, dataclass, fields
+from math import inf, isfinite
 
 import numpy as np
 
 from . import dera as dera_mod
 from . import staticloads
-from .composite import LoadMix, weighted_total
-from .dera import DerAParams, DerARefs, DerAState, DerATrackers
+from .composite import COMPONENT_NAMES, LoadMix, weighted_total
+from .dera import DerAParams
 from .errors import (
     ChannelError,
     ConfigError,
@@ -35,14 +47,7 @@ from .errors import (
     NonFiniteState,
     OutOfRange,
 )
-from .motor3 import (
-    MotorInit,
-    MotorParams,
-    MotorState,
-    motor_derivatives,
-    motor_initialize,
-    motor_kernel,
-)
+from .motor3 import MotorParams, motor_initialize, motor_kernel
 from .staticloads import ElecParams, ZipParams
 
 INTEGRATION_METHODS = ("rk4", "heun", "euler")
@@ -52,9 +57,6 @@ GRID_ATOL = 1e-12
 
 # Rows formatted per write in write_csv.
 CSV_BLOCK_ROWS = 1000
-
-MOTOR_STATE_CHANNELS = ("Eqp", "Edp", "Eqpp", "Edpp", "slip")
-DERA_STATE_CHANNELS = tuple(f"S{i}" for i in range(10))
 
 
 @dataclass(frozen=True)
@@ -67,46 +69,116 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in INTEGRATION_METHODS:
             raise ValueError(f"method must be one of {INTEGRATION_METHODS}, got {self.method!r}")
-        if self.dt <= 0.0:
-            raise ValueError(f"need dt > 0, got {self.dt}")
-        if self.t_end <= 0.0:
-            raise ValueError(f"need t_end > 0, got {self.t_end}")
+        for name in ("dt", "t_end"):
+            if not 0.0 < getattr(self, name) < inf:
+                raise ValueError(f"need finite {name} > 0, got {getattr(self, name)}")
         if self.record_every < 1 or int(self.record_every) != self.record_every:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every}")
 
 
-@dataclass
-class MotorSetup:
-    """One initialised motor component."""
+@dataclass(frozen=True)
+class Component:
+    """One model behind the bus, in the form the stepper drives (see the module docstring)."""
 
     name: str
-    params: MotorParams
-    state0: MotorState
-    init: MotorInit
-    init_residual: float = 0.0
+    weight: float
+    output: Callable
+    states: tuple[str, ...] = ()
+    extras: tuple[str, ...] = ()
+    state0: Sequence[float] = ()
+    rhs: Callable = lambda s, v, f: ()
+    flag_names: tuple[str, ...] = ()
+    flags: Callable = lambda s: ()
+    advance: Callable | None = None
 
 
-@dataclass
-class DerASetup:
-    """The initialised DER component."""
+def motor_component(name: str, weight: float, setup, dt: float) -> Component:
+    """A motor from (params, state0, init); its q-axis voltage is 0."""
+    params, state0, init = setup
+    algebra, _, rhs = motor_kernel(params, init)
+    return Component(name, weight,
+                     output=lambda s, v, f: algebra(s[2], s[3], s[4], v, 0.0)[2:4],
+                     states=tuple(x.name for x in fields(state0)),
+                     state0=state0.as_array().tolist(), rhs=lambda s, v, f: rhs(*s, v, 0.0),
+                     flag_names=("speed_clamped",), flags=lambda s: (1.0 - s[4] <= 0.0,))
 
-    params: DerAParams
-    state0: DerAState
-    refs: DerARefs
-    trackers0: DerATrackers
-    init_residual: float = 0.0
+
+def dera_component(name: str, weight: float, setup, dt: float) -> Component:
+    """The DER_A from (params, state0, refs, trackers0)."""
+    params, state0, refs, trackers0 = setup
+    if params.Freqflag == 1 and dt > dera_mod.FREQ_CONTROL_MAX_DT:
+        raise ConfigError(f"DER frequency control needs dt <= "
+                          f"{dera_mod.FREQ_CONTROL_MAX_DT} s, got {dt}", field="integrator.dt")
+    rhs = dera_mod.dera_rhs(params, refs, dt)
+    advance_memory = dera_mod.dera_memory(params, dt)[0]
+    mem = astuple(trackers0)
+
+    def output(s, v, f):
+        p, q = dera_mod.injection(s[9], s[3], v, mem[6])
+        return p, q, 1.0 if mem[6] else 0.0
+
+    def advance(v, f):
+        nonlocal mem
+        mem, events = advance_memory(mem, v, f)
+        return events
+
+    return Component(name, weight, output, tuple(x.name for x in fields(state0)), ("tripped",),
+                     state0.as_array().tolist(), rhs=lambda s, v, f: rhs(s, mem, v, f),
+                     flag_names=dera_mod.LIMITER_FLAGS, flags=dera_mod.dera_algebra(params)[1],
+                     advance=advance)
+
+
+def zip_component(name: str, weight: float, params: ZipParams, dt: float) -> Component:
+    """The ZIP load: algebraic, no states."""
+    return Component(name, weight, lambda s, v, f: staticloads.zip_power(v, params))
+
+
+def elec_component(name: str, weight: float, setup, dt: float) -> Component:
+    """The electronic load from (params, initial running minimum voltage)."""
+    params, vmin = setup
+
+    def advance(v, f):
+        nonlocal vmin
+        vmin = staticloads.elec_vmin_update(v, vmin, params)
+        return ()
+
+    return Component(name, weight,
+                     output=lambda s, v, f: staticloads.elec_power_at(v, vmin, params)[:3],
+                     extras=("ct",), advance=advance)
+
+
+def _motor_setup(load, v0, f0):
+    params, p0, q0 = load
+    return (params, *motor_initialize(p0, q0, v0, 0.0, params))
+
+
+def _dera_setup(load, v0, f0):
+    params, pgen0, qgen0 = load
+    return (params, *dera_mod.dera_initialize(pgen0, qgen0, v0, f0, params))
+
+
+# Component name -> (setup(load, v0, f0), builder), in channel order: build_scenario
+# makes the setup from the configured load at the t = 0 bus values.
+COMPONENT_TYPES = {
+    **dict.fromkeys(("motor_a", "motor_b", "motor_c"), (_motor_setup, motor_component)),
+    "dera": (_dera_setup, dera_component),
+    "zip": (lambda load, v0, f0: load, zip_component),
+    "elec": (lambda load, v0, f0: (load, staticloads.elec_tracker_init(v0, load).vmin_t),
+             elec_component),
+}
 
 
 @dataclass
 class Scenario:
-    """A fully initialised component mix behind one scripted bus."""
+    """A fully initialised component mix behind one scripted bus.
+
+    parts holds (name, builder, setup) per configured component, in
+    channel order; run_simulation calls builder(name, weight, setup, dt).
+    """
 
     mix: LoadMix
     bus: object  # exposes voltage(t) and frequency(t)
-    motors: list[MotorSetup] = field(default_factory=list)
-    dera: DerASetup | None = None
-    zip_load: ZipParams | None = None
-    elec: ElecParams | None = None
+    parts: list[tuple[str, Callable, object]]
 
 
 def build_scenario(
@@ -122,45 +194,17 @@ def build_scenario(
     motor_loads maps a motor slot name (motor_a / motor_b / motor_c) to
     (params, P0, Q0-or-None); dera_load is (params, Pgen0, Qgen0). A mix
     fraction may be zero for a configured component (it is simulated with
-    weight zero), but a positive fraction without its component is an error.
+    weight zero), but a nonzero weight without its component is an error.
     """
-    motor_loads = motor_loads or {}
-    v0 = bus.voltage(0.0)
-    f0 = bus.frequency(0.0)
-
-    for name, frac in (("motor_a", mix.f_a), ("motor_b", mix.f_b), ("motor_c", mix.f_c)):
-        if frac > 0.0 and name not in motor_loads:
-            raise ConfigError(f"mix gives {name} weight {frac} but it is not configured",
-                              field=name)
-    if mix.f_zip > 0.0 and zip_load is None:
-        raise ConfigError("mix gives the ZIP load weight but it is not configured", field="zip")
-    if mix.f_elec > 0.0 and elec_load is None:
-        raise ConfigError("mix gives the electronic load weight but it is not configured",
-                          field="elec")
-    if mix.der_scale > 0.0 and dera_load is None:
-        raise ConfigError("mix sets der_scale but the DER component is not configured",
-                          field="dera")
-
-    motors = []
-    for name in ("motor_a", "motor_b", "motor_c"):
-        if name not in motor_loads:
-            continue
-        params, p0, q0 = motor_loads[name]
-        state0, init = motor_initialize(p0, q0, v0, 0.0, params)
-        d = motor_derivatives(state0, v0, 0.0, params, init)
-        residual = float(np.max(np.abs(d.as_array())))
-        motors.append(MotorSetup(name, params, state0, init, residual))
-
-    dera_setup = None
-    if dera_load is not None:
-        params, pgen0, qgen0 = dera_load
-        state0, refs, trackers0 = dera_mod.dera_initialize(pgen0, qgen0, v0, f0, params)
-        d = dera_mod.dera_derivatives(state0, trackers0, v0, f0, params, refs)
-        residual = float(np.max(np.abs(d.as_array())))
-        dera_setup = DerASetup(params, state0, refs, trackers0, residual)
-
-    return Scenario(mix=mix, bus=bus, motors=motors, dera=dera_setup,
-                    zip_load=zip_load, elec=elec_load)
+    loads = {**(motor_loads or {}), "dera": dera_load, "zip": zip_load, "elec": elec_load}
+    for name in COMPONENT_NAMES:
+        weight = mix.weight(name)
+        if weight != 0.0 and loads.get(name) is None:
+            raise ConfigError(f"{name} has mix weight {weight} but is not configured", field=name)
+    v0, f0 = bus.voltage(0.0), bus.frequency(0.0)
+    parts = [(name, build, setup(loads[name], v0, f0))
+             for name, (setup, build) in COMPONENT_TYPES.items() if loads.get(name) is not None]
+    return Scenario(mix, bus, parts)
 
 
 class Trajectory:
@@ -265,113 +309,71 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
     every = config.record_every
     step = _STEPPERS[config.method]
     voltage, frequency = scenario.bus.voltage, scenario.bus.frequency
-    mix, der, zip_load, elec = scenario.mix, scenario.dera, scenario.zip_load, scenario.elec
+    components = [build(name, scenario.mix.weight(name), setup, dt)
+                  for name, build, setup in scenario.parts]
 
-    channels = ["t", "V", "Freq"]
-    count_names, y = [], []
-    motors = []  # (offset in y, algebra, rhs, mix weight)
-    for m in scenario.motors:
-        channels += [f"{m.name}.{c}" for c in (*MOTOR_STATE_CHANNELS, "P", "Q")]
-        count_names.append(f"{m.name}.speed_clamped")
-        algebra, _, m_rhs = motor_kernel(m.params, m.init)
-        motors.append((len(y), algebra, m_rhs, mix.weight(m.name)))
-        y += m.state0.as_array().tolist()
-    if der is not None:
-        if der.params.Freqflag == 1 and dt > dera_mod.FREQ_CONTROL_MAX_DT:
-            raise ConfigError(f"DER frequency control needs dt <= "
-                              f"{dera_mod.FREQ_CONTROL_MAX_DT} s, got {dt}", field="integrator.dt")
-        channels += [f"dera.{c}" for c in (*DERA_STATE_CHANNELS, "P", "Q", "tripped")]
-        count_names += [f"dera.{name}" for name in dera_mod.LIMITER_FLAGS]
-        der_rhs = dera_mod.dera_rhs(der.params, der.refs, dt)
-        der_flags = dera_mod.dera_algebra(der.params)[1]
-        der_advance = dera_mod.dera_memory(der.params, dt)[0]
-        der_at, der_w = len(y), mix.weight("dera")
-        mem = astuple(der.trackers0)
-        y += der.state0.as_array().tolist()
-    if zip_load is not None:
-        channels += ["zip.P", "zip.Q"]
-        zip_w = mix.weight("zip")
-    if elec is not None:
-        channels += ["elec.P", "elec.Q", "elec.ct"]
-        elec_w = mix.weight("elec")
-        elec_vmin = staticloads.elec_tracker_init(voltage(0.0), elec).vmin_t
+    # The per-step lists, built once: each component's state slice y[a:b] and its functions.
+    channels, state_names, count_names, y = ["t", "V", "Freq"], [], [], []
+    derivs, flagged, outputs, residuals = [], [], [], {}
+    v0, f0 = voltage(0.0), frequency(0.0)
+    for c in components:
+        a, b = len(y), len(y) + len(c.states)
+        y += c.state0
+        state_names += [f"{c.name}.{s}" for s in c.states]
+        channels += [f"{c.name}.{s}" for s in (*c.states, "P", "Q", *c.extras)]
+        if c.states:
+            derivs.append((a, b, c.rhs))
+            residuals[c.name] = max(map(abs, c.rhs(y[a:b], v0, f0)))  # 0 at equilibrium
+        if c.flag_names:
+            flagged.append((a, b, c.flags, len(count_names)))
+            count_names += [f"{c.name}.{flag}" for flag in c.flag_names]
+        outputs.append((a, b, c.output, c.weight))
     channels += ["total.P", "total.Q"]
+    advances = [c.advance for c in components if c.advance is not None]
 
     def rhs(t, y):
         v, f = voltage(t), frequency(t)
         if not (isfinite(v) and isfinite(f)):
             raise NonFiniteInput(f"the bus gave a non-finite input at t = {t}")
         dy = []
-        for a, _, m_rhs, _ in motors:
-            dy += m_rhs(*y[a:a + 5], v, 0.0)
-        if der is not None:
-            dy += der_rhs(y[der_at:], mem, v, f)
+        for a, b, c_rhs in derivs:
+            dy += c_rhs(y[a:b], v, f)
         return dy
 
     counts = [0] * len(count_names)
-
-    def observe(t, y, record):
-        """Count the active limiters; return the row if record."""
-        for j, (a, _, _, _) in enumerate(motors):
-            counts[j] += 1.0 - y[a + 4] <= 0.0
-        if der is not None:
-            for j, flag in enumerate(der_flags(y[der_at:]), len(motors)):
-                counts[j] += flag
-        if not record:
-            return None
-        v, f = voltage(t), frequency(t)
-        row = [t, v, f]
-        terms = []  # (weight, P, Q) of each component, for the composite total
-        for a, algebra, _, w in motors:
-            s = y[a:a + 5]
-            _, _, p, q, _ = algebra(s[2], s[3], s[4], v, 0.0)
-            row += (*s, p, q)
-            terms.append((w, p, q))
-        if der is not None:
-            s = y[der_at:]
-            p, q = dera_mod.injection(s[9], s[3], v, mem[6])
-            row += (*s, p, q, 1.0 if mem[6] else 0.0)
-            terms.append((der_w, p, q))
-        if zip_load is not None:
-            p, q = staticloads.zip_power(v, zip_load)
-            row += (p, q)
-            terms.append((zip_w, p, q))
-        if elec is not None:
-            p, q, ct, _ = staticloads.elec_power_at(v, elec_vmin, elec)
-            row += (p, q, ct)
-            terms.append((elec_w, p, q))
-        return row + list(weighted_total(terms))
-
     data = np.empty((n_steps // every + 1, len(channels)))
     trip_events: list[dict] = []
+    diverged = "a state left the finite range during integration (instability or too large a step)"
     for i in range(n_steps + 1):
         t = i * dt
-        row = observe(t, y, i % every == 0)
-        if row is not None:
-            data[i // every] = row
+        for a, b, flags, at in flagged:  # limiter activity counts every step
+            for j, flag in enumerate(flags(y[a:b]), at):
+                counts[j] += flag
+        if i % every == 0:
+            v, f = voltage(t), frequency(t)
+            row = [t, v, f]
+            terms = []  # (weight, P, Q) of each component, for the composite total
+            for a, b, output, w in outputs:
+                s = y[a:b]
+                out = output(s, v, f)
+                row += (*s, *out)
+                terms.append((w, out[0], out[1]))
+            data[i // every] = row + list(weighted_total(terms))
         if i == n_steps:
             break
         try:
             y = step(rhs, t, y, dt)
-            # Plain floats raise on overflow or division by zero; a finite sum means all finite.
-            diverged = not isfinite(sum(y)) and not all(map(isfinite, y))
-        except (OverflowError, ZeroDivisionError):
-            diverged = True
-        if diverged:
-            raise NonFiniteState("a state left the finite range during integration "
-                                 "(instability or too large a step)", step=i + 1)
+        except (OverflowError, ZeroDivisionError):  # plain floats raise these in a stage
+            raise NonFiniteState(diverged, step=i + 1) from None
         t_next = (i + 1) * dt
-        v_next = voltage(t_next)
-        if der is not None:
-            mem, events = der_advance(mem, v_next, frequency(t_next))
-            trip_events += ({"type": kind, "t": t_next} for kind in events)
-        if elec is not None:
-            elec_vmin = staticloads.elec_vmin_update(v_next, elec_vmin, elec)
+        if not isfinite(sum(y)) and not all(map(isfinite, y)):  # a finite sum means all finite
+            first = next(name for name, x in zip(state_names, y) if not isfinite(x))
+            raise NonFiniteState(f"{diverged} at t = {t_next:g} s, first in {first}", step=i + 1)
+        v_next, f_next = voltage(t_next), frequency(t_next)
+        for advance in advances:
+            trip_events += ({"type": kind, "t": t_next} for kind in advance(v_next, f_next))
 
     traj = Trajectory(channels, data)
-    residuals = {m.name: m.init_residual for m in scenario.motors}
-    if der is not None:
-        residuals["dera"] = der.init_residual
     summary = {
         "method": config.method,
         "dt": dt,

@@ -1,16 +1,20 @@
 """CLI and config layer: runs, validation errors, determinism, presets."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from clm_sim import cli
 from clm_sim.cli import main
 from clm_sim.config import load_config, parse_config
 from clm_sim.errors import ConfigError
 from clm_sim.sim import read_csv
 from clm_sim.staticloads import ElecParams, ZipParams
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 BASE_DOC = {
@@ -106,13 +110,15 @@ def test_unknown_preset_rejected(tmp_path, capsys):
     assert "PRESET_UNKNOWN" in capsys.readouterr().err
 
 
-def test_missing_component_for_weight(tmp_path, capsys):
-    doc = dict(BASE_DOC)
-    doc.pop("motor_a")
+@pytest.mark.parametrize("name", ["motor_a", "motor_b", "motor_c", "dera", "zip", "elec"])
+def test_missing_component_for_weight(tmp_path, capsys, name):
+    # The bundled composite gives all six components a weight; drop one of them.
+    doc = yaml.safe_load((SCENARIOS / "composite_fault.yaml").read_text())
+    doc.pop(name)
     cfg = _write_config(tmp_path, doc)
-    rc = main(["run", "--config", str(cfg)])
+    rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
-    assert "motor_a" in capsys.readouterr().err
+    assert _single_error_line(capsys, "CONFIG_INVALID").endswith(f"(field: {name})")
 
 
 def test_infeasible_operating_point_exit_code(tmp_path, capsys):
@@ -194,6 +200,17 @@ def test_compare_self_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     for line in out.splitlines()[1:]:
         assert line.split()[-1] == "0.0000e+00"
+
+
+def test_compare_same_file_reads_it_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "traj.csv"
+    path.write_text("t,x.P,x.Q\n0,1,2\n0.1,2,3\n")
+    reads = []
+    monkeypatch.setattr(cli.sim, "read_csv", lambda p: reads.append(p) or read_csv(p))
+    assert main(["compare", str(path), str(path)]) == 0
+    assert reads == [str(path)]
+    assert [line.split()[-1] for line in capsys.readouterr().out.splitlines()[1:]] == [
+        "0.0000e+00", "0.0000e+00"]
 
 
 def test_compare_known_offset(tmp_path, capsys):
@@ -333,7 +350,9 @@ def test_diverging_rk4_run_reports_non_finite_state(tmp_path, capsys):
     rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
                "--dt", "0.01"])
     assert rc == 4
-    assert "(step " in _single_error_line(capsys, "NON_FINITE_STATE")
+    # The message names the time and the first non-finite state channel.
+    line = _single_error_line(capsys, "NON_FINITE_STATE")
+    assert line.endswith(" at t = 0.14 s, first in motor_a.Eqp (step 14)")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -409,6 +428,23 @@ def test_der_frequency_control_step_bound(tmp_path, capsys):
     doc = dict(DER_DOC, integrator=dict(DER_DOC["integrator"], dt=0.02))
     assert main(["run", "--config", str(_write_config(tmp_path, doc, "coarse.yaml"))]) == 2
     assert "integrator.dt" in _single_error_line(capsys, "CONFIG_INVALID")
+
+
+@pytest.mark.parametrize("option, value, field", [
+    ("--dt", "0", "integrator.dt"),
+    ("--dt", "-1", "integrator.dt"),
+    ("--dt", "nan", "integrator.dt"),
+    ("--dt", "inf", "integrator.dt"),
+    ("--t-end", "0", "integrator.t_end"),
+    ("--t-end", "nan", "integrator.t_end"),
+    ("--t-end", "1e400", "integrator.t_end"),
+])
+def test_bad_step_override_is_config_invalid(tmp_path, capsys, option, value, field):
+    cfg = _write_config(tmp_path, BASE_DOC)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out), option, value]) == 2
+    assert _single_error_line(capsys, "CONFIG_INVALID").endswith(f"(field: {field})")
+    assert not out.exists()
 
 
 def test_der_step_bound_only_with_frequency_control(tmp_path):

@@ -31,6 +31,7 @@ from clm_sim.sim import (
 )
 
 from scenarios import (
+    ZIP,
     SmoothDipBus,
     StepFrequencyBus,
     dera_playback_scenario,
@@ -227,8 +228,7 @@ def test_euler_and_heun_agree_with_rk4_in_the_limit():
 
 def test_frequency_trip_zeroes_dera_output_in_simulation():
     params = dataclasses.replace(DERA_PRESETS["dera_table3"], fl=0.98, tfl=0.1)
-    zero_zip = dataclasses.replace(
-        dera_playback_scenario().zip_load)  # reuse the zero-power ZIP
+    zero_zip = dataclasses.replace(ZIP, P0=0.0, Q0=0.0)  # a zero-power ZIP
     scenario = build_scenario(
         LoadMix(f_zip=1.0, der_scale=1.0),
         StepFrequencyBus(f_after=0.97, t_step=0.5),
