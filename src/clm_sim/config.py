@@ -308,6 +308,9 @@ def parse_integrator(node, where="integrator") -> IntegratorConfig:
     for key, value in (("dt", dt), ("t_end", t_end)):
         if not value > 0.0:
             raise ConfigError(f"need {key} > 0, got {value!r}", field=f"{where}.{key}")
+    if t_end / dt > IntegratorConfig.MAX_STEPS + 0.5:  # round(t_end / dt) > MAX_STEPS
+        raise ConfigError(f"t_end / dt is {t_end / dt:.3g} steps, more than "
+                          f"{IntegratorConfig.MAX_STEPS}", field=f"{where}.t_end")
     try:
         return IntegratorConfig(method=method, dt=dt, t_end=t_end, record_every=int(record_every))
     except ValueError as exc:

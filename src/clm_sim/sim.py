@@ -28,6 +28,7 @@ list from the CSV header or the run summary).
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import astuple, dataclass, fields
 from math import inf, isfinite
@@ -65,6 +66,7 @@ class IntegratorConfig:
     dt: float = 1e-3        # step size (s)
     t_end: float = 5.0      # horizon (s)
     record_every: int = 1   # sample decimation (steps)
+    MAX_STEPS = 10**7       # most steps, round(t_end / dt), a run may take; checked at parse
 
     def __post_init__(self):
         if self.method not in INTEGRATION_METHODS:
@@ -420,14 +422,34 @@ def read_table(path, what: str = "file") -> tuple[list[str] | None, np.ndarray]:
 
     The first line is a header when its first field is not a number. Blank
     lines are skipped; every row must have the first line's field count.
-    A bad row or value raises FileFormatError naming file:line.
+    A bad row or value raises FileFormatError naming file:line. A file that one
+    np.loadtxt call parses cleanly skips the per-line loop that defines these rules.
     """
     try:
         fh = open(path, "r", newline="")
     except OSError as exc:
         raise FileFormatError(f"cannot read {what}: {exc}") from None
-    header, rows, linenos, width = None, [], [], None
     with fh:
+        first = fh.readline()
+        while first and not first.strip():
+            first = fh.readline()
+        parts = first.strip().split(",")
+        try:
+            float(parts[0])
+            header = None
+            fh.seek(0)
+        except ValueError:
+            header = parts
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if data.shape[1] == len(parts) and np.isfinite(data).all():
+                return header, data
+        except (ValueError, Warning):
+            pass  # the loop below accepts the file or names its faulty line
+        fh.seek(0)
+        header, rows, linenos, width = None, [], [], None
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -1,6 +1,7 @@
 """CLI and config layer: runs, validation errors, determinism, presets."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import yaml
 
 from clm_sim import cli
 from clm_sim.cli import main
-from clm_sim.config import load_config, parse_config
+from clm_sim.config import load_config, parse_config, parse_integrator
 from clm_sim.errors import ConfigError
 from clm_sim.sim import read_csv
 from clm_sim.staticloads import ElecParams, ZipParams
@@ -408,6 +409,22 @@ def test_compare_infinite_value_is_file_format(tmp_path, capsys):
     assert "inf.csv:3:" in _single_error_line(capsys, "FILE_FORMAT")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("t,x.P\n", "no data rows"),
+    ("t,x.P\n\n  \n", "no data rows"),
+    ("", "empty file"),
+    ("\n \n", "empty file"),
+])
+def test_compare_file_without_data_is_file_format(tmp_path, capsys, text, message):
+    path = tmp_path / "nodata.csv"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["compare", str(path), str(path)]) == 3
+    assert not caught  # numpy's "input contained no data" stays inside read_table
+    assert _single_error_line(capsys, "FILE_FORMAT") == f"error: FILE_FORMAT: {path}: {message}"
+
+
 DER_DOC = {
     "mix": {"f_zip": 1.0, "der_scale": 1.0},
     "zip": {"p0": 0.0, "q0": 0.0, "a_p": 0.0, "b_p": 0.0, "c_p": 1.0,
@@ -438,6 +455,8 @@ def test_der_frequency_control_step_bound(tmp_path, capsys):
     ("--t-end", "0", "integrator.t_end"),
     ("--t-end", "nan", "integrator.t_end"),
     ("--t-end", "1e400", "integrator.t_end"),
+    ("--t-end", "1e300", "integrator.t_end"),  # more steps than IntegratorConfig.MAX_STEPS
+    ("--dt", "1e-300", "integrator.t_end"),
 ])
 def test_bad_step_override_is_config_invalid(tmp_path, capsys, option, value, field):
     cfg = _write_config(tmp_path, BASE_DOC)
@@ -445,6 +464,14 @@ def test_bad_step_override_is_config_invalid(tmp_path, capsys, option, value, fi
     assert main(["run", "--config", str(cfg), "--out-dir", str(out), option, value]) == 2
     assert _single_error_line(capsys, "CONFIG_INVALID").endswith(f"(field: {field})")
     assert not out.exists()
+
+
+def test_step_count_bound_at_parse():
+    # 10**7 steps is the most a run may take; t_end in the config is checked as --t-end is.
+    assert parse_integrator({"dt": 1e-3, "t_end": 1e4}).t_end == 1e4
+    with pytest.raises(ConfigError) as exc_info:
+        parse_integrator({"dt": 1e-3, "t_end": 10000.001})
+    assert exc_info.value.field == "integrator.t_end"
 
 
 def test_der_step_bound_only_with_frequency_control(tmp_path):

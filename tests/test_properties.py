@@ -1,4 +1,5 @@
-"""Property tests: config documents and trajectory files round-trip exactly."""
+"""Property tests: config documents and trajectory files round-trip exactly;
+read_table's bulk parse agrees with the per-line parse."""
 
 import os
 import tempfile
@@ -7,15 +8,17 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from clm_sim.config import parse_config  # noqa: E402
+from clm_sim.errors import FileFormatError  # noqa: E402
 from clm_sim.sim import (  # noqa: E402
     INTEGRATION_METHODS,
     Trajectory,
     read_binary,
     read_csv,
+    read_table,
     write_binary,
     write_csv,
 )
@@ -114,3 +117,96 @@ def test_trajectory_files_round_trip_exactly(traj):
     assert from_csv.channels == traj.channels
     assert from_csv.data.tobytes() == traj.data.tobytes()  # also tells -0.0 from 0.0
     assert from_bin.data.tobytes() == traj.data.tobytes()
+
+
+def per_line_table(path):
+    """The per-line CSV parse that defines read_table's accepted inputs and errors."""
+    header, rows, linenos, width = None, [], [], None
+    with open(path, "r", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if width is None:
+                width = len(parts)
+                try:
+                    float(parts[0])
+                except ValueError:
+                    header = parts
+                    continue
+            elif len(parts) != width:
+                raise FileFormatError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
+            try:
+                rows.append(list(map(float, parts)))
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+            linenos.append(lineno)
+    if width is None:
+        raise FileFormatError(f"{path}: empty file")
+    data = np.array(rows).reshape(len(rows), width)
+    bad = ~np.isfinite(data)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise FileFormatError(f"{path}:{linenos[i]}: non-finite value {data[i, j]} "
+                              f"in field {j + 1}")
+    return header, data
+
+
+# Fields the bulk parse may read differently from float(), or not at all.
+ODD_FIELDS = ["-0.0", "5e-324", "2.2250738585072014e-308", "1e-400", "1e309", "-1e309",
+              "nan", "inf", "-inf", "1_0", "\u0663", "\u0661.\u0665", "+.5", "1.", " 7 ",
+              "\t8", "0x10", "", "x"]
+ODD_LINES = ["", "  ", "\t", "1,2,", ","]
+
+
+@st.composite
+def table_texts(draw):
+    """CSV text: mostly well-formed tables of printed doubles, with a few odd edits."""
+    width = draw(st.integers(1, 4))
+    style = draw(st.sampled_from(["%r", "%.17g", "%.6g"]))
+    cell = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: style % x)
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=8))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["field", "field", "line", "ragged", "trailing comma"]))
+        if not lines or edit == "line":
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(ODD_LINES)))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(",")
+        if edit == "field":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD_FIELDS))
+        elif edit == "ragged":
+            fields = fields[:-1] if len(fields) > 1 and draw(st.booleans()) else fields + ["1"]
+        else:
+            fields.append("")
+        lines[i] = ",".join(fields)
+    if draw(st.booleans()):
+        n_names = draw(st.sampled_from([width, width, width, width - 1 or 1, width + 1]))
+        lines.insert(0, ",".join(draw(st.sampled_from(["t", "x.P", " V "]))
+                                 for _ in range(n_names)))
+    if draw(st.booleans()):
+        lines = [" " + line.replace(",", " , ") for line in lines]  # padded fields
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=300)
+@given(table_texts())
+def test_read_table_matches_per_line_parse(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            expected = per_line_table(path)
+        except FileFormatError as exc:
+            with pytest.raises(FileFormatError) as exc_info:
+                read_table(path)
+            assert str(exc_info.value) == str(exc)
+            return
+        header, data = read_table(path)
+    assert header == expected[0]
+    assert data.dtype == expected[1].dtype and data.shape == expected[1].shape
+    assert data.tobytes() == expected[1].tobytes()  # also tells -0.0 from 0.0
