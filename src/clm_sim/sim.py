@@ -16,8 +16,11 @@ initial state, rhs(s, v, f) giving the derivatives of its states s at bus
 voltage v and frequency f, output(s, v, f) giving (P, Q, *extra values),
 limiter flag names with flags(s) giving their values, and optionally
 advance(v, f), which moves the memory rhs and output read to the end of
-an accepted step and returns the events it fired. The bus total is the
-weighted sum of the components' P and Q.
+an accepted step and returns (events it fired, whether the memory moved).
+The bus total is the weighted sum of the components' P and Q.
+
+A step whose state, memory and bus inputs repeat the previous step's bit for
+bit is not recomputed, its row and limiter flags repeated: outputs are unchanged.
 
 Trajectories are channel matrices with a leading, strictly increasing time
 column. CSV export writes 17 significant digits so float64 values
@@ -28,6 +31,8 @@ list from the CSV header or the run summary).
 
 from __future__ import annotations
 
+import logging
+import struct
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import astuple, dataclass, fields
@@ -66,7 +71,7 @@ class IntegratorConfig:
     dt: float = 1e-3        # step size (s)
     t_end: float = 5.0      # horizon (s)
     record_every: int = 1   # sample decimation (steps)
-    MAX_STEPS = 10**7       # most steps, round(t_end / dt), a run may take; checked at parse
+    MAX_STEPS = 10**7       # most steps, round(t_end / dt), a run may take
 
     def __post_init__(self):
         if self.method not in INTEGRATION_METHODS:
@@ -74,6 +79,8 @@ class IntegratorConfig:
         for name in ("dt", "t_end"):
             if not 0.0 < getattr(self, name) < inf:
                 raise ValueError(f"need finite {name} > 0, got {getattr(self, name)}")
+        if (steps := self.t_end / self.dt) > self.MAX_STEPS + 0.5:  # round(t_end / dt) > MAX_STEPS
+            raise ValueError(f"t_end / dt is {steps:.3g} steps, more than {self.MAX_STEPS}")
         if self.record_every < 1 or int(self.record_every) != self.record_every:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every}")
 
@@ -92,6 +99,11 @@ class Component:
     flag_names: tuple[str, ...] = ()
     flags: Callable = lambda s: ()
     advance: Callable | None = None
+
+
+def same_bits(a: Sequence[float], b: Sequence[float]) -> bool:
+    """Whether two float sequences are equal bit for bit (0.0 and -0.0 differ)."""
+    return a == b and struct.pack(f"{len(a)}d", *a) == struct.pack(f"{len(b)}d", *b)
 
 
 def motor_component(name: str, weight: float, setup, dt: float) -> Component:
@@ -121,8 +133,8 @@ def dera_component(name: str, weight: float, setup, dt: float) -> Component:
 
     def advance(v, f):
         nonlocal mem
-        mem, events = advance_memory(mem, v, f)
-        return events
+        old, (mem, events) = mem, advance_memory(mem, v, f)
+        return events, not same_bits(mem, old)
 
     return Component(name, weight, output, tuple(x.name for x in fields(state0)), ("tripped",),
                      state0.as_array().tolist(), rhs=lambda s, v, f: rhs(s, mem, v, f),
@@ -141,8 +153,8 @@ def elec_component(name: str, weight: float, setup, dt: float) -> Component:
 
     def advance(v, f):
         nonlocal vmin
-        vmin = staticloads.elec_vmin_update(v, vmin, params)
-        return ()
+        old, vmin = vmin, staticloads.elec_vmin_update(v, vmin, params)
+        return (), not same_bits((vmin,), (old,))
 
     return Component(name, weight,
                      output=lambda s, v, f: staticloads.elec_power_at(v, vmin, params)[:3],
@@ -342,12 +354,24 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
             dy += c_rhs(y[a:b], v, f)
         return dy
 
+    def bus_inputs(i):  # the bus at step i's stage times and at (i + 1) dt, maybe 1 ulp off t + dt
+        times = (i * dt, i * dt + 0.5 * dt, i * dt + dt, (i + 1) * dt)
+        return struct.pack("8d", *map(voltage, times), *map(frequency, times))
+
     counts = [0] * len(count_names)
     data = np.empty((n_steps // every + 1, len(channels)))
     trip_events: list[dict] = []
     diverged = "a state left the finite range during integration (instability or too large a step)"
+    repeat, repeated = False, 0  # repeat: the last step left state and memory as they were
     for i in range(n_steps + 1):
         t = i * dt
+        if repeat and i < n_steps and bus_inputs(i) == seen:  # step i is the last step again
+            repeated += 1
+            counts = [c + x for c, x in zip(counts, raised)]
+            if i % every == 0:
+                data[i // every] = data[i // every - 1]
+                data[i // every, 0] = t
+            continue
         for a, b, flags, at in flagged:  # limiter activity counts every step
             for j, flag in enumerate(flags(y[a:b]), at):
                 counts[j] += flag
@@ -364,7 +388,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
         if i == n_steps:
             break
         try:
-            y = step(rhs, t, y, dt)
+            y, y_old = step(rhs, t, y, dt), y
         except (OverflowError, ZeroDivisionError):  # plain floats raise these in a stage
             raise NonFiniteState(diverged, step=i + 1) from None
         t_next = (i + 1) * dt
@@ -372,8 +396,14 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
             first = next(name for name, x in zip(state_names, y) if not isfinite(x))
             raise NonFiniteState(f"{diverged} at t = {t_next:g} s, first in {first}", step=i + 1)
         v_next, f_next = voltage(t_next), frequency(t_next)
+        repeat = i % every == 0 and same_bits(y, y_old)  # repeats copy the row recorded at i
         for advance in advances:
-            trip_events += ({"type": kind, "t": t_next} for kind in advance(v_next, f_next))
+            events, moved = advance(v_next, f_next)
+            trip_events += ({"type": kind, "t": t_next} for kind in events)
+            repeat = repeat and not (moved or events)
+        if repeat:
+            seen, raised = bus_inputs(i), [x for a, b, flags, at in flagged for x in flags(y[a:b])]
+    logging.getLogger(__name__).info("repeated %d of %d steps at a fixed point", repeated, n_steps)
 
     traj = Trajectory(channels, data)
     summary = {

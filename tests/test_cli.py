@@ -474,6 +474,14 @@ def test_step_count_bound_at_parse():
     assert exc_info.value.field == "integrator.t_end"
 
 
+def test_step_count_bound_at_parse_names_the_field():
+    # IntegratorConfig checks the bound too, but the parser reports it first, on integrator.t_end.
+    with pytest.raises(ConfigError) as exc_info:
+        parse_integrator({"dt": 1e-3, "t_end": 1e300})
+    assert str(exc_info.value) == ("t_end / dt is 1e+303 steps, more than 10000000 "
+                                   "(field: integrator.t_end)")
+
+
 def test_der_step_bound_only_with_frequency_control(tmp_path):
     doc = dict(DER_DOC, dera=dict(DER_DOC["dera"], overrides={"Freqflag": 0}))
     cfg = _write_config(tmp_path, doc)

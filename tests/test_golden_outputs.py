@@ -1,0 +1,43 @@
+"""Golden outputs: the bundled scenarios' trajectory CSVs, byte for byte.
+
+Each bundled scenario runs through `clm-sim run` under rk4, heun and euler,
+and its trajectory CSV must have the SHA-256 recorded below. The table
+pins the full write path (integration, recording, CSV formatting). An
+intended change of the outputs updates the table and says why in
+CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+import yaml
+
+from clm_sim.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+GOLDEN_CSV_SHA256 = {
+    "composite_fault/rk4": "1b14b78df72b1f5e8099fd4e36bfb6b956a84d61787f13b19ffe2b356d9d9e93",
+    "composite_fault/heun": "d4644548c5305d69f55f6644043bd6b2500cb1fc33b232fc0ef53eba53e6013d",
+    "composite_fault/euler": "7583e1361c85c2d805ce1bb6ea31c78b60ea34dd36272cb9329227e08e5c8bdd",
+    "dera_playback/rk4": "e3e43426e27585981850479c97603df4d1fd23341e6e73b25d7d9f5ace2213ed",
+    "dera_playback/heun": "76e5eac01904d9ac39898599a946d25f2fff77ede8b99fe3a0d0f99a6b9473b5",
+    "dera_playback/euler": "aeb280e1e2f397239025c1a10029472664239404515914d0203fb4dcea8e018e",
+    "motor_a_playback/rk4": "ab8c2bff7dfb879516abb7dac25775386b29627338edf03cdd20ed08ac730565",
+    "motor_a_playback/heun": "4aad4b07404ff6e1e352232e0e4b321c940f7e24bb5f99cce5bb3cab7d5fd368",
+    "motor_a_playback/euler": "b6dc4b457e8d34c45033aad713c48806e4ab387bdce9f3304b87df221aac2663",
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_CSV_SHA256))
+def test_bundled_trajectory_csv_matches_golden_hash(tmp_path, run):
+    name, method = run.split("/")
+    doc = yaml.safe_load((SCENARIOS / f"{name}.yaml").read_text())
+    doc["integrator"]["method"] = method
+    config = tmp_path / f"{name}.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+    csv = out / doc["outputs"]["trajectory_csv"]
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[run]

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from clm_sim.composite import PlaybackParams, composite_outputs, playback_voltage
+from clm_sim.composite import PlaybackBus, PlaybackParams, composite_outputs, playback_voltage
 from clm_sim.config import load_config
 from clm_sim.dera import (
     TIMER_EPS,
@@ -245,3 +245,33 @@ def test_record_every_matches_reference_stepper():
     cfg = load_config(SCENARIOS / "composite_fault.yaml")
     config = IntegratorConfig(method="rk4", dt=1e-3, t_end=0.5, record_every=7)
     _assert_bit_identical(scenario_inputs(cfg), config)
+
+
+def test_dwell_timer_moving_under_a_settled_state_matches_reference_stepper():
+    # A 3 s dip to 0.47 pu: the DER state settles to a bit-exact fixed point
+    # while its low-voltage dwell timer still counts every step. Steps whose
+    # state repeats but whose memory moved must be computed; repeating them
+    # would stop the timer and lose the dwell expiry at t = 1 + tvl1.
+    cfg = load_config(SCENARIOS / "dera_playback.yaml")
+    params = dataclasses.replace(cfg.dera.params(), tvl0=1.5, tvl1=1.5)
+    bus = PlaybackBus(PlaybackParams(a=0.47, b=180.0, c=3.5, d=0.9))
+    inputs = {"mix": cfg.mix, "bus": bus,
+              "dera_load": (params, cfg.dera.pgen0, cfg.dera.qgen0), "zip_load": cfg.zip_load}
+    config = dataclasses.replace(cfg.integrator, method="rk4", t_end=5.0)
+    result = _assert_bit_identical(inputs, config)
+    assert result.summary["trip_events"] == [{"type": "low_voltage_dwell_expired", "t": 2.499}]
+    data = result.trajectory.data
+    t = data[1:, 0]
+    same_as_last = (data[1:, 1:].view(np.uint64) == data[:-1, 1:].view(np.uint64)).all(axis=1)
+    assert same_as_last[(t > 1.0) & (t < 2.499)].sum() >= 500
+
+
+def test_record_every_with_a_fixed_point_between_samples_matches_reference_stepper():
+    # motor_a settles bit for bit again some 1.3 s after the fault, at a step
+    # that need not be a recorded one; the repeated samples after it must
+    # still be its own.
+    cfg = load_config(SCENARIOS / "motor_a_playback.yaml")
+    config = IntegratorConfig(method="rk4", dt=1e-3, t_end=5.0, record_every=7)
+    data = _assert_bit_identical(scenario_inputs(cfg), config).trajectory.data
+    late = data[data[:, 0] > 2.0, 1:]
+    assert (late[1:].view(np.uint64) == late[:-1].view(np.uint64)).all(axis=1).sum() > 300

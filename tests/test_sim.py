@@ -8,7 +8,9 @@ here, asserted as the documented bound for discontinuous playback).
 """
 
 import dataclasses
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from clm_sim.composite import ConstantBus, LoadMix, PlaybackBus, PlaybackParams
 from clm_sim.dera import DERA_PRESETS
 from clm_sim.errors import GridMismatch, NonFiniteState, OutOfRange
 from clm_sim.sim import (
+    Component,
     IntegratorConfig,
+    Scenario,
     Trajectory,
     build_scenario,
     integrate,
@@ -291,3 +295,55 @@ def test_summary_reports_residuals_and_limiters():
     assert all(v < 1e-8 for v in s["initial_residuals"].values())
     assert "dera.power_order_windup" in s["limiter_activity"]
     assert s["limiter_activity"]["dera.power_order_windup"] == 0
+
+
+def test_step_count_bound_in_integrator_config():
+    # The bound parse_integrator reports on integrator.t_end holds for configs built in Python.
+    assert IntegratorConfig(dt=1e-3, t_end=1e4).t_end == 1e4  # 10**7 steps
+    for kwargs in ({"t_end": 1e300}, {"dt": 1e-300}, {"dt": 1e-3, "t_end": 10000.001}):
+        with pytest.raises(ValueError, match=r"more than 10000000$"):
+            IntegratorConfig(**kwargs)
+
+
+# ------------------------------------------------------------ repeated steps
+
+def _one_state_scenario(rhs, x0: float) -> Scenario:
+    """One custom component with state x (P = x) in the zip slot, on a flat bus."""
+    def build(name, weight, setup, dt):
+        return Component(name, weight, output=lambda s, v, f: (s[0], 0.0), states=("x",),
+                         state0=[x0], rhs=rhs)
+    return Scenario(LoadMix(f_zip=1.0), ConstantBus(), [("zip", build, None)])
+
+
+@pytest.mark.parametrize("method", ["rk4", "heun", "euler"])
+def test_signed_zero_state_change_is_computed(method):
+    # -0.0 + dt * 0.0 is +0.0: the first step changes the state's bits, not its value.
+    scenario = _one_state_scenario(lambda s, v, f: (0.0,), -0.0)
+    x = integrate(scenario, IntegratorConfig(method=method, dt=1e-3, t_end=0.1)).channel("zip.x")
+    assert math.copysign(1.0, x[0]) == -1.0
+    assert [math.copysign(1.0, v) for v in x[1:]] == [1.0] * 100
+
+
+def test_fixed_point_on_a_flat_bus_is_not_recomputed():
+    calls = []
+
+    def rhs(s, v, f):
+        calls.append(s[0])
+        return (0.0,)
+
+    result = run_simulation(_one_state_scenario(rhs, 0.5), IntegratorConfig(dt=1e-3, t_end=1.0))
+    assert len(calls) <= 12  # every step computed: 4,001 (residual and 4 rk4 stages a step)
+    traj = result.trajectory
+    assert traj.t.tobytes() == (np.arange(1001) * 1e-3).tobytes()
+    assert (traj.channel("zip.x") == 0.5).all() and (traj.channel("total.P") == 0.5).all()
+
+
+def test_run_logs_repeated_steps_and_keeps_summary(caplog):
+    with caplog.at_level(logging.INFO, logger="clm_sim.sim"):
+        result = run_simulation(motor_playback_scenario(), IntegratorConfig(dt=1e-3, t_end=2.0))
+    [message] = [r.getMessage() for r in caplog.records if r.name == "clm_sim.sim"]
+    match = re.fullmatch(r"repeated (\d+) of 2000 steps at a fixed point", message)
+    assert match and 0 < int(match.group(1)) < 2000
+    assert list(result.summary) == ["method", "dt", "t_end_requested", "t_end_actual", "steps",
+                                    "samples", "initial_residuals", "trip_events",
+                                    "limiter_activity"]
