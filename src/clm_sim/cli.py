@@ -3,7 +3,7 @@
 Every failure path prints one machine-parsable line ``error: <CODE>: message``
 to stderr and exits nonzero (2 config/preset problems, 3 data/operating-point
 problems, 4 runtime integration failures). Set CLM_SIM_LOG=DEBUG|INFO|WARNING
-for log verbosity. Runs are deterministic; --seed is accepted but reserved.
+for log verbosity.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from . import sim
 from .config import PRESET_NAMES, get_dera_preset, get_motor_preset, load_config, parse_integrator
 from .dera import DERA_PRESET_BASES
-from .errors import ClmSimError, PresetError
+from .errors import ChannelError, ClmSimError, PresetError
 from .motor3 import MOTOR_PRESETS
 
 logger = logging.getLogger("clm_sim")
@@ -97,12 +97,14 @@ def cmd_compare(args) -> int:
     else:
         common = [c for c in a.pq_channels() if c in b.channels]
         channels = common or [c for c in a.channels[1:] if c in b.channels]
+    if not channels:
+        raise ChannelError(f"no channel to compare between {args.traj_a} and {args.traj_b}")
     if sim.grids_match(a, b):
         b_on_a = b
     else:
         logger.info("grids differ; resampling %s onto the grid of %s", args.traj_b, args.traj_a)
         b_on_a = sim.resample(b, a.t)
-    width = max(len(c) for c in channels) if channels else 8
+    width = max(len(c) for c in channels)
     print(f"{'channel'.ljust(width)}  mean squared error")
     for c in channels:
         value = sim.mse(a, b_on_a, c)
@@ -161,8 +163,6 @@ def make_parser() -> argparse.ArgumentParser:
         description="Composite load model simulator: motors, DER, static loads "
                     "under scripted bus disturbances.",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; the models are deterministic and ignore it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate one scenario config")

@@ -29,7 +29,7 @@ from .composite import (
 from .dera import DERA_PRESETS, DerAParams
 from .errors import ConfigError, FileFormatError, PresetError
 from .motor3 import MOTOR_PRESETS, MotorParams
-from .sim import IntegratorConfig, Scenario, build_scenario, read_table
+from .sim import INTEGRATION_METHODS, IntegratorConfig, Scenario, build_scenario, read_table
 from .staticloads import ElecParams, ZipParams
 
 PRESET_NAMES = (*MOTOR_PRESETS, *DERA_PRESETS)
@@ -298,11 +298,12 @@ def parse_integrator(node, where="integrator") -> IntegratorConfig:
     node = _require_mapping(node, where)
     _reject_unknown(node, ("method", "dt", "t_end", "record_every"), where)
     method = node.get("method", "rk4")
-    if not isinstance(method, str):
-        raise ConfigError(f"method must be a string, got {method!r}", field=f"{where}.method")
+    if not isinstance(method, str) or method not in INTEGRATION_METHODS:
+        raise ConfigError(f"method must be one of {INTEGRATION_METHODS}, got {method!r}",
+                          field=f"{where}.method")
     record_every = _number(node, "record_every", where, 1.0)
-    if not record_every.is_integer():
-        raise ConfigError(f"expected a whole number of steps, got {record_every!r}",
+    if not (record_every.is_integer() and record_every >= 1):
+        raise ConfigError(f"expected a whole number of steps >= 1, got {record_every!r}",
                           field=f"{where}.record_every")
     dt, t_end = _number(node, "dt", where, 1e-3), _number(node, "t_end", where, 5.0)
     for key, value in (("dt", dt), ("t_end", t_end)):
@@ -311,10 +312,7 @@ def parse_integrator(node, where="integrator") -> IntegratorConfig:
     if t_end / dt > IntegratorConfig.MAX_STEPS + 0.5:  # round(t_end / dt) > MAX_STEPS
         raise ConfigError(f"t_end / dt is {t_end / dt:.3g} steps, more than "
                           f"{IntegratorConfig.MAX_STEPS}", field=f"{where}.t_end")
-    try:
-        return IntegratorConfig(method=method, dt=dt, t_end=t_end, record_every=int(record_every))
-    except ValueError as exc:
-        raise ConfigError(str(exc), field=where) from None
+    return IntegratorConfig(method=method, dt=dt, t_end=t_end, record_every=int(record_every))
 
 
 def _parse_outputs(node, where="outputs") -> OutputsSection:

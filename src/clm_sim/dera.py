@@ -212,12 +212,12 @@ def dera_outputs(state: DerAState, Vt: float, tripped: bool = False) -> tuple[fl
     P = Vt*S9 and Q = -Vt*S3 (voltage on the d axis, generator convention:
     a negative q-axis current command injects positive reactive power).
     """
-    return injection(state.S9, state.S3, Vt, tripped)
+    return (0.0, 0.0) if tripped else (Vt * state.S9, -Vt * state.S3)
 
 
-def injection(S9: float, S3: float, Vt: float, tripped: bool) -> tuple[float, float]:
-    """Plain-float body of dera_outputs."""
-    return (0.0, 0.0) if tripped else (Vt * S9, -Vt * S3)
+def component_output(s, mem, Vt: float, Freq: float) -> tuple[float, float, float]:
+    """(P, Q, trip latch as 1.0 or 0.0) at states S0..S9 and memory mem: the stepper's output."""
+    return (0.0, 0.0, 1.0) if mem[6] else (Vt * s[9], -Vt * s[3], 0.0)
 
 
 def _memory(trackers: DerATrackers) -> tuple:

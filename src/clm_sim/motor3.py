@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -94,12 +94,14 @@ def _check_finite(state: MotorState, Vd: float, Vq: float) -> None:
         raise NonFiniteInput("motor evaluation received a non-finite state or voltage")
 
 
-def motor_kernel(params: MotorParams, init: MotorInit):
-    """(algebra, load_torque, rhs) of one motor over plain floats, constants computed once.
+def motor_kernel(params: MotorParams, init: MotorInit, Vq: float = 0.0):
+    """(algebra, load_torque, rhs, output, flags) of one motor, constants computed once.
 
-    algebra(Eqpp, Edpp, slip, Vd, Vq) -> (Id, Iq, P, Q, w); load_torque(w) -> TL;
-    rhs(Eqp, Edp, Eqpp, Edpp, slip, Vd, Vq) -> the five derivatives. Input
-    checks are left to the public functions below.
+    algebra(Eqpp, Edpp, slip, Vd, Vq) -> (Id, Iq, P, Q, w); load_torque(w) -> TL.
+    rhs(s, m, Vd, f) -> the five derivatives, output(s, m, Vd, f) -> (P, Q) and
+    flags(s) -> (speed clamped,) are the component form (sim.Component) at q-axis
+    voltage Vq: s is (Eqp, Edp, Eqpp, Edpp, slip); the memory m and frequency f
+    are unused. Input checks are left to the public functions below.
     """
     rs, Lp, Lpp, Tp0, Tpp0 = params.rs, params.Lp, params.Lpp, params.Tp0, params.Tpp0
     den = rs * rs + Lpp * Lpp
@@ -120,7 +122,8 @@ def motor_kernel(params: MotorParams, init: MotorInit):
         wc = w if w > 0.0 else 0.0  # speed clamped for the exponent term only
         return Tm0 * (A * w * w + B * w + C0 + D * wc**Etrq)
 
-    def rhs(Eqp, Edp, Eqpp, Edpp, slip, Vd, Vq):
+    def rhs(s, m, Vd, f):
+        Eqp, Edp, Eqpp, Edpp, slip = s
         Id, Iq, _, _, w = algebra(Eqpp, Edpp, slip, Vd, Vq)
         ws = omega0 * slip
         return (
@@ -131,7 +134,13 @@ def motor_kernel(params: MotorParams, init: MotorInit):
             -(p * Edpp * Id + q * Eqpp * Iq - load_torque(w)) / two_h,
         )
 
-    return algebra, load_torque, rhs
+    def output(s, m, Vd, f):
+        return algebra(s[2], s[3], s[4], Vd, Vq)[2:4]
+
+    def flags(s):
+        return (1.0 - s[4] <= 0.0,)
+
+    return algebra, load_torque, rhs, output, flags
 
 
 def motor_algebra(
@@ -139,7 +148,7 @@ def motor_algebra(
 ) -> MotorOutputs:
     """Currents, powers, speed and load torque at one state/voltage point."""
     _check_finite(state, Vd, Vq)
-    algebra, load_torque, _ = motor_kernel(params, init)
+    algebra, load_torque = motor_kernel(params, init)[:2]
     Id, Iq, P, Q, w = algebra(state.Eqpp, state.Edpp, state.slip, Vd, Vq)
     return MotorOutputs(Id, Iq, P, Q, load_torque(w), w)
 
@@ -149,8 +158,8 @@ def motor_derivatives(
 ) -> MotorState:
     """Time derivatives of the five motor states."""
     _check_finite(state, Vd, Vq)
-    rhs = motor_kernel(params, init)[2]
-    return MotorState(*rhs(state.Eqp, state.Edp, state.Eqpp, state.Edpp, state.slip, Vd, Vq))
+    rhs = motor_kernel(params, init, Vq)[2]
+    return MotorState(*rhs(astuple(state), (), Vd, 0.0))
 
 
 def motor_initialize(
@@ -182,10 +191,10 @@ def motor_initialize(
     # neither the EMF equations nor P, so the residual (the four EMF
     # derivatives and the active-power mismatch at slip x[4]) does not
     # depend on it.
-    algebra, load_torque, rhs = motor_kernel(params, MotorInit(Tm0=1.0))
+    algebra, load_torque, rhs = motor_kernel(params, MotorInit(Tm0=1.0), Vq0)[:3]
 
     def residual(x):
-        d = rhs(*x, Vd0, Vq0)
+        d = rhs(x, (), Vd0, 0.0)
         return np.array([d[0], d[1], d[2], d[3], algebra(*x[2:], Vd0, Vq0)[2] - P0])
 
     x = np.array([Vd0, -Vq0, Vd0, -Vq0, 0.01])

@@ -11,13 +11,15 @@ trajectories.
 The stepper drives one list of components, one per configured model, each
 made for the run by its type's builder (motor_component, dera_component,
 zip_component, elec_component) from the setup build_scenario initialised.
-A Component has a name and mix weight, state and extra channel names, an
-initial state, rhs(s, v, f) giving the derivatives of its states s at bus
-voltage v and frequency f, output(s, v, f) giving (P, Q, *extra values),
-limiter flag names with flags(s) giving their values, and optionally
-advance(v, f), which moves the memory rhs and output read to the end of
-an accepted step and returns (events it fired, whether the memory moved).
-The bus total is the weighted sum of the components' P and Q.
+A Component is pure: the stepper holds every state vector s and memory m
+(the discrete logic that changes only between steps: DER_A voltage
+extremes, dwell timers and trip latch, the electronic-load minimum), each
+starting from the component's state0 and memory0 in every run. rhs(s, m,
+v, f) gives the derivatives of s at bus voltage v and frequency f,
+output(s, m, v, f) gives (P, Q, *extra values), flags(s) gives the limiter
+flag values, and advance(m, v, f) gives (the memory at the end of an
+accepted step, the events it fired). The bus total is the weighted sum of
+the components' P and Q.
 
 A step whose state, memory and bus inputs repeat the previous step's bit for
 bit is not recomputed, its row and limiter flags repeated: outputs are unchanged.
@@ -87,7 +89,11 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Component:
-    """One model behind the bus, in the form the stepper drives (see the module docstring)."""
+    """One model behind the bus, as pure functions the stepper drives (see the module docstring).
+
+    rhs and output take (s, m, v, f), flags takes s, and advance takes
+    (m, v, f) and returns (memory, events); memory0 is the memory at t = 0.
+    """
 
     name: str
     weight: float
@@ -95,9 +101,10 @@ class Component:
     states: tuple[str, ...] = ()
     extras: tuple[str, ...] = ()
     state0: Sequence[float] = ()
-    rhs: Callable = lambda s, v, f: ()
+    rhs: Callable = lambda s, m, v, f: ()
     flag_names: tuple[str, ...] = ()
     flags: Callable = lambda s: ()
+    memory0: tuple = ()
     advance: Callable | None = None
 
 
@@ -109,12 +116,10 @@ def same_bits(a: Sequence[float], b: Sequence[float]) -> bool:
 def motor_component(name: str, weight: float, setup, dt: float) -> Component:
     """A motor from (params, state0, init); its q-axis voltage is 0."""
     params, state0, init = setup
-    algebra, _, rhs = motor_kernel(params, init)
-    return Component(name, weight,
-                     output=lambda s, v, f: algebra(s[2], s[3], s[4], v, 0.0)[2:4],
-                     states=tuple(x.name for x in fields(state0)),
-                     state0=state0.as_array().tolist(), rhs=lambda s, v, f: rhs(*s, v, 0.0),
-                     flag_names=("speed_clamped",), flags=lambda s: (1.0 - s[4] <= 0.0,))
+    _, _, rhs, output, flags = motor_kernel(params, init)
+    return Component(name, weight, output, tuple(x.name for x in fields(state0)),
+                     state0=state0.as_array().tolist(), rhs=rhs,
+                     flag_names=("speed_clamped",), flags=flags)
 
 
 def dera_component(name: str, weight: float, setup, dt: float) -> Component:
@@ -123,42 +128,24 @@ def dera_component(name: str, weight: float, setup, dt: float) -> Component:
     if params.Freqflag == 1 and dt > dera_mod.FREQ_CONTROL_MAX_DT:
         raise ConfigError(f"DER frequency control needs dt <= "
                           f"{dera_mod.FREQ_CONTROL_MAX_DT} s, got {dt}", field="integrator.dt")
-    rhs = dera_mod.dera_rhs(params, refs, dt)
-    advance_memory = dera_mod.dera_memory(params, dt)[0]
-    mem = astuple(trackers0)
-
-    def output(s, v, f):
-        p, q = dera_mod.injection(s[9], s[3], v, mem[6])
-        return p, q, 1.0 if mem[6] else 0.0
-
-    def advance(v, f):
-        nonlocal mem
-        old, (mem, events) = mem, advance_memory(mem, v, f)
-        return events, not same_bits(mem, old)
-
-    return Component(name, weight, output, tuple(x.name for x in fields(state0)), ("tripped",),
-                     state0.as_array().tolist(), rhs=lambda s, v, f: rhs(s, mem, v, f),
+    return Component(name, weight, dera_mod.component_output,
+                     tuple(x.name for x in fields(state0)), ("tripped",),
+                     state0.as_array().tolist(), rhs=dera_mod.dera_rhs(params, refs, dt),
                      flag_names=dera_mod.LIMITER_FLAGS, flags=dera_mod.dera_algebra(params)[1],
-                     advance=advance)
+                     memory0=astuple(trackers0), advance=dera_mod.dera_memory(params, dt)[0])
 
 
 def zip_component(name: str, weight: float, params: ZipParams, dt: float) -> Component:
     """The ZIP load: algebraic, no states."""
-    return Component(name, weight, lambda s, v, f: staticloads.zip_power(v, params))
+    return Component(name, weight, lambda s, m, v, f: staticloads.zip_power(v, params))
 
 
 def elec_component(name: str, weight: float, setup, dt: float) -> Component:
-    """The electronic load from (params, initial running minimum voltage)."""
+    """The electronic load from (params, initial running minimum voltage); its memory is (vmin,)."""
     params, vmin = setup
-
-    def advance(v, f):
-        nonlocal vmin
-        old, vmin = vmin, staticloads.elec_vmin_update(v, vmin, params)
-        return (), not same_bits((vmin,), (old,))
-
-    return Component(name, weight,
-                     output=lambda s, v, f: staticloads.elec_power_at(v, vmin, params)[:3],
-                     extras=("ct",), advance=advance)
+    power, update = staticloads.elec_power_at, staticloads.elec_vmin_update
+    return Component(name, weight, lambda s, m, v, f: power(v, m[0], params)[:3], extras=("ct",),
+                     memory0=(vmin,), advance=lambda m, v, f: ((update(v, m[0], params),), ()))
 
 
 def _motor_setup(load, v0, f0):
@@ -326,32 +313,35 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
     components = [build(name, scenario.mix.weight(name), setup, dt)
                   for name, build, setup in scenario.parts]
 
-    # The per-step lists, built once: each component's state slice y[a:b] and its functions.
+    # The per-step lists, built once: each component's state slice y[a:b], its memory
+    # mem[k] and its functions. The stepper holds every state and memory of the run.
     channels, state_names, count_names, y = ["t", "V", "Freq"], [], [], []
-    derivs, flagged, outputs, residuals = [], [], [], {}
+    derivs, flagged, outputs, advances, residuals = [], [], [], [], {}
+    mem = [c.memory0 for c in components]
     v0, f0 = voltage(0.0), frequency(0.0)
-    for c in components:
+    for k, c in enumerate(components):
         a, b = len(y), len(y) + len(c.states)
         y += c.state0
         state_names += [f"{c.name}.{s}" for s in c.states]
         channels += [f"{c.name}.{s}" for s in (*c.states, "P", "Q", *c.extras)]
         if c.states:
-            derivs.append((a, b, c.rhs))
-            residuals[c.name] = max(map(abs, c.rhs(y[a:b], v0, f0)))  # 0 at equilibrium
+            derivs.append((a, b, c.rhs, k))
+            residuals[c.name] = max(map(abs, c.rhs(y[a:b], mem[k], v0, f0)))  # 0 at equilibrium
         if c.flag_names:
             flagged.append((a, b, c.flags, len(count_names)))
             count_names += [f"{c.name}.{flag}" for flag in c.flag_names]
-        outputs.append((a, b, c.output, c.weight))
+        outputs.append((a, b, c.output, c.weight, k))
+        if c.advance is not None:
+            advances.append((c.advance, k))
     channels += ["total.P", "total.Q"]
-    advances = [c.advance for c in components if c.advance is not None]
 
     def rhs(t, y):
         v, f = voltage(t), frequency(t)
         if not (isfinite(v) and isfinite(f)):
             raise NonFiniteInput(f"the bus gave a non-finite input at t = {t}")
         dy = []
-        for a, b, c_rhs in derivs:
-            dy += c_rhs(y[a:b], v, f)
+        for a, b, c_rhs, k in derivs:
+            dy += c_rhs(y[a:b], mem[k], v, f)
         return dy
 
     def bus_inputs(i):  # the bus at step i's stage times and at (i + 1) dt, maybe 1 ulp off t + dt
@@ -379,9 +369,9 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
             v, f = voltage(t), frequency(t)
             row = [t, v, f]
             terms = []  # (weight, P, Q) of each component, for the composite total
-            for a, b, output, w in outputs:
+            for a, b, output, w, k in outputs:
                 s = y[a:b]
-                out = output(s, v, f)
+                out = output(s, mem[k], v, f)
                 row += (*s, *out)
                 terms.append((w, out[0], out[1]))
             data[i // every] = row + list(weighted_total(terms))
@@ -397,10 +387,10 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
             raise NonFiniteState(f"{diverged} at t = {t_next:g} s, first in {first}", step=i + 1)
         v_next, f_next = voltage(t_next), frequency(t_next)
         repeat = i % every == 0 and same_bits(y, y_old)  # repeats copy the row recorded at i
-        for advance in advances:
-            events, moved = advance(v_next, f_next)
+        for advance, k in advances:
+            old, (mem[k], events) = mem[k], advance(mem[k], v_next, f_next)
             trip_events += ({"type": kind, "t": t_next} for kind in events)
-            repeat = repeat and not (moved or events)
+            repeat = repeat and not events and same_bits(mem[k], old)
         if repeat:
             seen, raised = bus_inputs(i), [x for a, b, flags, at in flagged for x in flags(y[a:b])]
     logging.getLogger(__name__).info("repeated %d of %d steps at a fixed point", repeated, n_steps)

@@ -301,6 +301,14 @@ def test_fractional_record_every_rejected(tmp_path, capsys):
     assert "integrator.record_every" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key, value", [("method", "rk5"), ("record_every", 0),
+                                        ("record_every", -3)])
+def test_bad_integrator_value_names_its_key(key, value):
+    with pytest.raises(ConfigError) as exc_info:
+        parse_integrator(dict(BASE_DOC["integrator"], **{key: value}))
+    assert exc_info.value.field == f"integrator.{key}"
+
+
 # ------------------------------------------------------ compare on foreign files
 
 def _single_error_line(capsys, code):
@@ -423,6 +431,19 @@ def test_compare_file_without_data_is_file_format(tmp_path, capsys, text, messag
         assert main(["compare", str(path), str(path)]) == 3
     assert not caught  # numpy's "input contained no data" stays inside read_table
     assert _single_error_line(capsys, "FILE_FORMAT") == f"error: FILE_FORMAT: {path}: {message}"
+
+
+@pytest.mark.parametrize("other, channels", [("t,y.P\n0,1\n0.1,2\n", None),
+                                             ("t,x.P\n0,1\n0.1,2\n", "")])
+def test_compare_with_nothing_to_compare_is_channel_unknown(tmp_path, capsys, other, channels):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("t,x.P\n0,1\n0.1,2\n")
+    b.write_text(other)
+    argv = ["compare", str(a), str(b)] + ([] if channels is None else ["--channels", channels])
+    assert main(argv) == 3
+    line = _single_error_line(capsys, "CHANNEL_UNKNOWN")
+    assert str(a) in line and str(b) in line
+    assert capsys.readouterr().out == ""
 
 
 DER_DOC = {

@@ -310,7 +310,7 @@ def test_step_count_bound_in_integrator_config():
 def _one_state_scenario(rhs, x0: float) -> Scenario:
     """One custom component with state x (P = x) in the zip slot, on a flat bus."""
     def build(name, weight, setup, dt):
-        return Component(name, weight, output=lambda s, v, f: (s[0], 0.0), states=("x",),
+        return Component(name, weight, output=lambda s, m, v, f: (s[0], 0.0), states=("x",),
                          state0=[x0], rhs=rhs)
     return Scenario(LoadMix(f_zip=1.0), ConstantBus(), [("zip", build, None)])
 
@@ -318,7 +318,7 @@ def _one_state_scenario(rhs, x0: float) -> Scenario:
 @pytest.mark.parametrize("method", ["rk4", "heun", "euler"])
 def test_signed_zero_state_change_is_computed(method):
     # -0.0 + dt * 0.0 is +0.0: the first step changes the state's bits, not its value.
-    scenario = _one_state_scenario(lambda s, v, f: (0.0,), -0.0)
+    scenario = _one_state_scenario(lambda s, m, v, f: (0.0,), -0.0)
     x = integrate(scenario, IntegratorConfig(method=method, dt=1e-3, t_end=0.1)).channel("zip.x")
     assert math.copysign(1.0, x[0]) == -1.0
     assert [math.copysign(1.0, v) for v in x[1:]] == [1.0] * 100
@@ -327,7 +327,7 @@ def test_signed_zero_state_change_is_computed(method):
 def test_fixed_point_on_a_flat_bus_is_not_recomputed():
     calls = []
 
-    def rhs(s, v, f):
+    def rhs(s, m, v, f):
         calls.append(s[0])
         return (0.0,)
 
@@ -347,3 +347,16 @@ def test_run_logs_repeated_steps_and_keeps_summary(caplog):
     assert list(result.summary) == ["method", "dt", "t_end_requested", "t_end_actual", "steps",
                                     "samples", "initial_residuals", "trip_events",
                                     "limiter_activity"]
+
+
+def test_scenario_runs_twice_to_the_same_result():
+    # The stepper starts every memory afresh: a run after another, at another dt, repeats
+    # the first bit for bit, DER dwell timer expiry and electronic-load minimum included.
+    scenario = full_composite_scenario(PlaybackBus(PlaybackParams(a=0.45, b=30, c=1, d=0.9)))
+    first, _, again = (run_simulation(scenario, IntegratorConfig(dt=dt, t_end=3.0))
+                       for dt in (1e-3, 5e-4, 1e-3))
+    assert first.summary["trip_events"] == [{"type": "low_voltage_dwell_expired", "t": 1.159}]
+    assert first.trajectory.channel("elec.ct").min() < 1.0
+    assert first.trajectory.data.tobytes() == again.trajectory.data.tobytes()
+    assert first.trajectory.channels == again.trajectory.channels
+    assert first.summary == again.summary
