@@ -17,10 +17,9 @@ import sys
 from pathlib import Path
 
 from . import sim
-from .config import PRESET_NAMES, get_dera_preset, get_motor_preset, load_config, parse_integrator
+from .config import PRESETS, load_config, parse_integrator, parse_outputs
 from .dera import DERA_PRESET_BASES
 from .errors import ChannelError, ClmSimError, PresetError
-from .motor3 import MOTOR_PRESETS
 
 logger = logging.getLogger("clm_sim")
 
@@ -42,17 +41,27 @@ def _figure_channels(traj: sim.Trajectory, component: str) -> list[str]:
     return [c for c in cols if c in traj.channels]
 
 
+def _split_channels(text: str | None) -> list[str] | None:
+    """The names in a --channels value, or None when the option was not given."""
+    return None if text is None else [c.strip() for c in text.split(",") if c.strip()]
+
+
+def _overridden(section, **overrides):
+    """The section's fields with the options that were given (not None) put over them."""
+    return {**dataclasses.asdict(section), **{k: v for k, v in overrides.items() if v is not None}}
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    overrides = {key: value for key, value in (("dt", args.dt), ("t_end", args.t_end))
-                 if value is not None}
-    cfg.integrator = parse_integrator({**dataclasses.asdict(cfg.integrator), **overrides})
-    if args.out_dir is not None:
-        cfg.outputs.out_dir = args.out_dir
-    if args.channels is not None:
-        cfg.outputs.channels = [c.strip() for c in args.channels.split(",") if c.strip()]
+    cfg.integrator = parse_integrator(_overridden(cfg.integrator, dt=args.dt, t_end=args.t_end))
+    cfg.outputs = parse_outputs(_overridden(cfg.outputs, out_dir=args.out_dir,
+                                            channels=_split_channels(args.channels)))
 
     scenario = cfg.build()
+    if cfg.outputs.channels is not None:  # fail before the first step, not after the last
+        sim.require_channels(cfg.outputs.channels,
+                             sim.channel_names(scenario.components(cfg.integrator.dt)),
+                             "this run's trajectory")
     result = sim.run_simulation(scenario, cfg.integrator)
     traj = result.trajectory
 
@@ -92,13 +101,14 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     a = sim.read_csv(args.traj_a)
     b = a if args.traj_b == args.traj_a else sim.read_csv(args.traj_b)
-    if args.channels is not None:
-        channels = [c.strip() for c in args.channels.split(",") if c.strip()]
-    else:
+    channels = _split_channels(args.channels)
+    if channels is None:
         common = [c for c in a.pq_channels() if c in b.channels]
         channels = common or [c for c in a.channels[1:] if c in b.channels]
     if not channels:
         raise ChannelError(f"no channel to compare between {args.traj_a} and {args.traj_b}")
+    for path, traj in ((args.traj_a, a), (args.traj_b, b)):  # before any line is printed
+        sim.require_channels(channels, traj.channels, path)
     if sim.grids_match(a, b):
         b_on_a = b
     else:
@@ -112,24 +122,17 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _preset_values(name: str) -> dict:
-    if name in MOTOR_PRESETS:
-        return dataclasses.asdict(get_motor_preset(name))
-    values = dataclasses.asdict(get_dera_preset(name))
-    values.update(DERA_PRESET_BASES.get(name, {}))
-    return values
-
-
 def cmd_preset(args) -> int:
     if args.action == "list":
-        for name in PRESET_NAMES:
+        for name in PRESETS:
             print(name)
         return 0
     if args.name is None:
         raise PresetError("preset show needs a preset name")
-    if args.name not in PRESET_NAMES:
-        raise PresetError(f"unknown preset {args.name!r}; available: {list(PRESET_NAMES)}")
-    for key, value in _preset_values(args.name).items():
+    if args.name not in PRESETS:
+        raise PresetError(f"unknown preset {args.name!r}; available: {list(PRESETS)}")
+    values = {**dataclasses.asdict(PRESETS[args.name]), **DERA_PRESET_BASES.get(args.name, {})}
+    for key, value in values.items():
         print(f"{key}: {value!r}")
     return 0
 

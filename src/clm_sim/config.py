@@ -15,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 import sys
 from dataclasses import dataclass
+from functools import partial
+from typing import ClassVar
 
 import numpy as np
 import yaml
@@ -32,28 +34,12 @@ from .motor3 import MOTOR_PRESETS, MotorParams
 from .sim import INTEGRATION_METHODS, IntegratorConfig, Scenario, build_scenario, read_table
 from .staticloads import ElecParams, ZipParams
 
-PRESET_NAMES = (*MOTOR_PRESETS, *DERA_PRESETS)
+PRESETS = {**MOTOR_PRESETS, **DERA_PRESETS}
 
 # YAML key -> field name, for the sections whose keys differ from their fields.
 ZIP_KEYS = {"p0": "P0", "q0": "Q0", "v0": "V0", "a_p": "ap", "b_p": "bp", "c_p": "cp",
             "a_q": "aq", "b_q": "bq", "c_q": "cq"}
 ELEC_KEYS = {"pe0": "PE0", "qe0": "QE0", "vd1": "Vd1", "vd2": "Vd2", "alpha": "alpha"}
-
-
-def get_motor_preset(name: str) -> MotorParams:
-    try:
-        return MOTOR_PRESETS[name]
-    except KeyError:
-        raise PresetError(f"unknown motor preset {name!r}; available: "
-                          f"{sorted(MOTOR_PRESETS)}") from None
-
-
-def get_dera_preset(name: str) -> DerAParams:
-    try:
-        return DERA_PRESETS[name]
-    except KeyError:
-        raise PresetError(f"unknown DER preset {name!r}; available: "
-                          f"{sorted(DERA_PRESETS)}") from None
 
 
 def _require_mapping(node, where: str) -> dict:
@@ -106,36 +92,43 @@ def _parse_numeric(node, where: str, cls, keys=None, **defaults):
         raise ConfigError(str(exc), field=where) from None
 
 
-def _section_dict(obj, keys) -> dict:
-    return {key: getattr(obj, name) for key, name in keys.items()}
+@dataclass
+class PresetSection:
+    """A motor or DER section: a preset and/or overrides, then its initial loading fields."""
+
+    PARAMS: ClassVar[type]   # the parameter dataclass
+    PRESETS: ClassVar[dict]  # preset name -> parameters
+    KIND: ClassVar[str]      # the kind an unknown-preset message names
+
+    preset: str | None
+    overrides: dict
+
+    def params(self):
+        if self.preset is None:
+            return self.PARAMS(**self.overrides)
+        if self.preset not in self.PRESETS:
+            raise PresetError(f"unknown {self.KIND} preset {self.preset!r}; "
+                              f"available: {sorted(self.PRESETS)}")
+        base = self.PRESETS[self.preset]
+        return dataclasses.replace(base, **self.overrides) if self.overrides else base
+
+    def load(self) -> tuple:
+        """(params, *the initial loading): the load build_scenario takes for this component."""
+        return (self.params(), *(getattr(self, f.name) for f in dataclasses.fields(self)[2:]))
 
 
 @dataclass
-class MotorSection:
-    preset: str | None
-    overrides: dict
+class MotorSection(PresetSection):
+    PARAMS, PRESETS, KIND = MotorParams, MOTOR_PRESETS, "motor"
     p0: float
     q0: float | None = None
 
-    def params(self) -> MotorParams:
-        if self.preset is not None:
-            base = get_motor_preset(self.preset)
-            return dataclasses.replace(base, **self.overrides) if self.overrides else base
-        return MotorParams(**self.overrides)
-
 
 @dataclass
-class DeraSection:
-    preset: str | None
-    overrides: dict
+class DeraSection(PresetSection):
+    PARAMS, PRESETS, KIND = DerAParams, DERA_PRESETS, "DER"
     pgen0: float
     qgen0: float = 0.0
-
-    def params(self) -> DerAParams:
-        if self.preset is not None:
-            base = get_dera_preset(self.preset)
-            return dataclasses.replace(base, **self.overrides) if self.overrides else base
-        return DerAParams(**self.overrides)
 
 
 @dataclass
@@ -167,13 +160,17 @@ class OutputsSection:
 
 @dataclass
 class ScenarioConfig:
+    """A parsed scenario document.
+
+    components maps each configured component's section name (a key of
+    SECTIONS) to its parsed section: a MotorSection or DeraSection, or the
+    ZipParams or ElecParams themselves.
+    """
+
     mix: LoadMix
     disturbance: DisturbanceSection
     integrator: IntegratorConfig
-    motors: dict[str, MotorSection]
-    dera: DeraSection | None
-    zip_load: ZipParams | None
-    elec: ElecParams | None
+    components: dict[str, object]
     outputs: OutputsSection
 
     def to_dict(self) -> dict:
@@ -184,14 +181,10 @@ class ScenarioConfig:
             "integrator": dataclasses.asdict(self.integrator),
             "outputs": dataclasses.asdict(self.outputs),
         }
-        for name, sec in self.motors.items():
-            doc[name] = dataclasses.asdict(sec)
-        if self.dera is not None:
-            doc["dera"] = dataclasses.asdict(self.dera)
-        if self.zip_load is not None:
-            doc["zip"] = _section_dict(self.zip_load, ZIP_KEYS)
-        if self.elec is not None:
-            doc["elec"] = _section_dict(self.elec, ELEC_KEYS)
+        for name, sec in self.components.items():
+            keys = SECTIONS[name][1]
+            doc[name] = ({key: getattr(sec, field) for key, field in keys.items()} if keys
+                         else dataclasses.asdict(sec))
         return doc
 
     def _disturbance_dict(self) -> dict:
@@ -203,15 +196,9 @@ class ScenarioConfig:
         return {"type": "series", "file": d.file, "freq": d.freq}
 
     def build(self) -> Scenario:
-        bus = self.disturbance.make_bus()
-        motor_loads = {
-            name: (sec.params(), sec.p0, sec.q0) for name, sec in self.motors.items()
-        }
-        dera_load = None
-        if self.dera is not None:
-            dera_load = (self.dera.params(), self.dera.pgen0, self.dera.qgen0)
-        return build_scenario(self.mix, bus, motor_loads, dera_load,
-                              self.zip_load, self.elec)
+        loads = {name: sec if SECTIONS[name][1] else sec.load()
+                 for name, sec in self.components.items()}
+        return build_scenario(self.mix, self.disturbance.make_bus(), loads)
 
 
 def _parse_overrides(node, where: str, param_cls) -> dict:
@@ -230,7 +217,7 @@ def _parse_overrides(node, where: str, param_cls) -> dict:
     return out
 
 
-def _parse_preset_section(node, where: str, section_cls, param_cls):
+def _parse_preset_section(node, where: str, section_cls):
     """Parse a motor or DER section: a preset and/or overrides plus its initial loading."""
     node = _require_mapping(node, where)
     fields = dataclasses.fields(section_cls)
@@ -238,6 +225,7 @@ def _parse_preset_section(node, where: str, section_cls, param_cls):
     preset = node.get("preset")
     if preset is not None and not isinstance(preset, str):
         raise ConfigError(f"preset must be a string, got {preset!r}", field=f"{where}.preset")
+    param_cls = section_cls.PARAMS
     overrides = _parse_overrides(node.get("overrides", {}), f"{where}.overrides", param_cls)
     if preset is None:
         required = {f.name for f in dataclasses.fields(param_cls) if f.default is dataclasses.MISSING}
@@ -315,26 +303,19 @@ def parse_integrator(node, where="integrator") -> IntegratorConfig:
     return IntegratorConfig(method=method, dt=dt, t_end=t_end, record_every=int(record_every))
 
 
-def _parse_outputs(node, where="outputs") -> OutputsSection:
+def parse_outputs(node, where="outputs") -> OutputsSection:
+    """Parse an outputs section; `clm-sim run` checks its --out-dir/--channels here too."""
     node = _require_mapping(node, where)
-    _reject_unknown(node, ("out_dir", "trajectory_csv", "summary_json",
-                           "binary", "channels", "figure_csvs"), where)
-    channels = node.get("channels")
-    if channels is not None and (
-        not isinstance(channels, list) or not all(isinstance(c, str) for c in channels)
-    ):
-        raise ConfigError("channels must be a list of strings", field=f"{where}.channels")
-    figure_csvs = node.get("figure_csvs", False)
-    if not isinstance(figure_csvs, bool):
+    _reject_unknown(node, [f.name for f in dataclasses.fields(OutputsSection)], where)
+    out = OutputsSection(**node)
+    if out.channels is not None:
+        if not (isinstance(out.channels, list) and out.channels
+                and all(isinstance(c, str) for c in out.channels)):
+            raise ConfigError("channels must be a non-empty list of strings",
+                              field=f"{where}.channels")
+        out.channels = list(out.channels)
+    if not isinstance(out.figure_csvs, bool):
         raise ConfigError("figure_csvs must be a boolean", field=f"{where}.figure_csvs")
-    out = OutputsSection(
-        out_dir=node.get("out_dir", "."),
-        trajectory_csv=node.get("trajectory_csv", "trajectory.csv"),
-        summary_json=node.get("summary_json", "summary.json"),
-        binary=node.get("binary"),
-        channels=list(channels) if channels is not None else None,
-        figure_csvs=figure_csvs,
-    )
     for key in ("out_dir", "trajectory_csv", "summary_json"):
         if not isinstance(getattr(out, key), str):
             raise ConfigError("expected a string", field=f"{where}.{key}")
@@ -343,8 +324,17 @@ def _parse_outputs(node, where="outputs") -> OutputsSection:
     return out
 
 
-TOP_LEVEL_KEYS = ("mix", "motor_a", "motor_b", "motor_c", "dera", "zip", "elec",
-                  "disturbance", "integrator", "outputs")
+# Component section name -> (parse(node, where), YAML key map; None for a preset
+# section, which serialises by its fields and loads as section.load()).
+SECTIONS = {
+    **dict.fromkeys(("motor_a", "motor_b", "motor_c"),
+                    (partial(_parse_preset_section, section_cls=MotorSection), None)),
+    "dera": (partial(_parse_preset_section, section_cls=DeraSection), None),
+    "zip": (partial(_parse_numeric, cls=ZipParams, keys=ZIP_KEYS, v0=1.0), ZIP_KEYS),
+    "elec": (partial(_parse_numeric, cls=ElecParams, keys=ELEC_KEYS), ELEC_KEYS),
+}
+
+TOP_LEVEL_KEYS = ("mix", *SECTIONS, "disturbance", "integrator", "outputs")
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
@@ -353,21 +343,13 @@ def parse_config(doc: dict) -> ScenarioConfig:
     for key in ("mix", "disturbance", "integrator"):
         if key not in doc:
             raise ConfigError("missing required section", field=key)
-    motors = {}
-    for name in ("motor_a", "motor_b", "motor_c"):
-        if name in doc:
-            motors[name] = _parse_preset_section(doc[name], name, MotorSection, MotorParams)
     return ScenarioConfig(
         mix=_parse_numeric(doc["mix"], "mix", LoadMix),
         disturbance=_parse_disturbance(doc["disturbance"]),
         integrator=parse_integrator(doc["integrator"]),
-        motors=motors,
-        dera=(_parse_preset_section(doc["dera"], "dera", DeraSection, DerAParams)
-              if "dera" in doc else None),
-        zip_load=(_parse_numeric(doc["zip"], "zip", ZipParams, ZIP_KEYS, v0=1.0)
-                  if "zip" in doc else None),
-        elec=_parse_numeric(doc["elec"], "elec", ElecParams, ELEC_KEYS) if "elec" in doc else None,
-        outputs=_parse_outputs(doc.get("outputs", {})),
+        components={name: parse(doc[name], name)
+                    for name, (parse, _) in SECTIONS.items() if name in doc},
+        outputs=parse_outputs(doc.get("outputs", {})),
     )
 
 

@@ -45,7 +45,6 @@ import numpy as np
 from . import dera as dera_mod
 from . import staticloads
 from .composite import COMPONENT_NAMES, LoadMix, weighted_total
-from .dera import DerAParams
 from .errors import (
     ChannelError,
     ConfigError,
@@ -55,8 +54,8 @@ from .errors import (
     NonFiniteState,
     OutOfRange,
 )
-from .motor3 import MotorParams, motor_initialize, motor_kernel
-from .staticloads import ElecParams, ZipParams
+from .motor3 import motor_initialize, motor_kernel
+from .staticloads import ZipParams
 
 INTEGRATION_METHODS = ("rk4", "heun", "euler")
 
@@ -174,38 +173,52 @@ class Scenario:
     """A fully initialised component mix behind one scripted bus.
 
     parts holds (name, builder, setup) per configured component, in
-    channel order; run_simulation calls builder(name, weight, setup, dt).
+    channel order; components(dt) calls builder(name, weight, setup, dt).
     """
 
     mix: LoadMix
     bus: object  # exposes voltage(t) and frequency(t)
     parts: list[tuple[str, Callable, object]]
 
+    def components(self, dt: float) -> list[Component]:
+        return [build(name, self.mix.weight(name), setup, dt) for name, build, setup in self.parts]
 
-def build_scenario(
-    mix: LoadMix,
-    bus,
-    motor_loads: dict[str, tuple[MotorParams, float, float | None]] | None = None,
-    dera_load: tuple[DerAParams, float, float] | None = None,
-    zip_load: ZipParams | None = None,
-    elec_load: ElecParams | None = None,
-) -> Scenario:
+
+def build_scenario(mix: LoadMix, bus, loads: dict[str, object]) -> Scenario:
     """Initialise every configured component at the bus's t = 0 conditions.
 
-    motor_loads maps a motor slot name (motor_a / motor_b / motor_c) to
-    (params, P0, Q0-or-None); dera_load is (params, Pgen0, Qgen0). A mix
-    fraction may be zero for a configured component (it is simulated with
-    weight zero), but a nonzero weight without its component is an error.
+    loads maps a component name (a key of COMPONENT_TYPES) to its load:
+    (params, P0, Q0-or-None) for a motor, (params, Pgen0, Qgen0) for dera,
+    the ZipParams or ElecParams for zip or elec. A mix fraction may be zero
+    for a configured component (it is simulated with weight zero), but a
+    nonzero weight without its component, or an unknown name, is an error.
     """
-    loads = {**(motor_loads or {}), "dera": dera_load, "zip": zip_load, "elec": elec_load}
+    unknown = sorted(set(loads) - set(COMPONENT_TYPES))
+    if unknown:
+        raise ConfigError(f"unknown component(s) {unknown}; known: {list(COMPONENT_TYPES)}")
     for name in COMPONENT_NAMES:
         weight = mix.weight(name)
-        if weight != 0.0 and loads.get(name) is None:
+        if weight != 0.0 and name not in loads:
             raise ConfigError(f"{name} has mix weight {weight} but is not configured", field=name)
     v0, f0 = bus.voltage(0.0), bus.frequency(0.0)
     parts = [(name, build, setup(loads[name], v0, f0))
-             for name, (setup, build) in COMPONENT_TYPES.items() if loads.get(name) is not None]
+             for name, (setup, build) in COMPONENT_TYPES.items() if name in loads]
     return Scenario(mix, bus, parts)
+
+
+def channel_names(components: Sequence[Component]) -> list[str]:
+    """A run's trajectory channels: t, the bus, each component's states and outputs, the total."""
+    channels = ["t", "V", "Freq"]
+    for c in components:
+        channels += [f"{c.name}.{s}" for s in (*c.states, "P", "Q", *c.extras)]
+    return channels + ["total.P", "total.Q"]
+
+
+def require_channels(names, available, where: str) -> None:
+    """Raise ChannelError naming the first of names that is not in available, and where."""
+    missing = [c for c in names if c not in available]
+    if missing:
+        raise ChannelError(f"no channel named {missing[0]!r} in {where}")
 
 
 class Trajectory:
@@ -310,12 +323,12 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
     every = config.record_every
     step = _STEPPERS[config.method]
     voltage, frequency = scenario.bus.voltage, scenario.bus.frequency
-    components = [build(name, scenario.mix.weight(name), setup, dt)
-                  for name, build, setup in scenario.parts]
+    components = scenario.components(dt)
+    channels = channel_names(components)
 
     # The per-step lists, built once: each component's state slice y[a:b], its memory
     # mem[k] and its functions. The stepper holds every state and memory of the run.
-    channels, state_names, count_names, y = ["t", "V", "Freq"], [], [], []
+    state_names, count_names, y = [], [], []
     derivs, flagged, outputs, advances, residuals = [], [], [], [], {}
     mem = [c.memory0 for c in components]
     v0, f0 = voltage(0.0), frequency(0.0)
@@ -323,7 +336,6 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
         a, b = len(y), len(y) + len(c.states)
         y += c.state0
         state_names += [f"{c.name}.{s}" for s in c.states]
-        channels += [f"{c.name}.{s}" for s in (*c.states, "P", "Q", *c.extras)]
         if c.states:
             derivs.append((a, b, c.rhs, k))
             residuals[c.name] = max(map(abs, c.rhs(y[a:b], mem[k], v0, f0)))  # 0 at equilibrium
@@ -333,7 +345,6 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
         outputs.append((a, b, c.output, c.weight, k))
         if c.advance is not None:
             advances.append((c.advance, k))
-    channels += ["total.P", "total.Q"]
 
     def rhs(t, y):
         v, f = voltage(t), frequency(t)
@@ -424,9 +435,7 @@ def write_csv(traj: Trajectory, path, channels: list[str] | None = None) -> None
     if channels is None:
         names, data = traj.channels, traj.data
     else:
-        for c in channels:
-            if c not in traj.channels:
-                raise ChannelError(f"no channel named {c!r}")
+        require_channels(channels, traj.channels, "the trajectory")
         names = ["t"] + [c for c in dict.fromkeys(channels) if c != "t"]  # read_csv rejects repeats
         data = traj.data[:, [traj.channels.index(c) for c in names]]
     fmt = ",".join(["%.17g"] * len(names)) + "\n"

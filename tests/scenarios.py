@@ -58,7 +58,7 @@ def motor_playback_scenario(p0: float = 0.8, shape: str = "verbatim") -> Scenari
     return build_scenario(
         LoadMix(f_a=1.0),
         PlaybackBus(playback),
-        motor_loads={"motor_a": (MOTOR_PRESETS["motor_a"], p0, None)},
+        {"motor_a": (MOTOR_PRESETS["motor_a"], p0, None)},
     )
 
 
@@ -69,8 +69,7 @@ def dera_playback_scenario(pgen0: float = 0.5, qgen0: float = 0.1,
     return build_scenario(
         LoadMix(f_zip=1.0, der_scale=1.0),
         PlaybackBus(playback),
-        dera_load=(DERA_PRESETS["dera_table3"], pgen0, qgen0),
-        zip_load=zero_zip,
+        {"dera": (DERA_PRESETS["dera_table3"], pgen0, qgen0), "zip": zero_zip},
     )
 
 
@@ -80,12 +79,12 @@ def full_composite_scenario(bus) -> Scenario:
         LoadMix(f_a=0.3, f_b=0.1, f_c=0.1, f_elec=0.2, f_zip=0.3, der_scale=0.3,
                 p_base_mva=15.0),
         bus,
-        motor_loads={
+        {
             "motor_a": (MOTOR_PRESETS["motor_a"], 0.8, None),
             "motor_b": (MOTOR_PRESETS["motor_b"], 0.6, None),
             "motor_c": (MOTOR_PRESETS["motor_c"], 0.6, None),
+            "dera": (DERA_PRESETS["dera_table3"], 0.5, 0.1),
+            "zip": ZIP,
+            "elec": ELEC,
         },
-        dera_load=(DERA_PRESETS["dera_table3"], 0.5, 0.1),
-        zip_load=ZIP,
-        elec_load=ELEC,
     )

@@ -316,7 +316,7 @@ def test_criterion_6_bounded_injection():
     dt = 1e-3
     scenario = build_scenario(LoadMix(f_zip=1.0, der_scale=1.0),
                               StepFrequencyBus(f_after=1.03, t_step=0.5),
-                              dera_load=(params, 0.8, 0.1), zip_load=zero_zip)
+                              {"dera": (params, 0.8, 0.1), "zip": zero_zip})
     traj2 = integrate(scenario, IntegratorConfig(dt=dt, t_end=3.0))
     s7 = traj2.channel("dera.S7")
     slopes = np.diff(s7) / dt
@@ -351,7 +351,7 @@ def test_criterion_7_trip_logic():
     dt = 1e-3
     scenario = build_scenario(LoadMix(f_zip=1.0, der_scale=1.0),
                               StepFrequencyBus(f_after=0.97, t_step=0.5),
-                              dera_load=(params, 0.5, 0.1), zip_load=zero_zip)
+                              {"dera": (params, 0.5, 0.1), "zip": zero_zip})
     traj = integrate(scenario, IntegratorConfig(dt=dt, t_end=1.0))
     tripped = traj.channel("dera.tripped")
     latch_index = 500 + math.ceil(params.tfl / dt) - 1

@@ -10,9 +10,10 @@ import yaml
 
 from clm_sim import cli
 from clm_sim.cli import main
-from clm_sim.config import load_config, parse_config, parse_integrator
+from clm_sim.composite import COMPONENT_NAMES
+from clm_sim.config import SECTIONS, TOP_LEVEL_KEYS, load_config, parse_config, parse_integrator
 from clm_sim.errors import ConfigError
-from clm_sim.sim import read_csv
+from clm_sim.sim import COMPONENT_TYPES, read_csv
 from clm_sim.staticloads import ElecParams, ZipParams
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -151,7 +152,7 @@ def test_config_round_trip_semantically_identical(tmp_path):
     first = parse_config(doc)
     second = parse_config(first.to_dict())
     assert first.to_dict() == second.to_dict()
-    assert second.motors["motor_a"].params().H == 0.06
+    assert second.components["motor_a"].params().H == 0.06
     assert second.integrator.method == "heun"
     assert second.disturbance.playback.shape == "ramp"
 
@@ -278,7 +279,7 @@ def test_full_params_without_preset(tmp_path):
     doc = dict(BASE_DOC)
     doc["motor_a"] = {"overrides": motor_params, "p0": 0.5}
     cfg = parse_config(doc)
-    assert cfg.motors["motor_a"].params().rs == 0.04
+    assert cfg.components["motor_a"].params().rs == 0.04
 
 
 def test_incomplete_params_without_preset_rejected(tmp_path):
@@ -446,6 +447,47 @@ def test_compare_with_nothing_to_compare_is_channel_unknown(tmp_path, capsys, ot
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("lacking", ["a", "b"])
+def test_compare_channel_missing_from_one_file_names_it_before_printing(tmp_path, capsys,
+                                                                         lacking):
+    paths = {"a": tmp_path / "a.csv", "b": tmp_path / "b.csv"}
+    for key, path in paths.items():
+        path.write_text("t,x.P\n0,1\n0.1,2\n" if key == lacking else
+                        "t,x.P,y.P\n0,1,1\n0.1,2,2\n")
+    assert main(["compare", str(paths["a"]), str(paths["b"]), "--channels", "x.P,y.P"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""  # no partial table
+    assert err == f"error: CHANNEL_UNKNOWN: no channel named 'y.P' in {paths[lacking]}\n"
+
+
+def test_run_empty_channel_list_is_config_invalid_at_load(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.sim, "run_simulation", lambda *a: pytest.fail("run started"))
+    cfg = _write_config(tmp_path, BASE_DOC)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out), "--channels", " , "]) == 2
+    assert _single_error_line(capsys, "CONFIG_INVALID").endswith("(field: outputs.channels)")
+    doc = dict(BASE_DOC, outputs=dict(BASE_DOC["outputs"], channels=[]))
+    assert main(["run", "--config", str(_write_config(tmp_path, doc)), "--out-dir", str(out)]) == 2
+    assert _single_error_line(capsys, "CONFIG_INVALID").endswith("(field: outputs.channels)")
+    assert not out.exists()
+
+
+def test_run_unknown_channel_fails_before_the_first_step(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.sim, "run_simulation", lambda *a: pytest.fail("run started"))
+    cfg = _write_config(tmp_path, BASE_DOC)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out),
+                 "--channels", "total.P,nope"]) == 3
+    assert _single_error_line(capsys, "CHANNEL_UNKNOWN").startswith(
+        "error: CHANNEL_UNKNOWN: no channel named 'nope'")
+    assert not out.exists()
+
+
+def test_every_component_table_names_the_same_components():
+    assert set(SECTIONS) == set(COMPONENT_TYPES) == set(COMPONENT_NAMES)
+    assert set(SECTIONS) <= set(TOP_LEVEL_KEYS)
+
+
 DER_DOC = {
     "mix": {"f_zip": 1.0, "der_scale": 1.0},
     "zip": {"p0": 0.0, "q0": 0.0, "a_p": 0.0, "b_p": 0.0, "c_p": 1.0,
@@ -531,7 +573,8 @@ def test_numeric_sections_reject_unknown_and_non_numbers():
     with pytest.raises(ConfigError) as exc_info:
         parse_config(dict(BASE_DOC, mix={"f_a": "1"}))
     assert exc_info.value.field == "mix.f_a"
-    assert parse_config(dict(BASE_DOC, zip=DER_DOC["zip"])).zip_load.V0 == 1.0  # v0 default
+    cfg = parse_config(dict(BASE_DOC, zip=DER_DOC["zip"]))
+    assert cfg.components["zip"].V0 == 1.0  # v0 default
 
 
 def test_zip_and_elec_keys_map_to_fields():
@@ -540,9 +583,9 @@ def test_zip_and_elec_keys_map_to_fields():
                     "a_q": 0.6, "b_q": 0.1, "c_q": 0.3},
                elec={"pe0": 0.8, "qe0": 0.2, "vd1": 0.7, "vd2": 0.5, "alpha": 0.25})
     cfg = parse_config(doc)
-    assert cfg.zip_load == ZipParams(P0=1.0, Q0=0.3, V0=0.9, ap=0.5, bp=0.3, cp=0.2,
-                                     aq=0.6, bq=0.1, cq=0.3)
-    assert cfg.elec == ElecParams(PE0=0.8, QE0=0.2, Vd1=0.7, Vd2=0.5, alpha=0.25)
+    assert cfg.components["zip"] == ZipParams(P0=1.0, Q0=0.3, V0=0.9, ap=0.5, bp=0.3, cp=0.2,
+                                              aq=0.6, bq=0.1, cq=0.3)
+    assert cfg.components["elec"] == ElecParams(PE0=0.8, QE0=0.2, Vd1=0.7, Vd2=0.5, alpha=0.25)
     assert cfg.to_dict()["zip"] == doc["zip"] and cfg.to_dict()["elec"] == doc["elec"]
 
 
@@ -552,7 +595,7 @@ def test_fractional_der_flag_rejected():
         parse_config(doc)
     assert exc_info.value.field == "dera.overrides.Freqflag"
     doc["dera"]["overrides"] = {"Freqflag": 1.0}
-    assert parse_config(doc).dera.params().Freqflag == 1
+    assert parse_config(doc).components["dera"].params().Freqflag == 1
 
 
 @pytest.mark.parametrize("section, key, field", [

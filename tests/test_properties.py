@@ -74,7 +74,7 @@ outputs_sections = st.fixed_dictionaries({}, optional={
     "trajectory_csv": names,
     "summary_json": names,
     "binary": st.none() | names,
-    "channels": st.none() | st.lists(names, max_size=5),
+    "channels": st.none() | st.lists(names, min_size=1, max_size=5),  # [] is rejected
     "figure_csvs": st.booleans(),
 })
 

@@ -7,8 +7,8 @@ advance_trackers, ...) and the rk4/heun/euler steps written on arrays.
 run_simulation works on plain floats through its component list; it must
 reproduce the reference's channel names, recorded data, initial
 residuals, limiter counts and trip events, the data bit for bit. The
-reference initialises the components itself from build_scenario's
-arguments.
+reference initialises the components itself from the loads passed to
+build_scenario.
 """
 
 import dataclasses
@@ -63,38 +63,38 @@ MOTOR_STATES = ("Eqp", "Edp", "Eqpp", "Edpp", "slip")
 
 
 def scenario_inputs(cfg):
-    """build_scenario's keyword arguments for a parsed config."""
-    return {
-        "mix": cfg.mix,
-        "bus": cfg.disturbance.make_bus(),
-        "motor_loads": {name: (sec.params(), sec.p0, sec.q0) for name, sec in cfg.motors.items()},
-        "dera_load": (cfg.dera.params(), cfg.dera.pgen0, cfg.dera.qgen0) if cfg.dera else None,
-        "zip_load": cfg.zip_load,
-        "elec_load": cfg.elec,
-    }
+    """build_scenario's arguments (mix, bus, loads by component name) for a parsed config."""
+    sections = cfg.components
+    loads = {name: (sec.params(), sec.p0, sec.q0) for name, sec in sections.items()
+             if name in ("motor_a", "motor_b", "motor_c")}
+    if "dera" in sections:
+        der = sections["dera"]
+        loads["dera"] = (der.params(), der.pgen0, der.qgen0)
+    loads.update({name: sections[name] for name in ("zip", "elec") if name in sections})
+    return {"mix": cfg.mix, "bus": cfg.disturbance.make_bus(), "loads": loads}
 
 
 def reference_run(inputs, config):
     """(channels, data, initial residuals, limiter counts, trip events) of the array-form loop.
 
-    inputs are build_scenario's keyword arguments; the components are
+    inputs are build_scenario's arguments by name; the components are
     initialised here with motor_initialize and dera_initialize.
     """
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
     step = STEPPERS[config.method]
     bus, mix = inputs["bus"], inputs["mix"]
-    zip_load, elec = inputs.get("zip_load"), inputs.get("elec_load")
+    loads = inputs["loads"]
+    zip_load, elec = loads.get("zip"), loads.get("elec")
     v0, f0 = bus.voltage(0.0), bus.frequency(0.0)
     motors, der = [], None
-    motor_loads = inputs.get("motor_loads") or {}
     for name in ("motor_a", "motor_b", "motor_c"):
-        if name in motor_loads:
-            params, p0, q0 = motor_loads[name]
+        if name in loads:
+            params, p0, q0 = loads[name]
             state0, init = motor_initialize(p0, q0, v0, 0.0, params)
             motors.append(SimpleNamespace(name=name, params=params, state0=state0, init=init))
-    if inputs.get("dera_load"):
-        params, pgen0, qgen0 = inputs["dera_load"]
+    if loads.get("dera"):
+        params, pgen0, qgen0 = loads["dera"]
         state0, refs, trackers0 = dera_initialize(pgen0, qgen0, v0, f0, params)
         der = SimpleNamespace(params=params, state0=state0, refs=refs, trackers0=trackers0)
 
@@ -230,9 +230,10 @@ def test_dera_branch_variant_matches_reference_stepper(method):
     # bundled scenarios never reach. The frequency step drives the droop and
     # the rate-limited power order S7; the dip expires the low-voltage dwell.
     cfg = load_config(SCENARIOS / "dera_playback.yaml")
-    params = dataclasses.replace(cfg.dera.params(), Freqflag=1, PQflag=1, PfFlag=0)
+    der = cfg.components["dera"]
+    params = dataclasses.replace(der.params(), Freqflag=1, PQflag=1, PfFlag=0)
     inputs = {"mix": cfg.mix, "bus": DeepFaultFrequencyStepBus(),
-              "dera_load": (params, cfg.dera.pgen0, cfg.dera.qgen0), "zip_load": cfg.zip_load}
+              "loads": {"dera": (params, der.pgen0, der.qgen0), "zip": cfg.components["zip"]}}
     config = dataclasses.replace(cfg.integrator, method=method, t_end=T_END)
     result = _assert_bit_identical(inputs, config)
     kinds = [e["type"] for e in result.summary["trip_events"]]
@@ -253,10 +254,11 @@ def test_dwell_timer_moving_under_a_settled_state_matches_reference_stepper():
     # state repeats but whose memory moved must be computed; repeating them
     # would stop the timer and lose the dwell expiry at t = 1 + tvl1.
     cfg = load_config(SCENARIOS / "dera_playback.yaml")
-    params = dataclasses.replace(cfg.dera.params(), tvl0=1.5, tvl1=1.5)
+    der = cfg.components["dera"]
+    params = dataclasses.replace(der.params(), tvl0=1.5, tvl1=1.5)
     bus = PlaybackBus(PlaybackParams(a=0.47, b=180.0, c=3.5, d=0.9))
     inputs = {"mix": cfg.mix, "bus": bus,
-              "dera_load": (params, cfg.dera.pgen0, cfg.dera.qgen0), "zip_load": cfg.zip_load}
+              "loads": {"dera": (params, der.pgen0, der.qgen0), "zip": cfg.components["zip"]}}
     config = dataclasses.replace(cfg.integrator, method="rk4", t_end=5.0)
     result = _assert_bit_identical(inputs, config)
     assert result.summary["trip_events"] == [{"type": "low_voltage_dwell_expired", "t": 2.499}]

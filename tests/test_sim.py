@@ -17,7 +17,8 @@ import pytest
 
 from clm_sim.composite import ConstantBus, LoadMix, PlaybackBus, PlaybackParams
 from clm_sim.dera import DERA_PRESETS
-from clm_sim.errors import GridMismatch, NonFiniteState, OutOfRange
+from clm_sim.errors import ConfigError, GridMismatch, NonFiniteState, OutOfRange
+from clm_sim.motor3 import MOTOR_PRESETS
 from clm_sim.sim import (
     Component,
     IntegratorConfig,
@@ -228,6 +229,12 @@ def test_euler_and_heun_agree_with_rk4_in_the_limit():
         assert _channel_error(approx, ref) < tol
 
 
+def test_build_scenario_rejects_an_unknown_component_name():
+    loads = {"motor_d": (MOTOR_PRESETS["motor_a"], 0.8, None), "zip": ZIP}
+    with pytest.raises(ConfigError, match="unknown component.*'motor_d'"):
+        build_scenario(LoadMix(f_zip=1.0), ConstantBus(), loads)
+
+
 # ----------------------------------------------------------------- trip logic
 
 def test_frequency_trip_zeroes_dera_output_in_simulation():
@@ -236,8 +243,7 @@ def test_frequency_trip_zeroes_dera_output_in_simulation():
     scenario = build_scenario(
         LoadMix(f_zip=1.0, der_scale=1.0),
         StepFrequencyBus(f_after=0.97, t_step=0.5),
-        dera_load=(params, 0.5, 0.1),
-        zip_load=zero_zip,
+        {"dera": (params, 0.5, 0.1), "zip": zero_zip},
     )
     dt = 1e-3
     result = run_simulation(scenario, IntegratorConfig(dt=dt, t_end=1.0))
