@@ -309,9 +309,9 @@ def parse_outputs(node, where="outputs") -> OutputsSection:
     _reject_unknown(node, [f.name for f in dataclasses.fields(OutputsSection)], where)
     out = OutputsSection(**node)
     if out.channels is not None:
-        if not (isinstance(out.channels, list) and out.channels
-                and all(isinstance(c, str) for c in out.channels)):
-            raise ConfigError("channels must be a non-empty list of strings",
+        if not (isinstance(out.channels, list) and all(isinstance(c, str) for c in out.channels)
+                and set(out.channels) - {"t"}):  # t is always written, first
+            raise ConfigError("channels must be a list of strings naming a channel besides t",
                               field=f"{where}.channels")
         out.channels = list(out.channels)
     if not isinstance(out.figure_csvs, bool):

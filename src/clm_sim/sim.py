@@ -430,7 +430,10 @@ def write_csv(traj: Trajectory, path, channels: list[str] | None = None) -> None
     """Write the trajectory as CSV: header row, time first, 17 significant digits.
 
     Rows are formatted a block at a time, so only one block is ever held
-    as Python floats.
+    as Python floats. A row whose values after t repeat the row above bit
+    for bit (so -0.0 and 0.0 differ) is written as its t plus the text
+    after the first comma of the row above; the bytes are the same as
+    formatting every row.
     """
     if channels is None:
         names, data = traj.channels, traj.data
@@ -439,11 +442,24 @@ def write_csv(traj: Trajectory, path, channels: list[str] | None = None) -> None
         names = ["t"] + [c for c in dict.fromkeys(channels) if c != "t"]  # read_csv rejects repeats
         data = traj.data[:, [traj.channels.index(c) for c in names]]
     fmt = ",".join(["%.17g"] * len(names)) + "\n"
+    bits = data.view(np.uint64)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
+        tail = ""  # the text after t of the last fully formatted row
         for start in range(0, len(data), CSV_BLOCK_ROWS):
-            fh.write("".join([fmt % tuple(row) for row in
-                              data[start:start + CSV_BLOCK_ROWS].tolist()]))
+            after_t = bits[max(start - 1, 0):start + CSV_BLOCK_ROWS, 1:]
+            repeats = (after_t[1:] == after_t[:-1]).all(axis=1).tolist()
+            if start == 0:
+                repeats.insert(0, False)
+            lines = []
+            for row, repeat in zip(data[start:start + CSV_BLOCK_ROWS].tolist(), repeats):
+                if repeat:
+                    lines.append("%.17g" % row[0] + tail)
+                else:
+                    line = fmt % tuple(row)
+                    tail = line[line.find(","):]  # with t alone find gives -1: tail is "\n"
+                    lines.append(line)
+            fh.write("".join(lines))
 
 
 def read_table(path, what: str = "file") -> tuple[list[str] | None, np.ndarray]:

@@ -472,6 +472,18 @@ def test_run_empty_channel_list_is_config_invalid_at_load(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, listed", [("t", None), ("t,t", None), (None, ["t"])])
+def test_run_time_only_channel_list_is_config_invalid_at_load(tmp_path, capsys, monkeypatch,
+                                                               option, listed):
+    monkeypatch.setattr(cli.sim, "run_simulation", lambda *a: pytest.fail("run started"))
+    doc = dict(BASE_DOC, outputs=dict(BASE_DOC["outputs"], channels=listed))
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(_write_config(tmp_path, doc)), "--out-dir", str(out)]
+    assert main(argv + ([] if option is None else ["--channels", option])) == 2
+    assert _single_error_line(capsys, "CONFIG_INVALID").endswith("(field: outputs.channels)")
+    assert not out.exists()
+
+
 def test_run_unknown_channel_fails_before_the_first_step(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.sim, "run_simulation", lambda *a: pytest.fail("run started"))
     cfg = _write_config(tmp_path, BASE_DOC)

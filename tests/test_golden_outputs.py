@@ -1,10 +1,11 @@
 """Golden outputs: the bundled scenarios' trajectory CSVs, byte for byte.
 
 Each bundled scenario runs through `clm-sim run` under rk4, heun and euler,
-and its trajectory CSV must have the SHA-256 recorded below. The table
-pins the full write path (integration, recording, CSV formatting). An
-intended change of the outputs updates the table and says why in
-CHANGES.md.
+and its trajectory CSV must have the SHA-256 recorded below; so must the
+figure CSVs of composite_fault under rk4, which take write_csv's
+channel-subset path. The tables pin the full write path (integration,
+recording, CSV formatting). An intended change of the outputs updates the
+tables and says why in CHANGES.md.
 """
 
 import hashlib
@@ -29,15 +30,39 @@ GOLDEN_CSV_SHA256 = {
     "motor_a_playback/euler": "b6dc4b457e8d34c45033aad713c48806e4ab387bdce9f3304b87df221aac2663",
 }
 
+GOLDEN_FIGURE_SHA256 = {
+    "figure_motor_a.csv": "64fd649042f329fb4c796159c9569e10c9ef0ae0f69d30fb13256d2f0629ef08",
+    "figure_motor_b.csv": "633729ed025397abdf6831e81fb87fe9576bab4aceeab2e1184c18aaf02d25f4",
+    "figure_motor_c.csv": "dc4cecdd8763284f0fd8a6736821bcfbe075e877ef85fd8038536d6ba3dc898a",
+    "figure_dera.csv": "829104f3ede09e306d8d1c89724dd9591ea58d52a132253a88d07ebeb38667aa",
+    "figure_zip.csv": "b8550a9d5324ccea574cf63357bba76bef1134b30faf71eb578304268a7925f7",
+    "figure_elec.csv": "7505670878584d2777bb799f5f0274740452c68f001bc096faf841f9051f8338",
+}
 
-@pytest.mark.parametrize("run", sorted(GOLDEN_CSV_SHA256))
-def test_bundled_trajectory_csv_matches_golden_hash(tmp_path, run):
+
+def _run(tmp_path, run, **outputs):
+    """Run a bundled scenario under a method; return its output directory and document."""
     name, method = run.split("/")
     doc = yaml.safe_load((SCENARIOS / f"{name}.yaml").read_text())
     doc["integrator"]["method"] = method
+    doc["outputs"].update(outputs)
     config = tmp_path / f"{name}.yaml"
     config.write_text(yaml.safe_dump(doc))
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
-    csv = out / doc["outputs"]["trajectory_csv"]
-    assert hashlib.sha256(csv.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[run]
+    return out, doc
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_CSV_SHA256))
+def test_bundled_trajectory_csv_matches_golden_hash(tmp_path, run):
+    out, doc = _run(tmp_path, run)
+    assert _sha256(out / doc["outputs"]["trajectory_csv"]) == GOLDEN_CSV_SHA256[run]
+
+
+def test_bundled_figure_csvs_match_golden_hashes(tmp_path):
+    out, _ = _run(tmp_path, "composite_fault/rk4", figure_csvs=True)
+    assert {p.name: _sha256(p) for p in out.glob("figure_*.csv")} == GOLDEN_FIGURE_SHA256

@@ -1,8 +1,10 @@
 """Property tests: config documents and trajectory files round-trip exactly;
-read_table's bulk parse agrees with the per-line parse."""
+write_csv's reuse of repeated row text writes the bytes of per-row
+formatting; read_table's bulk parse agrees with the per-line parse."""
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from hypothesis import strategies as st  # noqa: E402
 from clm_sim.config import parse_config  # noqa: E402
 from clm_sim.errors import FileFormatError  # noqa: E402
 from clm_sim.sim import (  # noqa: E402
+    CSV_BLOCK_ROWS,
     INTEGRATION_METHODS,
+    IntegratorConfig,
     Trajectory,
     read_binary,
     read_csv,
@@ -67,14 +71,17 @@ integrator_sections = st.fixed_dictionaries({}, optional={
     "dt": st.floats(1e-6, 0.1),
     "t_end": st.floats(1e-3, 100.0),
     "record_every": st.integers(1, 1000),
-})
+}).filter(  # more steps than a run may take is rejected
+    lambda s: s.get("t_end", 5.0) / s.get("dt", 1e-3) <= IntegratorConfig.MAX_STEPS + 0.5)
 
 outputs_sections = st.fixed_dictionaries({}, optional={
     "out_dir": names,
     "trajectory_csv": names,
     "summary_json": names,
     "binary": st.none() | names,
-    "channels": st.none() | st.lists(names, min_size=1, max_size=5),  # [] is rejected
+    # a list naming no channel besides t ([] or ["t"]) is rejected
+    "channels": st.none() | st.lists(names, min_size=1, max_size=5).filter(
+        lambda channels: set(channels) - {"t"}),
     "figure_csvs": st.booleans(),
 })
 
@@ -117,6 +124,60 @@ def test_trajectory_files_round_trip_exactly(traj):
     assert from_csv.channels == traj.channels
     assert from_csv.data.tobytes() == traj.data.tobytes()  # also tells -0.0 from 0.0
     assert from_bin.data.tobytes() == traj.data.tobytes()
+
+
+
+def per_row_csv(traj, channels=None) -> bytes:
+    """What write_csv must write: a header, then every row formatted on its own."""
+    names = traj.channels if channels is None else ["t", *channels]
+    fmt = ",".join(["%.17g"] * len(names)) + "\n"
+    rows = traj.data[:, [traj.channels.index(c) for c in names]].tolist()
+    return (",".join(names) + "\n" + "".join(fmt % tuple(row) for row in rows)).encode()
+
+
+def written_csv(traj, channels=None) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "traj.csv")
+        write_csv(traj, path, channels)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@st.composite
+def repeating_trajectories(draw):
+    """Trajectories whose rows after t often repeat the row above, or differ from it
+    only in the signs of its zeros."""
+    extra = draw(st.lists(names.filter(lambda c: c != "t"), max_size=4, unique=True))
+    row = st.lists(st.sampled_from([0.0, -0.0]) | finite,
+                   min_size=len(extra), max_size=len(extra))
+    rows = [draw(row)]
+    for _ in range(draw(st.integers(0, 40))):
+        step = draw(st.sampled_from(["repeat", "repeat", "flip zeros", "new"]))
+        rows.append(draw(row) if step == "new" else
+                    [-x if x == 0.0 and step == "flip zeros" else x for x in rows[-1]])
+    t = np.cumsum(draw(st.lists(st.floats(1e-3, 1.0), min_size=len(rows), max_size=len(rows))))
+    return Trajectory(["t", *extra],
+                      np.column_stack([t, np.array(rows).reshape(len(rows), len(extra))]))
+
+
+@given(repeating_trajectories(), st.data(), st.integers(1, 5))
+def test_write_csv_matches_per_row_formatting(traj, data, block_rows):
+    extra = traj.channels[1:]
+    subsets = st.lists(st.sampled_from(extra), unique=True) if extra else st.just([])
+    channels = data.draw(st.none() | subsets)
+    with mock.patch("clm_sim.sim.CSV_BLOCK_ROWS", block_rows):  # rows repeat across blocks
+        assert written_csv(traj, channels) == per_row_csv(traj, channels)
+
+
+@pytest.mark.parametrize("channels", [None, ["b"], []])
+def test_write_csv_reuse_across_a_block_boundary(channels):
+    n = CSV_BLOCK_ROWS
+    after_t = np.tile([0.25, 0.0], (2 * n + 1, 1))  # row n repeats the previous block's last
+    after_t[n + 1:2 * n, 1] = -0.0  # rows n + 1 and 2n differ from the row above in a zero's sign
+    traj = Trajectory(["t", "a", "b"], np.column_stack([np.arange(2 * n + 1) * 1e-3, after_t]))
+    expected = per_row_csv(traj, channels)
+    assert written_csv(traj, channels) == expected
+    assert expected.count(b",-0\n") == (0 if channels == [] else n - 1)
 
 
 def per_line_table(path):
