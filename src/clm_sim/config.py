@@ -21,13 +21,7 @@ from typing import ClassVar
 import numpy as np
 import yaml
 
-from .composite import (
-    ConstantBus,
-    LoadMix,
-    PlaybackBus,
-    PlaybackParams,
-    SeriesBus,
-)
+from .composite import ConstantBus, LoadMix, PlaybackBus, PlaybackParams, SeriesBus
 from .dera import DERA_PRESETS, DerAParams
 from .errors import ConfigError, FileFormatError, PresetError
 from .motor3 import MOTOR_PRESETS, MotorParams
@@ -71,11 +65,12 @@ def _number(node: dict, key: str, where: str, default=None, required=False):
 
 
 def _parse_numeric(node, where: str, cls, keys=None, **defaults):
-    """Parse a section of numbers into the dataclass cls.
+    """Parse a section of numbers and strings into the dataclass cls.
 
     keys maps YAML keys to field names (default: the field names
     themselves); required keys and defaults come from the fields, and
-    defaults adds YAML-only defaults by key.
+    defaults adds YAML-only defaults by key. A str field given as null
+    is not a string; a number field given as null takes its default.
     """
     node = _require_mapping(node, where)
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -84,8 +79,13 @@ def _parse_numeric(node, where: str, cls, keys=None, **defaults):
     values = {}
     for key, name in keys.items():
         default = defaults.get(key, fields[name].default)
-        values[name] = _number(node, key, where, default,
-                               required=default is dataclasses.MISSING)
+        if fields[name].type != "str" or key not in node:
+            values[name] = _number(node, key, where, default,
+                                   required=default is dataclasses.MISSING)
+        elif isinstance(node[key], str):
+            values[name] = node[key]
+        else:
+            raise ConfigError(f"{key} must be a string, got {node[key]!r}", field=f"{where}.{key}")
     try:
         return cls(**values)
     except ValueError as exc:
@@ -131,21 +131,50 @@ class DeraSection(PresetSection):
     qgen0: float = 0.0
 
 
-@dataclass
-class DisturbanceSection:
-    type: str                     # playback | constant | series
-    playback: PlaybackParams | None = None
+def _check_freq(section) -> None:
+    """Every disturbance section's check: its bus frequency (pu) must be positive."""
+    if not section.freq > 0.0:
+        raise ValueError(f"need freq > 0, got {section.freq}")
+
+
+@dataclass(frozen=True)
+class PlaybackSection(PlaybackParams):
     freq: float = 1.0
-    v: float = 1.0                # constant type only
-    file: str | None = None       # series type only
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_freq(self)
 
     def make_bus(self):
-        if self.type == "playback":
-            return PlaybackBus(self.playback, freq=self.freq)
-        if self.type == "constant":
-            return ConstantBus(v=self.v, freq=self.freq)
-        t, v, f = read_series_file(self.file)
-        return SeriesBus(t, v, f, freq=self.freq)
+        return PlaybackBus(self, freq=self.freq)
+
+
+@dataclass(frozen=True)
+class ConstantSection:
+    v: float = 1.0
+    freq: float = 1.0
+
+    def __post_init__(self):
+        if not self.v >= 0.0:
+            raise ValueError(f"need v >= 0, got {self.v}")
+        _check_freq(self)
+
+    def make_bus(self):
+        return ConstantBus(v=self.v, freq=self.freq)
+
+
+@dataclass(frozen=True)
+class SeriesSection:
+    file: str
+    freq: float = 1.0  # used only when the file has no F column
+    __post_init__ = _check_freq
+
+    def make_bus(self):
+        return SeriesBus(*read_series_file(self.file), freq=self.freq)
+
+
+# Disturbance type name -> its section: the YAML keys besides type are its fields.
+DISTURBANCES = {"playback": PlaybackSection, "constant": ConstantSection, "series": SeriesSection}
 
 
 @dataclass
@@ -164,20 +193,22 @@ class ScenarioConfig:
 
     components maps each configured component's section name (a key of
     SECTIONS) to its parsed section: a MotorSection or DeraSection, or the
-    ZipParams or ElecParams themselves.
+    ZipParams or ElecParams themselves. disturbance is a section of one of
+    the DISTURBANCES types.
     """
 
     mix: LoadMix
-    disturbance: DisturbanceSection
+    disturbance: object
     integrator: IntegratorConfig
     components: dict[str, object]
     outputs: OutputsSection
 
     def to_dict(self) -> dict:
         """Serialise back to the (normalised) config document."""
+        dtype = next(name for name, cls in DISTURBANCES.items() if type(self.disturbance) is cls)
         doc: dict = {
             "mix": dataclasses.asdict(self.mix),
-            "disturbance": self._disturbance_dict(),
+            "disturbance": {"type": dtype, **dataclasses.asdict(self.disturbance)},
             "integrator": dataclasses.asdict(self.integrator),
             "outputs": dataclasses.asdict(self.outputs),
         }
@@ -186,14 +217,6 @@ class ScenarioConfig:
             doc[name] = ({key: getattr(sec, field) for key, field in keys.items()} if keys
                          else dataclasses.asdict(sec))
         return doc
-
-    def _disturbance_dict(self) -> dict:
-        d = self.disturbance
-        if d.type == "playback":
-            return {"type": "playback", **dataclasses.asdict(d.playback), "freq": d.freq}
-        if d.type == "constant":
-            return {"type": "constant", "v": d.v, "freq": d.freq}
-        return {"type": "series", "file": d.file, "freq": d.freq}
 
     def build(self) -> Scenario:
         loads = {name: sec if SECTIONS[name][1] else sec.load()
@@ -243,42 +266,13 @@ def _parse_preset_section(node, where: str, section_cls):
     return sec
 
 
-def _parse_disturbance(node, where="disturbance") -> DisturbanceSection:
+def _parse_disturbance(node, where="disturbance"):
     node = _require_mapping(node, where)
     dtype = node.get("type")
-    if dtype == "playback":
-        _reject_unknown(node, ("type", "a", "b", "c", "d", "shape", "freq"), where)
-        shape = node.get("shape", "verbatim")
-        if not isinstance(shape, str):
-            raise ConfigError(f"shape must be a string, got {shape!r}", field=f"{where}.shape")
-        try:
-            playback = PlaybackParams(
-                a=_number(node, "a", where, required=True),
-                b=_number(node, "b", where, required=True),
-                c=_number(node, "c", where, required=True),
-                d=_number(node, "d", where, required=True),
-                shape=shape,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), field=where) from None
-        return DisturbanceSection(type="playback", playback=playback,
-                                  freq=_number(node, "freq", where, 1.0))
-    if dtype == "constant":
-        _reject_unknown(node, ("type", "v", "freq"), where)
-        return DisturbanceSection(type="constant", v=_number(node, "v", where, 1.0),
-                                  freq=_number(node, "freq", where, 1.0))
-    if dtype == "series":
-        _reject_unknown(node, ("type", "file", "freq"), where)
-        file = node.get("file")
-        if not isinstance(file, str):
-            raise ConfigError("series disturbance needs a 'file' path",
-                              field=f"{where}.file")
-        return DisturbanceSection(type="series", file=file,
-                                  freq=_number(node, "freq", where, 1.0))
-    raise ConfigError(
-        f"type must be one of ['playback', 'constant', 'series'], got {dtype!r}",
-        field=f"{where}.type",
-    )
+    if not isinstance(dtype, str) or dtype not in DISTURBANCES:  # str first: a list is unhashable
+        raise ConfigError(f"type must be one of {list(DISTURBANCES)}, got {dtype!r}",
+                          field=f"{where}.type")
+    return _parse_numeric({k: v for k, v in node.items() if k != "type"}, where, DISTURBANCES[dtype])
 
 
 def parse_integrator(node, where="integrator") -> IntegratorConfig:
@@ -378,5 +372,9 @@ def read_series_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         raise FileFormatError(f"{path}: expected 2 or 3 columns, got {data.shape[1]}")
     if len(data) < 2:
         raise FileFormatError(f"{path}: need at least two samples")
+    back = np.flatnonzero(np.diff(data[:, 0]) <= 0.0)
+    if back.size:
+        raise FileFormatError(f"{path}: time must be strictly increasing, got "
+                              f"{data[back[0] + 1, 0]:.17g} after {data[back[0], 0]:.17g}")
     f = data[:, 2] if data.shape[1] == 3 else None
     return data[:, 0], data[:, 1], f

@@ -136,7 +136,13 @@ def test_infeasible_operating_point_exit_code(tmp_path, capsys):
     assert "INFEASIBLE_INIT" in capsys.readouterr().err
 
 
-def test_config_round_trip_semantically_identical(tmp_path):
+@pytest.mark.parametrize("disturbance, keys", [
+    ({"type": "playback", "a": 0.8, "b": 5.0, "c": 1.0, "d": 0.9, "shape": "ramp", "freq": 1.0},
+     {"type", "a", "b", "c", "d", "shape", "freq"}),
+    ({"type": "constant", "v": 0.95}, {"type", "v", "freq"}),
+    ({"type": "series", "file": "vf.csv"}, {"type", "file", "freq"}),
+], ids=["playback", "constant", "series"])
+def test_config_round_trip_semantically_identical(disturbance, keys):
     doc = {
         "mix": {"f_a": 0.4, "f_zip": 0.6, "der_scale": 0.25, "p_base_mva": 15.0},
         "motor_a": {"preset": "motor_a", "overrides": {"H": 0.06}, "p0": 0.7},
@@ -144,8 +150,7 @@ def test_config_round_trip_semantically_identical(tmp_path):
         "zip": {"p0": 1.0, "q0": 0.3, "v0": 1.0, "a_p": 0.4, "b_p": 0.3, "c_p": 0.3,
                 "a_q": 0.5, "b_q": 0.25, "c_q": 0.25},
         "elec": {"pe0": 1.0, "qe0": 0.2, "vd1": 0.7, "vd2": 0.5, "alpha": 1.0},
-        "disturbance": {"type": "playback", "a": 0.8, "b": 5.0, "c": 1.0, "d": 0.9,
-                        "shape": "ramp", "freq": 1.0},
+        "disturbance": disturbance,
         "integrator": {"method": "heun", "dt": 0.0005, "t_end": 2.0, "record_every": 2},
         "outputs": {"trajectory_csv": "x.csv", "figure_csvs": True},
     }
@@ -154,7 +159,9 @@ def test_config_round_trip_semantically_identical(tmp_path):
     assert first.to_dict() == second.to_dict()
     assert second.components["motor_a"].params().H == 0.06
     assert second.integrator.method == "heun"
-    assert second.disturbance.playback.shape == "ramp"
+    # Each given key keeps its value (a playback's shape: ramp too); freq defaults to 1.0.
+    assert second.to_dict()["disturbance"] == {"freq": 1.0, **disturbance}
+    assert set(second.to_dict()["disturbance"]) == keys
 
 
 def test_series_disturbance_from_file(tmp_path):
@@ -401,6 +408,7 @@ def test_series_nan_is_file_format_at_load(tmp_path, capsys, text):
     "0.0,1.0\n0.5,1.0,1.0\n1.0,1.0\n",  # a row wider than the first
     "t,V,F,G\n0,1,1,1\n1,1,1,1\n",      # four columns
     "t,V\n0.0,1.0\n",                   # one sample
+    "t,V\n0,1\n1,1\n0.5,1\n",            # time goes back
 ])
 def test_series_file_shape_rejected(tmp_path, capsys, text):
     series = tmp_path / "bad.csv"
@@ -409,6 +417,67 @@ def test_series_file_shape_rejected(tmp_path, capsys, text):
     cfg = _write_config(tmp_path, doc)
     assert main(["run", "--config", str(cfg)]) == 3
     assert "bad.csv" in _single_error_line(capsys, "FILE_FORMAT")
+
+
+PLAYBACK = BASE_DOC["disturbance"]
+
+
+@pytest.mark.parametrize("disturbance, message, field", [
+    ({"a": 0.8}, "type must be one of ['playback', 'constant', 'series'], got None",
+     "disturbance.type"),
+    ({"type": 3}, "type must be one of ['playback', 'constant', 'series'], got 3",
+     "disturbance.type"),
+    ({"type": ["playback"]},
+     "type must be one of ['playback', 'constant', 'series'], got ['playback']",
+     "disturbance.type"),
+    ({k: v for k, v in PLAYBACK.items() if k != "a"}, "missing required key", "disturbance.a"),
+    (dict(PLAYBACK, shape=3), "shape must be a string, got 3", "disturbance.shape"),
+    (dict(PLAYBACK, shape=None), "shape must be a string, got None", "disturbance.shape"),
+    (dict(PLAYBACK, shape="spline"),
+     "shape must be one of ('verbatim', 'ramp'), got 'spline'", "disturbance"),
+    (dict(PLAYBACK, a=1.2), "need 0 < a < 1, got 1.2", "disturbance"),
+    (dict(PLAYBACK, v=1.0), "unknown key(s) ['v']", "disturbance"),
+    ({"type": "constant", "a": 0.5}, "unknown key(s) ['a']", "disturbance"),
+    ({"type": "series", "file": "vf.csv", "x": 1}, "unknown key(s) ['x']", "disturbance"),
+    ({"type": "constant", "v": "1"}, "expected a finite number, got '1'", "disturbance.v"),
+    ({"type": "series"}, "missing required key", "disturbance.file"),
+    ({"type": "series", "file": 3}, "file must be a string, got 3", "disturbance.file"),
+    ([PLAYBACK], "expected a mapping, got list", "disturbance"),
+])
+def test_disturbance_load_error_line(tmp_path, capsys, disturbance, message, field):
+    cfg = _write_config(tmp_path, dict(BASE_DOC, disturbance=disturbance))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert (_single_error_line(capsys, "CONFIG_INVALID")
+            == f"error: CONFIG_INVALID: {message} (field: {field})")
+
+
+@pytest.mark.parametrize("disturbance, message", [
+    ({"type": "constant", "v": -1}, "need v >= 0, got -1.0"),
+    ({"type": "constant", "freq": 0}, "need freq > 0, got 0.0"),
+    (dict(PLAYBACK, freq=-1), "need freq > 0, got -1.0"),
+    ({"type": "series", "file": "vf.csv", "freq": 0}, "need freq > 0, got 0.0"),
+])
+def test_negative_voltage_or_frequency_rejected_at_load(tmp_path, capsys, disturbance, message):
+    doc = dict(DER_DOC, disturbance=disturbance)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, doc)), "--out-dir", str(out)]) == 2
+    assert (_single_error_line(capsys, "CONFIG_INVALID")
+            == f"error: CONFIG_INVALID: {message} (field: disturbance)")
+    assert not out.exists()
+
+
+def test_zero_voltage_bus_runs_a_zip_load(tmp_path):
+    # v = 0 is accepted at load; motors and the DER refuse it at init with their own codes.
+    zip_load = {"p0": 1.0, "q0": 0.0, "a_p": 0.5, "b_p": 0.3, "c_p": 0.2,
+                "a_q": 0.0, "b_q": 0.0, "c_q": 1.0}
+    doc = dict(BASE_DOC, mix={"f_zip": 1.0}, zip=zip_load,
+               disturbance={"type": "constant", "v": 0})
+    doc.pop("motor_a")
+    assert main(["run", "--config", str(_write_config(tmp_path, doc)),
+                 "--out-dir", str(tmp_path / "out"), "--t-end", "0.01"]) == 0
+    traj = read_csv(tmp_path / "out" / "traj.csv")
+    assert (traj.channel("V") == 0.0).all()
+    assert traj.channel("zip.P") == pytest.approx(0.2, abs=1e-15)  # the constant-power part
 
 
 def test_compare_infinite_value_is_file_format(tmp_path, capsys):
