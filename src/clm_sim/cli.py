@@ -32,13 +32,10 @@ def _setup_logging() -> None:
     )
 
 
-def _figure_channels(traj: sim.Trajectory, component: str) -> list[str]:
-    """Plot-ready channel set for one component: bus signals plus its P/Q."""
-    cols = ["V"]
-    if component == "dera":
-        cols.append("Freq")
-    cols += [f"{component}.P", f"{component}.Q"]
-    return [c for c in cols if c in traj.channels]
+def _figure_channels(component: str) -> list[str]:
+    """Plot-ready channel set for one component: bus signals (Freq too for the DER) plus its P/Q."""
+    bus = ["V", "Freq"] if component == "dera" else ["V"]
+    return [*bus, f"{component}.P", f"{component}.Q"]
 
 
 def _split_channels(text: str | None) -> list[str] | None:
@@ -69,13 +66,14 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     csv_path = out_dir / cfg.outputs.trajectory_csv
-    sim.write_csv(traj, csv_path, channels=cfg.outputs.channels)
-    written = [str(csv_path)]
+    components = [name for name, _, _ in scenario.parts] if cfg.outputs.figure_csvs else []
+    figures = {out_dir / f"figure_{c}.csv": _figure_channels(c) for c in components}
+    sim.write_csv(traj, {csv_path: cfg.outputs.channels, **figures})  # one pass for all CSVs
+    written = [csv_path]
 
     if cfg.outputs.binary:
-        bin_path = out_dir / cfg.outputs.binary
-        sim.write_binary(traj, bin_path)
-        written.append(str(bin_path))
+        written.append(out_dir / cfg.outputs.binary)
+        sim.write_binary(traj, written[-1])
 
     summary = dict(result.summary)
     summary["channels"] = traj.channels
@@ -84,17 +82,8 @@ def cmd_run(args) -> int:
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written.append(str(summary_path))
 
-    if cfg.outputs.figure_csvs:
-        components = [c[:-2] for c in traj.channels if c.endswith(".P") and c != "total.P"]
-        for component in components:
-            fig_path = out_dir / f"figure_{component}.csv"
-            sim.write_csv(traj, fig_path, channels=_figure_channels(traj, component))
-            written.append(str(fig_path))
-
-    for path in written:
-        print(path)
+    print(*written, summary_path, *figures, sep="\n")
     return 0
 
 

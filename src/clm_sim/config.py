@@ -364,8 +364,8 @@ def read_series_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Read an external disturbance series: (t, V) or (t, V, F) CSV.
 
     The table rules are read_table's (optional header, one field count,
-    finite values). Values are linearly interpolated between samples at
-    run time.
+    finite values); V must be >= 0 and F > 0, as constant's v and freq.
+    Values are linearly interpolated between samples at run time.
     """
     _, data = read_table(path, "series file")
     if data.shape[1] not in (2, 3):
@@ -376,5 +376,10 @@ def read_series_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     if back.size:
         raise FileFormatError(f"{path}: time must be strictly increasing, got "
                               f"{data[back[0] + 1, 0]:.17g} after {data[back[0], 0]:.17g}")
+    for j, rule, bad in ((1, "V >= 0", np.less), (2, "F > 0", np.less_equal))[:data.shape[1] - 1]:
+        rows = np.flatnonzero(bad(data[:, j], 0.0))
+        if rows.size:
+            raise FileFormatError(f"{path}: need {rule}, got {data[rows[0], j]:.17g} "
+                                  f"at t = {data[rows[0], 0]:.17g}")
     f = data[:, 2] if data.shape[1] == 3 else None
     return data[:, 0], data[:, 1], f

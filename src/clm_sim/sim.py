@@ -25,10 +25,10 @@ A step whose state, memory and bus inputs repeat the previous step's bit for
 bit is not recomputed, its row and limiter flags repeated: outputs are unchanged.
 
 Trajectories are channel matrices with a leading, strictly increasing time
-column. CSV export writes 17 significant digits so float64 values
-round-trip exactly; the binary dump is raw little-endian float64, row
-major, one row per sample in channel order (interpret it with the channel
-list from the CSV header or the run summary).
+column. CSV export writes 17 significant digits (float64 round-trips), a
+changed cell formatted once for all files of a call; the binary dump is
+raw little-endian float64, row major, one row per sample in channel order
+(interpret it with the channel list from the CSV header or the run summary).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import logging
 import struct
 import warnings
 from collections.abc import Callable, Sequence
+from contextlib import ExitStack
 from dataclasses import astuple, dataclass, fields
 from math import inf, isfinite
 
@@ -62,8 +63,8 @@ INTEGRATION_METHODS = ("rk4", "heun", "euler")
 # Tolerance when deciding two time grids are the same grid.
 GRID_ATOL = 1e-12
 
-# Rows formatted per write in write_csv.
-CSV_BLOCK_ROWS = 1000
+# Rows per block in write_csv, whose text is the writer's peak memory.
+CSV_BLOCK_ROWS = 250
 
 
 @dataclass(frozen=True)
@@ -426,40 +427,45 @@ def integrate(scenario: Scenario, config: IntegratorConfig) -> Trajectory:
     return run_simulation(scenario, config).trajectory
 
 
-def write_csv(traj: Trajectory, path, channels: list[str] | None = None) -> None:
-    """Write the trajectory as CSV: header row, time first, 17 significant digits.
+def _column_text(block: np.ndarray) -> list[list[str]]:
+    """%.17g text of block's rows (columns): a cell is formatted at 0 or where its bits change."""
+    bits = block.view(np.uint64)
+    new = np.ones(bits.shape, dtype=bool)
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
+    values = block[new].tolist()  # one % call formats them all
+    text = np.array((("%.17g," * len(values))[:-1] % tuple(values)).split(","), dtype=object)
+    runs = np.diff(np.flatnonzero(new), append=new.size)  # the rows each text fills
+    return np.repeat(text, runs).reshape(bits.shape).tolist()
 
-    Rows are formatted a block at a time, so only one block is ever held
-    as Python floats. A row whose values after t repeat the row above bit
-    for bit (so -0.0 and 0.0 differ) is written as its t plus the text
-    after the first comma of the row above; the bytes are the same as
-    formatting every row.
+
+def write_csv(traj: Trajectory, files: dict) -> None:
+    """Write CSV files of the trajectory: header row, time first, 17 significant digits.
+
+    files maps each path to its channel list (t put first, a repeat dropped)
+    or None for every channel, all checked before any file is opened. A
+    block of rows at a time, each column a file uses is formatted once,
+    and each file joins its rows from its columns' text: the bytes of
+    formatting every row on its own.
     """
-    if channels is None:
-        names, data = traj.channels, traj.data
-    else:
-        require_channels(channels, traj.channels, "the trajectory")
-        names = ["t"] + [c for c in dict.fromkeys(channels) if c != "t"]  # read_csv rejects repeats
-        data = traj.data[:, [traj.channels.index(c) for c in names]]
-    fmt = ",".join(["%.17g"] * len(names)) + "\n"
-    bits = data.view(np.uint64)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        tail = ""  # the text after t of the last fully formatted row
-        for start in range(0, len(data), CSV_BLOCK_ROWS):
-            after_t = bits[max(start - 1, 0):start + CSV_BLOCK_ROWS, 1:]
-            repeats = (after_t[1:] == after_t[:-1]).all(axis=1).tolist()
-            if start == 0:
-                repeats.insert(0, False)
-            lines = []
-            for row, repeat in zip(data[start:start + CSV_BLOCK_ROWS].tolist(), repeats):
-                if repeat:
-                    lines.append("%.17g" % row[0] + tail)
-                else:
-                    line = fmt % tuple(row)
-                    tail = line[line.find(","):]  # with t alone find gives -1: tail is "\n"
-                    lines.append(line)
-            fh.write("".join(lines))
+    layouts = []  # (path, header, trajectory column of each header name)
+    for path, channels in files.items():
+        require_channels(channels or (), traj.channels, "the trajectory")
+        names = traj.channels if channels is None else ["t"] + [
+            c for c in dict.fromkeys(channels) if c != "t"]  # read_csv rejects repeats
+        layouts.append((path, names, [traj.channels.index(c) for c in names]))
+    used = sorted({j for _, _, cols in layouts for j in cols})
+    with ExitStack() as stack:
+        out = []
+        for path, names, cols in layouts:
+            fh = stack.enter_context(open(path, "w", newline=""))
+            fh.write(",".join(names) + "\n")
+            out.append((fh, [used.index(j) for j in cols]))
+        for start in range(0, len(traj), CSV_BLOCK_ROWS):
+            cells = _column_text(traj.data[start:start + CSV_BLOCK_ROWS, used].T)
+            for fh, cols in out:
+                fh.write("\n".join(map(",".join, zip(*[cells[k] for k in cols]))))
+                fh.write("\n")
+            del cells  # freed before the next block's are made: one block's text at a time
 
 
 def read_table(path, what: str = "file") -> tuple[list[str] | None, np.ndarray]:

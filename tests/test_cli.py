@@ -12,8 +12,8 @@ from clm_sim import cli
 from clm_sim.cli import main
 from clm_sim.composite import COMPONENT_NAMES
 from clm_sim.config import SECTIONS, TOP_LEVEL_KEYS, load_config, parse_config, parse_integrator
-from clm_sim.errors import ConfigError
-from clm_sim.sim import COMPONENT_TYPES, read_csv
+from clm_sim.errors import ChannelError, ConfigError
+from clm_sim.sim import COMPONENT_TYPES, Trajectory, read_csv, write_csv
 from clm_sim.staticloads import ElecParams, ZipParams
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -62,6 +62,25 @@ def test_run_figure_csvs(tmp_path):
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
     fig = read_csv(tmp_path / "out" / "figure_motor_a.csv")
     assert fig.channels == ["t", "V", "motor_a.P", "motor_a.Q"]
+
+
+def test_run_prints_written_paths_in_order(tmp_path, capsys):
+    doc = dict(DER_DOC, outputs=dict(DER_DOC["outputs"], binary="traj.bin", figure_csvs=True))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, doc)), "--out-dir", str(out)]) == 0
+    names = ["traj.csv", "traj.bin", "summary.json", "figure_dera.csv", "figure_zip.csv"]
+    assert capsys.readouterr().out.splitlines() == [str(out / name) for name in names]
+    assert read_csv(out / "figure_dera.csv").channels == ["t", "V", "Freq", "dera.P", "dera.Q"]
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_write_csv_checks_every_file_before_opening_any(tmp_path, bad):
+    traj = Trajectory(["t", "x.P"], np.array([[0.0, 1.0], [1.0, 2.0]]))
+    subsets = [None, ["x.P"], ["x.P"]]
+    subsets[bad] = ["x.P", "nope"]
+    with pytest.raises(ChannelError, match="'nope'"):
+        write_csv(traj, {tmp_path / f"{k}.csv": channels for k, channels in enumerate(subsets)})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_channel_subset_and_overrides(tmp_path):
@@ -417,6 +436,20 @@ def test_series_file_shape_rejected(tmp_path, capsys, text):
     cfg = _write_config(tmp_path, doc)
     assert main(["run", "--config", str(cfg)]) == 3
     assert "bad.csv" in _single_error_line(capsys, "FILE_FORMAT")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,V\n0,1\n0.25,0\n0.5,-0.25\n1,-1\n", "need V >= 0, got -0.25 at t = 0.5"),  # 0 is in range
+    ("t,V,F\n0,1,1\n0.5,1,0\n1,1,-1\n", "need F > 0, got 0 at t = 0.5"),
+], ids=["V", "F"])
+def test_series_value_out_of_range_is_file_format_at_load(tmp_path, capsys, text, message):
+    series = tmp_path / "range.csv"
+    series.write_text(text)
+    doc = dict(BASE_DOC, disturbance={"type": "series", "file": str(series)})
+    cfg = _write_config(tmp_path, doc)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 3
+    assert _single_error_line(capsys, "FILE_FORMAT").endswith(f"range.csv: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 PLAYBACK = BASE_DOC["disturbance"]

@@ -1,6 +1,7 @@
 """Property tests: config documents and trajectory files round-trip exactly;
-write_csv's reuse of repeated row text writes the bytes of per-row
-formatting; read_table's bulk parse agrees with the per-line parse."""
+write_csv's reuse of repeated cell text, shared by all files of one call,
+writes the bytes of per-row formatting; read_table's bulk parse agrees with
+the per-line parse."""
 
 import os
 import tempfile
@@ -117,7 +118,7 @@ def trajectories(draw):
 def test_trajectory_files_round_trip_exactly(traj):
     with tempfile.TemporaryDirectory() as tmp:
         csv_path, bin_path = os.path.join(tmp, "traj.csv"), os.path.join(tmp, "traj.bin")
-        write_csv(traj, csv_path)
+        write_csv(traj, {csv_path: None})
         write_binary(traj, bin_path)
         from_csv = read_csv(csv_path)
         from_bin = read_binary(bin_path, traj.channels)
@@ -135,26 +136,32 @@ def per_row_csv(traj, channels=None) -> bytes:
     return (",".join(names) + "\n" + "".join(fmt % tuple(row) for row in rows)).encode()
 
 
-def written_csv(traj, channels=None) -> bytes:
+def written_csvs(traj, subsets) -> list[bytes]:
+    """The files one write_csv call writes, one per channel subset (None: every channel)."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "traj.csv")
-        write_csv(traj, path, channels)
-        with open(path, "rb") as fh:
-            return fh.read()
+        paths = [os.path.join(tmp, f"traj{k}.csv") for k in range(len(subsets))]
+        write_csv(traj, dict(zip(paths, subsets)))
+        texts = []
+        for path in paths:
+            with open(path, "rb") as fh:
+                texts.append(fh.read())
+        return texts
 
 
 @st.composite
 def repeating_trajectories(draw):
     """Trajectories whose rows after t often repeat the row above, or differ from it
-    only in the signs of its zeros."""
+    only in one value or in the signs of its zeros."""
     extra = draw(st.lists(names.filter(lambda c: c != "t"), max_size=4, unique=True))
-    row = st.lists(st.sampled_from([0.0, -0.0]) | finite,
-                   min_size=len(extra), max_size=len(extra))
+    value = st.sampled_from([0.0, -0.0]) | finite
+    row = st.lists(value, min_size=len(extra), max_size=len(extra))
     rows = [draw(row)]
     for _ in range(draw(st.integers(0, 40))):
-        step = draw(st.sampled_from(["repeat", "repeat", "flip zeros", "new"]))
+        step = draw(st.sampled_from(["repeat", "repeat", "flip zeros", "one value", "new"]))
         rows.append(draw(row) if step == "new" else
                     [-x if x == 0.0 and step == "flip zeros" else x for x in rows[-1]])
+        if step == "one value" and extra:
+            rows[-1][draw(st.integers(0, len(extra) - 1))] = draw(value)
     t = np.cumsum(draw(st.lists(st.floats(1e-3, 1.0), min_size=len(rows), max_size=len(rows))))
     return Trajectory(["t", *extra],
                       np.column_stack([t, np.array(rows).reshape(len(rows), len(extra))]))
@@ -163,21 +170,26 @@ def repeating_trajectories(draw):
 @given(repeating_trajectories(), st.data(), st.integers(1, 5))
 def test_write_csv_matches_per_row_formatting(traj, data, block_rows):
     extra = traj.channels[1:]
-    subsets = st.lists(st.sampled_from(extra), unique=True) if extra else st.just([])
-    channels = data.draw(st.none() | subsets)
-    with mock.patch("clm_sim.sim.CSV_BLOCK_ROWS", block_rows):  # rows repeat across blocks
-        assert written_csv(traj, channels) == per_row_csv(traj, channels)
+    subset = st.none() | (st.lists(st.sampled_from(extra), unique=True) if extra else st.just([]))
+    subsets = data.draw(st.lists(subset, min_size=1, max_size=4))  # the files of one call
+    with mock.patch("clm_sim.sim.CSV_BLOCK_ROWS", block_rows):  # cells repeat across blocks
+        texts = written_csvs(traj, subsets)
+    for channels, text in zip(subsets, texts):
+        assert text == per_row_csv(traj, channels)
 
 
 @pytest.mark.parametrize("channels", [None, ["b"], []])
 def test_write_csv_reuse_across_a_block_boundary(channels):
     n = CSV_BLOCK_ROWS
-    after_t = np.tile([0.25, 0.0], (2 * n + 1, 1))  # row n repeats the previous block's last
-    after_t[n + 1:2 * n, 1] = -0.0  # rows n + 1 and 2n differ from the row above in a zero's sign
-    traj = Trajectory(["t", "a", "b"], np.column_stack([np.arange(2 * n + 1) * 1e-3, after_t]))
+    a = np.arange(2 * n + 1) * 0.25
+    a[n] = a[n - 1]  # a's first cell in the second block repeats the first block's last
+    b = np.where(np.arange(2 * n + 1) % 2, -0.0, 0.0)  # b flips between 0.0 and -0.0
+    traj = Trajectory(["t", "a", "b"], np.column_stack([np.arange(2 * n + 1) * 1e-3, a, b]))
     expected = per_row_csv(traj, channels)
-    assert written_csv(traj, channels) == expected
-    assert expected.count(b",-0\n") == (0 if channels == [] else n - 1)
+    assert written_csvs(traj, [channels]) == [expected]
+    assert expected.count(b",-0\n") == (0 if channels == [] else n)
+    both = per_row_csv(traj, ["a"]).split(b"\n")[n:n + 2]  # rows n - 1 and n
+    assert [line.split(b",")[1] for line in both] == [b"%.17g" % a[n]] * 2
 
 
 def per_line_table(path):

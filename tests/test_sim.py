@@ -128,7 +128,7 @@ def test_trajectory_invariants_enforced():
 def test_csv_round_trip_is_exact(tmp_path):
     traj = integrate(motor_playback_scenario(), IntegratorConfig(dt=1e-3, t_end=0.5))
     path = tmp_path / "traj.csv"
-    write_csv(traj, path)
+    write_csv(traj, {path: None})
     back = read_csv(path)
     assert back.channels == traj.channels
     assert np.array_equal(back.data, traj.data)  # 17 digits round-trips float64
