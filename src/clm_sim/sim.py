@@ -21,8 +21,15 @@ flag values, and advance(m, v, f) gives (the memory at the end of an
 accepted step, the events it fired). The bus total is the weighted sum of
 the components' P and Q.
 
-A step whose state, memory and bus inputs repeat the previous step's bit for
-bit is not recomputed, its row and limiter flags repeated: outputs are unchanged.
+The run goes STEP_BLOCK steps at a time. For each block the bus is read into
+a table at every time the method uses (each stage time and each step's end),
+the steps whose inputs equal the step before's bit for bit are marked, and
+each component is stepped through the block on its own, in channel order. A
+component whose last computed step left its state and memory bit for bit as
+they were skips to the next step whose inputs change, its rows and limiter
+flags repeated: outputs are unchanged. A run that fails raises the error of
+its earliest failing step: a non-finite bus value at a stage time, else a
+stage overflow, else the first non-finite state in channel order.
 
 Trajectories are channel matrices with a leading, strictly increasing time
 column. CSV export writes 17 significant digits (float64 round-trips), a
@@ -36,6 +43,7 @@ from __future__ import annotations
 import logging
 import struct
 import warnings
+from bisect import bisect
 from collections.abc import Callable, Sequence
 from contextlib import ExitStack
 from dataclasses import astuple, dataclass, fields
@@ -45,7 +53,7 @@ import numpy as np
 
 from . import dera as dera_mod
 from . import staticloads
-from .composite import COMPONENT_NAMES, LoadMix, weighted_total
+from .composite import COMPONENT_NAMES, LoadMix
 from .errors import (
     ChannelError,
     ConfigError,
@@ -66,6 +74,9 @@ GRID_ATOL = 1e-12
 # Rows per block in write_csv, whose text is the writer's peak memory.
 CSV_BLOCK_ROWS = 250
 
+# Steps per block in run_simulation, whose bus table and rows are the stepper's peak memory.
+STEP_BLOCK = 250
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -83,8 +94,8 @@ class IntegratorConfig:
                 raise ValueError(f"need finite {name} > 0, got {getattr(self, name)}")
         if (steps := self.t_end / self.dt) > self.MAX_STEPS + 0.5:  # round(t_end / dt) > MAX_STEPS
             raise ValueError(f"t_end / dt is {steps:.3g} steps, more than {self.MAX_STEPS}")
-        if self.record_every < 1 or int(self.record_every) != self.record_every:
-            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every}")
+        if not isinstance(every := self.record_every, int) or isinstance(every, bool) or every < 1:
+            raise ValueError(f"record_every must be an integer >= 1, got {every!r}")
 
 
 @dataclass(frozen=True)
@@ -286,29 +297,31 @@ def resample(traj: Trajectory, grid) -> Trajectory:
     return Trajectory(traj.channels, out)
 
 
-# Steppers over float lists; tests/test_reference_stepper.py checks them bit for bit.
-def _rk4_step(f, t, y, h):
+# Steppers over float lists, rhs(y, m, v, f) at the bus (v, f) of each stage time t + x * h
+# for x in _STEPPERS; tests/test_reference_stepper.py checks them bit for bit.
+def _rk4_step(rhs, y, m, h, v0, f0, v1, f1, v2, f2):
     hh = 0.5 * h
-    k1 = f(t, y)
-    k2 = f(t + hh, [a + hh * b for a, b in zip(y, k1)])
-    k3 = f(t + hh, [a + hh * b for a, b in zip(y, k2)])
-    k4 = f(t + h, [a + h * b for a, b in zip(y, k3)])
+    k1 = rhs(y, m, v0, f0)
+    k2 = rhs([a + hh * b for a, b in zip(y, k1)], m, v1, f1)
+    k3 = rhs([a + hh * b for a, b in zip(y, k2)], m, v1, f1)
+    k4 = rhs([a + h * b for a, b in zip(y, k3)], m, v2, f2)
     h6 = h / 6.0
     return [a + h6 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
 
 
-def _heun_step(f, t, y, h):
-    k1 = f(t, y)
-    k2 = f(t + h, [a + h * b for a, b in zip(y, k1)])
+def _heun_step(rhs, y, m, h, v0, f0, v1, f1):
+    k1 = rhs(y, m, v0, f0)
+    k2 = rhs([a + h * b for a, b in zip(y, k1)], m, v1, f1)
     hh = 0.5 * h
     return [a + hh * (b + c) for a, b, c in zip(y, k1, k2)]
 
 
-def _euler_step(f, t, y, h):
-    return [a + h * b for a, b in zip(y, f(t, y))]
+def _euler_step(rhs, y, m, h, v0, f0):
+    return [a + h * b for a, b in zip(y, rhs(y, m, v0, f0))]
 
 
-_STEPPERS = {"rk4": _rk4_step, "heun": _heun_step, "euler": _euler_step}
+_STEPPERS = {"rk4": (_rk4_step, (0.0, 0.5, 1.0)), "heun": (_heun_step, (0.0, 1.0)),
+             "euler": (_euler_step, (0.0,))}
 
 
 @dataclass
@@ -319,95 +332,108 @@ class SimResult:
 
 def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
     """Integrate the scenario and collect the run summary alongside the data."""
-    dt = config.dt
+    dt, every = config.dt, config.record_every
     n_steps = int(round(config.t_end / dt))
-    every = config.record_every
-    step = _STEPPERS[config.method]
+    step, stages = _STEPPERS[config.method]
     voltage, frequency = scenario.bus.voltage, scenario.bus.frequency
     components = scenario.components(dt)
     channels = channel_names(components)
-
-    # The per-step lists, built once: each component's state slice y[a:b], its memory
-    # mem[k] and its functions. The stepper holds every state and memory of the run.
-    state_names, count_names, y = [], [], []
-    derivs, flagged, outputs, advances, residuals = [], [], [], [], {}
-    mem = [c.memory0 for c in components]
-    v0, f0 = voltage(0.0), frequency(0.0)
-    for k, c in enumerate(components):
-        a, b = len(y), len(y) + len(c.states)
-        y += c.state0
-        state_names += [f"{c.name}.{s}" for s in c.states]
-        if c.states:
-            derivs.append((a, b, c.rhs, k))
-            residuals[c.name] = max(map(abs, c.rhs(y[a:b], mem[k], v0, f0)))  # 0 at equilibrium
-        if c.flag_names:
-            flagged.append((a, b, c.flags, len(count_names)))
-            count_names += [f"{c.name}.{flag}" for flag in c.flag_names]
-        outputs.append((a, b, c.output, c.weight, k))
-        if c.advance is not None:
-            advances.append((c.advance, k))
-
-    def rhs(t, y):
-        v, f = voltage(t), frequency(t)
-        if not (isfinite(v) and isfinite(f)):
-            raise NonFiniteInput(f"the bus gave a non-finite input at t = {t}")
-        dy = []
-        for a, b, c_rhs, k in derivs:
-            dy += c_rhs(y[a:b], mem[k], v, f)
-        return dy
-
-    def bus_inputs(i):  # the bus at step i's stage times and at (i + 1) dt, maybe 1 ulp off t + dt
-        times = (i * dt, i * dt + 0.5 * dt, i * dt + dt, (i + 1) * dt)
-        return struct.pack("8d", *map(voltage, times), *map(frequency, times))
-
-    counts = [0] * len(count_names)
     data = np.empty((n_steps // every + 1, len(channels)))
-    trip_events: list[dict] = []
-    diverged = "a state left the finite range during integration (instability or too large a step)"
-    repeat, repeated = False, 0  # repeat: the last step left state and memory as they were
-    for i in range(n_steps + 1):
-        t = i * dt
-        if repeat and i < n_steps and bus_inputs(i) == seen:  # step i is the last step again
-            repeated += 1
-            counts = [c + x for c, x in zip(counts, raised)]
-            if i % every == 0:
-                data[i // every] = data[i // every - 1]
-                data[i // every, 0] = t
-            continue
-        for a, b, flags, at in flagged:  # limiter activity counts every step
-            for j, flag in enumerate(flags(y[a:b]), at):
-                counts[j] += flag
-        if i % every == 0:
-            v, f = voltage(t), frequency(t)
-            row = [t, v, f]
-            terms = []  # (weight, P, Q) of each component, for the composite total
-            for a, b, output, w, k in outputs:
-                s = y[a:b]
-                out = output(s, mem[k], v, f)
-                row += (*s, *out)
-                terms.append((w, out[0], out[1]))
-            data[i // every] = row + list(weighted_total(terms))
-        if i == n_steps:
-            break
-        try:
-            y, y_old = step(rhs, t, y, dt), y
-        except (OverflowError, ZeroDivisionError):  # plain floats raise these in a stage
-            raise NonFiniteState(diverged, step=i + 1) from None
-        t_next = (i + 1) * dt
-        if not isfinite(sum(y)) and not all(map(isfinite, y)):  # a finite sum means all finite
-            first = next(name for name, x in zip(state_names, y) if not isfinite(x))
-            raise NonFiniteState(f"{diverged} at t = {t_next:g} s, first in {first}", step=i + 1)
-        v_next, f_next = voltage(t_next), frequency(t_next)
-        repeat = i % every == 0 and same_bits(y, y_old)  # repeats copy the row recorded at i
-        for advance, k in advances:
-            old, (mem[k], events) = mem[k], advance(mem[k], v_next, f_next)
-            trip_events += ({"type": kind, "t": t_next} for kind in events)
-            repeat = repeat and not events and same_bits(mem[k], old)
-        if repeat:
-            seen, raised = bus_inputs(i), [x for a, b, flags, at in flagged for x in flags(y[a:b])]
-    logging.getLogger(__name__).info("repeated %d of %d steps at a fixed point", repeated, n_steps)
+    v0, f0 = voltage(0.0), frequency(0.0)
+    residuals = {c.name: max(map(abs, c.rhs(list(c.state0), c.memory0, v0, f0)))
+                 for c in components if c.states}  # 0 at equilibrium
 
-    traj = Trajectory(channels, data)
+    def bus(times):  # [V at each time, F at each time]
+        return [list(map(g, times.tolist())) for g in (voltage, frequency)]
+
+    # Each component's data columns, then what it carries from block to block: its
+    # state, memory, repeat flag (its last step left both as they were), the row and
+    # flags held at that fixed point, and its limiter counts.
+    runs, count_names, col = [], [], 3
+    for c in components:
+        width = len(c.states) + 2 + len(c.extras)
+        runs.append([data[:, col:col + width], list(c.state0), c.memory0, False, None,
+                     [0] * len(c.flag_names)])
+        count_names += [f"{c.name}.{flag}" for flag in c.flag_names]
+        col += width
+    diverged = "a state left the finite range during integration (instability or too large a step)"
+    events, repeated, last = [], 0, np.zeros((2 * len(stages) + 2, 1), np.uint64)
+    for i0 in range(0, n_steps + 1, STEP_BLOCK):
+        rows = min(STEP_BLOCK, n_steps + 1 - i0)  # rows i0 + r of the trajectory
+        n = min(rows, n_steps - i0)  # the steps among them: the row at t_end has none
+        t = np.arange(i0, i0 + n + 1) * dt  # each step's t, then the last step's end
+        at_t = bus(t)
+        stage_bus = [x[:n] for x in at_t] + [x for h in stages[1:] for x in bus(t[:n] + h * dt)]
+        inputs = np.array(stage_bus + [x[1:] for x in at_t])  # a column per step
+        bits = inputs.view(np.uint64)  # a step repeats when its inputs equal the step before's
+        changed = (np.diff(bits, axis=1, prepend=last) != 0).any(axis=0).tolist() + [True]
+        last = bits[:, -1:] if n else last
+        changes = [r for r, x in enumerate(changed) if x]  # ends with n: t_end or the next block
+        bad = np.flatnonzero(~np.isfinite(inputs[:-2]).all(axis=0))  # stage inputs only
+        stop = int(bad[0]) if bad.size else rows
+        args, vf, fails = list(zip(*stage_bus)), list(zip(*at_t)), []
+        lo, hi = -(-i0 // every), -(-(i0 + rows) // every)  # the data rows of this block
+        data[lo:hi, :3] = np.transpose([t, *at_t])[lo * every - i0:rows:every]
+        for k, (c, run) in enumerate(zip(components, runs)):
+            out, s, m, repeat, held, counts = run
+            rhs, output, flags, advance = c.rhs, c.output, c.flags, c.advance
+            recorded, r = {}, 0  # data row -> the row of a computed step
+            while r < stop:
+                i = i0 + r
+                if repeat and not changed[r]:  # steps r to j - 1 repeat the fixed point
+                    j = changes[bisect(changes, r)]
+                    out[-(-i // every):-(-(i0 + j) // every)] = held[0]
+                    counts = [a + b * (j - r) for a, b in zip(counts, held[1])]
+                    repeated, r = repeated + j - r, j
+                    continue
+                raised = flags(s)  # limiter activity counts every step
+                counts = [a + b for a, b in zip(counts, raised)]
+                if i % every == 0:
+                    recorded[i // every] = row = (*s, *output(s, m, *vf[r]))
+                if i == n_steps:
+                    break
+                try:
+                    new = step(rhs, s, m, dt, *args[r]) if c.states else s
+                except (OverflowError, ZeroDivisionError):  # plain floats raise these in a stage
+                    fails.append((r, 0, k, NonFiniteState(diverged, step=i + 1)))
+                    break
+                if not isfinite(sum(new)) and not all(map(isfinite, new)):  # finite sum: all finite
+                    first = next(f"{c.name}.{x}" for x, y in zip(c.states, new) if not isfinite(y))
+                    fails.append((r, 1, k, NonFiniteState(
+                        f"{diverged} at t = {(i + 1) * dt:g} s, first in {first}", step=i + 1)))
+                    break
+                repeat = same_bits(new, s)
+                if advance is not None:
+                    mem, fired = advance(m, *vf[r + 1])
+                    events += ((i, k, kind) for kind in fired)
+                    repeat = repeat and not fired and same_bits(mem, m)
+                    m = mem
+                s = new
+                if repeat:
+                    held = (row if i % every == 0 else (*s, *output(s, m, *vf[r])), raised)
+                r += 1
+            if fails:  # later components need only reach the earliest failing step
+                stop = min(fails)[0] + 1
+            if recorded:
+                out[list(recorded)] = list(recorded.values())
+            run[1:] = s, m, repeat, held, counts
+        if fails:
+            raise min(fails)[-1]
+        if bad.size:
+            r = int(bad[0])  # the step's first stage time with a non-finite V or F
+            h = stages[np.flatnonzero(~np.isfinite(inputs[:-2, r]))[0] // 2]
+            raise NonFiniteInput(f"the bus gave a non-finite input at t = {float(t[r]) + h * dt}")
+    logging.getLogger(__name__).info("repeated %d of %d steps at a fixed point",
+                                     repeated, n_steps * len(components))
+    events.sort(key=lambda e: e[:2])  # by step, then channel order
+    with np.errstate(all="ignore"):  # inf and nan as plain floats give them, without a warning
+        P = Q = 0.0  # the weighted total, added in channel order
+        for c in components:
+            j = channels.index(f"{c.name}.P")
+            P, Q = P + c.weight * data[:, j], Q + c.weight * data[:, j + 1]
+        data[:, -2], data[:, -1] = P, Q
+
+    traj, counts = Trajectory(channels, data), [x for run in runs for x in run[5]]
     summary = {
         "method": config.method,
         "dt": dt,
@@ -416,7 +442,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
         "steps": n_steps,
         "samples": len(data),
         "initial_residuals": residuals,
-        "trip_events": trip_events,
+        "trip_events": [{"type": kind, "t": (i + 1) * dt} for i, k, kind in events],
         "limiter_activity": dict(sorted(zip(count_names, map(int, counts)))),
     }
     return SimResult(trajectory=traj, summary=summary)

@@ -12,6 +12,7 @@ build_scenario.
 """
 
 import dataclasses
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -191,9 +192,10 @@ def reference_run(inputs, config):
     return channels, np.array(rows), residuals, dict(sorted(counts.items())), events
 
 
-def _assert_bit_identical(inputs, config):
+def _assert_bit_identical(inputs, config, scenario=None):
+    """Check run_simulation against the reference, on the scenario given or built from inputs."""
     channels, data, residuals, counts, events = reference_run(inputs, config)
-    result = run_simulation(build_scenario(**inputs), config)
+    result = run_simulation(scenario or build_scenario(**inputs), config)
     got = result.trajectory.data
     assert result.trajectory.channels == channels
     assert got.shape == data.shape
@@ -277,3 +279,34 @@ def test_record_every_with_a_fixed_point_between_samples_matches_reference_stepp
     data = _assert_bit_identical(scenario_inputs(cfg), config).trajectory.data
     late = data[data[:, 0] > 2.0, 1:]
     assert (late[1:].view(np.uint64) == late[:-1].view(np.uint64)).all(axis=1).sum() > 300
+
+
+def test_components_settling_at_different_steps_match_reference_stepper(monkeypatch):
+    # The recovery ramp ends at t = 1.2 s and the bus is flat after it: each component
+    # reaches its bit-exact fixed point at its own step and stops computing there while
+    # the others still move. With blocks of 97 steps the block edges fall inside both
+    # repeated and computed stretches.
+    monkeypatch.setattr("clm_sim.sim.STEP_BLOCK", 97)
+    cfg = load_config(SCENARIOS / "composite_fault.yaml")
+    inputs = dict(scenario_inputs(cfg), bus=dataclasses.replace(cfg.disturbance, c=0.2).make_bus())
+    calls = Counter()
+
+    def counted(build):  # the builder, with each component's rhs calls counted
+        def counted_build(name, weight, setup, dt):
+            c = build(name, weight, setup, dt)
+
+            def rhs(s, m, v, f):
+                calls[name] += 1
+                return c.rhs(s, m, v, f)
+            return dataclasses.replace(c, rhs=rhs)
+        return counted_build
+
+    scenario = build_scenario(**inputs)
+    scenario.parts = [(name, counted(build), setup) for name, build, setup in scenario.parts]
+    config = IntegratorConfig(method="rk4", dt=1e-3, t_end=4.0, record_every=7)
+    _assert_bit_identical(inputs, config, scenario)
+    # The computed steps of each component: one residual call, then 4 rk4 stages a step.
+    # A joint skip would compute them all at the same steps.
+    steps = {name: (n - 1) // 4 for name, n in calls.items()}
+    assert set(steps) == {"motor_a", "motor_b", "motor_c", "dera"}
+    assert min(steps.values()) < max(steps.values()) - 1000

@@ -17,7 +17,7 @@ import pytest
 
 from clm_sim.composite import ConstantBus, LoadMix, PlaybackBus, PlaybackParams
 from clm_sim.dera import DERA_PRESETS
-from clm_sim.errors import ConfigError, GridMismatch, NonFiniteState, OutOfRange
+from clm_sim.errors import ConfigError, GridMismatch, NonFiniteInput, NonFiniteState, OutOfRange
 from clm_sim.motor3 import MOTOR_PRESETS
 from clm_sim.sim import (
     Component,
@@ -309,6 +309,92 @@ def test_step_count_bound_in_integrator_config():
     for kwargs in ({"t_end": 1e300}, {"dt": 1e-300}, {"dt": 1e-3, "t_end": 10000.001}):
         with pytest.raises(ValueError, match=r"more than 10000000$"):
             IntegratorConfig(**kwargs)
+
+
+@pytest.mark.parametrize("every", [0, -3, 1.5, 2.0, True])
+def test_record_every_must_be_an_int(every):
+    # 2.0 and True equal whole numbers but would fail later, when the run slices by them.
+    with pytest.raises(ValueError, match=r"record_every must be an integer >= 1, got "):
+        IntegratorConfig(record_every=every)
+
+
+def _inf():
+    return math.inf
+
+
+def _overflow():
+    return math.exp(1000.0)  # OverflowError, as a plain-float stage raises it
+
+
+def _failing_at(step, error=_inf):
+    """A builder of a component with state x whose derivative is 0 until step `step`, then error().
+
+    Its memory counts the steps done, so it fails at that step under every method.
+    """
+    def rhs(s, m, v, f):
+        return (0.0 if m[0] < step - 1 else error(),)
+
+    def build(name, weight, setup, dt):
+        return Component(name, weight, output=lambda s, m, v, f: (s[0], 0.0), states=("x",),
+                         state0=[0.0], rhs=rhs, memory0=(0,),
+                         advance=lambda m, v, f: ((m[0] + 1,), ()))
+    return build
+
+
+def _two_failing(bus, a_step, b_step, b_error=_inf) -> Scenario:
+    parts = [("motor_a", _failing_at(a_step), None),
+             ("motor_b", _failing_at(b_step, b_error), None)]
+    return Scenario(LoadMix(f_a=0.5, f_b=0.5), bus, parts)
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("a_step, b_step, b_error, named", [
+    (18, 13, _inf, "motor_b"),  # both in the block of steps 10-19, motor_b earlier
+    (21, 19, _inf, "motor_b"),  # motor_b fails a block before motor_a
+    (11, 10, _inf, "motor_b"),  # motor_b fails at the last step of a block
+    (15, 15, _inf, "motor_a"),  # the same step: the first in channel order
+    (15, 15, _overflow, None),  # the same step: a stage overflow names no channel
+    (15, 16, _overflow, "motor_a"),
+])
+def test_earliest_failing_step_is_reported(monkeypatch, method, a_step, b_step, b_error, named):
+    monkeypatch.setattr("clm_sim.sim.STEP_BLOCK", 10)
+    scenario = _two_failing(ConstantBus(), a_step, b_step, b_error)
+    with pytest.raises(NonFiniteState) as exc_info:
+        run_simulation(scenario, IntegratorConfig(method=method, dt=0.125, t_end=5.0))
+    step = min(a_step, b_step)
+    message = str(exc_info.value)
+    if named:
+        assert message.endswith(f" at t = {step * 0.125:g} s, first in {named}.x (step {step})")
+    else:
+        assert message.endswith("too large a step) (step 15)")
+
+
+class NanFromHalfSecondBus:
+    """V = 1 before t = 0.5 s and nan from then on."""
+
+    def voltage(self, t):
+        return math.nan if t >= 0.5 else 1.0
+
+    def frequency(self, t):
+        return 1.0
+
+
+@pytest.mark.parametrize("block", [3, 1000])
+@pytest.mark.parametrize("method, b_step, error", [
+    # rk4 reads t = 0.5 first in step 4 (its last stage), euler in step 5.
+    ("rk4", 3, NonFiniteState), ("rk4", 4, NonFiniteInput), ("rk4", 9, NonFiniteInput),
+    ("euler", 4, NonFiniteState), ("euler", 5, NonFiniteInput), ("euler", 9, NonFiniteInput),
+])
+def test_non_finite_bus_is_reported_unless_a_state_failed_before(monkeypatch, block, method,
+                                                                 b_step, error):
+    monkeypatch.setattr("clm_sim.sim.STEP_BLOCK", block)
+    scenario = _two_failing(NanFromHalfSecondBus(), 10**6, b_step)
+    with pytest.raises(error) as exc_info:
+        run_simulation(scenario, IntegratorConfig(method=method, dt=0.125, t_end=2.0))
+    if error is NonFiniteInput:
+        assert str(exc_info.value) == "the bus gave a non-finite input at t = 0.5"
+    else:
+        assert str(exc_info.value).endswith(f"first in motor_b.x (step {b_step})")
 
 
 # ------------------------------------------------------------ repeated steps
