@@ -7,7 +7,6 @@ drives them from scripted bus-voltage/frequency disturbances and records
 comparable trajectories.
 """
 
-from .blocks import DeadbandLimits, SatLimits, deadband, neg_part, pos_part, rate_limit, saturate
 from .composite import (
     ConstantBus,
     LoadMix,
@@ -24,7 +23,6 @@ from .dera import (
     DerAState,
     DerATrackers,
     advance_trackers,
-    current_limits,
     dera_derivatives,
     dera_initialize,
     dera_outputs,

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import sim
 from .config import PRESETS, load_config, parse_integrator, parse_outputs
 from .dera import DERA_PRESET_BASES
-from .errors import ChannelError, ClmSimError, PresetError
+from .errors import ChannelError, ClmSimError, ConfigError, PresetError
 
 logger = logging.getLogger("clm_sim")
 
@@ -59,31 +59,33 @@ def cmd_run(args) -> int:
         sim.require_channels(cfg.outputs.channels,
                              sim.channel_names(scenario.components(cfg.integrator.dt)),
                              "this run's trajectory")
-    result = sim.run_simulation(scenario, cfg.integrator)
-    traj = result.trajectory
-
     out_dir = Path(cfg.outputs.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     csv_path = out_dir / cfg.outputs.trajectory_csv
+    binary_path = out_dir / cfg.outputs.binary if cfg.outputs.binary is not None else None
+    summary_path = out_dir / cfg.outputs.summary_json
     components = [name for name, _, _ in scenario.parts] if cfg.outputs.figure_csvs else []
     figures = {out_dir / f"figure_{c}.csv": _figure_channels(c) for c in components}
-    sim.write_csv(traj, {csv_path: cfg.outputs.channels, **figures})  # one pass for all CSVs
-    written = [csv_path]
+    paths = [csv_path, *([binary_path] if binary_path else []), summary_path, *figures]
+    real = [path.resolve() for path in paths]  # out/../out/a.csv is out/a.csv
+    for path, file in zip(paths, real):
+        if real.count(file) > 1:
+            raise ConfigError(f"two outputs would both be written to {path}", field="outputs")
 
-    if cfg.outputs.binary:
-        written.append(out_dir / cfg.outputs.binary)
-        sim.write_binary(traj, written[-1])
+    result = sim.run_simulation(scenario, cfg.integrator)
+    traj = result.trajectory
+    summary = {**result.summary, "channels": traj.channels, "config": cfg.to_dict()}
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        sim.write_csv(traj, {csv_path: cfg.outputs.channels, **figures})  # one pass for all CSVs
+        if binary_path:
+            sim.write_binary(traj, binary_path)
+        with open(summary_path, "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs: {exc}") from None
 
-    summary = dict(result.summary)
-    summary["channels"] = traj.channels
-    summary["config"] = cfg.to_dict()
-    summary_path = out_dir / cfg.outputs.summary_json
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    print(*written, summary_path, *figures, sep="\n")
+    print(*paths, sep="\n")
     return 0
 
 

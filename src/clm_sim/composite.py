@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .staticloads import FRACTION_SUM_TOL
 
 COMPONENT_NAMES = ("motor_a", "motor_b", "motor_c", "elec", "zip", "dera")
-
-FRACTION_SUM_TOL = 1e-12
 
 PLAYBACK_SHAPES = ("verbatim", "ramp")
 

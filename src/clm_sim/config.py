@@ -315,6 +315,9 @@ def parse_outputs(node, where="outputs") -> OutputsSection:
             raise ConfigError("expected a string", field=f"{where}.{key}")
     if out.binary is not None and not isinstance(out.binary, str):
         raise ConfigError("expected a string or null", field=f"{where}.binary")
+    for key in ("trajectory_csv", "summary_json", "binary"):
+        if getattr(out, key) == "":
+            raise ConfigError("expected a file name, got an empty string", field=f"{where}.{key}")
     return out
 
 

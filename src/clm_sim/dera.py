@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import SatLimits
 from .errors import InfeasibleInit, NonFiniteInput
 
 # Floor applied to the filtered voltage before any division.
@@ -191,21 +190,6 @@ def _headroom(cmd: float, imax: float, typeflag: int) -> tuple[float, float]:
     return (-hi if typeflag == 1 else 0.0), hi
 
 
-def current_limits(Ipcmd: float, Iqcmd: float, params: DerAParams) -> tuple[SatLimits, SatLimits]:
-    """(Ip limits, Iq limits) under the configured current-limit priority.
-
-    The priority axis gets the symmetric +/-Imax band; the other axis gets
-    the circular headroom sqrt(Imax^2 - cmd^2) as its upper limit, with the
-    lower limit -headroom for storage devices (typeflag 1) and 0 for
-    generators. A companion command beyond Imax yields zero headroom rather
-    than a complex root.
-    """
-    band = SatLimits(-params.Imax, params.Imax)
-    if params.PQflag == 0:  # Q priority
-        return SatLimits(*_headroom(Iqcmd, params.Imax, params.typeflag)), band
-    return band, SatLimits(*_headroom(Ipcmd, params.Imax, params.typeflag))
-
-
 def dera_outputs(state: DerAState, Vt: float, tripped: bool = False) -> tuple[float, float]:
     """(P, Q) injected at the terminal; zero once the frequency trip latched.
 
@@ -231,6 +215,13 @@ def dera_algebra(params: DerAParams):
     flags(s) -> the LIMITER_FLAGS values at states S0..S9; protection(Vt, mem)
     -> the voltage multiplier, mem being the DerATrackers fields (_memory).
     Input checks are left to the public functions, as in the builders below.
+
+    commands clips the current commands under the configured priority: the
+    priority axis gets the symmetric +/-Imax band; the other axis gets the
+    circular headroom sqrt(Imax^2 - cmd^2) beside the clipped priority
+    command as its upper limit, with the lower limit -headroom for storage
+    devices (typeflag 1) and 0 for generators. A companion command at or
+    beyond Imax leaves zero headroom rather than a complex root.
     """
     P = params
     Vref0, Kqv, dbd1, dbd2, Iql1, Iqh1 = P.Vref0, P.Kqv, P.dbd1, P.dbd2, P.Iql1, P.Iqh1
@@ -462,8 +453,9 @@ def dera_initialize(
     Pmin..Pmax, commanded currents beyond the converter limit, or a
     zero integral gain that leaves the PI composite drifting.
     """
-    if Vt0 <= 0.01:
-        raise InfeasibleInit(f"initial voltage {Vt0} pu is at or below the 0.01 pu floor")
+    if Vt0 <= VOLTAGE_FLOOR:
+        raise InfeasibleInit(
+            f"initial voltage {Vt0} pu is at or below the {VOLTAGE_FLOOR} pu floor")
     if not (params.Vl1 < Vt0 < params.Vh1):
         raise InfeasibleInit(
             f"initial voltage {Vt0} pu lies outside the no-derating band "

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per release criterion, tolerances pinned.
 
- 1. Piecewise truth tables exact (saturation/deadband/sign/rate, ZIP,
-    electronic-load modes, voltage protection, current limits, playback).
+ 1. Piecewise truth tables exact: the DER_A kernel's own clips (voltage
+    floor, Iq command and power-order saturations, voltage deadband,
+    injection clip, S7 ramp clip, droop sign split, current limits), ZIP,
+    electronic-load modes, voltage protection and playback.
  2. Oracle equivalence of motor and DER_A derivative vectors against
     straight-line reference transcriptions, 1000 random points each,
     vector-relative error <= 1e-13.
@@ -35,16 +37,6 @@ import numpy as np
 import pytest
 import yaml
 
-from clm_sim.blocks import (
-    NO_LIMIT,
-    DeadbandLimits,
-    SatLimits,
-    deadband,
-    neg_part,
-    pos_part,
-    rate_limit,
-    saturate,
-)
 from clm_sim.cli import main as cli_main
 from clm_sim.composite import LoadMix, PlaybackParams, playback_voltage
 from clm_sim.dera import (
@@ -52,10 +44,11 @@ from clm_sim.dera import (
     DerARefs,
     DerAState,
     DerATrackers,
-    current_limits,
+    dera_algebra,
     dera_derivatives,
     dera_initialize,
     dera_outputs,
+    dera_rhs,
     voltage_protection,
 )
 from clm_sim.motor3 import (
@@ -97,25 +90,35 @@ def _vec_rel_err(a, b):
 
 
 def test_criterion_1_piecewise_truth_tables():
-    floor = SatLimits(0.01, NO_LIMIT)
-    assert saturate(0.5, floor) == 0.5
-    assert saturate(0.001, floor) == 0.01
-    assert saturate(0.01, floor) == 0.01
-    assert saturate(2.0, SatLimits(-1.2, 1.2)) == 1.2
+    commands = dera_algebra(TABLE)[0]  # (S0 floored, Ipcmd, Iqcmd, Ip raw, Iq raw, inj raw, limits)
+    assert commands(0.5, 0, 0)[0] == 0.5
+    assert commands(0.001, 0, 0)[0] == 0.01
+    assert commands(0.00999, 0, 0)[0] == 0.01
+    assert commands(0.01, 0, 0)[0] == 0.01
+    assert commands(1, 2, 0)[2] == 1.2
+    assert commands(1, -2, 0)[2] == -1.2
+    assert commands(1, 0, 2)[3] == 1.1
+    assert commands(1, 0, -2)[3] == 0.0
 
-    fdb = DeadbandLimits(-0.0006, 0.0006)
-    assert deadband(0.0, fdb) == 0.0
-    assert deadband(0.001, fdb) == 0.001 - 0.0006
-    assert deadband(-0.002, fdb) == -0.002 - (-0.0006)
+    band = dera_algebra(dataclasses.replace(TABLE, Vref0=1.0, Kqv=1.0, dbd1=-0.05, dbd2=0.05))[0]
+    assert band(1.0, 0, 0)[5] == 0.0
+    assert band(0.9, 0, 0)[5] == (1.0 - 0.9) - 0.05
+    assert band(1.1, 0, 0)[5] == (1.0 - 1.1) - (-0.05)
+    no_band = dera_algebra(dataclasses.replace(TABLE, Vref0=1.0, dbd1=0.0, dbd2=0.0))[0]
+    assert no_band(0.5, 0, 0)[4:6] == (1.0, 2.5)
+    assert no_band(1.5, 0, 0)[4:6] == (-1.0, -2.5)
 
-    assert (pos_part(0.3), neg_part(0.3)) == (0.3, 0.0)
-    assert (pos_part(-0.3), neg_part(-0.3)) == (0.0, -0.3)
-    assert (pos_part(0.0), neg_part(0.0)) == (0.0, 0.0)
+    mem = dataclasses.astuple(DerATrackers(1.0, 1.0))
+    ramp = dera_rhs(dataclasses.replace(TABLE, Freqflag=1), DerARefs(0.0, 0.0, 0.0, 1.0), 1e-3)
+    for S6, S7, dS7 in ((1, 0, 0.5), (-5, 0.5, -0.5), (0.0002, 0, 0.0002 / 1e-3)):
+        assert ramp((1, 0, 0, 0, 1, 1, S6, S7, 0, 0), mem, 1.0, 1.0)[7] == dS7
 
-    ramp = SatLimits(-0.5, 0.5)
-    assert rate_limit(0.7, ramp) == 0.5
-    assert rate_limit(-0.7, ramp) == -0.5
-    assert rate_limit(0.1, ramp) == 0.1
+    droop = dataclasses.replace(TABLE, Dup=10.0)
+    split = dera_rhs(droop, DerARefs(0.0, 0.0, 0.0, 1.0), 1e-3)
+    for S5, e in ((1.01, droop.Ddn * ((1.0 - 1.01) - (-0.0006))),  # only the down side
+                  (0.99, droop.Dup * ((1.0 - 0.99) - 0.0006)),  # only the up side
+                  (1.0003, 0.0)):  # inside the deadband
+        assert split((1, 0, 0, 0, 1, S5, 0, 0, 0, 0), mem, 1.0, S5)[6] == droop.Kig * e
 
     zipp = ZipParams(P0=1.2, Q0=0.4, V0=1.0, ap=0.4, bp=0.35, cp=0.25,
                      aq=0.5, bq=0.3, cq=0.2)
@@ -139,10 +142,8 @@ def test_criterion_1_piecewise_truth_tables():
     expired = DerATrackers(0.46, 1.0, low_v_timer=0.2)
     assert voltage_protection(1.0, expired, TABLE) == 0.7 * ((0.49 - 0.46) / (0.49 - 0.44))
 
-    ip, iq = current_limits(0.0, 0.0, TABLE)
-    assert (ip.lo, ip.hi) == (-1.2, 1.2) and (iq.lo, iq.hi) == (-1.2, 1.2)
-    ip, _ = current_limits(0.0, 1.2, TABLE)
-    assert (ip.lo, ip.hi) == (0.0, 0.0)
+    assert commands(1, 0, 0)[6:] == (-1.2, 1.2, -1.2, 1.2)
+    assert commands(1, 1.2, 0)[6:8] == (0.0, 0.0)
 
     pb = PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9)
     assert playback_voltage(0.5, pb) == 1.0

@@ -729,3 +729,59 @@ def test_non_finite_override_rejected():
     with pytest.raises(ConfigError) as exc_info:
         parse_config(doc)
     assert exc_info.value.field == "motor_a.overrides.H"
+
+
+ZIP_DOC = {
+    "mix": {"f_zip": 1.0},
+    "zip": DER_DOC["zip"],
+    "disturbance": {"type": "constant"},
+    "integrator": {"method": "rk4", "dt": 0.01, "t_end": 0.05},
+}
+
+
+@pytest.mark.parametrize("outputs, path", [
+    ({"trajectory_csv": "summary.json"}, "summary.json"),
+    ({"binary": "trajectory.csv"}, "trajectory.csv"),
+    ({"trajectory_csv": "figure_zip.csv", "figure_csvs": True}, "figure_zip.csv"),
+    ({"trajectory_csv": "../out/summary.json"}, "../out/summary.json"),
+])
+def test_run_colliding_output_names_are_config_invalid(tmp_path, capsys, monkeypatch,
+                                                       outputs, path):
+    monkeypatch.setattr(cli.sim, "run_simulation", lambda *a: pytest.fail("run started"))
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, dict(ZIP_DOC, outputs=outputs))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert _single_error_line(capsys, "CONFIG_INVALID") == (
+        f"error: CONFIG_INVALID: two outputs would both be written to {out / path} "
+        "(field: outputs)")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["trajectory_csv", "summary_json", "binary"])
+def test_run_empty_output_name_is_config_invalid_at_load(tmp_path, capsys, key):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, dict(ZIP_DOC, outputs={key: ""}))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert _single_error_line(capsys, "CONFIG_INVALID").endswith(f"(field: outputs.{key})")
+    assert not out.exists()
+
+
+def test_run_unwritable_out_dir_is_one_error_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = _write_config(tmp_path, ZIP_DOC)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(taken)]) == 2
+    line = _single_error_line(capsys, "CONFIG_INVALID")
+    assert line.startswith("error: CONFIG_INVALID: cannot write outputs: ") and str(taken) in line
+
+
+def test_batch_counts_an_unwritable_out_dir_and_goes_on(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    configs = [str(_write_config(tmp_path, ZIP_DOC, f"{name}.yaml")) for name in ("one", "two")]
+    assert main(["batch", *configs, "--out-dir", str(taken)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3
+    assert [line.split(": ")[:3] for line in lines[:2]] == [
+        ["error", "CONFIG_INVALID", configs[0]], ["error", "CONFIG_INVALID", configs[1]]]
+    assert lines[2] == "batch: 2 of 2 scenario(s) failed"

@@ -14,7 +14,6 @@ import math
 import numpy as np
 import pytest
 
-from clm_sim.blocks import SatLimits
 from clm_sim.dera import (
     DERA_PRESETS,
     DerAParams,
@@ -22,7 +21,7 @@ from clm_sim.dera import (
     DerAState,
     DerATrackers,
     advance_trackers,
-    current_limits,
+    dera_algebra,
     dera_derivatives,
     dera_initialize,
     dera_limiter_flags,
@@ -46,44 +45,70 @@ def _vec_rel_err(a, b):
 
 
 # ---------------------------------------------------------------- current limits
+# commands(S0, S2, S8) of the kernel: with the table's wide voltage deadband
+# and S0 = 1 the raw commands are Iq = S2 and Ip = S8 clipped to Pmin..Pmax.
+
+def _commands(params, S2, S8):
+    return dera_algebra(params)[0](1.0, S2, S8)
+
 
 def test_current_limits_q_priority_full_headroom():
-    ip, iq = current_limits(0.0, 0.0, TABLE)  # PQflag=0, typeflag=1, Imax=1.2
-    assert iq == SatLimits(-1.2, 1.2)
-    assert ip == SatLimits(-1.2, 1.2)
+    out = _commands(TABLE, 0.0, 0.0)  # PQflag=0, typeflag=1, Imax=1.2
+    assert out[6:] == (-1.2, 1.2, -1.2, 1.2)
 
 
 def test_current_limits_q_priority_zero_headroom():
-    ip, _ = current_limits(0.0, 1.2, TABLE)
-    assert ip.hi == 0.0 and ip.lo == 0.0
+    out = _commands(TABLE, 1.2, 0.5)
+    assert out[6:8] == (0.0, 0.0)
+    assert out[1:3] == (0.0, 1.2)  # the Ip command is clipped to the zero headroom
 
 
 def test_current_limits_generator_floor():
     params = dataclasses.replace(TABLE, typeflag=0)
-    ip, _ = current_limits(0.0, 0.5, params)
-    assert ip.lo == 0.0
-    assert ip.hi == math.sqrt(1.2**2 - 0.5**2)
+    out = _commands(params, 0.5, 0.0)
+    assert out[6:8] == (0.0, math.sqrt(1.2**2 - 0.5**2))
 
 
 def test_current_limits_storage_symmetric():
-    ip, _ = current_limits(0.0, 0.5, TABLE)  # typeflag=1
-    assert ip.lo == -ip.hi
+    out = _commands(TABLE, 0.5, 0.0)  # typeflag=1
+    assert out[6:8] == (-math.sqrt(1.2**2 - 0.5**2), math.sqrt(1.2**2 - 0.5**2))
 
 
 def test_current_limits_p_priority():
     params = dataclasses.replace(TABLE, PQflag=1)
-    ip, iq = current_limits(0.9, 0.0, params)
-    assert ip == SatLimits(-1.2, 1.2)
-    assert iq.hi == math.sqrt(1.2**2 - 0.9**2)
-    assert iq.lo == -iq.hi
+    out = _commands(params, 0.0, 0.9)
+    head = math.sqrt(1.2**2 - 0.9**2)
+    assert out[6:] == (-1.2, 1.2, -head, head)
 
 
 def test_current_limits_overlarge_companion_clamps_to_zero():
-    ip, _ = current_limits(0.0, 5.0, TABLE)
-    assert ip.hi == 0.0
-    params = dataclasses.replace(TABLE, PQflag=1)
-    _, iq = current_limits(5.0, 0.0, params)
-    assert iq.hi == 0.0
+    # The priority command is clipped to Imax before the headroom is taken.
+    out = _commands(TABLE, 5.0, 0.0)
+    assert out[4] == 5.0 and out[2] == 1.2 and out[7] == 0.0
+    params = dataclasses.replace(TABLE, PQflag=1, Pmax=5.0)
+    out = _commands(params, 0.0, 5.0)
+    assert out[3] == 5.0 and out[1] == 1.2 and out[9] == 0.0
+
+
+def _verr(commands, x):
+    """The voltage deadband's output at input x: with Kqv = 1 the raw injection
+    is the deadband output, and Vref0 = 0 makes the input Vref0 - S0 exactly -S0."""
+    return commands(-x, 0.0, 0.0)[5]
+
+
+def test_voltage_deadband_properties():
+    rng = np.random.default_rng(43)
+    for _ in range(500):
+        lo, hi = -abs(rng.uniform(0, 2)), abs(rng.uniform(0, 2))
+        params = dataclasses.replace(TABLE, Vref0=0.0, Kqv=1.0, dbd1=lo, dbd2=hi)
+        commands = dera_algebra(params)[0]
+        x = rng.uniform(-5, 5)
+        y = _verr(commands, x)
+        assert (y == 0.0) == (lo <= x <= hi)
+        assert abs(y) <= abs(x)
+        for knee in (lo, hi):  # continuity at both knees
+            eps = 1e-13
+            assert abs(_verr(commands, knee - eps) - _verr(commands, knee + eps)) < 1e-12
 
 
 # ------------------------------------------------------------ voltage protection
