@@ -74,15 +74,22 @@ def cmd_run(args) -> int:
     result = sim.run_simulation(scenario, cfg.integrator)
     traj = result.trajectory
     summary = {**result.summary, "channels": traj.channels, "config": cfg.to_dict()}
+    # Each output is written to a temporary name, then all renamed: a failed write leaves none.
+    temp = {path: path.with_name(f".{path.name}.tmp") for path in paths}
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        sim.write_csv(traj, {csv_path: cfg.outputs.channels, **figures})  # one pass for all CSVs
+        csvs = {csv_path: cfg.outputs.channels, **figures}  # written in one pass
+        sim.write_csv(traj, {temp[path]: channels for path, channels in csvs.items()})
         if binary_path:
-            sim.write_binary(traj, binary_path)
-        with open(summary_path, "w") as fh:
+            sim.write_binary(traj, temp[binary_path])
+        with open(temp[summary_path], "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        for path in paths:
+            os.replace(temp[path], path)
     except OSError as exc:
+        for path in filter(Path.exists, temp.values()):  # none where the directory is missing
+            path.unlink()
         raise ConfigError(f"cannot write outputs: {exc}") from None
 
     print(*paths, sep="\n")

@@ -353,11 +353,11 @@ def parse_config(doc: dict) -> ScenarioConfig:
 def load_config(path) -> ScenarioConfig:
     try:
         with open(path, "r") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from None
+    except yaml.YAMLError as exc:  # its text has a line per part, joined to keep one error line
+        raise ConfigError(f"cannot parse config {path}: {' '.join(str(exc).split())}") from None
     if doc is None:
         raise ConfigError(f"config {path} is empty")
     return parse_config(doc)

@@ -193,7 +193,8 @@ def motor_initialize(
     # depend on it.
     algebra, load_torque, rhs = motor_kernel(params, MotorInit(Tm0=1.0), Vq0)[:3]
 
-    def residual(x):
+    def residual(x):  # on plain floats: numpy scalars make each operation slow
+        x = x.tolist()
         d = rhs(x, (), Vd0, 0.0)
         return np.array([d[0], d[1], d[2], d[3], algebra(*x[2:], Vd0, Vq0)[2] - P0])
 

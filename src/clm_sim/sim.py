@@ -6,7 +6,9 @@ tests quantify the resulting error), and all simulation memory (voltage
 extremes, dwell timers, trip latches, the electronic-load minimum tracker)
 advanced exactly once per accepted step using end-of-step values, never
 inside integrator stages. Identical inputs therefore produce bit-identical
-trajectories.
+trajectories. Each method's step is written out for a component's number of
+states, made on first use, with the float operations in the order of the
+array form that tests/test_reference_stepper.py checks it against bit for bit.
 
 The stepper drives one list of components, one per configured model, each
 made for the run by its type's builder (motor_component, dera_component,
@@ -41,13 +43,16 @@ raw little-endian float64, row major, one row per sample in channel order
 from __future__ import annotations
 
 import logging
+import re
 import struct
 import warnings
 from bisect import bisect
 from collections.abc import Callable, Sequence
 from contextlib import ExitStack
 from dataclasses import astuple, dataclass, fields
+from functools import cache
 from math import inf, isfinite
+from operator import add
 
 import numpy as np
 
@@ -297,31 +302,27 @@ def resample(traj: Trajectory, grid) -> Trajectory:
     return Trajectory(traj.channels, out)
 
 
-# Steppers over float lists, rhs(y, m, v, f) at the bus (v, f) of each stage time t + x * h
-# for x in _STEPPERS; tests/test_reference_stepper.py checks them bit for bit.
-def _rk4_step(rhs, y, m, h, v0, f0, v1, f1, v2, f2):
-    hh = 0.5 * h
-    k1 = rhs(y, m, v0, f0)
-    k2 = rhs([a + hh * b for a, b in zip(y, k1)], m, v1, f1)
-    k3 = rhs([a + hh * b for a, b in zip(y, k2)], m, v1, f1)
-    k4 = rhs([a + h * b for a, b in zip(y, k3)], m, v2, f2)
-    h6 = h / 6.0
-    return [a + h6 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+# Each method's stage times (fractions of h), then the lines of its step after k1 = <b#>, which
+# _step writes out for n states: "<...>" once per state, "#" its index, joined by ", ".
+_STEPPERS = {
+    "rk4": ((0.0, 0.5, 1.0), "hh = 0.5 * h", "<c#>, = rhs((<y# + hh * b#>,), m, v1, f1)",
+            "<d#>, = rhs((<y# + hh * c#>,), m, v1, f1)", "<e#>, = rhs((<y# + h * d#>,), m, v2, f2)",
+            "h6 = h / 6.0", "return [<y# + h6 * (b# + 2.0 * c# + 2.0 * d# + e#)>]"),
+    "heun": ((0.0, 1.0), "<c#>, = rhs((<y# + h * b#>,), m, v1, f1)", "hh = 0.5 * h",
+             "return [<y# + hh * (b# + c#)>]"),
+    "euler": ((0.0,), "return [<y# + h * b#>]"),
+}
 
 
-def _heun_step(rhs, y, m, h, v0, f0, v1, f1):
-    k1 = rhs(y, m, v0, f0)
-    k2 = rhs([a + h * b for a, b in zip(y, k1)], m, v1, f1)
-    hh = 0.5 * h
-    return [a + hh * (b + c) for a, b, c in zip(y, k1, k2)]
-
-
-def _euler_step(rhs, y, m, h, v0, f0):
-    return [a + h * b for a, b in zip(y, rhs(y, m, v0, f0))]
-
-
-_STEPPERS = {"rk4": (_rk4_step, (0.0, 0.5, 1.0)), "heun": (_heun_step, (0.0, 1.0)),
-             "euler": (_euler_step, (0.0,))}
+@cache
+def _step(method: str, n: int) -> Callable:
+    """step(rhs, y, m, h, v0, f0, ...) -> the n next states, rhs(y, m, v, f) at each stage's bus."""
+    stages, *lines = _STEPPERS[method]
+    head = "def step(rhs, y, m, h" + "".join(f", v{j}, f{j}" for j in range(len(stages))) + "):"
+    code = "\n    ".join([head, "<y#>, = y", "<b#>, = rhs(y, m, v0, f0)", *lines])
+    exec(re.sub("<(.*?)>", lambda x: ", ".join(x[1].replace("#", f"{i}") for i in range(n)), code),
+         scope := {})
+    return scope["step"]
 
 
 @dataclass
@@ -334,7 +335,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
     """Integrate the scenario and collect the run summary alongside the data."""
     dt, every = config.dt, config.record_every
     n_steps = int(round(config.t_end / dt))
-    step, stages = _STEPPERS[config.method]
+    stages = _STEPPERS[config.method][0]
     voltage, frequency = scenario.bus.voltage, scenario.bus.frequency
     components = scenario.components(dt)
     channels = channel_names(components)
@@ -377,6 +378,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
         for k, (c, run) in enumerate(zip(components, runs)):
             out, s, m, repeat, held, counts = run
             rhs, output, flags, advance = c.rhs, c.output, c.flags, c.advance
+            step = _step(config.method, len(c.states)) if c.states else None
             recorded, r = {}, 0  # data row -> the row of a computed step
             while r < stop:
                 i = i0 + r
@@ -387,7 +389,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
                     repeated, r = repeated + j - r, j
                     continue
                 raised = flags(s)  # limiter activity counts every step
-                counts = [a + b for a, b in zip(counts, raised)]
+                counts = list(map(add, counts, raised))
                 if i % every == 0:
                     recorded[i // every] = row = (*s, *output(s, m, *vf[r]))
                 if i == n_steps:

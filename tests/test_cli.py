@@ -785,3 +785,73 @@ def test_batch_counts_an_unwritable_out_dir_and_goes_on(tmp_path, capsys):
     assert [line.split(": ")[:3] for line in lines[:2]] == [
         ["error", "CONFIG_INVALID", configs[0]], ["error", "CONFIG_INVALID", configs[1]]]
     assert lines[2] == "batch: 2 of 2 scenario(s) failed"
+
+
+def _files_under(path):
+    return sorted(str(p.relative_to(path)) for p in path.rglob("*") if p.is_file())
+
+
+def test_failed_output_write_leaves_no_file_of_the_run(tmp_path, capsys):
+    # The binary's directory does not exist: the CSVs before it must not stay behind.
+    out = tmp_path / "out"
+    outputs = {"binary": "nosuch/t.bin", "figure_csvs": True}
+    cfg = _write_config(tmp_path, dict(ZIP_DOC, outputs=outputs))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    line = _single_error_line(capsys, "CONFIG_INVALID")
+    assert line.startswith("error: CONFIG_INVALID: cannot write outputs: ") and "nosuch" in line
+    assert _files_under(out) == []
+
+
+def test_run_and_batch_leave_only_their_outputs(tmp_path, capsys):
+    outputs = {"binary": "traj.bin", "figure_csvs": True}
+    cfg = _write_config(tmp_path, dict(ZIP_DOC, outputs=outputs))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 0
+    written = ["figure_zip.csv", "summary.json", "traj.bin", "trajectory.csv"]
+    assert _files_under(tmp_path / "run") == written
+    two = _write_config(tmp_path, dict(ZIP_DOC, outputs=outputs), "two.yaml")
+    assert main(["batch", str(cfg), str(two), "--out-dir", str(tmp_path / "runs")]) == 0
+    assert _files_under(tmp_path / "runs") == [f"{stem}/{name}" for stem in ("scenario", "two")
+                                               for name in written]
+
+
+SWEEP_LANE_YAML = """\
+mix: {f_a: 0.281436, f_b: 0.111579, f_c: 0.054397, f_elec: 0.19164, f_zip: 0.360948,
+      der_scale: 0.309548, p_base_mva: 15.0}
+motor_a: {preset: motor_a, p0: 0.845312}
+motor_b: {preset: motor_b, p0: 0.544166}
+motor_c: {preset: motor_c, p0: 0.637514}
+dera: {preset: dera_table3, pgen0: 0.411724, qgen0: 0.119779}
+zip: {p0: 1.0, q0: 0.3, v0: 1.0, a_p: 0.4, b_p: 0.3, c_p: 0.3, a_q: 0.5, b_q: 0.25, c_q: 0.25}
+elec: {pe0: 1.0, qe0: 0.2, vd1: 0.7, vd2: 0.5, alpha: 1.0}
+disturbance: {type: playback, a: 0.754324, b: 1.035, c: 0.4, d: 0.9}
+integrator: {method: rk4, dt: 0.001, t_end: 1.5}
+outputs:
+  trajectory_csv: pq.csv
+  summary_json: summary.json
+  channels:
+  - total.P
+  - total.Q
+"""
+
+
+def test_pure_python_yaml_loader_gives_the_same_config(tmp_path, monkeypatch):
+    lane = tmp_path / "lane.yaml"
+    lane.write_text(SWEEP_LANE_YAML)
+    paths = [*sorted(SCENARIOS.glob("*.yaml")), lane]
+    assert len(paths) == 4
+    fast = [load_config(path) for path in paths]
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert [load_config(path) for path in paths] == fast
+    assert fast[-1].outputs.channels == ["total.P", "total.Q"]
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_malformed_yaml_is_config_invalid_under_both_loaders(tmp_path, capsys, monkeypatch,
+                                                             libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("mix: {f_a: 1.0\nintegrator: [\n")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert _single_error_line(capsys, "CONFIG_INVALID").startswith(
+        f"error: CONFIG_INVALID: cannot parse config {cfg}: ")
