@@ -14,7 +14,6 @@ from .composite import (
     PlaybackParams,
     SeriesBus,
     composite_outputs,
-    playback_voltage,
 )
 from .dera import (
     DERA_PRESETS,

@@ -111,6 +111,8 @@ def cmd_compare(args) -> int:
         b_on_a = b
     else:
         logger.info("grids differ; resampling %s onto the grid of %s", args.traj_b, args.traj_a)
+        compared = ["t", *dict.fromkeys(c for c in channels if c != "t")]  # only these
+        b = sim.Trajectory(compared, b.data[:, [b.channels.index(c) for c in compared]])
         b_on_a = sim.resample(b, a.t)
     width = max(len(c) for c in channels)
     print(f"{'channel'.ljust(width)}  mean squared error")

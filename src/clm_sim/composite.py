@@ -10,11 +10,12 @@ directly.
 Bus disturbances are playback signals, i.e. scripted voltage/frequency
 time series with no network solution: the piecewise fault/recovery voltage
 generator, a constant bus, or an externally supplied sampled series.
+A bus maps times to values: voltage(t) and frequency(t) take an array of
+times and give an array of values, and a float is one time.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,17 +110,9 @@ class PlaybackParams:
             raise ValueError(f"shape must be one of {PLAYBACK_SHAPES}, got {self.shape!r}")
 
 
-def playback_voltage(t: float, params: PlaybackParams) -> float:
-    """Scripted bus voltage at time t; branch boundaries resolve in listed order."""
-    t_clear = 1.0 + params.b / 60.0
-    t_end = 1.0 + params.c
-    if 1.0 <= t <= t_clear:
-        return params.a
-    if t_clear <= t <= t_end:
-        if params.shape == "ramp":
-            return params.a + (1.0 - params.a) * (t - t_clear) / (t_end - t_clear)
-        return (1.0 - params.d) * (t - params.c - 1.0) / (params.b / 60.0 - params.c) + 1.0
-    return 1.0
+def _held(t, value: float):
+    """value at each time of t."""
+    return np.full(np.shape(t), value, dtype=float)[()]
 
 
 class PlaybackBus:
@@ -129,11 +122,20 @@ class PlaybackBus:
         self.playback = playback
         self.freq = freq
 
-    def voltage(self, t: float) -> float:
-        return playback_voltage(t, self.playback)
+    def voltage(self, t):
+        """The scripted voltage at each time; branch boundaries resolve in listed order."""
+        p, t = self.playback, np.asarray(t, dtype=float)
+        t_clear = 1.0 + p.b / 60.0
+        t_end = 1.0 + p.c
+        if p.shape == "ramp":
+            recovery = p.a + (1.0 - p.a) * (t - t_clear) / (t_end - t_clear)
+        else:
+            recovery = (1.0 - p.d) * (t - p.c - 1.0) / (p.b / 60.0 - p.c) + 1.0
+        return np.where((1.0 <= t) & (t <= t_clear), p.a,
+                        np.where((t_clear <= t) & (t <= t_end), recovery, 1.0))[()]
 
-    def frequency(self, t: float) -> float:
-        return self.freq
+    def frequency(self, t):
+        return _held(t, self.freq)
 
 
 class ConstantBus:
@@ -143,11 +145,11 @@ class ConstantBus:
         self.v = v
         self.freq = freq
 
-    def voltage(self, t: float) -> float:
-        return self.v
+    def voltage(self, t):
+        return _held(t, self.v)
 
-    def frequency(self, t: float) -> float:
-        return self.freq
+    def frequency(self, t):
+        return _held(t, self.freq)
 
 
 class SeriesBus:
@@ -168,24 +170,18 @@ class SeriesBus:
         if self.f is not None and self.f.shape != self.t.shape:
             raise ConfigError("series disturbance frequency column length mismatch")
         self.freq = freq
-        self._t_list = self.t.tolist()
-        self._v_list = self.v.tolist()
-        self._f_list = None if self.f is None else self.f.tolist()
 
-    def _interp(self, t: float, ys: list) -> float:
-        ts = self._t_list
-        if t <= ts[0]:
-            return ys[0]
-        if t >= ts[-1]:
-            return ys[-1]
-        i = bisect.bisect_right(ts, t)
+    def _interp(self, t, ys: np.ndarray):
+        ts, t = self.t, np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(ts, t, side="right"), 1, ts.size - 1)
         w = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
-        return ys[i - 1] + w * (ys[i] - ys[i - 1])
+        inside = ys[i - 1] + w * (ys[i] - ys[i - 1])
+        return np.where(t <= ts[0], ys[0], np.where(t >= ts[-1], ys[-1], inside))[()]
 
-    def voltage(self, t: float) -> float:
-        return self._interp(t, self._v_list)
+    def voltage(self, t):
+        return self._interp(t, self.v)
 
-    def frequency(self, t: float) -> float:
-        if self._f_list is None:
-            return self.freq
-        return self._interp(t, self._f_list)
+    def frequency(self, t):
+        if self.f is None:
+            return _held(t, self.freq)
+        return self._interp(t, self.f)

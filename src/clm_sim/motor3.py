@@ -10,6 +10,7 @@ magnitude only (angle 0, so Vd = |V| and Vq = 0).
 Torque law: TL = Tm0 * (A*w^2 + B*w + C0 + D*w^Etrq) with w = 1 - slip.
 For fractional Etrq the speed is clamped at zero before exponentiation to
 stay real during extreme transients; the simulator counts those samples.
+Etrq must be >= 0: the clamped speed 0 has no negative power.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class MotorParams:
             raise ValueError(f"need H > 0, got {self.H}")
         if self.rs < 0.0:
             raise ValueError(f"need rs >= 0, got {self.rs}")
+        if self.Etrq < 0.0:
+            raise ValueError(f"need Etrq >= 0, got {self.Etrq}")
 
 
 @dataclass(slots=True)
@@ -122,16 +125,20 @@ def motor_kernel(params: MotorParams, init: MotorInit, Vq: float = 0.0):
         wc = w if w > 0.0 else 0.0  # speed clamped for the exponent term only
         return Tm0 * (A * w * w + B * w + C0 + D * wc**Etrq)
 
-    def rhs(s, m, Vd, f):
+    def rhs(s, m, Vd, f):  # algebra and load_torque written in, without their calls
         Eqp, Edp, Eqpp, Edpp, slip = s
-        Id, Iq, _, _, w = algebra(Eqpp, Edpp, slip, Vd, Vq)
+        Id = kr * (Vd + Edpp) + kx * (Vq + Eqpp)
+        Iq = kr * (Vq + Eqpp) - kx * (Vd + Edpp)
+        w = 1.0 - slip
+        wc = w if w > 0.0 else 0.0
         ws = omega0 * slip
         return (
             (-Eqp - Id * dLs - Edp * ws * Tp0) / Tp0,
             (-Edp + Iq * dLs + Eqp * ws * Tp0) / Tp0,
             c_em * Eqp - c_i * Id - Eqpp / Tpp0 - ws * Edpp,
             c_em * Edp + c_i * Iq - Edpp / Tpp0 + ws * Eqpp,
-            -(p * Edpp * Id + q * Eqpp * Iq - load_torque(w)) / two_h,
+            -(p * Edpp * Id + q * Eqpp * Iq - Tm0 * (A * w * w + B * w + C0 + D * wc**Etrq))
+            / two_h,
         )
 
     def output(s, m, Vd, f):

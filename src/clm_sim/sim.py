@@ -23,13 +23,16 @@ flag values, and advance(m, v, f) gives (the memory at the end of an
 accepted step, the events it fired). The bus total is the weighted sum of
 the components' P and Q.
 
-The run goes STEP_BLOCK steps at a time. For each block the bus is read into
-a table at every time the method uses (each stage time and each step's end),
-the steps whose inputs equal the step before's bit for bit are marked, and
-each component is stepped through the block on its own, in channel order. A
-component whose last computed step left its state and memory bit for bit as
-they were skips to the next step whose inputs change, its rows and limiter
-flags repeated: outputs are unchanged. A run that fails raises the error of
+The run goes STEP_BLOCK steps at a time. For each block the bus is read as
+arrays, one voltage and one frequency call over every time the method uses
+(each stage time and each step's end), so a bus must accept an array of
+times (see composite.py). The steps whose inputs equal the step before's bit
+for bit are marked, and each component is stepped through the block on its
+own, in channel order. A component whose last computed step left its state
+and memory bit for bit as they were skips to the next step whose inputs
+change, its rows and limiter flags repeated: outputs are unchanged. Limiter
+activity is counted by runs of equal flags, added up when the flags change
+and at the end. A run that fails raises the error of
 its earliest failing step: a non-finite bus value at a stage time, else a
 stage overflow, else the first non-finite state in channel order.
 
@@ -52,7 +55,6 @@ from contextlib import ExitStack
 from dataclasses import astuple, dataclass, fields
 from functools import cache
 from math import inf, isfinite
-from operator import add
 
 import numpy as np
 
@@ -194,7 +196,7 @@ class Scenario:
     """
 
     mix: LoadMix
-    bus: object  # exposes voltage(t) and frequency(t)
+    bus: object  # voltage(t) and frequency(t) at each time of an array t
     parts: list[tuple[str, Callable, object]]
 
     def components(self, dt: float) -> list[Component]:
@@ -217,7 +219,7 @@ def build_scenario(mix: LoadMix, bus, loads: dict[str, object]) -> Scenario:
         weight = mix.weight(name)
         if weight != 0.0 and name not in loads:
             raise ConfigError(f"{name} has mix weight {weight} but is not configured", field=name)
-    v0, f0 = bus.voltage(0.0), bus.frequency(0.0)
+    v0, f0 = float(bus.voltage(0.0)), float(bus.frequency(0.0))
     parts = [(name, build, setup(loads[name], v0, f0))
              for name, (setup, build) in COMPONENT_TYPES.items() if name in loads]
     return Scenario(mix, bus, parts)
@@ -340,21 +342,19 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
     components = scenario.components(dt)
     channels = channel_names(components)
     data = np.empty((n_steps // every + 1, len(channels)))
-    v0, f0 = voltage(0.0), frequency(0.0)
+    v0, f0 = float(voltage(0.0)), float(frequency(0.0))
     residuals = {c.name: max(map(abs, c.rhs(list(c.state0), c.memory0, v0, f0)))
                  for c in components if c.states}  # 0 at equilibrium
 
-    def bus(times):  # [V at each time, F at each time]
-        return [list(map(g, times.tolist())) for g in (voltage, frequency)]
-
     # Each component's data columns, then what it carries from block to block: its
-    # state, memory, repeat flag (its last step left both as they were), the row and
-    # flags held at that fixed point, and its limiter counts.
+    # state, memory, repeat flag (its last step left both as they were), the row held
+    # at that fixed point, its limiter counts up to the current run of equal flags,
+    # and that run's flags and first step.
     runs, count_names, col = [], [], 3
     for c in components:
         width = len(c.states) + 2 + len(c.extras)
         runs.append([data[:, col:col + width], list(c.state0), c.memory0, False, None,
-                     [0] * len(c.flag_names)])
+                     [0] * len(c.flag_names), (False,) * len(c.flag_names), 0])
         count_names += [f"{c.name}.{flag}" for flag in c.flag_names]
         col += width
     diverged = "a state left the finite range during integration (instability or too large a step)"
@@ -363,20 +363,22 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
         rows = min(STEP_BLOCK, n_steps + 1 - i0)  # rows i0 + r of the trajectory
         n = min(rows, n_steps - i0)  # the steps among them: the row at t_end has none
         t = np.arange(i0, i0 + n + 1) * dt  # each step's t, then the last step's end
-        at_t = bus(t)
-        stage_bus = [x[:n] for x in at_t] + [x for h in stages[1:] for x in bus(t[:n] + h * dt)]
-        inputs = np.array(stage_bus + [x[1:] for x in at_t])  # a column per step
+        times = np.concatenate([t, *(t[:n] + h * dt for h in stages[1:])])  # t, later stages'
+        V, F = voltage(times), frequency(times)  # the bus read once per signal
+        starts = [0, *(k * n + 1 for k in range(1, len(stages))), 1]  # each stage's, the ends'
+        inputs = np.array([x[a:a + n] for a in starts for x in (V, F)])  # a column per step
         bits = inputs.view(np.uint64)  # a step repeats when its inputs equal the step before's
         changed = (np.diff(bits, axis=1, prepend=last) != 0).any(axis=0).tolist() + [True]
         last = bits[:, -1:] if n else last
         changes = [r for r, x in enumerate(changed) if x]  # ends with n: t_end or the next block
         bad = np.flatnonzero(~np.isfinite(inputs[:-2]).all(axis=0))  # stage inputs only
         stop = int(bad[0]) if bad.size else rows
-        args, vf, fails = list(zip(*stage_bus)), list(zip(*at_t)), []
+        at_t = np.transpose([t, V[:n + 1], F[:n + 1]])
+        args, vf, fails = inputs[:-2].T.tolist(), at_t[:, 1:].tolist(), []
         lo, hi = -(-i0 // every), -(-(i0 + rows) // every)  # the data rows of this block
-        data[lo:hi, :3] = np.transpose([t, *at_t])[lo * every - i0:rows:every]
+        data[lo:hi, :3] = at_t[lo * every - i0:rows:every]
         for k, (c, run) in enumerate(zip(components, runs)):
-            out, s, m, repeat, held, counts = run
+            out, s, m, repeat, held, counts, flagged, since = run
             rhs, output, flags, advance = c.rhs, c.output, c.flags, c.advance
             step = _step(config.method, len(c.states)) if c.states else None
             recorded, r = {}, 0  # data row -> the row of a computed step
@@ -384,12 +386,13 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
                 i = i0 + r
                 if repeat and not changed[r]:  # steps r to j - 1 repeat the fixed point
                     j = changes[bisect(changes, r)]
-                    out[-(-i // every):-(-(i0 + j) // every)] = held[0]
-                    counts = [a + b * (j - r) for a, b in zip(counts, held[1])]
+                    out[-(-i // every):-(-(i0 + j) // every)] = held  # its flags' run goes on
                     repeated, r = repeated + j - r, j
                     continue
-                raised = flags(s)  # limiter activity counts every step
-                counts = list(map(add, counts, raised))
+                raised = flags(s)  # limiter activity: each run of equal flags counted at its end
+                if raised != flagged:
+                    counts = [a + b * (i - since) for a, b in zip(counts, flagged)]
+                    flagged, since = raised, i
                 if i % every == 0:
                     recorded[i // every] = row = (*s, *output(s, m, *vf[r]))
                 if i == n_steps:
@@ -404,7 +407,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
                     fails.append((r, 1, k, NonFiniteState(
                         f"{diverged} at t = {(i + 1) * dt:g} s, first in {first}", step=i + 1)))
                     break
-                repeat = same_bits(new, s)
+                repeat = new == s and same_bits(new, s)
                 if advance is not None:
                     mem, fired = advance(m, *vf[r + 1])
                     events += ((i, k, kind) for kind in fired)
@@ -412,13 +415,13 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
                     m = mem
                 s = new
                 if repeat:
-                    held = (row if i % every == 0 else (*s, *output(s, m, *vf[r])), raised)
+                    held = row if i % every == 0 else (*s, *output(s, m, *vf[r]))
                 r += 1
             if fails:  # later components need only reach the earliest failing step
                 stop = min(fails)[0] + 1
             if recorded:
                 out[list(recorded)] = list(recorded.values())
-            run[1:] = s, m, repeat, held, counts
+            run[1:] = s, m, repeat, held, counts, flagged, since
         if fails:
             raise min(fails)[-1]
         if bad.size:
@@ -435,7 +438,9 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
             P, Q = P + c.weight * data[:, j], Q + c.weight * data[:, j + 1]
         data[:, -2], data[:, -1] = P, Q
 
-    traj, counts = Trajectory(channels, data), [x for run in runs for x in run[5]]
+    counts = [a + b * (n_steps + 1 - since)  # the runs at t_end end there
+              for *_, tally, flagged, since in runs for a, b in zip(tally, flagged)]
+    traj = Trajectory(channels, data)
     summary = {
         "method": config.method,
         "dt": dt,

@@ -10,6 +10,7 @@ structurally different rendering of the same mathematics.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 
@@ -207,3 +208,27 @@ def dera_reference_rhs(S, Vt, Freq, prm, refs, vmin, vmax, lv_expired, hv_expire
         dS9 = (1.0 / prm.Tg) * (ip_cmd - S9)
 
     return (dS0, dS1, dS2, dS3, dS4, dS5, dS6, dS7, dS8, dS9)
+
+
+def playback_voltage_reference(t, a, b, c, d, shape="verbatim"):
+    """The scripted fault/recovery voltage at one time; boundaries resolve in listed order."""
+    t_clear = 1.0 + b / 60.0
+    t_end = 1.0 + c
+    if 1.0 <= t <= t_clear:
+        return a
+    if t_clear <= t <= t_end:
+        if shape == "ramp":
+            return a + (1.0 - a) * (t - t_clear) / (t_end - t_clear)
+        return (1.0 - d) * (t - c - 1.0) / (b / 60.0 - c) + 1.0
+    return 1.0
+
+
+def series_reference(t, ts, ys):
+    """Linear interpolation of samples ys at times ts, end values held outside them."""
+    if t <= ts[0]:
+        return ys[0]
+    if t >= ts[-1]:
+        return ys[-1]
+    i = bisect.bisect_right(ts, t)
+    w = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
+    return ys[i - 1] + w * (ys[i] - ys[i - 1])

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-import math
+
+import numpy as np
 
 from clm_sim.composite import LoadMix, PlaybackBus, PlaybackParams
 from clm_sim.dera import DERA_PRESETS
@@ -30,12 +31,12 @@ class SmoothDipBus:
         self.center = center
         self.width = width
 
-    def voltage(self, t: float) -> float:
-        z = (t - self.center) / self.width
-        return 1.0 - self.depth * math.exp(-z * z)
+    def voltage(self, t):
+        z = (np.asarray(t) - self.center) / self.width
+        return 1.0 - self.depth * np.exp(-z * z)
 
-    def frequency(self, t: float) -> float:
-        return 1.0
+    def frequency(self, t):
+        return np.ones(np.shape(t))
 
 
 class StepFrequencyBus:
@@ -46,11 +47,11 @@ class StepFrequencyBus:
         self.t_step = t_step
         self.v = v
 
-    def voltage(self, t: float) -> float:
-        return self.v
+    def voltage(self, t):
+        return np.full(np.shape(t), self.v)
 
-    def frequency(self, t: float) -> float:
-        return self.f_after if t >= self.t_step else 1.0
+    def frequency(self, t):
+        return np.where(np.asarray(t) >= self.t_step, self.f_after, 1.0)
 
 
 def motor_playback_scenario(p0: float = 0.8, shape: str = "verbatim") -> Scenario:

@@ -38,7 +38,7 @@ import pytest
 import yaml
 
 from clm_sim.cli import main as cli_main
-from clm_sim.composite import LoadMix, PlaybackParams, playback_voltage
+from clm_sim.composite import LoadMix, PlaybackBus, PlaybackParams
 from clm_sim.dera import (
     DERA_PRESETS,
     DerARefs,
@@ -145,10 +145,10 @@ def test_criterion_1_piecewise_truth_tables():
     assert commands(1, 0, 0)[6:] == (-1.2, 1.2, -1.2, 1.2)
     assert commands(1, 1.2, 0)[6:8] == (0.0, 0.0)
 
-    pb = PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9)
-    assert playback_voltage(0.5, pb) == 1.0
-    assert playback_voltage(1.04, pb) == 0.8
-    assert playback_voltage(2.0, pb) == 1.0
+    bus = PlaybackBus(PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9))
+    assert bus.voltage(0.5) == 1.0
+    assert bus.voltage(1.04) == 0.8
+    assert bus.voltage(2.0) == 1.0
 
     assert dera_outputs(DerAState(1, 0, 0, 0, 1, 1, 0, 0, 0, 0), 1.0) == (0.0, 0.0)
     assert dera_outputs(DerAState(1, 0, 0, 0, 1, 1, 0, 0.5, 0.5, 0.5), 1.0)[0] == 0.5

@@ -13,7 +13,7 @@ from clm_sim.cli import main
 from clm_sim.composite import COMPONENT_NAMES
 from clm_sim.config import SECTIONS, TOP_LEVEL_KEYS, load_config, parse_config, parse_integrator
 from clm_sim.errors import ChannelError, ConfigError
-from clm_sim.sim import COMPONENT_TYPES, Trajectory, read_csv, write_csv
+from clm_sim.sim import COMPONENT_TYPES, Trajectory, mse, read_csv, resample, write_csv
 from clm_sim.staticloads import ElecParams, ZipParams
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -111,6 +111,18 @@ def test_bad_fraction_sum_names_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: CONFIG_INVALID:")
     assert "mix" in err and err.count("\n") == 1
+
+
+def test_negative_torque_exponent_rejected_at_load(tmp_path, capsys):
+    # With the speed clamped to 0, w**Etrq has no value for Etrq < 0.
+    doc = dict(BASE_DOC, motor_a={"preset": "motor_a", "p0": 2.5,
+                                  "overrides": {"Etrq": -1.0, "D": 1.0}},
+               disturbance={"type": "constant", "v": 0.95})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, doc)), "--out-dir", str(out)]) == 2
+    assert (_single_error_line(capsys, "CONFIG_INVALID")
+            == "error: CONFIG_INVALID: need Etrq >= 0, got -1.0 (field: motor_a)")
+    assert not out.exists()
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -263,6 +275,25 @@ def test_compare_resamples_different_grids(tmp_path, capsys):
     assert main(["compare", str(a_path), str(b_path), "--channels", "x.P"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert float(out[-1].split()[-1]) < 1e-28  # linear channel resamples exactly
+
+
+def test_compare_resamples_only_the_compared_channels(tmp_path, capsys, monkeypatch):
+    # b is on a finer grid, in another column order, with columns the P/Q compare skips.
+    ta, tb = np.arange(11) * 0.1, np.arange(21) * 0.05
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    a_path.write_text("t,V,x.P,x.Q\n" + "".join(
+        f"{t:.17g},1,{t * t:.17g},{-t:.17g}\n" for t in ta))
+    b_path.write_text("t,x.Q,V,x.S,x.P\n" + "".join(
+        f"{t:.17g},{np.sin(t):.17g},0.9,{t:.17g},{t**3:.17g}\n" for t in tb))
+    a, b = read_csv(a_path), read_csv(b_path)
+    b_on_a = resample(b, a.t)  # every column, as compare resampled before
+    want = [f"{c}  {mse(a, b_on_a, c):.4e}" for c in ("x.P", "x.Q")]
+    seen = []
+    monkeypatch.setattr(cli.sim, "resample",
+                        lambda traj, grid: seen.append(traj.channels) or resample(traj, grid))
+    assert main(["compare", str(a_path), str(b_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["channel  mean squared error", *want]
+    assert seen == [["t", "x.P", "x.Q"]]
 
 
 def test_compare_missing_file(tmp_path, capsys):

@@ -1,30 +1,38 @@
-"""Load mix algebra and the scripted playback disturbance."""
+"""Load mix algebra and the scripted bus disturbances."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from clm_sim.composite import (
+    PLAYBACK_SHAPES,
     ConstantBus,
     LoadMix,
     PlaybackBus,
     PlaybackParams,
     SeriesBus,
     composite_outputs,
-    playback_voltage,
 )
+
+from oracles import playback_voltage_reference, series_reference
 
 PB = PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9)
 
 
+def _voltage(t, params):
+    return PlaybackBus(params).voltage(t)
+
+
 def test_playback_pre_fault_is_nominal():
-    assert playback_voltage(0.5, PB) == 1.0
-    assert playback_voltage(0.0, PB) == 1.0
+    assert _voltage(0.5, PB) == 1.0
+    assert _voltage(0.0, PB) == 1.0
 
 
 def test_playback_fault_window_holds_a():
-    assert playback_voltage(1.04, PB) == 0.8
-    assert playback_voltage(1.0, PB) == 0.8  # boundary belongs to the fault branch
-    assert playback_voltage(1.0 + PB.b / 60.0, PB) == 0.8  # first match wins
+    assert _voltage(1.04, PB) == 0.8
+    assert _voltage(1.0, PB) == 0.8  # boundary belongs to the fault branch
+    assert _voltage(1.0 + PB.b / 60.0, PB) == 0.8  # first match wins
 
 
 def test_playback_recovery_end_rejoins_nominal():
@@ -32,26 +40,26 @@ def test_playback_recovery_end_rejoins_nominal():
     t = 1.0 + PB.c
     expected = (1.0 - PB.d) * (t - PB.c - 1.0) / (PB.b / 60.0 - PB.c) + 1.0
     assert expected == 1.0
-    assert playback_voltage(t, PB) == 1.0
-    assert playback_voltage(t + 1e-9, PB) == 1.0
+    assert _voltage(t, PB) == 1.0
+    assert _voltage(t + 1e-9, PB) == 1.0
 
 
 def test_playback_post_recovery_nominal():
-    assert playback_voltage(3.0, PB) == 1.0
+    assert _voltage(3.0, PB) == 1.0
 
 
 def test_playback_recovery_branch_value_just_after_clearing():
     # The printed recovery expression starts at 1 + (1-d) = 1.1 right after
     # fault clearing (overshoot-then-decay), not at the fault level a.
     t = 1.0 + PB.b / 60.0 + 1e-12
-    v = playback_voltage(t, PB)
+    v = _voltage(t, PB)
     assert v == pytest.approx(1.1, abs=1e-9)
 
 
 def test_playback_clearing_discontinuity_measured():
     t_clear = 1.0 + PB.b / 60.0
-    before = playback_voltage(t_clear, PB)
-    after = playback_voltage(np.nextafter(t_clear, 2.0), PB)
+    before = _voltage(t_clear, PB)
+    after = _voltage(np.nextafter(t_clear, 2.0), PB)
     jump = after - before
     assert before == 0.8
     assert jump == pytest.approx(0.3, abs=1e-9)  # documented, not assumed continuous
@@ -60,11 +68,11 @@ def test_playback_clearing_discontinuity_measured():
 def test_playback_ramp_shape_is_continuous_at_clearing():
     ramp = PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9, shape="ramp")
     t_clear = 1.0 + ramp.b / 60.0
-    assert playback_voltage(t_clear, ramp) == 0.8
-    assert playback_voltage(np.nextafter(t_clear, 2.0), ramp) == pytest.approx(0.8, abs=1e-9)
-    assert playback_voltage(1.0 + ramp.c, ramp) == pytest.approx(1.0, abs=1e-12)
+    assert _voltage(t_clear, ramp) == 0.8
+    assert _voltage(np.nextafter(t_clear, 2.0), ramp) == pytest.approx(0.8, abs=1e-9)
+    assert _voltage(1.0 + ramp.c, ramp) == pytest.approx(1.0, abs=1e-12)
     mid = 1.0 + (ramp.b / 60.0 + ramp.c) / 2.0
-    v = playback_voltage(mid, ramp)
+    v = _voltage(mid, ramp)
     assert 0.8 < v < 1.0
 
 
@@ -148,3 +156,56 @@ def test_playback_bus_wraps_generator():
     bus = PlaybackBus(PB, freq=1.0)
     assert bus.voltage(1.05) == 0.8
     assert bus.frequency(1.05) == 1.0
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _with_neighbours(*times):
+    return [x for t in times for x in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf))]
+
+
+def _read(signal, times):
+    """(the signal over the array of times, the signal at each time on its own), as bits."""
+    return _bits(signal(np.array(times))), _bits([signal(t) for t in times])
+
+
+# The rk4 stage times of a 1 ms grid over 3 s, as run_simulation makes them.
+GRID = np.arange(3001) * 1e-3
+RK4_TIMES = np.concatenate([GRID, GRID + 0.5 * 1e-3, GRID + 1.0 * 1e-3]).tolist()
+
+
+# The bundled fault, and one cleared 0.25 ms past a whole millisecond, as the benchmark clears.
+@pytest.mark.parametrize("shape", PLAYBACK_SHAPES)
+@pytest.mark.parametrize("params", [PB, PlaybackParams(a=0.55, b=5.0115, c=0.4, d=0.9)])
+def test_playback_bus_gives_the_scalar_branches_bit_for_bit(params, shape):
+    p = dataclasses.replace(params, shape=shape)
+    times = _with_neighbours(1.0, 1.0 + p.b / 60.0, 1.0 + p.c) + RK4_TIMES
+    want = _bits([playback_voltage_reference(t, p.a, p.b, p.c, p.d, shape) for t in times])
+    assert _read(PlaybackBus(p).voltage, times) == (want, want)
+    assert _read(PlaybackBus(p, freq=1.01).frequency, times) == (_bits([1.01] * len(times)),) * 2
+
+
+@pytest.mark.parametrize("with_f", [True, False])
+def test_series_bus_gives_the_scalar_interpolation_bit_for_bit(with_f):
+    # Samples spread over six decades: at a knot, interpolating from the knot before
+    # rounds to other bits than the knot's own sample for many of them.
+    rng = np.random.default_rng(23)
+    ts = np.cumsum(rng.uniform(0.01, 0.3, 40)) - 0.5
+    vs, fs = 10.0 ** rng.uniform(-3.0, 3.0, (2, 40))
+    bus = SeriesBus(ts, vs, fs if with_f else None, freq=1.01)
+    knots = ts.tolist()
+    between = rng.uniform(knots[0], knots[-1], 300).tolist()
+    times = _with_neighbours(*knots) + between + [knots[0] - 1.0, knots[-1] + 1.0]
+    assert _read(bus.voltage, times) == (
+        (_bits([series_reference(t, knots, vs.tolist()) for t in times]),) * 2)
+    f_want = (_bits([series_reference(t, knots, fs.tolist()) for t in times]) if with_f
+              else _bits([1.01] * len(times)))
+    assert _read(bus.frequency, times) == (f_want, f_want)
+
+
+def test_constant_bus_gives_its_values_at_every_time():
+    bus, times = ConstantBus(v=0.95, freq=1.01), [-1.0, 0.0, 0.5, 1e9]
+    assert _read(bus.voltage, times) == (_bits([0.95] * 4),) * 2
+    assert _read(bus.frequency, times) == (_bits([1.01] * 4),) * 2

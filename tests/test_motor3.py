@@ -7,6 +7,7 @@ idempotence, the 10 s equilibrium hold, and the torque-law shape for the
 speed-squared presets.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from clm_sim.motor3 import (
     motor_algebra,
     motor_derivatives,
     motor_initialize,
+    motor_kernel,
 )
 
 from oracles import motor_reference_rhs
@@ -93,6 +95,8 @@ def test_param_invariants_enforced():
     with pytest.raises(ValueError):
         MotorParams(rs=0.04, Ls=1.8, Lp=0.1, Lpp=0.083, Tp0=0.092, Tpp0=0.002,
                     H=-1.0, A=0, B=0, C0=0, D=1, Etrq=0)
+    with pytest.raises(ValueError, match=r"need Etrq >= 0, got -0.5"):
+        dataclasses.replace(MOTOR_PRESETS["motor_a"], Etrq=-0.5)
 
 
 def test_oracle_equivalence_1000_random_points():
@@ -125,6 +129,33 @@ def test_oracle_equivalence_1000_random_points():
         )
         assert _vec_rel_err((d.Eqp, d.Edp, d.Eqpp, d.Edpp, d.slip), rd) <= 1e-14
         assert _vec_rel_err((out.Id, out.Iq, out.P, out.Q, out.TL, out.w), ro) <= 1e-14
+
+
+def test_rhs_gives_the_bits_of_algebra_and_load_torque():
+    # rhs writes the current algebra and the load torque into its own body; it must give
+    # the bits of the composed form, with every torque term in use and clamped speeds.
+    rng = np.random.default_rng(31)
+    params = dataclasses.replace(MOTOR_PRESETS["motor_b"], A=0.3, B=-0.2, C0=0.1, D=0.8,
+                                 Etrq=1.7)
+    P, Tm0, Vq = params, 0.7, 0.05
+    algebra, load_torque, rhs = motor_kernel(params, MotorInit(Tm0), Vq)[:3]
+    dLs, T = P.Ls - P.Lp, P.Tp0 * P.Tpp0
+    c_em, c_i = (P.Tp0 - P.Tpp0) / T, (P.Tpp0 * dLs + P.Tp0 * (P.Lp - P.Lpp)) / T
+    for _ in range(500):
+        Eqp, Edp, Eqpp, Edpp = rng.uniform(-1.5, 1.5, 4).tolist()
+        slip, Vd = float(rng.uniform(-0.5, 1.5)), float(rng.uniform(0.0, 1.2))
+        Id, Iq, _, _, w = algebra(Eqpp, Edpp, slip, Vd, Vq)
+        ws = P.omega0 * slip
+        composed = (
+            (-Eqp - Id * dLs - Edp * ws * P.Tp0) / P.Tp0,
+            (-Edp + Iq * dLs + Eqp * ws * P.Tp0) / P.Tp0,
+            c_em * Eqp - c_i * Id - Eqpp / P.Tpp0 - ws * Edpp,
+            c_em * Edp + c_i * Iq - Edpp / P.Tpp0 + ws * Eqpp,
+            -(P.p * Edpp * Id + P.q * Eqpp * Iq - load_torque(w)) / (2.0 * P.H),
+        )
+        got = rhs([Eqp, Edp, Eqpp, Edpp, slip], (), Vd, 1.0)
+        assert np.array(got).view(np.uint64).tolist() == np.array(composed).view(
+            np.uint64).tolist()
 
 
 def test_algebraic_identities_random_points():

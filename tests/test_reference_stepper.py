@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from clm_sim.composite import PlaybackBus, PlaybackParams, composite_outputs, playback_voltage
+from clm_sim.composite import PlaybackBus, PlaybackParams, composite_outputs
 from clm_sim.config import load_config
 from clm_sim.dera import (
     TIMER_EPS,
@@ -110,7 +110,11 @@ def reference_run(inputs, config):
     bus, mix = inputs["bus"], inputs["mix"]
     loads = inputs["loads"]
     zip_load, elec = loads.get("zip"), loads.get("elec")
-    v0, f0 = bus.voltage(0.0), bus.frequency(0.0)
+
+    def bus_at(t):  # (V, F) at one time
+        return float(bus.voltage(t)), float(bus.frequency(t))
+
+    v0, f0 = bus_at(0.0)
     motors, der = [], None
     for name in ("motor_a", "motor_b", "motor_c"):
         if name in loads:
@@ -142,11 +146,10 @@ def reference_run(inputs, config):
     y = np.concatenate([m.state0.as_array() for m in motors]
                        + ([der.state0.as_array()] if der else []))
     trackers = der.trackers0 if der else None
-    elec_tracker = (elec_tracker_init(bus.voltage(0.0), elec)
-                    if elec else None)
+    elec_tracker = elec_tracker_init(v0, elec) if elec else None
 
     def rhs(t, yv):
-        v, f = bus.voltage(t), bus.frequency(t)
+        v, f = bus_at(t)
         parts = [motor_derivatives(MotorState.from_array(yv[5 * k:5 * k + 5]), v, 0.0,
                                    m.params, m.init).as_array()
                  for k, m in enumerate(motors)]
@@ -156,7 +159,7 @@ def reference_run(inputs, config):
         return np.concatenate(parts)
 
     def record(t, yv):
-        v, f = bus.voltage(t), bus.frequency(t)
+        v, f = bus_at(t)
         row, pq = [t, v, f], {}
         for k, m in enumerate(motors):
             out = motor_algebra(MotorState.from_array(yv[5 * k:5 * k + 5]), v, 0.0,
@@ -199,10 +202,10 @@ def reference_run(inputs, config):
             break
         y = step(rhs, t, y, dt)
         t_next = (i + 1) * dt
-        v_next = bus.voltage(t_next)
+        v_next, f_next = bus_at(t_next)
         if der:
             prev = trackers
-            trackers = advance_trackers(trackers, v_next, bus.frequency(t_next), dt, der.params)
+            trackers = advance_trackers(trackers, v_next, f_next, dt, der.params)
             (lo0, hi0), (lo1, hi1) = expired(prev), expired(trackers)
             if trackers.tripped and not prev.tripped:
                 events.append({"type": "frequency_trip", "t": t_next})
@@ -240,13 +243,13 @@ def test_bundled_scenarios_match_reference_stepper(name, method):
 class DeepFaultFrequencyStepBus:
     """A deep, long playback dip after an over-frequency step."""
 
-    playback = PlaybackParams(a=0.45, b=30.0, c=1.0, d=0.9)
+    playback = PlaybackBus(PlaybackParams(a=0.45, b=30.0, c=1.0, d=0.9))
 
     def voltage(self, t):
-        return playback_voltage(t, self.playback)
+        return self.playback.voltage(t)
 
     def frequency(self, t):
-        return 1.02 if t >= 0.3 else 1.0
+        return np.where(np.asarray(t) >= 0.3, 1.02, 1.0)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -333,3 +336,27 @@ def test_components_settling_at_different_steps_match_reference_stepper(monkeypa
     steps = {name: (n - 1) // 4 for name, n in calls.items()}
     assert set(steps) == {"motor_a", "motor_b", "motor_c", "dera"}
     assert min(steps.values()) < max(steps.values()) - 1000
+
+
+@pytest.mark.parametrize("block", [3, 1000])
+@pytest.mark.parametrize("t_end", [1.95, 2.1])
+def test_limiter_counts_across_blocks_and_repeats_match_reference_stepper(monkeypatch, block,
+                                                                         t_end):
+    # A 1 s dip to 0.55 pu under a DER at 0.8 pu: its active current command goes onto its
+    # limit at t = 1.027 s, its state settles bit for bit before the dip ends at t = 2 s, so
+    # the flag stays raised through a skip of repeated steps, and it drops at t = 2.006 s.
+    # With 3-step blocks both switches fall inside a block; with 1000-step blocks the skip
+    # runs over a block edge. A run ending at 1.95 s ends inside the skip, the flag raised.
+    # The counts must be the reference's step-by-step ones.
+    monkeypatch.setattr("clm_sim.sim.STEP_BLOCK", block)
+    cfg = load_config(SCENARIOS / "dera_playback.yaml")
+    der = cfg.components["dera"]
+    inputs = {"mix": cfg.mix, "bus": PlaybackBus(PlaybackParams(a=0.55, b=60.0, c=1.5, d=0.9)),
+              "loads": {"dera": (der.params(), 0.8, der.qgen0), "zip": cfg.components["zip"]}}
+    result = _assert_bit_identical(inputs, dataclasses.replace(cfg.integrator, t_end=t_end))
+    last = min(2006, round(t_end * 1000) + 1)  # the step after the last one flagged
+    assert result.summary["limiter_activity"]["dera.ip_command_limit"] == last - 1027
+    traj = result.trajectory
+    s = np.column_stack([traj.channel(f"dera.S{i}") for i in range(10)]).view(np.uint64)
+    repeats = (s[1:] == s[:-1]).all(axis=1)
+    assert repeats[(traj.t[1:] > 1.9) & (traj.t[1:] <= min(t_end, 2.0))].all()

@@ -373,10 +373,10 @@ class NanFromHalfSecondBus:
     """V = 1 before t = 0.5 s and nan from then on."""
 
     def voltage(self, t):
-        return math.nan if t >= 0.5 else 1.0
+        return np.where(np.asarray(t) >= 0.5, math.nan, 1.0)
 
     def frequency(self, t):
-        return 1.0
+        return np.ones(np.shape(t))
 
 
 @pytest.mark.parametrize("block", [3, 1000])
