@@ -13,7 +13,6 @@ from .composite import (
     PlaybackBus,
     PlaybackParams,
     SeriesBus,
-    composite_outputs,
 )
 from .dera import (
     DERA_PRESETS,
@@ -21,12 +20,10 @@ from .dera import (
     DerARefs,
     DerAState,
     DerATrackers,
-    advance_trackers,
-    dera_derivatives,
+    dera_algebra,
     dera_initialize,
-    dera_outputs,
-    frequency_trip,
-    voltage_protection,
+    dera_memory,
+    dera_rhs,
 )
 from .errors import (
     ChannelError,
@@ -44,12 +41,10 @@ from .errors import (
 from .motor3 import (
     MOTOR_PRESETS,
     MotorInit,
-    MotorOutputs,
     MotorParams,
     MotorState,
-    motor_algebra,
-    motor_derivatives,
     motor_initialize,
+    motor_kernel,
 )
 from .sim import (
     IntegratorConfig,
@@ -57,7 +52,6 @@ from .sim import (
     Trajectory,
     build_scenario,
     grids_match,
-    integrate,
     mse,
     read_binary,
     read_csv,
@@ -68,12 +62,10 @@ from .sim import (
 )
 from .staticloads import (
     ElecParams,
-    ElecTracker,
     ZipParams,
-    elec_coefficient,
-    elec_power,
+    elec_power_at,
     elec_tracker_init,
-    elec_tracker_update,
+    elec_vmin_update,
     zip_power,
 )
 

@@ -2,8 +2,8 @@
 
 Every failure path prints one machine-parsable line ``error: <CODE>: message``
 to stderr and exits nonzero (2 config/preset problems, 3 data/operating-point
-problems, 4 runtime integration failures). Set CLM_SIM_LOG=DEBUG|INFO|WARNING
-for log verbosity.
+problems, 4 runtime integration failures); a closed stdout (``| head -1``) ends
+it quietly, exit 1. Set CLM_SIM_LOG=DEBUG|INFO|WARNING for log verbosity.
 """
 
 from __future__ import annotations
@@ -202,10 +202,15 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return status
     except ClmSimError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return exc.exit_status
+    except BrokenPipeError:  # the reader of stdout is gone, as after `| head -1`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        return 1
 
 
 if __name__ == "__main__":

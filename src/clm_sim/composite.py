@@ -60,25 +60,6 @@ class LoadMix:
         }[name]
 
 
-def composite_outputs(
-    component_pq: dict[str, tuple[float, float]], mix: LoadMix
-) -> tuple[float, float]:
-    """Net (P, Q) of the composite: fraction-weighted loads minus DER injection."""
-    for name in component_pq:
-        if name not in COMPONENT_NAMES:
-            raise ValueError(f"unknown component {name!r}")
-    return weighted_total([(mix.weight(name), p, q) for name, (p, q) in component_pq.items()])
-
-
-def weighted_total(terms) -> tuple[float, float]:
-    """(sum of w*p, sum of w*q) over (w, p, q) terms, added in the given order."""
-    P = Q = 0.0
-    for w, p, q in terms:
-        P += w * p
-        Q += w * q
-    return P, Q
-
-
 @dataclass(frozen=True)
 class PlaybackParams:
     """Fault/recovery voltage script: dip to `a` for `b` cycles at t = 1 s.

@@ -27,11 +27,11 @@ with end-of-step values, never inside integrator stages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import InfeasibleInit, NonFiniteInput
+from .errors import InfeasibleInit
 
 # Floor applied to the filtered voltage before any division.
 VOLTAGE_FLOOR = 0.01
@@ -41,7 +41,7 @@ VOLTAGE_FLOOR = 0.01
 TIMER_EPS = 1e-12
 
 # Largest integration step with frequency control on: the S7 rate limit
-# tracks over one step (see dera_derivatives).
+# tracks over one step (see dera_rhs).
 FREQ_CONTROL_MAX_DT = 0.005
 
 
@@ -147,10 +147,6 @@ class DerAState:
              self.S5, self.S6, self.S7, self.S8, self.S9]
         )
 
-    @classmethod
-    def from_array(cls, a) -> "DerAState":
-        return cls(a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7], a[8], a[9])
-
 
 @dataclass(frozen=True)
 class DerATrackers:
@@ -178,7 +174,7 @@ class DerARefs:
     Freqref: float  # frequency reference (pu)
 
 
-# dera_limiter_flags keys, in the order dera_algebra's flags returns them.
+# The names of the values dera_algebra's flags returns, in their order.
 LIMITER_FLAGS = ("voltage_floor", "iq_command_limit", "iq_injection_limit",
                  "ip_command_limit", "power_order_limit", "power_order_windup")
 
@@ -190,22 +186,9 @@ def _headroom(cmd: float, imax: float, typeflag: int) -> tuple[float, float]:
     return (-hi if typeflag == 1 else 0.0), hi
 
 
-def dera_outputs(state: DerAState, Vt: float, tripped: bool = False) -> tuple[float, float]:
-    """(P, Q) injected at the terminal; zero once the frequency trip latched.
-
-    P = Vt*S9 and Q = -Vt*S3 (voltage on the d axis, generator convention:
-    a negative q-axis current command injects positive reactive power).
-    """
-    return (0.0, 0.0) if tripped else (Vt * state.S9, -Vt * state.S3)
-
-
 def component_output(s, mem, Vt: float, Freq: float) -> tuple[float, float, float]:
     """(P, Q, trip latch as 1.0 or 0.0) at states S0..S9 and memory mem: the stepper's output."""
     return (0.0, 0.0, 1.0) if mem[6] else (Vt * s[9], -Vt * s[3], 0.0)
-
-
-def _memory(trackers: DerATrackers) -> tuple:
-    return tuple(vars(trackers).values())  # the fields in order, without astuple's deep copy
 
 
 def dera_algebra(params: DerAParams):
@@ -213,8 +196,8 @@ def dera_algebra(params: DerAParams):
 
     commands(S0, S2, S8) -> (floored S0, Ipcmd, Iqcmd, raw commands and limits);
     flags(s) -> the LIMITER_FLAGS values at states S0..S9; protection(Vt, mem)
-    -> the voltage multiplier, mem being the DerATrackers fields (_memory).
-    Input checks are left to the public functions, as in the builders below.
+    -> the voltage multiplier, mem being the DerATrackers fields in order.
+    Nothing here checks its inputs: the stepper checks the bus values it reads.
 
     commands clips the current commands under the configured priority: the
     priority axis gets the symmetric +/-Imax band; the other axis gets the
@@ -222,6 +205,12 @@ def dera_algebra(params: DerAParams):
     command as its upper limit, with the lower limit -headroom for storage
     devices (typeflag 1) and 0 for generators. A companion command at or
     beyond Imax leaves zero headroom rather than a complex root.
+
+    flags' power_order_windup marks the PI composite S6 outside Pmin..Pmax, where it keeps
+    integrating: there is no anti-windup clamp. protection takes the first match of its nine
+    branches in the order written (derating lines before dwell expiry, Vrfrac-scaled recovery
+    lines after, 0 outside [Vl0, Vh0]) and clamps it to [0, 1], which a running extreme
+    outside the band (a fresh memory's vmin at nominal, a dip below Vl0) can leave.
     """
     P = params
     Vref0, Kqv, dbd1, dbd2, Iql1, Iqh1 = P.Vref0, P.Kqv, P.dbd1, P.dbd2, P.Iql1, P.Iqh1
@@ -283,7 +272,12 @@ def dera_algebra(params: DerAParams):
 
 
 def dera_rhs(params: DerAParams, refs: DerARefs, dt: float):
-    """rhs(s, mem, Vt, Freq) -> the ten derivatives; dt as in dera_derivatives."""
+    """rhs(s, mem, Vt, Freq) -> the ten derivatives at states S0..S9 and memory mem.
+
+    dt, the integration step (at most FREQ_CONTROL_MAX_DT), is the tracking interval of S7:
+    dS7 is the ramp-band clip of (clipped S6 - S7) / dt, the limiter inside the rate limiter
+    without an algebraic loop. It is unused with Freqflag 0.
+    """
     P = params
     Trv, Tp, Tiq, Tg, Tv, Trf, Tpord = P.Trv, P.Tp, P.Tiq, P.Tg, P.Tv, P.Trf, P.Tpord
     pf_control, voltage_trip, freq_control = P.PfFlag == 1, P.Vtripflag == 1, P.Freqflag == 1
@@ -327,7 +321,11 @@ def dera_rhs(params: DerAParams, refs: DerARefs, dt: float):
 def dera_memory(params: DerAParams, dt: float):
     """(advance, freq_trip) of the DER_A memory over one step of length dt.
 
-    Both take (mem, Vt, Freq); advance also returns the events the step fired.
+    Both take (mem, Vt, Freq) at the step's end; advance also returns the events it fired.
+    A band dwell timer grows while Vt is outside Vl1..Vh1 and resets on return until it
+    expires, then holds. The frequency timers grow while Freq is outside [fl, fh] with
+    Vt >= Vpr, freeze while Vt < Vpr and reset when Freq returns; one that reaches its dwell
+    latches the trip for the rest of the run.
     """
     P = params
     Vl1, Vh1, lo_thr, hi_thr = P.Vl1, P.Vh1, P.tvl1 - TIMER_EPS, P.tvh1 - TIMER_EPS
@@ -373,75 +371,6 @@ def dera_memory(params: DerAParams, dt: float):
     return advance, freq_trip
 
 
-def voltage_protection(Vt: float, trackers: DerATrackers, params: DerAParams) -> float:
-    """Nine-branch voltage cut-out/recovery multiplier, in [0, 1].
-
-    Branches are evaluated in a fixed order with first match winning:
-    full-output derating lines between the break-points while the dwell
-    timers have not expired, Vrfrac-scaled partial-recovery lines once they
-    have, and 0 outside [Vl0, Vh0]. The raw branch expressions can leave
-    [0, 1] when the running extreme sits outside the break-point band (for
-    example a fresh tracker with vmin_seen at nominal voltage, or a dip far
-    below Vl0), so the result is clamped; inside the bands the clamp never
-    binds.
-    """
-    return dera_algebra(params)[2](Vt, _memory(trackers))
-
-
-def dera_derivatives(
-    state: DerAState,
-    trackers: DerATrackers,
-    Vt: float,
-    Freq: float,
-    params: DerAParams,
-    refs: DerARefs,
-    dt: float = 1e-3,
-) -> DerAState:
-    """Time derivatives of the ten DER_A states.
-
-    dt is the tracking interval of the rate-limited power order S7: its
-    derivative is realised as the ramp-band clip of (clipped S6 - S7)/dt,
-    which reproduces the limiter-inside-rate-limiter block without an
-    algebraic loop. Pass the integration step here (the bundled integrator
-    does); this is the one place model behaviour is coupled to the step
-    size, and it needs dt <= FREQ_CONTROL_MAX_DT. Unused when Freqflag is 0.
-    """
-    if not (math.isfinite(Vt) and math.isfinite(Freq)):
-        raise NonFiniteInput("DER_A evaluation received a non-finite bus input")
-    rhs = dera_rhs(params, refs, dt)
-    return DerAState(*rhs(state.as_array().tolist(), _memory(trackers), Vt, Freq))
-
-
-def frequency_trip(
-    Freq: float, Vt: float, trackers: DerATrackers, params: DerAParams, dt: float
-) -> DerATrackers:
-    """Advance the frequency-trip timers for one step of length dt.
-
-    Timers accumulate while the frequency sits outside [fl, fh] with
-    Vt >= Vpr and tripping enabled; they freeze (do not reset) while the
-    voltage is below Vpr, and reset when the frequency recovers. The latch
-    fires when a timer reaches its dwell and is permanent for the run.
-    """
-    return DerATrackers(*dera_memory(params, dt)[1](_memory(trackers), Vt, Freq))
-
-
-def advance_trackers(
-    trackers: DerATrackers, Vt: float, Freq: float, dt: float, params: DerAParams
-) -> DerATrackers:
-    """End-of-step tracker update: voltage extremes, dwell timers, trip latch.
-
-    The band dwell timers accumulate while the voltage sits outside the
-    Vl1..Vh1 band, reset on recovery while unexpired, and hold once expired
-    (expiry selects the partial-recovery branches permanently).
-    """
-    mem, _ = dera_memory(params, dt)[0](_memory(trackers), Vt, Freq)
-    return DerATrackers(*mem)
-
-
-def fresh_trackers(Vt0: float) -> DerATrackers:
-    return DerATrackers(vmin_seen=Vt0, vmax_seen=Vt0)
-
-
 def dera_initialize(
     Pgen0: float, Qgen0: float, Vt0: float, Freq0: float, params: DerAParams
 ) -> tuple[DerAState, DerARefs, DerATrackers]:
@@ -467,7 +396,7 @@ def dera_initialize(
             f"[{params.Pmin}, {params.Pmax}]"
         )
 
-    trackers = fresh_trackers(Vt0)
+    trackers = DerATrackers(vmin_seen=Vt0, vmax_seen=Vt0)
     s9 = Pgen0 / Vt0
     s3 = -Qgen0 / Vt0
     commands = dera_algebra(params)[0]
@@ -512,22 +441,11 @@ def dera_initialize(
             f"active current command {s9:.4g} pu violates the current limits"
         )
 
-    d = dera_derivatives(state, trackers, Vt0, Freq0, params, refs)
-    residual = float(np.max(np.abs(d.as_array())))
+    rhs = dera_rhs(params, refs, 1.0)  # any dt: S6 = S7 within the limits gives dS7 = 0
+    residual = max(map(abs, rhs(state.as_array().tolist(), astuple(trackers), Vt0, Freq0)))
     if residual > 1e-8:
         raise InfeasibleInit(f"initialisation residual {residual:.3e} exceeds 1e-8")
     return state, refs, trackers
-
-
-def dera_limiter_flags(
-    state: DerAState, trackers: DerATrackers, params: DerAParams
-) -> dict[str, bool]:
-    """Which limiters are active at this state; used for run diagnostics.
-
-    power_order_windup flags the PI composite sitting outside Pmin..Pmax
-    while it keeps integrating (there is deliberately no anti-windup clamp).
-    """
-    return dict(zip(LIMITER_FLAGS, dera_algebra(params)[1](state.as_array().tolist())))
 
 
 # Preset matching the published DER_A validation setup; frequency-trip

@@ -56,7 +56,7 @@ class InfeasibleInit(ClmSimError):
 
 
 class NonFiniteInput(ClmSimError):
-    """A model evaluation received NaN or infinite inputs."""
+    """The bus gave a non-finite V or F at a stage time."""
 
     code = "NON_FINITE_INPUT"
     exit_status = 4

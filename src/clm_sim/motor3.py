@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoEquilibrium, NonFiniteInput
+from .errors import NoEquilibrium
 
 logger = logging.getLogger(__name__)
 
@@ -71,30 +71,10 @@ class MotorState:
     def as_array(self) -> np.ndarray:
         return np.array([self.Eqp, self.Edp, self.Eqpp, self.Edpp, self.slip])
 
-    @classmethod
-    def from_array(cls, a) -> "MotorState":
-        return cls(a[0], a[1], a[2], a[3], a[4])
-
-
-@dataclass(slots=True)
-class MotorOutputs:
-    Id: float  # d-axis current (pu)
-    Iq: float  # q-axis current (pu)
-    P: float   # active power (pu, load convention)
-    Q: float   # reactive power (pu, load convention)
-    TL: float  # load torque (pu)
-    w: float   # rotor speed (pu)
-
 
 @dataclass(frozen=True)
 class MotorInit:
     Tm0: float  # mechanical torque base (pu)
-
-
-def _check_finite(state: MotorState, Vd: float, Vq: float) -> None:
-    s = state
-    if not all(map(math.isfinite, (Vd, Vq, s.Eqp, s.Edp, s.Eqpp, s.Edpp, s.slip))):
-        raise NonFiniteInput("motor evaluation received a non-finite state or voltage")
 
 
 def motor_kernel(params: MotorParams, init: MotorInit, Vq: float = 0.0):
@@ -104,7 +84,8 @@ def motor_kernel(params: MotorParams, init: MotorInit, Vq: float = 0.0):
     rhs(s, m, Vd, f) -> the five derivatives, output(s, m, Vd, f) -> (P, Q) and
     flags(s) -> (speed clamped,) are the component form (sim.Component) at q-axis
     voltage Vq: s is (Eqp, Edp, Eqpp, Edpp, slip); the memory m and frequency f
-    are unused. Input checks are left to the public functions below.
+    are unused. Nothing here checks its inputs: the stepper checks the bus values
+    it reads and the states it makes.
     """
     rs, Lp, Lpp, Tp0, Tpp0 = params.rs, params.Lp, params.Lpp, params.Tp0, params.Tpp0
     den = rs * rs + Lpp * Lpp
@@ -148,25 +129,6 @@ def motor_kernel(params: MotorParams, init: MotorInit, Vq: float = 0.0):
         return (1.0 - s[4] <= 0.0,)
 
     return algebra, load_torque, rhs, output, flags
-
-
-def motor_algebra(
-    state: MotorState, Vd: float, Vq: float, params: MotorParams, init: MotorInit
-) -> MotorOutputs:
-    """Currents, powers, speed and load torque at one state/voltage point."""
-    _check_finite(state, Vd, Vq)
-    algebra, load_torque = motor_kernel(params, init)[:2]
-    Id, Iq, P, Q, w = algebra(state.Eqpp, state.Edpp, state.slip, Vd, Vq)
-    return MotorOutputs(Id, Iq, P, Q, load_torque(w), w)
-
-
-def motor_derivatives(
-    state: MotorState, Vd: float, Vq: float, params: MotorParams, init: MotorInit
-) -> MotorState:
-    """Time derivatives of the five motor states."""
-    _check_finite(state, Vd, Vq)
-    rhs = motor_kernel(params, init, Vq)[2]
-    return MotorState(*rhs(astuple(state), (), Vd, 0.0))
 
 
 def motor_initialize(

@@ -182,7 +182,7 @@ COMPONENT_TYPES = {
     **dict.fromkeys(("motor_a", "motor_b", "motor_c"), (_motor_setup, motor_component)),
     "dera": (_dera_setup, dera_component),
     "zip": (lambda load, v0, f0: load, zip_component),
-    "elec": (lambda load, v0, f0: (load, staticloads.elec_tracker_init(v0, load).vmin_t),
+    "elec": (lambda load, v0, f0: (load, staticloads.elec_tracker_init(v0, load)),
              elec_component),
 }
 
@@ -453,11 +453,6 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
         "limiter_activity": dict(sorted(zip(count_names, map(int, counts)))),
     }
     return SimResult(trajectory=traj, summary=summary)
-
-
-def integrate(scenario: Scenario, config: IntegratorConfig) -> Trajectory:
-    """Integrate the scenario and return the recorded trajectory."""
-    return run_simulation(scenario, config).trajectory
 
 
 def _column_text(block: np.ndarray) -> list[list[str]]:

@@ -63,45 +63,24 @@ class ElecParams:
             raise ValueError(f"need alpha in [0, 1], got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class ElecTracker:
-    vmin_t: float  # lowest voltage seen, floored at Vd2 (pu)
-
-
-def elec_tracker_init(V0: float, params: ElecParams) -> ElecTracker:
-    return ElecTracker(vmin_t=max(params.Vd2, V0))
-
-
-def elec_tracker_update(Vt: float, tracker: ElecTracker, params: ElecParams) -> ElecTracker:
-    """One-step minimum-voltage recursion: max(Vd2, min(Vt, previous))."""
-    return ElecTracker(vmin_t=elec_vmin_update(Vt, tracker.vmin_t, params))
+def elec_tracker_init(V0: float, params: ElecParams) -> float:
+    """The running minimum voltage at t = 0: V0, floored at Vd2."""
+    return max(params.Vd2, V0)
 
 
 def elec_vmin_update(Vt: float, vmin_t: float, params: ElecParams) -> float:
-    """elec_tracker_update on the tracker's plain-float running minimum."""
+    """The running minimum vmin_t after a step ending at Vt: max(Vd2, min(Vt, vmin_t))."""
     return max(params.Vd2, min(Vt, vmin_t))
 
 
-def elec_coefficient(Vt: float, tracker: ElecTracker, params: ElecParams) -> tuple[float, int]:
-    """Load coefficient ct and the mode (1..5) that produced it.
-
-    Modes: 1 disconnected below Vd2; 2 linear disconnection while the
-    voltage is still at its running minimum; 3 partial (alpha) reconnection
-    while recovering inside the band; 4 full output with no low-voltage
-    history; 5 partial recovery above Vd1 after a dip. The tracker must
-    already reflect this sample's voltage. Ties at the thresholds follow
-    the comparisons exactly as written in elec_power_at.
-    """
-    return elec_power_at(Vt, tracker.vmin_t, params)[2:]
-
-
-def elec_power(Vt: float, tracker: ElecTracker, params: ElecParams) -> tuple:
-    """(P, Q, ct, mode) of the electronic load at this sample."""
-    return elec_power_at(Vt, tracker.vmin_t, params)
-
-
 def elec_power_at(Vt: float, vmin_t: float, params: ElecParams) -> tuple:
-    """elec_power on the tracker's plain-float running minimum vmin_t."""
+    """(P, Q, ct, mode) of the electronic load at Vt, vmin_t already updated with Vt.
+
+    ct scales the base power; mode names its branch: 1 disconnected below Vd2; 2 linear
+    disconnection while Vt is at its running minimum; 3 partial (alpha) reconnection while
+    recovering below Vd1; 4 full output with no dip below Vd1; 5 partial recovery at or above
+    Vd1 after a dip. Ties: Vt = Vd2 is mode 2 (ct 0), Vt = Vd1 mode 4 or 5, Vt = vmin_t mode 2.
+    """
     span = params.Vd1 - params.Vd2
     if Vt < params.Vd2:
         ct, mode = 0.0, 1

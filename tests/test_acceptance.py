@@ -44,30 +44,14 @@ from clm_sim.dera import (
     DerARefs,
     DerAState,
     DerATrackers,
+    component_output,
     dera_algebra,
-    dera_derivatives,
     dera_initialize,
-    dera_outputs,
     dera_rhs,
-    voltage_protection,
 )
-from clm_sim.motor3 import (
-    MOTOR_PRESETS,
-    MotorInit,
-    MotorState,
-    motor_algebra,
-    motor_derivatives,
-    motor_initialize,
-)
-from clm_sim.sim import (
-    IntegratorConfig,
-    Trajectory,
-    build_scenario,
-    integrate,
-    mse,
-    run_simulation,
-)
-from clm_sim.staticloads import ElecParams, ElecTracker, ZipParams, elec_coefficient, zip_power
+from clm_sim.motor3 import MOTOR_PRESETS, MotorInit, MotorState, motor_initialize, motor_kernel
+from clm_sim.sim import IntegratorConfig, Trajectory, build_scenario, mse, run_simulation
+from clm_sim.staticloads import ElecParams, ZipParams, elec_power_at, zip_power
 
 from oracles import dera_reference_rhs, motor_reference_rhs
 from scenarios import (
@@ -127,20 +111,19 @@ def test_criterion_1_piecewise_truth_tables():
 
     elec = ElecParams(PE0=1.0, QE0=0.25, Vd1=0.7, Vd2=0.5, alpha=0.6)
     span = elec.Vd1 - elec.Vd2
-    assert elec_coefficient(0.45, ElecTracker(0.5), elec) == (0.0, 1)
-    assert elec_coefficient(0.6, ElecTracker(0.6), elec) == ((0.6 - 0.5) / span, 2)
-    assert elec_coefficient(0.65, ElecTracker(0.55), elec) == (
-        (0.55 - 0.5 + 0.6 * (0.65 - 0.55)) / span, 3)
-    assert elec_coefficient(1.0, ElecTracker(1.0), elec) == (1.0, 4)
-    assert elec_coefficient(1.0, ElecTracker(0.55), elec) == (
-        (0.55 - 0.5 + 0.6 * (0.7 - 0.55)) / span, 5)
+    assert elec_power_at(0.45, 0.5, elec)[2:] == (0.0, 1)  # (ct, mode) at (Vt, running min)
+    assert elec_power_at(0.6, 0.6, elec)[2:] == ((0.6 - 0.5) / span, 2)
+    assert elec_power_at(0.65, 0.55, elec)[2:] == ((0.55 - 0.5 + 0.6 * (0.65 - 0.55)) / span, 3)
+    assert elec_power_at(1.0, 1.0, elec)[2:] == (1.0, 4)
+    assert elec_power_at(1.0, 0.55, elec)[2:] == ((0.55 - 0.5 + 0.6 * (0.7 - 0.55)) / span, 5)
 
-    assert voltage_protection(1.0, DerATrackers(1.0, 1.0), TABLE) == 1.0
-    assert voltage_protection(0.3, DerATrackers(0.3, 1.0), TABLE) == 0.0
-    assert voltage_protection(0.465, DerATrackers(0.465, 1.0), TABLE) == (
+    protection = dera_algebra(TABLE)[2]  # at (Vt, memory)
+    assert protection(1.0, mem) == 1.0
+    assert protection(0.3, dataclasses.astuple(DerATrackers(0.3, 1.0))) == 0.0
+    assert protection(0.465, dataclasses.astuple(DerATrackers(0.465, 1.0))) == (
         (0.465 - 0.44) / (0.49 - 0.44))
-    expired = DerATrackers(0.46, 1.0, low_v_timer=0.2)
-    assert voltage_protection(1.0, expired, TABLE) == 0.7 * ((0.49 - 0.46) / (0.49 - 0.44))
+    expired = dataclasses.astuple(DerATrackers(0.46, 1.0, low_v_timer=0.2))
+    assert protection(1.0, expired) == 0.7 * ((0.49 - 0.46) / (0.49 - 0.44))
 
     assert commands(1, 0, 0)[6:] == (-1.2, 1.2, -1.2, 1.2)
     assert commands(1, 1.2, 0)[6:8] == (0.0, 0.0)
@@ -150,17 +133,16 @@ def test_criterion_1_piecewise_truth_tables():
     assert bus.voltage(1.04) == 0.8
     assert bus.voltage(2.0) == 1.0
 
-    assert dera_outputs(DerAState(1, 0, 0, 0, 1, 1, 0, 0, 0, 0), 1.0) == (0.0, 0.0)
-    assert dera_outputs(DerAState(1, 0, 0, 0, 1, 1, 0, 0.5, 0.5, 0.5), 1.0)[0] == 0.5
+    assert component_output((1, 0, 0, 0, 1, 1, 0, 0, 0, 0), mem, 1.0, 1.0) == (0.0, 0.0, 0.0)
+    assert component_output((1, 0, 0, 0, 1, 1, 0, 0.5, 0.5, 0.5), mem, 1.0, 1.0)[0] == 0.5
 
     params = MOTOR_PRESETS["motor_a"]
     init = MotorInit(Tm0=0.7)
-    out = motor_algebra(MotorState(0, 0, 0, 0, 0), 0.0, 0.0, params, init)
-    assert (out.Id, out.Iq, out.P, out.Q, out.w) == (0.0, 0.0, 0.0, 0.0, 1.0)
-    assert out.TL == init.Tm0 * (params.A + params.B + params.C0 + params.D)
+    algebra, load_torque = motor_kernel(params, init)[:2]  # (Id, Iq, P, Q, w) and TL(w)
+    assert algebra(0.0, 0.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0, 0.0, 1.0)
+    assert load_torque(1.0) == init.Tm0 * (params.A + params.B + params.C0 + params.D)
     for w in (0.4, 1.0, 1.1):
-        st = MotorState(0.1, 0.1, 0.1, 0.1, 1.0 - w)
-        assert motor_algebra(st, 1.0, 0.0, params, init).TL == init.Tm0
+        assert load_torque(algebra(0.1, 0.1, 1.0 - w, 1.0, 0.0)[4]) == init.Tm0
 
     print("[PASS] criterion 1: piecewise truth tables exact")
 
@@ -180,15 +162,14 @@ def test_criterion_2_oracle_equivalence():
         init = MotorInit(Tm0=float(rng.uniform(-1.0, 1.0)))
         state = MotorState(*rng.uniform(-2.0, 2.0, size=4), float(rng.uniform(-0.5, 1.2)))
         Vd, Vq = rng.uniform(-1.5, 1.5, size=2)
-        d = motor_derivatives(state, Vd, Vq, params, init)
+        d = motor_kernel(params, init, Vq)[2](dataclasses.astuple(state), (), Vd, 0.0)
         ref, _ = motor_reference_rhs(
             state.Eqp, state.Edp, state.Eqpp, state.Edpp, state.slip, Vd, Vq,
             params.rs, params.Ls, params.Lp, params.Lpp, params.Tp0, params.Tpp0,
             params.H, params.A, params.B, params.C0, params.D, params.Etrq,
             params.p, params.q, params.omega0, init.Tm0,
         )
-        worst_motor = max(worst_motor,
-                          _vec_rel_err((d.Eqp, d.Edp, d.Eqpp, d.Edpp, d.slip), ref))
+        worst_motor = max(worst_motor, _vec_rel_err(d, ref))
     assert worst_motor <= 1e-13
 
     worst_dera = 0.0
@@ -215,11 +196,12 @@ def test_criterion_2_oracle_equivalence():
                                 high_v_timer=1.0 if hv else 0.0)
         vt = float(rng.uniform(0.0, 1.3))
         freq = float(rng.uniform(0.94, 1.06))
-        d = dera_derivatives(state, trackers, vt, freq, params, refs, dt)
+        d = dera_rhs(params, refs, dt)(dataclasses.astuple(state), dataclasses.astuple(trackers),
+                                       vt, freq)
         ref = dera_reference_rhs(
             tuple(state.as_array()), vt, freq, params, refs,
             trackers.vmin_seen, trackers.vmax_seen, lv, hv, dt)
-        worst_dera = max(worst_dera, _vec_rel_err(d.as_array(), ref))
+        worst_dera = max(worst_dera, _vec_rel_err(d, ref))
     assert worst_dera <= 1e-13
 
     print(f"[PASS] criterion 2: oracle equivalence "
@@ -229,16 +211,17 @@ def test_criterion_2_oracle_equivalence():
 def test_criterion_3_equilibrium_hold():
     for name, p0 in (("motor_a", 0.8), ("motor_b", 0.6), ("motor_c", 0.6)):
         state, init = motor_initialize(p0, None, 1.0, 0.0, MOTOR_PRESETS[name])
-        d = motor_derivatives(state, 1.0, 0.0, MOTOR_PRESETS[name], init)
-        assert float(np.max(np.abs(d.as_array()))) < 1e-8
+        d = motor_kernel(MOTOR_PRESETS[name], init)[2](dataclasses.astuple(state), (), 1.0, 0.0)
+        assert float(np.max(np.abs(d))) < 1e-8
     state, refs, trackers = dera_initialize(0.5, 0.1, 1.0, 1.0, TABLE)
-    d = dera_derivatives(state, trackers, 1.0, 1.0, TABLE, refs)
-    assert float(np.max(np.abs(d.as_array()))) < 1e-8
+    d = dera_rhs(TABLE, refs, 1e-3)(dataclasses.astuple(state), dataclasses.astuple(trackers),
+                                    1.0, 1.0)
+    assert float(np.max(np.abs(d))) < 1e-8
 
     from clm_sim.composite import ConstantBus
 
-    traj = integrate(full_composite_scenario(ConstantBus()),
-                     IntegratorConfig(dt=1e-3, t_end=10.0))
+    traj = run_simulation(full_composite_scenario(ConstantBus()),
+                          IntegratorConfig(dt=1e-3, t_end=10.0)).trajectory
     worst = 0.0
     for ch in traj.pq_channels():
         x = traj.channel(ch)
@@ -248,8 +231,8 @@ def test_criterion_3_equilibrium_hold():
 
 
 def test_criterion_4_playback_recovery():
-    traj = integrate(motor_playback_scenario(p0=0.8),
-                     IntegratorConfig(dt=1e-3, t_end=5.0))
+    traj = run_simulation(motor_playback_scenario(p0=0.8),
+                          IntegratorConfig(dt=1e-3, t_end=5.0)).trajectory
     p = traj.channel("motor_a.P")
     t = traj.t
     in_fault = (t >= 1.0) & (t <= 1.0 + 5.0 / 60.0)
@@ -263,9 +246,9 @@ def test_criterion_4_playback_recovery():
 
 def test_criterion_5_integrator_convergence():
     def run(dt, every):
-        return integrate(full_composite_scenario(SmoothDipBus()),
-                         IntegratorConfig(method="rk4", dt=dt, t_end=2.5,
-                                          record_every=every))
+        return run_simulation(full_composite_scenario(SmoothDipBus()),
+                              IntegratorConfig(method="rk4", dt=dt, t_end=2.5,
+                                               record_every=every)).trajectory
 
     ref = run(1e-3 / 16.0, 16)
     coarse = run(1e-3, 1)
@@ -292,8 +275,8 @@ def test_criterion_5_integrator_convergence():
 def test_criterion_6_bounded_injection():
     # Derating fault with voltage tripping active (Freqflag = 0).
     fault = PlaybackParams(a=0.46, b=30.0, c=1.0, d=0.9)
-    traj = integrate(dera_playback_scenario(playback=fault),
-                     IntegratorConfig(dt=1e-3, t_end=3.0))
+    traj = run_simulation(dera_playback_scenario(playback=fault),
+                          IntegratorConfig(dt=1e-3, t_end=3.0)).trajectory
     s2 = traj.channel("dera.S2")
     s3 = traj.channel("dera.S3")
     s9 = traj.channel("dera.S9")
@@ -318,7 +301,7 @@ def test_criterion_6_bounded_injection():
     scenario = build_scenario(LoadMix(f_zip=1.0, der_scale=1.0),
                               StepFrequencyBus(f_after=1.03, t_step=0.5),
                               {"dera": (params, 0.8, 0.1), "zip": zero_zip})
-    traj2 = integrate(scenario, IntegratorConfig(dt=dt, t_end=3.0))
+    traj2 = run_simulation(scenario, IntegratorConfig(dt=dt, t_end=3.0)).trajectory
     s7 = traj2.channel("dera.S7")
     slopes = np.diff(s7) / dt
     assert np.all(slopes <= params.dPmax + 1e-9)
@@ -331,8 +314,9 @@ def test_criterion_6_bounded_injection():
 
 def test_criterion_7_trip_logic():
     # Below the low cut-out the protection multiplier is exactly zero.
-    assert voltage_protection(0.43, DerATrackers(0.43, 1.0), TABLE) == 0.0
-    assert voltage_protection(0.3, DerATrackers(0.3, 1.0), TABLE) == 0.0
+    protection = dera_algebra(TABLE)[2]
+    assert protection(0.43, dataclasses.astuple(DerATrackers(0.43, 1.0))) == 0.0
+    assert protection(0.3, dataclasses.astuple(DerATrackers(0.3, 1.0))) == 0.0
 
     # Dwell below Vl1 past tvl1, then recovery: the partial-recovery branch
     # value, compared against direct branch evaluation.
@@ -353,7 +337,7 @@ def test_criterion_7_trip_logic():
     scenario = build_scenario(LoadMix(f_zip=1.0, der_scale=1.0),
                               StepFrequencyBus(f_after=0.97, t_step=0.5),
                               {"dera": (params, 0.5, 0.1), "zip": zero_zip})
-    traj = integrate(scenario, IntegratorConfig(dt=dt, t_end=1.0))
+    traj = run_simulation(scenario, IntegratorConfig(dt=dt, t_end=1.0)).trajectory
     tripped = traj.channel("dera.tripped")
     latch_index = 500 + math.ceil(params.tfl / dt) - 1
     assert tripped[latch_index - 1] == 0.0

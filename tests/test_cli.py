@@ -1,6 +1,9 @@
 """CLI and config layer: runs, validation errors, determinism, presets."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -299,6 +302,29 @@ def test_compare_resamples_only_the_compared_channels(tmp_path, capsys, monkeypa
 def test_compare_missing_file(tmp_path, capsys):
     rc = main(["compare", str(tmp_path / "none.csv"), str(tmp_path / "none.csv")])
     assert rc != 0
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_compare_into_a_closed_pipe_ends_quietly(tmp_path, unbuffered):
+    # stdout is a pipe whose read end is closed before the command starts, as `| head -1`
+    # leaves it: the first print (unbuffered) or the flush of the buffered table meets a
+    # broken pipe. The command ends with exit 1 and writes nothing to stderr.
+    path = tmp_path / "traj.csv"
+    path.write_text("t,x.P,x.Q\n0,1,2\n0.1,2,3\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "clm_sim", "compare", str(path), str(path)],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
 
 
 def test_batch_runs_multiple(tmp_path):

@@ -1,4 +1,4 @@
-"""Load mix algebra and the scripted bus disturbances."""
+"""Load mix algebra, the run's weighted total and the scripted bus disturbances."""
 
 import dataclasses
 
@@ -12,8 +12,8 @@ from clm_sim.composite import (
     PlaybackBus,
     PlaybackParams,
     SeriesBus,
-    composite_outputs,
 )
+from clm_sim.sim import COMPONENT_TYPES, Component, IntegratorConfig, Scenario, run_simulation
 
 from oracles import playback_voltage_reference, series_reference
 
@@ -93,14 +93,24 @@ def test_mix_fraction_sum_enforced():
     LoadMix(f_a=0.5, f_zip=0.5)  # valid
 
 
+def _total(pq, mix):
+    """(total.P, total.Q) at t = 0 of a run whose components output the given fixed (P, Q)."""
+    def fixed(p, q):
+        return lambda name, weight, setup, dt: Component(name, weight, lambda s, m, v, f: (p, q))
+    parts = [(name, fixed(*pq[name]), None) for name in COMPONENT_TYPES if name in pq]
+    traj = run_simulation(Scenario(mix, ConstantBus(), parts),
+                          IntegratorConfig(dt=0.1, t_end=0.1)).trajectory
+    return float(traj.channel("total.P")[0]), float(traj.channel("total.Q")[0])
+
+
 def test_composite_single_component_passthrough():
     mix = LoadMix(f_zip=1.0)
-    assert composite_outputs({"zip": (1.2, 0.4)}, mix) == (1.2, 0.4)
+    assert _total({"zip": (1.2, 0.4)}, mix) == (1.2, 0.4)
 
 
 def test_composite_der_sign_convention():
     mix = LoadMix(f_zip=1.0, der_scale=0.5)
-    p, q = composite_outputs({"zip": (0.0, 0.0), "dera": (0.5, 0.1)}, mix)
+    p, q = _total({"zip": (0.0, 0.0), "dera": (0.5, 0.1)}, mix)
     assert p == -0.25  # generation reduces net load
     assert q == -0.05
 
@@ -108,26 +118,22 @@ def test_composite_der_sign_convention():
 def test_composite_hand_summed_mix():
     mix = LoadMix(f_a=0.5, f_zip=0.5, der_scale=0.2)
     pq = {"motor_a": (0.8, 0.6), "zip": (1.0, 0.3), "dera": (0.5, -0.1)}
-    p, q = composite_outputs(pq, mix)
-    assert p == 0.5 * 0.8 + 0.5 * 1.0 - 0.2 * 0.5
-    assert q == 0.5 * 0.6 + 0.5 * 0.3 - 0.2 * (-0.1)
+    p, q = _total(pq, mix)
+    # Added in channel order: motor_a, dera, zip.
+    assert p == 0.5 * 0.8 - 0.2 * 0.5 + 0.5 * 1.0
+    assert q == 0.5 * 0.6 - 0.2 * (-0.1) + 0.5 * 0.3
 
 
 def test_composite_linear_in_each_component():
     mix = LoadMix(f_a=0.3, f_b=0.2, f_zip=0.5, der_scale=0.1)
     base = {"motor_a": (0.5, 0.2), "motor_b": (0.4, 0.3), "zip": (1.0, 0.1),
             "dera": (0.6, 0.0)}
-    p0, q0 = composite_outputs(base, mix)
+    p0, q0 = _total(base, mix)
     bumped = dict(base)
     bumped["motor_a"] = (base["motor_a"][0] + 1.0, base["motor_a"][1])
-    p1, q1 = composite_outputs(bumped, mix)
+    p1, q1 = _total(bumped, mix)
     assert p1 - p0 == pytest.approx(mix.f_a, abs=1e-15)
     assert q1 == q0
-
-
-def test_composite_rejects_unknown_component():
-    with pytest.raises(ValueError):
-        composite_outputs({"motor_d": (1.0, 0.0)}, LoadMix(f_zip=1.0))
 
 
 def test_constant_bus():

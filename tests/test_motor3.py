@@ -4,26 +4,30 @@ Covers: the zero-voltage/zero-EMF algebra case, the constant-torque
 property of the motor_a preset, 1000-point equivalence against the
 straight-line reference transcription, initialization residuals and
 idempotence, the 10 s equilibrium hold, and the torque-law shape for the
-speed-squared presets.
+speed-squared presets. The kernel's algebra gives (Id, Iq, P, Q, w) at
+(Eqpp, Edpp, slip, Vd, Vq), load_torque(w) the load torque and rhs the five
+derivatives at the states (Eqp, Edp, Eqpp, Edpp, slip).
 """
 
 import dataclasses
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from clm_sim.composite import LoadMix
 from clm_sim.errors import NoEquilibrium, NonFiniteInput
 from clm_sim.motor3 import (
     MOTOR_PRESETS,
     MotorInit,
     MotorParams,
     MotorState,
-    motor_algebra,
-    motor_derivatives,
     motor_initialize,
     motor_kernel,
 )
+
+from clm_sim.sim import IntegratorConfig, build_scenario, run_simulation
 
 from oracles import motor_reference_rhs
 
@@ -46,22 +50,21 @@ def _vec_rel_err(a, b):
 def test_zero_voltage_zero_emf_algebra():
     params = MOTOR_PRESETS["motor_a"]
     init = MotorInit(Tm0=0.7)
-    state = MotorState(0.0, 0.0, 0.0, 0.0, 0.0)
-    out = motor_algebra(state, 0.0, 0.0, params, init)
-    assert out.Id == 0.0 and out.Iq == 0.0
-    assert out.P == 0.0 and out.Q == 0.0
-    assert out.w == 1.0
+    algebra, load_torque = motor_kernel(params, init)[:2]
+    Id, Iq, P, Q, w = algebra(0.0, 0.0, 0.0, 0.0, 0.0)
+    assert Id == 0.0 and Iq == 0.0
+    assert P == 0.0 and Q == 0.0
+    assert w == 1.0
     # A = B = C0 = 0, D = 1, Etrq = 0: TL = Tm0 * (A + B + C0 + D)
-    assert out.TL == init.Tm0 * (params.A + params.B + params.C0 + params.D)
+    assert load_torque(w) == init.Tm0 * (params.A + params.B + params.C0 + params.D)
 
 
 def test_motor_a_constant_torque_for_any_speed():
     params = MOTOR_PRESETS["motor_a"]
     init = MotorInit(Tm0=0.35)
+    algebra, load_torque = motor_kernel(params, init)[:2]
     for w in (0.1, 0.5, 0.9, 1.0, 1.1):
-        state = MotorState(0.2, -0.1, 0.15, -0.12, 1.0 - w)
-        out = motor_algebra(state, 1.0, 0.0, params, init)
-        assert out.TL == init.Tm0
+        assert load_torque(algebra(0.15, -0.12, 1.0 - w, 1.0, 0.0)[4]) == init.Tm0
 
 
 def test_slip_derivative_with_zero_electrical_torque():
@@ -69,20 +72,28 @@ def test_slip_derivative_with_zero_electrical_torque():
     init = MotorInit(Tm0=0.4)
     # Zero subtransient EMFs and zero voltage give zero currents, so the
     # slip derivative reduces to TL / (2H).
-    state = MotorState(0.3, 0.2, 0.0, 0.0, 0.05)
-    d = motor_derivatives(state, 0.0, 0.0, params, init)
-    out = motor_algebra(state, 0.0, 0.0, params, init)
-    assert out.Id == 0.0 and out.Iq == 0.0
-    assert d.slip == out.TL / (2.0 * params.H)
+    algebra, load_torque, rhs = motor_kernel(params, init)[:3]
+    d = rhs((0.3, 0.2, 0.0, 0.0, 0.05), (), 0.0, 0.0)
+    Id, Iq, _, _, w = algebra(0.0, 0.0, 0.05, 0.0, 0.0)
+    assert Id == 0.0 and Iq == 0.0
+    assert d[4] == load_torque(w) / (2.0 * params.H)
+
+
+class _InfVoltageBus:
+    """V = 1 before t = 0.5 s and inf from then on, at nominal frequency."""
+
+    def voltage(self, t):
+        return np.where(np.asarray(t) >= 0.5, math.inf, 1.0)
+
+    def frequency(self, t):
+        return np.ones(np.shape(t))
 
 
 def test_rejects_non_finite_inputs():
-    params = MOTOR_PRESETS["motor_a"]
-    init = MotorInit(Tm0=0.5)
-    with pytest.raises(NonFiniteInput):
-        motor_algebra(MotorState(0, 0, 0, 0, math.nan), 1.0, 0.0, params, init)
-    with pytest.raises(NonFiniteInput):
-        motor_derivatives(MotorState(0, 0, 0, 0, 0), math.inf, 0.0, params, init)
+    scenario = build_scenario(LoadMix(f_a=1.0), _InfVoltageBus(),
+                              {"motor_a": (MOTOR_PRESETS["motor_a"], 0.5, None)})
+    with pytest.raises(NonFiniteInput, match=r"non-finite input at t = 0\.5$"):
+        run_simulation(scenario, IntegratorConfig(dt=0.125, t_end=1.0))
 
 
 def test_param_invariants_enforced():
@@ -119,16 +130,17 @@ def test_oracle_equivalence_1000_random_points():
         state = MotorState(*rng.uniform(-2.0, 2.0, size=4), float(rng.uniform(-0.5, 1.2)))
         Vd, Vq = rng.uniform(-1.5, 1.5, size=2)
 
-        d = motor_derivatives(state, Vd, Vq, params, init)
-        out = motor_algebra(state, Vd, Vq, params, init)
+        algebra, load_torque, rhs = motor_kernel(params, init, Vq)[:3]
+        d = rhs(astuple(state), (), Vd, 0.0)
+        Id, Iq, P, Q, w = algebra(state.Eqpp, state.Edpp, state.slip, Vd, Vq)
         (rd, ro) = motor_reference_rhs(
             state.Eqp, state.Edp, state.Eqpp, state.Edpp, state.slip, Vd, Vq,
             params.rs, params.Ls, params.Lp, params.Lpp, params.Tp0, params.Tpp0,
             params.H, params.A, params.B, params.C0, params.D, params.Etrq,
             params.p, params.q, params.omega0, init.Tm0,
         )
-        assert _vec_rel_err((d.Eqp, d.Edp, d.Eqpp, d.Edpp, d.slip), rd) <= 1e-14
-        assert _vec_rel_err((out.Id, out.Iq, out.P, out.Q, out.TL, out.w), ro) <= 1e-14
+        assert _vec_rel_err(d, rd) <= 1e-14
+        assert _vec_rel_err((Id, Iq, P, Q, load_torque(w), w), ro) <= 1e-14
 
 
 def test_rhs_gives_the_bits_of_algebra_and_load_torque():
@@ -161,46 +173,45 @@ def test_rhs_gives_the_bits_of_algebra_and_load_torque():
 def test_algebraic_identities_random_points():
     rng = np.random.default_rng(7)
     params = MOTOR_PRESETS["motor_b"]
-    init = MotorInit(Tm0=0.6)
+    algebra = motor_kernel(params, MotorInit(Tm0=0.6))[0]
     for _ in range(200):
         state = MotorState(*rng.uniform(-1.5, 1.5, size=4), float(rng.uniform(-0.3, 0.3)))
         Vd, Vq = rng.uniform(-1.2, 1.2, size=2)
-        out = motor_algebra(state, Vd, Vq, params, init)
-        assert out.Q == Vq * out.Id - Vd * out.Iq  # exact by construction
-        assert out.w == 1.0 - state.slip  # definitional, exact
-        assert abs(out.w + state.slip - 1.0) < 1e-15
+        Id, Iq, _, Q, w = algebra(state.Eqpp, state.Edpp, state.slip, Vd, Vq)
+        assert Q == Vq * Id - Vd * Iq  # exact by construction
+        assert w == 1.0 - state.slip  # definitional, exact
+        assert abs(w + state.slip - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("name,p0", [("motor_a", 0.8), ("motor_b", 0.5), ("motor_c", 0.5)])
 def test_initialize_residual_below_1e8(name, p0):
     params = MOTOR_PRESETS[name]
     state, init = motor_initialize(p0, None, *V1, params)
-    d = motor_derivatives(state, *V1, params, init)
-    assert max(abs(x) for x in (d.Eqp, d.Edp, d.Eqpp, d.Edpp, d.slip)) < 1e-8
-    out = motor_algebra(state, *V1, params, init)
-    assert abs(out.P - p0) < 1e-6
+    algebra, _, rhs = motor_kernel(params, init)[:3]
+    assert max(abs(x) for x in rhs(astuple(state), (), 1.0, 0.0)) < 1e-8
+    assert abs(algebra(state.Eqpp, state.Edpp, state.slip, *V1)[2] - p0) < 1e-6
 
 
 def test_initialize_no_load_case():
     params = MOTOR_PRESETS["motor_a"]
     state, init = motor_initialize(0.0, None, *V1, params)
-    out = motor_algebra(state, *V1, params, init)
-    assert abs(out.P) < 1e-8
-    d = motor_derivatives(state, *V1, params, init)
-    assert max(abs(x) for x in (d.Eqp, d.Edp, d.Eqpp, d.Edpp, d.slip)) < 1e-8
+    algebra, load_torque, rhs = motor_kernel(params, init)[:3]
+    Id, Iq, P, _, w = algebra(state.Eqpp, state.Edpp, state.slip, *V1)
+    assert abs(P) < 1e-8
+    assert max(abs(x) for x in rhs(astuple(state), (), 1.0, 0.0)) < 1e-8
     # Zero input power still leaves a small counter-torque covering the
     # stator loss, so the solved torque base is near (not at) zero.
-    assert abs(out.TL) < params.rs * (out.Id**2 + out.Iq**2) + 1e-6
+    assert abs(load_torque(w)) < params.rs * (Id**2 + Iq**2) + 1e-6
 
 
 def test_initialize_consistent_q_roundtrip():
     params = MOTOR_PRESETS["motor_a"]
     state, init = motor_initialize(0.8, None, *V1, params)
-    q_solved = motor_algebra(state, *V1, params, init).Q
+    q_solved = motor_kernel(params, init)[0](state.Eqpp, state.Edpp, state.slip, *V1)[3]
     state2, init2 = motor_initialize(0.8, q_solved, *V1, params)
-    out2 = motor_algebra(state2, *V1, params, init2)
-    assert abs(out2.P - 0.8) < 1e-6
-    assert abs(out2.Q - q_solved) < 1e-6
+    _, _, P2, Q2, _ = motor_kernel(params, init2)[0](state2.Eqpp, state2.Edpp, state2.slip, *V1)
+    assert abs(P2 - 0.8) < 1e-6
+    assert abs(Q2 - q_solved) < 1e-6
 
 
 def test_initialize_idempotent():
@@ -237,10 +248,11 @@ def test_equilibrium_hold_10s_constant_voltage():
     params = MOTOR_PRESETS["motor_a"]
     p0 = 0.8
     state, init = motor_initialize(p0, None, *V1, params)
-    q0 = motor_algebra(state, *V1, params, init).Q
+    algebra, load_torque, rhs = motor_kernel(params, init)[:3]
+    q0 = algebra(state.Eqpp, state.Edpp, state.slip, *V1)[3]
 
     def f(t, y):
-        return motor_derivatives(MotorState.from_array(y), *V1, params, init).as_array()
+        return np.array(rhs(y.tolist(), (), 1.0, 0.0))
 
     y = state.as_array()
     dt = 1e-3
@@ -249,12 +261,12 @@ def test_equilibrium_hold_10s_constant_voltage():
     worst_torque_gap = 0.0
     for i in range(10000):
         y = _rk4(f, y, i * dt, dt)
-        st = MotorState.from_array(y)
-        out = motor_algebra(st, *V1, params, init)
-        worst_p = max(worst_p, abs(out.P - p0))
-        worst_q = max(worst_q, abs(out.Q - q0))
-        te = params.p * st.Edpp * out.Id + params.q * st.Eqpp * out.Iq
-        worst_torque_gap = max(worst_torque_gap, abs(te - out.TL))
+        _, _, Eqpp, Edpp, slip = y
+        Id, Iq, P, Q, w = algebra(Eqpp, Edpp, slip, *V1)
+        worst_p = max(worst_p, abs(P - p0))
+        worst_q = max(worst_q, abs(Q - q0))
+        te = params.p * Edpp * Id + params.q * Eqpp * Iq
+        worst_torque_gap = max(worst_torque_gap, abs(te - load_torque(w)))
     assert worst_p < 1e-6
     assert worst_q < 1e-6
     assert worst_torque_gap < 1e-8
@@ -263,19 +275,18 @@ def test_equilibrium_hold_10s_constant_voltage():
 def test_torque_constant_along_trajectory_motor_a():
     params = MOTOR_PRESETS["motor_a"]
     state, init = motor_initialize(0.6, None, *V1, params)
+    algebra, load_torque, rhs = motor_kernel(params, init)[:3]
 
     def f(t, y):
         v = 1.0 - 0.15 * math.sin(2 * math.pi * t) ** 2
-        return motor_derivatives(MotorState.from_array(y), v, 0.0, params, init).as_array()
+        return np.array(rhs(y.tolist(), (), v, 0.0))
 
     y = state.as_array()
     dt = 1e-3
     for i in range(2000):
         y = _rk4(f, y, i * dt, dt)
-        st = MotorState.from_array(y)
         v = 1.0 - 0.15 * math.sin(2 * math.pi * (i + 1) * dt) ** 2
-        out = motor_algebra(st, v, 0.0, params, init)
-        assert out.TL == init.Tm0
+        assert load_torque(algebra(y[2], y[3], y[4], v, 0.0)[4]) == init.Tm0
 
 
 @pytest.mark.parametrize("name", ["motor_b", "motor_c"])

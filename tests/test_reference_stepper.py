@@ -1,39 +1,28 @@
 """Bit-identity guard: run_simulation against a straight array-based stepper.
 
 The reference below is the stepping loop in its array form: numpy state
-vectors, one public per-component function per model evaluation
-(motor_derivatives, dera_derivatives, motor_algebra, dera_limiter_flags,
-advance_trackers, ...) and the rk4/heun/euler steps written on arrays.
-run_simulation works on plain floats through its component list; it must
-reproduce the reference's channel names, recorded data, initial
-residuals, limiter counts and trip events, the data bit for bit. The
-reference initialises the components itself from the loads passed to
-build_scenario.
+vectors, the components of Scenario.components(dt) called one model
+evaluation at a time (rhs, output, flags, advance), every step computed,
+and the rk4/heun/euler steps written on arrays. run_simulation works on
+plain floats per component, a block of steps at a time, and skips the steps
+that repeat; it must reproduce the reference's channel names, recorded
+data, initial residuals, limiter counts and trip events, the data bit for
+bit. The reference builds its own scenario from the loads passed to
+build_scenario, and finds the trip events from the DER_A memory itself.
 """
 
 import dataclasses
 from collections import Counter
 from operator import mul
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from clm_sim.composite import PlaybackBus, PlaybackParams, composite_outputs
+from clm_sim.composite import PlaybackBus, PlaybackParams
 from clm_sim.config import load_config
-from clm_sim.dera import (
-    TIMER_EPS,
-    DerAState,
-    advance_trackers,
-    dera_derivatives,
-    dera_initialize,
-    dera_limiter_flags,
-    dera_outputs,
-)
-from clm_sim.motor3 import MotorState, motor_algebra, motor_derivatives, motor_initialize
+from clm_sim.dera import TIMER_EPS, DerATrackers
 from clm_sim.sim import _STEPPERS, IntegratorConfig, _step, build_scenario, run_simulation
-from clm_sim.staticloads import elec_power, elec_tracker_init, elec_tracker_update, zip_power
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 METHODS = ("rk4", "heun", "euler")
@@ -84,6 +73,12 @@ def test_written_out_steps_match_array_steps(method):
 
 
 MOTOR_STATES = ("Eqp", "Edp", "Eqpp", "Edpp", "slip")
+CHANNELS = {  # each component's channels after its name, in order
+    **dict.fromkeys(("motor_a", "motor_b", "motor_c"), (*MOTOR_STATES, "P", "Q")),
+    "dera": (*(f"S{i}" for i in range(10)), "P", "Q", "tripped"),
+    "zip": ("P", "Q"),
+    "elec": ("P", "Q", "ct"),
+}
 
 
 def scenario_inputs(cfg):
@@ -101,120 +96,77 @@ def scenario_inputs(cfg):
 def reference_run(inputs, config):
     """(channels, data, initial residuals, limiter counts, trip events) of the array-form loop.
 
-    inputs are build_scenario's arguments by name; the components are
-    initialised here with motor_initialize and dera_initialize.
+    inputs are build_scenario's arguments by name.
     """
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
     step = STEPPERS[config.method]
     bus, mix = inputs["bus"], inputs["mix"]
-    loads = inputs["loads"]
-    zip_load, elec = loads.get("zip"), loads.get("elec")
+    scenario = build_scenario(**inputs)
+    comps = scenario.components(dt)
+    setups = {name: setup for name, _, setup in scenario.parts}
 
     def bus_at(t):  # (V, F) at one time
         return float(bus.voltage(t)), float(bus.frequency(t))
 
     v0, f0 = bus_at(0.0)
-    motors, der = [], None
-    for name in ("motor_a", "motor_b", "motor_c"):
-        if name in loads:
-            params, p0, q0 = loads[name]
-            state0, init = motor_initialize(p0, q0, v0, 0.0, params)
-            motors.append(SimpleNamespace(name=name, params=params, state0=state0, init=init))
-    if loads.get("dera"):
-        params, pgen0, qgen0 = loads["dera"]
-        state0, refs, trackers0 = dera_initialize(pgen0, qgen0, v0, f0, params)
-        der = SimpleNamespace(params=params, state0=state0, refs=refs, trackers0=trackers0)
+    channels = ["t", "V", "Freq", *(f"{c.name}.{x}" for c in comps for x in CHANNELS[c.name]),
+                "total.P", "total.Q"]
+    residuals = {c.name: float(np.max(np.abs(c.rhs(list(c.state0), c.memory0, v0, f0))))
+                 for c in comps if c.states}
 
-    channels = ["t", "V", "Freq"]
-    residuals = {}
-    for m in motors:
-        channels += [f"{m.name}.{c}" for c in (*MOTOR_STATES, "P", "Q")]
-        d = motor_derivatives(m.state0, v0, 0.0, m.params, m.init)
-        residuals[m.name] = float(np.max(np.abs(d.as_array())))
-    if der:
-        channels += [f"dera.S{i}" for i in range(10)] + ["dera.P", "dera.Q", "dera.tripped"]
-        d = dera_derivatives(der.state0, der.trackers0, v0, f0, der.params, der.refs)
-        residuals["dera"] = float(np.max(np.abs(d.as_array())))
-    if zip_load:
-        channels += ["zip.P", "zip.Q"]
-    if elec:
-        channels += ["elec.P", "elec.Q", "elec.ct"]
-    channels += ["total.P", "total.Q"]
-
-    n_motor = 5 * len(motors)
-    y = np.concatenate([m.state0.as_array() for m in motors]
-                       + ([der.state0.as_array()] if der else []))
-    trackers = der.trackers0 if der else None
-    elec_tracker = elec_tracker_init(v0, elec) if elec else None
+    # Each component's slice of the joint state vector, and its memory.
+    ends = np.cumsum([len(c.states) for c in comps]).tolist()
+    parts = [slice(end - len(c.states), end) for c, end in zip(comps, ends)]
+    y = np.array([x for c in comps for x in c.state0], dtype=float)
+    mems = [c.memory0 for c in comps]
 
     def rhs(t, yv):
         v, f = bus_at(t)
-        parts = [motor_derivatives(MotorState.from_array(yv[5 * k:5 * k + 5]), v, 0.0,
-                                   m.params, m.init).as_array()
-                 for k, m in enumerate(motors)]
-        if der:
-            parts.append(dera_derivatives(DerAState.from_array(yv[n_motor:]), trackers,
-                                          v, f, der.params, der.refs, dt).as_array())
-        return np.concatenate(parts)
+        return np.array([x for c, part, m in zip(comps, parts, mems)
+                         for x in c.rhs(yv[part].tolist(), m, v, f)])
 
     def record(t, yv):
         v, f = bus_at(t)
-        row, pq = [t, v, f], {}
-        for k, m in enumerate(motors):
-            out = motor_algebra(MotorState.from_array(yv[5 * k:5 * k + 5]), v, 0.0,
-                                m.params, m.init)
-            row += list(yv[5 * k:5 * k + 5]) + [out.P, out.Q]
-            pq[m.name] = (out.P, out.Q)
-        if der:
-            p, q = dera_outputs(DerAState.from_array(yv[n_motor:]), v, trackers.tripped)
-            row += list(yv[n_motor:]) + [p, q, 1.0 if trackers.tripped else 0.0]
-            pq["dera"] = (p, q)
-        if zip_load:
-            pq["zip"] = zip_power(v, zip_load)
-            row += list(pq["zip"])
-        if elec:
-            p, q, ct, _ = elec_power(v, elec_tracker, elec)
-            row += [p, q, ct]
-            pq["elec"] = (p, q)
-        return row + list(composite_outputs(pq, mix))
+        row, P, Q = [t, v, f], 0.0, 0.0
+        for c, part, m in zip(comps, parts, mems):
+            out = c.output(yv[part].tolist(), m, v, f)
+            row += list(yv[part]) + list(out)
+            P += mix.weight(c.name) * out[0]
+            Q += mix.weight(c.name) * out[1]
+        return row + [P, Q]
 
-    def count_flags(yv):
-        for k, m in enumerate(motors):
-            key = f"{m.name}.speed_clamped"
-            counts[key] = counts.get(key, 0) + int((1.0 - yv[5 * k + 4]) <= 0.0)
-        if der:
-            flags = dera_limiter_flags(DerAState.from_array(yv[n_motor:]), trackers, der.params)
-            for name, active in flags.items():
-                counts[f"dera.{name}"] = counts.get(f"dera.{name}", 0) + int(active)
+    def expired(mem):
+        trk, params = DerATrackers(*mem), setups["dera"][0]
+        return (trk.low_v_timer >= params.tvl1 - TIMER_EPS,
+                trk.high_v_timer >= params.tvh1 - TIMER_EPS)
 
-    def expired(trk):
-        return (trk.low_v_timer >= der.params.tvl1 - TIMER_EPS,
-                trk.high_v_timer >= der.params.tvh1 - TIMER_EPS)
-
-    rows, counts, events = [], {}, []
+    rows, counts, events = [], Counter(), []
     for i in range(n_steps + 1):
         t = i * dt
         if i % config.record_every == 0:
             rows.append(record(t, y))
-        count_flags(y)
+        for c, part in zip(comps, parts):
+            counts.update({f"{c.name}.{name}": int(active)
+                           for name, active in zip(c.flag_names, c.flags(y[part].tolist()))})
         if i == n_steps:
             break
         y = step(rhs, t, y, dt)
         t_next = (i + 1) * dt
         v_next, f_next = bus_at(t_next)
-        if der:
-            prev = trackers
-            trackers = advance_trackers(trackers, v_next, f_next, dt, der.params)
-            (lo0, hi0), (lo1, hi1) = expired(prev), expired(trackers)
-            if trackers.tripped and not prev.tripped:
-                events.append({"type": "frequency_trip", "t": t_next})
-            if lo1 and not lo0:
-                events.append({"type": "low_voltage_dwell_expired", "t": t_next})
-            if hi1 and not hi0:
-                events.append({"type": "high_voltage_dwell_expired", "t": t_next})
-        if elec_tracker:
-            elec_tracker = elec_tracker_update(v_next, elec_tracker, elec)
+        for k, c in enumerate(comps):
+            if c.advance is None:
+                continue
+            prev = mems[k]
+            mems[k] = c.advance(prev, v_next, f_next)[0]
+            if c.name == "dera":
+                (lo0, hi0), (lo1, hi1) = expired(prev), expired(mems[k])
+                if DerATrackers(*mems[k]).tripped and not DerATrackers(*prev).tripped:
+                    events.append({"type": "frequency_trip", "t": t_next})
+                if lo1 and not lo0:
+                    events.append({"type": "low_voltage_dwell_expired", "t": t_next})
+                if hi1 and not hi0:
+                    events.append({"type": "high_voltage_dwell_expired", "t": t_next})
     return channels, np.array(rows), residuals, dict(sorted(counts.items())), events
 
 

@@ -25,7 +25,6 @@ from clm_sim.sim import (
     Scenario,
     Trajectory,
     build_scenario,
-    integrate,
     mse,
     read_binary,
     read_csv,
@@ -126,7 +125,8 @@ def test_trajectory_invariants_enforced():
 # -------------------------------------------------------------- file round-trip
 
 def test_csv_round_trip_is_exact(tmp_path):
-    traj = integrate(motor_playback_scenario(), IntegratorConfig(dt=1e-3, t_end=0.5))
+    traj = run_simulation(motor_playback_scenario(),
+                          IntegratorConfig(dt=1e-3, t_end=0.5)).trajectory
     path = tmp_path / "traj.csv"
     write_csv(traj, {path: None})
     back = read_csv(path)
@@ -135,7 +135,8 @@ def test_csv_round_trip_is_exact(tmp_path):
 
 
 def test_binary_round_trip_is_exact(tmp_path):
-    traj = integrate(motor_playback_scenario(), IntegratorConfig(dt=1e-3, t_end=0.2))
+    traj = run_simulation(motor_playback_scenario(),
+                          IntegratorConfig(dt=1e-3, t_end=0.2)).trajectory
     path = tmp_path / "traj.bin"
     write_binary(traj, path)
     back = read_binary(path, traj.channels)
@@ -146,10 +147,10 @@ def test_binary_round_trip_is_exact(tmp_path):
 
 def test_repeated_runs_bit_identical():
     cfg = IntegratorConfig(dt=1e-3, t_end=1.5)
-    a = integrate(full_composite_scenario(PlaybackBus(
-        PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9))), cfg)
-    b = integrate(full_composite_scenario(PlaybackBus(
-        PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9))), cfg)
+    a = run_simulation(full_composite_scenario(PlaybackBus(
+        PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9))), cfg).trajectory
+    b = run_simulation(full_composite_scenario(PlaybackBus(
+        PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9))), cfg).trajectory
     assert np.array_equal(a.data, b.data)
 
 
@@ -157,15 +158,15 @@ def test_repeated_runs_bit_identical():
 
 def test_equilibrium_hold_full_composite_10s():
     scenario = full_composite_scenario(ConstantBus())
-    traj = integrate(scenario, IntegratorConfig(dt=1e-3, t_end=10.0))
+    traj = run_simulation(scenario, IntegratorConfig(dt=1e-3, t_end=10.0)).trajectory
     for ch in ("total.P", "total.Q"):
         x = traj.channel(ch)
         assert np.max(np.abs(x - x[0])) < 1e-6
 
 
 def test_motor_playback_dips_and_recovers():
-    traj = integrate(motor_playback_scenario(p0=0.8),
-                     IntegratorConfig(dt=1e-3, t_end=5.0))
+    traj = run_simulation(motor_playback_scenario(p0=0.8),
+                          IntegratorConfig(dt=1e-3, t_end=5.0)).trajectory
     p = traj.channel("motor_a.P")
     t = traj.t
     fault = (t >= 1.0) & (t <= 1.0 + 5.0 / 60.0)
@@ -184,9 +185,9 @@ def _channel_error(a: Trajectory, b: Trajectory) -> float:
 
 def test_rk4_halving_error_ratio_order_four():
     def run(dt, every):
-        return integrate(full_composite_scenario(SmoothDipBus()),
-                         IntegratorConfig(method="rk4", dt=dt, t_end=2.5,
-                                          record_every=every))
+        return run_simulation(full_composite_scenario(SmoothDipBus()),
+                              IntegratorConfig(method="rk4", dt=dt, t_end=2.5,
+                                               record_every=every)).trajectory
 
     ref = run(1e-3 / 16.0, 16)
     e1 = _channel_error(run(1e-3, 1), ref)
@@ -196,10 +197,10 @@ def test_rk4_halving_error_ratio_order_four():
 
 
 def test_rk4_refinement_mse_smooth_scenario():
-    coarse = integrate(full_composite_scenario(SmoothDipBus()),
-                       IntegratorConfig(dt=1e-3, t_end=2.5, record_every=1))
-    fine = integrate(full_composite_scenario(SmoothDipBus()),
-                     IntegratorConfig(dt=1e-4, t_end=2.5, record_every=10))
+    coarse = run_simulation(full_composite_scenario(SmoothDipBus()),
+                            IntegratorConfig(dt=1e-3, t_end=2.5, record_every=1)).trajectory
+    fine = run_simulation(full_composite_scenario(SmoothDipBus()),
+                          IntegratorConfig(dt=1e-4, t_end=2.5, record_every=10)).trajectory
     for ch in coarse.pq_channels():
         assert mse(coarse, fine, ch) < 1e-8
 
@@ -209,9 +210,10 @@ def test_rk4_refinement_mse_discontinuous_playback_quantified():
     # the error is concentrated in the few samples after each jump. The
     # refinement MSE stays below 1e-5 but cannot reach the smooth-signal
     # 1e-8 level; this quantifies the no-event-location design choice.
-    coarse = integrate(motor_playback_scenario(), IntegratorConfig(dt=1e-3, t_end=5.0))
-    fine = integrate(motor_playback_scenario(),
-                     IntegratorConfig(dt=1e-4, t_end=5.0, record_every=10))
+    coarse = run_simulation(motor_playback_scenario(),
+                            IntegratorConfig(dt=1e-3, t_end=5.0)).trajectory
+    fine = run_simulation(motor_playback_scenario(),
+                          IntegratorConfig(dt=1e-4, t_end=5.0, record_every=10)).trajectory
     for ch in ("motor_a.P", "motor_a.Q"):
         value = mse(coarse, fine, ch)
         assert value < 1e-5
@@ -220,12 +222,13 @@ def test_rk4_refinement_mse_discontinuous_playback_quantified():
 
 def test_euler_and_heun_agree_with_rk4_in_the_limit():
     bus = SmoothDipBus()
-    ref = integrate(full_composite_scenario(bus),
-                    IntegratorConfig(method="rk4", dt=1e-4, t_end=1.0, record_every=10))
+    ref = run_simulation(full_composite_scenario(bus),
+                         IntegratorConfig(method="rk4", dt=1e-4, t_end=1.0,
+                                          record_every=10)).trajectory
     for method, tol in (("euler", 5e-3), ("heun", 1e-4)):
-        approx = integrate(full_composite_scenario(bus),
-                           IntegratorConfig(method=method, dt=1e-4, t_end=1.0,
-                                            record_every=10))
+        approx = run_simulation(full_composite_scenario(bus),
+                                IntegratorConfig(method=method, dt=1e-4, t_end=1.0,
+                                                 record_every=10)).trajectory
         assert _channel_error(approx, ref) < tol
 
 
@@ -282,13 +285,13 @@ def test_voltage_dwell_event_reported():
 def test_unstable_step_raises_non_finite_state():
     scenario = motor_playback_scenario()
     with pytest.raises(NonFiniteState) as exc_info:
-        integrate(scenario, IntegratorConfig(method="euler", dt=0.01, t_end=20.0))
+        run_simulation(scenario, IntegratorConfig(method="euler", dt=0.01, t_end=20.0))
     assert exc_info.value.step is not None
 
 
 def test_record_every_decimates_grid():
-    traj = integrate(motor_playback_scenario(), IntegratorConfig(dt=1e-3, t_end=1.0,
-                                                                 record_every=10))
+    traj = run_simulation(motor_playback_scenario(), IntegratorConfig(dt=1e-3, t_end=1.0,
+                                                                      record_every=10)).trajectory
     assert len(traj) == 101
     assert traj.t[1] - traj.t[0] == pytest.approx(0.01, abs=1e-12)
 
@@ -411,7 +414,8 @@ def _one_state_scenario(rhs, x0: float) -> Scenario:
 def test_signed_zero_state_change_is_computed(method):
     # -0.0 + dt * 0.0 is +0.0: the first step changes the state's bits, not its value.
     scenario = _one_state_scenario(lambda s, m, v, f: (0.0,), -0.0)
-    x = integrate(scenario, IntegratorConfig(method=method, dt=1e-3, t_end=0.1)).channel("zip.x")
+    config = IntegratorConfig(method=method, dt=1e-3, t_end=0.1)
+    x = run_simulation(scenario, config).trajectory.channel("zip.x")
     assert math.copysign(1.0, x[0]) == -1.0
     assert [math.copysign(1.0, v) for v in x[1:]] == [1.0] * 100
 

@@ -1,16 +1,19 @@
-"""ZIP and electronic load: table rows, tracker recursion, curvature check."""
+"""ZIP and electronic load: table rows, tracker recursion, curvature check.
+
+The electronic load's running minimum voltage is a plain float: elec_tracker_init
+gives it at t = 0, elec_vmin_update after each step, and elec_power_at(Vt, vmin,
+params) gives (P, Q, ct, mode) with vmin already updated for Vt.
+"""
 
 import numpy as np
 import pytest
 
 from clm_sim.staticloads import (
     ElecParams,
-    ElecTracker,
     ZipParams,
-    elec_coefficient,
-    elec_power,
+    elec_power_at,
     elec_tracker_init,
-    elec_tracker_update,
+    elec_vmin_update,
     zip_power,
 )
 
@@ -54,47 +57,44 @@ def test_zip_fraction_sum_enforced():
 
 
 def test_elec_tracker_recursion():
-    trk = ElecTracker(vmin_t=0.6)
-    assert elec_tracker_update(1.0, trk, ELEC).vmin_t == 0.6  # above running min
-    assert elec_tracker_update(0.4, trk, ELEC).vmin_t == 0.5  # floored at Vd2
-    assert elec_tracker_update(0.55, trk, ELEC).vmin_t == 0.55
+    assert elec_vmin_update(1.0, 0.6, ELEC) == 0.6  # above running min
+    assert elec_vmin_update(0.4, 0.6, ELEC) == 0.5  # floored at Vd2
+    assert elec_vmin_update(0.55, 0.6, ELEC) == 0.55
 
 
 def test_elec_tracker_init_floors_at_vd2():
-    assert elec_tracker_init(1.0, ELEC).vmin_t == 1.0
-    assert elec_tracker_init(0.3, ELEC).vmin_t == ELEC.Vd2
+    assert elec_tracker_init(1.0, ELEC) == 1.0
+    assert elec_tracker_init(0.3, ELEC) == ELEC.Vd2
 
 
 def test_elec_mode_1_disconnected():
-    trk = ElecTracker(vmin_t=0.5)
-    assert elec_coefficient(0.45, trk, ELEC) == (0.0, 1)
+    assert elec_power_at(0.45, 0.5, ELEC)[2:] == (0.0, 1)
 
 
 def test_elec_mode_2_linear_disconnection():
     vt = 0.6
-    trk = ElecTracker(vmin_t=0.6)  # at the running minimum
-    ct, mode = elec_coefficient(vt, trk, ELEC)
+    ct, mode = elec_power_at(vt, 0.6, ELEC)[2:]  # at the running minimum
     assert mode == 2
     assert ct == (vt - ELEC.Vd2) / (ELEC.Vd1 - ELEC.Vd2)
 
 
 def test_elec_mode_3_partial_reconnection_inside_band():
     vt, vmin = 0.65, 0.55
-    ct, mode = elec_coefficient(vt, ElecTracker(vmin_t=vmin), ELEC)
+    ct, mode = elec_power_at(vt, vmin, ELEC)[2:]
     assert mode == 3
     assert ct == (vmin - ELEC.Vd2 + ELEC.alpha * (vt - vmin)) / (ELEC.Vd1 - ELEC.Vd2)
 
 
 def test_elec_mode_4_full_output():
-    ct, mode = elec_coefficient(1.0, ElecTracker(vmin_t=1.0), ELEC)
+    ct, mode = elec_power_at(1.0, 1.0, ELEC)[2:]
     assert (ct, mode) == (1.0, 4)
-    ct, mode = elec_coefficient(ELEC.Vd1, ElecTracker(vmin_t=ELEC.Vd1), ELEC)
+    ct, mode = elec_power_at(ELEC.Vd1, ELEC.Vd1, ELEC)[2:]
     assert (ct, mode) == (1.0, 4)
 
 
 def test_elec_mode_5_partial_recovery_above_band():
     vmin = 0.55
-    ct, mode = elec_coefficient(1.0, ElecTracker(vmin_t=vmin), ELEC)
+    ct, mode = elec_power_at(1.0, vmin, ELEC)[2:]
     assert mode == 5
     assert ct == (vmin - ELEC.Vd2 + ELEC.alpha * (ELEC.Vd1 - vmin)) / (ELEC.Vd1 - ELEC.Vd2)
 
@@ -102,7 +102,7 @@ def test_elec_mode_5_partial_recovery_above_band():
 def test_elec_full_alpha_gives_full_recovery():
     full = ElecParams(PE0=1.0, QE0=0.2, Vd1=0.7, Vd2=0.5, alpha=1.0)
     for vmin in (0.5, 0.55, 0.69):
-        ct, mode = elec_coefficient(0.9, ElecTracker(vmin_t=vmin), full)
+        ct, mode = elec_power_at(0.9, vmin, full)[2:]
         assert mode == 5
         assert ct == pytest.approx(1.0, abs=1e-15)
 
@@ -112,8 +112,8 @@ def test_elec_coefficient_bounded_and_modes_partition():
     for _ in range(2000):
         vt = float(rng.uniform(0.0, 1.3))
         vmin_raw = float(rng.uniform(0.0, 1.3))
-        trk = elec_tracker_update(vt, ElecTracker(vmin_t=max(ELEC.Vd2, vmin_raw)), ELEC)
-        ct, mode = elec_coefficient(vt, trk, ELEC)
+        vmin = elec_vmin_update(vt, max(ELEC.Vd2, vmin_raw), ELEC)
+        ct, mode = elec_power_at(vt, vmin, ELEC)[2:]
         assert 0.0 <= ct <= 1.0
         assert mode in (1, 2, 3, 4, 5)
 
@@ -121,27 +121,25 @@ def test_elec_coefficient_bounded_and_modes_partition():
 def test_elec_continuity_at_mode_2_3_boundary():
     # Modes 2 and 3 agree where Vt equals the running minimum.
     vt = 0.6
-    c2, m2 = elec_coefficient(vt, ElecTracker(vmin_t=vt), ELEC)
-    c3, m3 = elec_coefficient(vt + 1e-12, ElecTracker(vmin_t=vt), ELEC)
+    c2, m2 = elec_power_at(vt, vt, ELEC)[2:]
+    c3, m3 = elec_power_at(vt + 1e-12, vt, ELEC)[2:]
     assert m2 == 2 and m3 == 3
     assert abs(c3 - c2) < 1e-9
 
 
 def test_elec_tracker_monotone_until_floor():
-    trk = elec_tracker_init(1.0, ELEC)
+    vmin = elec_tracker_init(1.0, ELEC)
     rng = np.random.default_rng(6)
-    prev = trk.vmin_t
+    prev = vmin
     for _ in range(500):
-        trk = elec_tracker_update(float(rng.uniform(0.2, 1.2)), trk, ELEC)
-        assert trk.vmin_t <= prev
-        assert trk.vmin_t >= ELEC.Vd2
-        prev = trk.vmin_t
+        vmin = elec_vmin_update(float(rng.uniform(0.2, 1.2)), vmin, ELEC)
+        assert vmin <= prev
+        assert vmin >= ELEC.Vd2
+        prev = vmin
 
 
 def test_elec_power_scales_base():
-    vt = 0.9
-    trk = ElecTracker(vmin_t=0.55)
-    p, q, ct, mode = elec_power(vt, trk, ELEC)
+    p, q, ct, mode = elec_power_at(0.9, 0.55, ELEC)
     assert p == ct * ELEC.PE0 and q == ct * ELEC.QE0
     assert mode == 5
 
