@@ -40,7 +40,6 @@ from .errors import (
 )
 from .motor3 import (
     MOTOR_PRESETS,
-    MotorInit,
     MotorParams,
     MotorState,
     motor_initialize,
@@ -64,7 +63,6 @@ from .staticloads import (
     ElecParams,
     ZipParams,
     elec_power_at,
-    elec_tracker_init,
     elec_vmin_update,
     zip_power,
 )

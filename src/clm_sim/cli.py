@@ -63,7 +63,7 @@ def cmd_run(args) -> int:
     csv_path = out_dir / cfg.outputs.trajectory_csv
     binary_path = out_dir / cfg.outputs.binary if cfg.outputs.binary is not None else None
     summary_path = out_dir / cfg.outputs.summary_json
-    components = [name for name, _, _ in scenario.parts] if cfg.outputs.figure_csvs else []
+    components = [name for name, _ in scenario.parts] if cfg.outputs.figure_csvs else []
     figures = {out_dir / f"figure_{c}.csv": _figure_channels(c) for c in components}
     paths = [csv_path, *([binary_path] if binary_path else []), summary_path, *figures]
     real = [path.resolve() for path in paths]  # out/../out/a.csv is out/a.csv
@@ -138,17 +138,17 @@ def cmd_preset(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    out_dirs = [Path(args.out_dir) / Path(c).stem if args.out_dir else None for c in args.configs]
+    if args.out_dir:  # refused before the first run, as cmd_run refuses colliding outputs
+        real = [path.resolve() for path in out_dirs]
+        for i, path in enumerate(real):
+            if path in real[:i]:
+                raise ConfigError(f"{args.configs[real.index(path)]} and {args.configs[i]} "
+                                  f"would both be written to {out_dirs[i]}")
     failures = 0
-    for config_path in args.configs:
-        ns = argparse.Namespace(
-            config=config_path,
-            out_dir=str(Path(args.out_dir) / Path(config_path).stem)
-            if args.out_dir
-            else None,
-            dt=None,
-            t_end=None,
-            channels=None,
-        )
+    for config_path, out_dir in zip(args.configs, out_dirs):
+        ns = argparse.Namespace(config=config_path, out_dir=out_dir and str(out_dir),
+                                dt=None, t_end=None, channels=None)
         try:
             cmd_run(ns)
         except ClmSimError as exc:

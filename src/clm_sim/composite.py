@@ -23,8 +23,6 @@ import numpy as np
 from .errors import ConfigError
 from .staticloads import FRACTION_SUM_TOL
 
-COMPONENT_NAMES = ("motor_a", "motor_b", "motor_c", "elec", "zip", "dera")
-
 PLAYBACK_SHAPES = ("verbatim", "ramp")
 
 

@@ -27,9 +27,8 @@ with end-of-step values, never inside integrator stages.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
-
-import numpy as np
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InfeasibleInit
 
@@ -128,8 +127,7 @@ class DerAParams:
                 raise ValueError(f"flag {name} must be 0 or 1")
 
 
-@dataclass(slots=True)
-class DerAState:
+class DerAState(NamedTuple):
     S0: float
     S1: float
     S2: float
@@ -141,15 +139,8 @@ class DerAState:
     S8: float
     S9: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.S0, self.S1, self.S2, self.S3, self.S4,
-             self.S5, self.S6, self.S7, self.S8, self.S9]
-        )
 
-
-@dataclass(frozen=True)
-class DerATrackers:
+class DerATrackers(NamedTuple):
     """Simulation memory advanced once per accepted step (end-of-step values).
 
     vmax_seen complements vmin_seen because the high-voltage partial-recovery
@@ -442,7 +433,7 @@ def dera_initialize(
         )
 
     rhs = dera_rhs(params, refs, 1.0)  # any dt: S6 = S7 within the limits gives dS7 = 0
-    residual = max(map(abs, rhs(state.as_array().tolist(), astuple(trackers), Vt0, Freq0)))
+    residual = max(map(abs, rhs(state, trackers, Vt0, Freq0)))
     if residual > 1e-8:
         raise InfeasibleInit(f"initialisation residual {residual:.3e} exceeds 1e-8")
     return state, refs, trackers

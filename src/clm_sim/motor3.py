@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,27 +61,19 @@ class MotorParams:
             raise ValueError(f"need Etrq >= 0, got {self.Etrq}")
 
 
-@dataclass(slots=True)
-class MotorState:
+class MotorState(NamedTuple):
     Eqp: float   # q-axis transient EMF (pu)
     Edp: float   # d-axis transient EMF (pu)
     Eqpp: float  # q-axis subtransient EMF (pu)
     Edpp: float  # d-axis subtransient EMF (pu)
     slip: float  # rotor slip
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.Eqp, self.Edp, self.Eqpp, self.Edpp, self.slip])
 
-
-@dataclass(frozen=True)
-class MotorInit:
-    Tm0: float  # mechanical torque base (pu)
-
-
-def motor_kernel(params: MotorParams, init: MotorInit, Vq: float = 0.0):
+def motor_kernel(params: MotorParams, Tm0: float, Vq: float = 0.0):
     """(algebra, load_torque, rhs, output, flags) of one motor, constants computed once.
 
-    algebra(Eqpp, Edpp, slip, Vd, Vq) -> (Id, Iq, P, Q, w); load_torque(w) -> TL.
+    algebra(Eqpp, Edpp, slip, Vd, Vq) -> (Id, Iq, P, Q, w); load_torque(w) -> TL at torque
+    base Tm0 (pu), which motor_initialize solves for.
     rhs(s, m, Vd, f) -> the five derivatives, output(s, m, Vd, f) -> (P, Q) and
     flags(s) -> (speed clamped,) are the component form (sim.Component) at q-axis
     voltage Vq: s is (Eqp, Edp, Eqpp, Edpp, slip); the memory m and frequency f
@@ -91,7 +84,7 @@ def motor_kernel(params: MotorParams, init: MotorInit, Vq: float = 0.0):
     den = rs * rs + Lpp * Lpp
     kr = rs / den
     kx = Lpp / den
-    A, B, C0, D, Etrq, Tm0 = params.A, params.B, params.C0, params.D, params.Etrq, init.Tm0
+    A, B, C0, D, Etrq = params.A, params.B, params.C0, params.D, params.Etrq
     dLs = params.Ls - Lp
     omega0, p, q, two_h = params.omega0, params.p, params.q, 2.0 * params.H
     c_em = (Tp0 - Tpp0) / (Tp0 * Tpp0)
@@ -137,8 +130,8 @@ def motor_initialize(
     Vd0: float,
     Vq0: float,
     params: MotorParams,
-) -> tuple[MotorState, MotorInit]:
-    """Solve the constant-voltage equilibrium consuming P0 at (Vd0, Vq0).
+) -> tuple[MotorState, float]:
+    """(state, Tm0): the constant-voltage equilibrium consuming P0 at (Vd0, Vq0).
 
     Damped Newton on (EMFs, slip) with the four EMF equations and the
     active-power match as residuals, started from slip 0.01 and EMFs equal
@@ -160,7 +153,7 @@ def motor_initialize(
     # neither the EMF equations nor P, so the residual (the four EMF
     # derivatives and the active-power mismatch at slip x[4]) does not
     # depend on it.
-    algebra, load_torque, rhs = motor_kernel(params, MotorInit(Tm0=1.0), Vq0)[:3]
+    algebra, load_torque, rhs = motor_kernel(params, 1.0, Vq0)[:3]
 
     def residual(x):  # on plain floats: numpy scalars make each operation slow
         x = x.tolist()
@@ -210,7 +203,6 @@ def motor_initialize(
     if abs(poly) < 1e-12:
         raise NoEquilibrium("torque-speed polynomial vanishes at the solved speed")
     te = params.p * state.Edpp * Id + params.q * state.Eqpp * Iq
-    init = MotorInit(Tm0=te / poly)
 
     if Q0 is not None and abs(Q - Q0) > 1e-6:
         logger.warning(
@@ -220,7 +212,7 @@ def motor_initialize(
             P0,
             Q,
         )
-    return state, init
+    return state, te / poly
 
 
 # Parameter presets for the three composite-model motor classes.

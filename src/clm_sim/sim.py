@@ -11,9 +11,9 @@ states, made on first use, with the float operations in the order of the
 array form that tests/test_reference_stepper.py checks it against bit for bit.
 
 The stepper drives one list of components, one per configured model, each
-made for the run by its type's builder (motor_component, dera_component,
-zip_component, elec_component) from the setup build_scenario initialised.
-A Component is pure: the stepper holds every state vector s and memory m
+made for the run by the builder its type's initialiser (motor_component,
+dera_component, zip_component, elec_component) gave build_scenario. A
+Component is pure: the stepper holds every state vector s and memory m
 (the discrete logic that changes only between steps: DER_A voltage
 extremes, dwell timers and trip latch, the electronic-load minimum), each
 starting from the component's state0 and memory0 in every run. rhs(s, m,
@@ -49,10 +49,9 @@ import logging
 import re
 import struct
 import warnings
-from bisect import bisect
 from collections.abc import Callable, Sequence
 from contextlib import ExitStack
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from functools import cache
 from math import inf, isfinite
 
@@ -60,7 +59,7 @@ import numpy as np
 
 from . import dera as dera_mod
 from . import staticloads
-from .composite import COMPONENT_NAMES, LoadMix
+from .composite import LoadMix
 from .errors import (
     ChannelError,
     ConfigError,
@@ -71,7 +70,7 @@ from .errors import (
     OutOfRange,
 )
 from .motor3 import motor_initialize, motor_kernel
-from .staticloads import ZipParams
+from .staticloads import ElecParams, ZipParams
 
 INTEGRATION_METHODS = ("rk4", "heun", "euler")
 
@@ -101,6 +100,8 @@ class IntegratorConfig:
                 raise ValueError(f"need finite {name} > 0, got {getattr(self, name)}")
         if (steps := self.t_end / self.dt) > self.MAX_STEPS + 0.5:  # round(t_end / dt) > MAX_STEPS
             raise ValueError(f"t_end / dt is {steps:.3g} steps, more than {self.MAX_STEPS}")
+        if round(steps) < 1:  # a run of int(round(t_end / dt)) steps would take none
+            raise ValueError(f"t_end / dt is {steps:.3g} steps, which rounds to 0")
         if not isinstance(every := self.record_every, int) or isinstance(every, bool) or every < 1:
             raise ValueError(f"record_every must be an integer >= 1, got {every!r}")
 
@@ -131,59 +132,56 @@ def same_bits(a: Sequence[float], b: Sequence[float]) -> bool:
     return a == b and struct.pack(f"{len(a)}d", *a) == struct.pack(f"{len(b)}d", *b)
 
 
-def motor_component(name: str, weight: float, setup, dt: float) -> Component:
-    """A motor from (params, state0, init); its q-axis voltage is 0."""
-    params, state0, init = setup
-    _, _, rhs, output, flags = motor_kernel(params, init)
-    return Component(name, weight, output, tuple(x.name for x in fields(state0)),
-                     state0=state0.as_array().tolist(), rhs=rhs,
-                     flag_names=("speed_clamped",), flags=flags)
-
-
-def dera_component(name: str, weight: float, setup, dt: float) -> Component:
-    """The DER_A from (params, state0, refs, trackers0)."""
-    params, state0, refs, trackers0 = setup
-    if params.Freqflag == 1 and dt > dera_mod.FREQ_CONTROL_MAX_DT:
-        raise ConfigError(f"DER frequency control needs dt <= "
-                          f"{dera_mod.FREQ_CONTROL_MAX_DT} s, got {dt}", field="integrator.dt")
-    return Component(name, weight, dera_mod.component_output,
-                     tuple(x.name for x in fields(state0)), ("tripped",),
-                     state0.as_array().tolist(), rhs=dera_mod.dera_rhs(params, refs, dt),
-                     flag_names=dera_mod.LIMITER_FLAGS, flags=dera_mod.dera_algebra(params)[1],
-                     memory0=astuple(trackers0), advance=dera_mod.dera_memory(params, dt)[0])
-
-
-def zip_component(name: str, weight: float, params: ZipParams, dt: float) -> Component:
-    """The ZIP load: algebraic, no states."""
-    return Component(name, weight, lambda s, m, v, f: staticloads.zip_power(v, params))
-
-
-def elec_component(name: str, weight: float, setup, dt: float) -> Component:
-    """The electronic load from (params, initial running minimum voltage); its memory is (vmin,)."""
-    params, vmin = setup
-    power, update = staticloads.elec_power_at, staticloads.elec_vmin_update
-    return Component(name, weight, lambda s, m, v, f: power(v, m[0], params)[:3], extras=("ct",),
-                     memory0=(vmin,), advance=lambda m, v, f: ((update(v, m[0], params),), ()))
-
-
-def _motor_setup(load, v0, f0):
+def motor_component(load, v0: float, f0: float) -> Callable:
+    """A motor at equilibrium from (params, P0, Q0-or-None); its q-axis voltage is 0."""
     params, p0, q0 = load
-    return (params, *motor_initialize(p0, q0, v0, 0.0, params))
+    state0, Tm0 = motor_initialize(p0, q0, v0, 0.0, params)
+    _, _, rhs, output, flags = motor_kernel(params, Tm0)
+    return lambda name, weight, dt: Component(
+        name, weight, output, state0._fields, state0=state0, rhs=rhs,
+        flag_names=("speed_clamped",), flags=flags)
 
 
-def _dera_setup(load, v0, f0):
+def dera_component(load, v0: float, f0: float) -> Callable:
+    """The DER_A at equilibrium from (params, Pgen0, Qgen0)."""
     params, pgen0, qgen0 = load
-    return (params, *dera_mod.dera_initialize(pgen0, qgen0, v0, f0, params))
+    state0, refs, memory0 = dera_mod.dera_initialize(pgen0, qgen0, v0, f0, params)
+    flags = dera_mod.dera_algebra(params)[1]
+
+    def build(name: str, weight: float, dt: float) -> Component:
+        if params.Freqflag == 1 and dt > dera_mod.FREQ_CONTROL_MAX_DT:
+            raise ConfigError(f"DER frequency control needs dt <= "
+                              f"{dera_mod.FREQ_CONTROL_MAX_DT} s, got {dt}", field="integrator.dt")
+        return Component(name, weight, dera_mod.component_output, state0._fields, ("tripped",),
+                         state0, rhs=dera_mod.dera_rhs(params, refs, dt),
+                         flag_names=dera_mod.LIMITER_FLAGS, flags=flags, memory0=memory0,
+                         advance=dera_mod.dera_memory(params, dt)[0])
+    return build
 
 
-# Component name -> (setup(load, v0, f0), builder), in channel order: build_scenario
-# makes the setup from the configured load at the t = 0 bus values.
+def zip_component(params: ZipParams, v0: float, f0: float) -> Callable:
+    """The ZIP load: algebraic, no states."""
+    output = lambda s, m, v, f: staticloads.zip_power(v, params)
+    return lambda name, weight, dt: Component(name, weight, output)
+
+
+def elec_component(params: ElecParams, v0: float, f0: float) -> Callable:
+    """The electronic load; its memory is (running minimum voltage,), v0 floored at Vd2 at t = 0."""
+    power, update = staticloads.elec_power_at, staticloads.elec_vmin_update
+    output = lambda s, m, v, f: power(v, m[0], params)[:3]
+    advance = lambda m, v, f: ((update(v, m[0], params),), ())
+    memory0 = (update(v0, v0, params),)
+    return lambda name, weight, dt: Component(name, weight, output, extras=("ct",),
+                                              memory0=memory0, advance=advance)
+
+
+# Component name -> component(load, v0, f0), in channel order: it solves the configured
+# load's equilibrium at the t = 0 bus values and gives build(name, weight, dt) -> Component.
 COMPONENT_TYPES = {
-    **dict.fromkeys(("motor_a", "motor_b", "motor_c"), (_motor_setup, motor_component)),
-    "dera": (_dera_setup, dera_component),
-    "zip": (lambda load, v0, f0: load, zip_component),
-    "elec": (lambda load, v0, f0: (load, staticloads.elec_tracker_init(v0, load)),
-             elec_component),
+    **dict.fromkeys(("motor_a", "motor_b", "motor_c"), motor_component),
+    "dera": dera_component,
+    "zip": zip_component,
+    "elec": elec_component,
 }
 
 
@@ -191,16 +189,16 @@ COMPONENT_TYPES = {
 class Scenario:
     """A fully initialised component mix behind one scripted bus.
 
-    parts holds (name, builder, setup) per configured component, in
-    channel order; components(dt) calls builder(name, weight, setup, dt).
+    parts holds (name, build) per configured component, in channel order;
+    components(dt) calls build(name, weight, dt).
     """
 
     mix: LoadMix
     bus: object  # voltage(t) and frequency(t) at each time of an array t
-    parts: list[tuple[str, Callable, object]]
+    parts: list[tuple[str, Callable]]
 
     def components(self, dt: float) -> list[Component]:
-        return [build(name, self.mix.weight(name), setup, dt) for name, build, setup in self.parts]
+        return [build(name, self.mix.weight(name), dt) for name, build in self.parts]
 
 
 def build_scenario(mix: LoadMix, bus, loads: dict[str, object]) -> Scenario:
@@ -215,13 +213,13 @@ def build_scenario(mix: LoadMix, bus, loads: dict[str, object]) -> Scenario:
     unknown = sorted(set(loads) - set(COMPONENT_TYPES))
     if unknown:
         raise ConfigError(f"unknown component(s) {unknown}; known: {list(COMPONENT_TYPES)}")
-    for name in COMPONENT_NAMES:
+    for name in COMPONENT_TYPES:
         weight = mix.weight(name)
         if weight != 0.0 and name not in loads:
             raise ConfigError(f"{name} has mix weight {weight} but is not configured", field=name)
     v0, f0 = float(bus.voltage(0.0)), float(bus.frequency(0.0))
-    parts = [(name, build, setup(loads[name], v0, f0))
-             for name, (setup, build) in COMPONENT_TYPES.items() if name in loads]
+    parts = [(name, component(loads[name], v0, f0))
+             for name, component in COMPONENT_TYPES.items() if name in loads]
     return Scenario(mix, bus, parts)
 
 
@@ -343,7 +341,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
     channels = channel_names(components)
     data = np.empty((n_steps // every + 1, len(channels)))
     v0, f0 = float(voltage(0.0)), float(frequency(0.0))
-    residuals = {c.name: max(map(abs, c.rhs(list(c.state0), c.memory0, v0, f0)))
+    residuals = {c.name: max(map(abs, c.rhs(c.state0, c.memory0, v0, f0)))
                  for c in components if c.states}  # 0 at equilibrium
 
     # Each component's data columns, then what it carries from block to block: its
@@ -370,7 +368,6 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
         bits = inputs.view(np.uint64)  # a step repeats when its inputs equal the step before's
         changed = (np.diff(bits, axis=1, prepend=last) != 0).any(axis=0).tolist() + [True]
         last = bits[:, -1:] if n else last
-        changes = [r for r, x in enumerate(changed) if x]  # ends with n: t_end or the next block
         bad = np.flatnonzero(~np.isfinite(inputs[:-2]).all(axis=0))  # stage inputs only
         stop = int(bad[0]) if bad.size else rows
         at_t = np.transpose([t, V[:n + 1], F[:n + 1]])
@@ -385,7 +382,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
             while r < stop:
                 i = i0 + r
                 if repeat and not changed[r]:  # steps r to j - 1 repeat the fixed point
-                    j = changes[bisect(changes, r)]
+                    j = changed.index(True, r)  # changed ends with True: t_end or the next block
                     out[-(-i // every):-(-(i0 + j) // every)] = held  # its flags' run goes on
                     repeated, r = repeated + j - r, j
                     continue

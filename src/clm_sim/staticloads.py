@@ -63,11 +63,6 @@ class ElecParams:
             raise ValueError(f"need alpha in [0, 1], got {self.alpha}")
 
 
-def elec_tracker_init(V0: float, params: ElecParams) -> float:
-    """The running minimum voltage at t = 0: V0, floored at Vd2."""
-    return max(params.Vd2, V0)
-
-
 def elec_vmin_update(Vt: float, vmin_t: float, params: ElecParams) -> float:
     """The running minimum vmin_t after a step ending at Vt: max(Vd2, min(Vt, vmin_t))."""
     return max(params.Vd2, min(Vt, vmin_t))

@@ -49,7 +49,7 @@ from clm_sim.dera import (
     dera_initialize,
     dera_rhs,
 )
-from clm_sim.motor3 import MOTOR_PRESETS, MotorInit, MotorState, motor_initialize, motor_kernel
+from clm_sim.motor3 import MOTOR_PRESETS, MotorState, motor_initialize, motor_kernel
 from clm_sim.sim import IntegratorConfig, Trajectory, build_scenario, mse, run_simulation
 from clm_sim.staticloads import ElecParams, ZipParams, elec_power_at, zip_power
 
@@ -92,7 +92,7 @@ def test_criterion_1_piecewise_truth_tables():
     assert no_band(0.5, 0, 0)[4:6] == (1.0, 2.5)
     assert no_band(1.5, 0, 0)[4:6] == (-1.0, -2.5)
 
-    mem = dataclasses.astuple(DerATrackers(1.0, 1.0))
+    mem = DerATrackers(1.0, 1.0)
     ramp = dera_rhs(dataclasses.replace(TABLE, Freqflag=1), DerARefs(0.0, 0.0, 0.0, 1.0), 1e-3)
     for S6, S7, dS7 in ((1, 0, 0.5), (-5, 0.5, -0.5), (0.0002, 0, 0.0002 / 1e-3)):
         assert ramp((1, 0, 0, 0, 1, 1, S6, S7, 0, 0), mem, 1.0, 1.0)[7] == dS7
@@ -119,10 +119,10 @@ def test_criterion_1_piecewise_truth_tables():
 
     protection = dera_algebra(TABLE)[2]  # at (Vt, memory)
     assert protection(1.0, mem) == 1.0
-    assert protection(0.3, dataclasses.astuple(DerATrackers(0.3, 1.0))) == 0.0
-    assert protection(0.465, dataclasses.astuple(DerATrackers(0.465, 1.0))) == (
+    assert protection(0.3, DerATrackers(0.3, 1.0)) == 0.0
+    assert protection(0.465, DerATrackers(0.465, 1.0)) == (
         (0.465 - 0.44) / (0.49 - 0.44))
-    expired = dataclasses.astuple(DerATrackers(0.46, 1.0, low_v_timer=0.2))
+    expired = DerATrackers(0.46, 1.0, low_v_timer=0.2)
     assert protection(1.0, expired) == 0.7 * ((0.49 - 0.46) / (0.49 - 0.44))
 
     assert commands(1, 0, 0)[6:] == (-1.2, 1.2, -1.2, 1.2)
@@ -137,12 +137,12 @@ def test_criterion_1_piecewise_truth_tables():
     assert component_output((1, 0, 0, 0, 1, 1, 0, 0.5, 0.5, 0.5), mem, 1.0, 1.0)[0] == 0.5
 
     params = MOTOR_PRESETS["motor_a"]
-    init = MotorInit(Tm0=0.7)
-    algebra, load_torque = motor_kernel(params, init)[:2]  # (Id, Iq, P, Q, w) and TL(w)
+    Tm0 = 0.7
+    algebra, load_torque = motor_kernel(params, Tm0)[:2]  # (Id, Iq, P, Q, w) and TL(w)
     assert algebra(0.0, 0.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0, 0.0, 1.0)
-    assert load_torque(1.0) == init.Tm0 * (params.A + params.B + params.C0 + params.D)
+    assert load_torque(1.0) == Tm0 * (params.A + params.B + params.C0 + params.D)
     for w in (0.4, 1.0, 1.1):
-        assert load_torque(algebra(0.1, 0.1, 1.0 - w, 1.0, 0.0)[4]) == init.Tm0
+        assert load_torque(algebra(0.1, 0.1, 1.0 - w, 1.0, 0.0)[4]) == Tm0
 
     print("[PASS] criterion 1: piecewise truth tables exact")
 
@@ -159,15 +159,15 @@ def test_criterion_2_oracle_equivalence():
             Etrq=float(rng.choice([0.0, 1.0, 2.0, 1.8])),
             p=float(rng.choice([-1.0, 1.0])), q=float(rng.choice([-1.0, 1.0])),
         )
-        init = MotorInit(Tm0=float(rng.uniform(-1.0, 1.0)))
+        Tm0 = float(rng.uniform(-1.0, 1.0))
         state = MotorState(*rng.uniform(-2.0, 2.0, size=4), float(rng.uniform(-0.5, 1.2)))
         Vd, Vq = rng.uniform(-1.5, 1.5, size=2)
-        d = motor_kernel(params, init, Vq)[2](dataclasses.astuple(state), (), Vd, 0.0)
+        d = motor_kernel(params, Tm0, Vq)[2](state, (), Vd, 0.0)
         ref, _ = motor_reference_rhs(
             state.Eqp, state.Edp, state.Eqpp, state.Edpp, state.slip, Vd, Vq,
             params.rs, params.Ls, params.Lp, params.Lpp, params.Tp0, params.Tpp0,
             params.H, params.A, params.B, params.C0, params.D, params.Etrq,
-            params.p, params.q, params.omega0, init.Tm0,
+            params.p, params.q, params.omega0, Tm0,
         )
         worst_motor = max(worst_motor, _vec_rel_err(d, ref))
     assert worst_motor <= 1e-13
@@ -196,10 +196,9 @@ def test_criterion_2_oracle_equivalence():
                                 high_v_timer=1.0 if hv else 0.0)
         vt = float(rng.uniform(0.0, 1.3))
         freq = float(rng.uniform(0.94, 1.06))
-        d = dera_rhs(params, refs, dt)(dataclasses.astuple(state), dataclasses.astuple(trackers),
-                                       vt, freq)
+        d = dera_rhs(params, refs, dt)(state, trackers, vt, freq)
         ref = dera_reference_rhs(
-            tuple(state.as_array()), vt, freq, params, refs,
+            state, vt, freq, params, refs,
             trackers.vmin_seen, trackers.vmax_seen, lv, hv, dt)
         worst_dera = max(worst_dera, _vec_rel_err(d, ref))
     assert worst_dera <= 1e-13
@@ -210,12 +209,11 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_equilibrium_hold():
     for name, p0 in (("motor_a", 0.8), ("motor_b", 0.6), ("motor_c", 0.6)):
-        state, init = motor_initialize(p0, None, 1.0, 0.0, MOTOR_PRESETS[name])
-        d = motor_kernel(MOTOR_PRESETS[name], init)[2](dataclasses.astuple(state), (), 1.0, 0.0)
+        state, Tm0 = motor_initialize(p0, None, 1.0, 0.0, MOTOR_PRESETS[name])
+        d = motor_kernel(MOTOR_PRESETS[name], Tm0)[2](state, (), 1.0, 0.0)
         assert float(np.max(np.abs(d))) < 1e-8
     state, refs, trackers = dera_initialize(0.5, 0.1, 1.0, 1.0, TABLE)
-    d = dera_rhs(TABLE, refs, 1e-3)(dataclasses.astuple(state), dataclasses.astuple(trackers),
-                                    1.0, 1.0)
+    d = dera_rhs(TABLE, refs, 1e-3)(state, trackers, 1.0, 1.0)
     assert float(np.max(np.abs(d))) < 1e-8
 
     from clm_sim.composite import ConstantBus
@@ -315,8 +313,8 @@ def test_criterion_6_bounded_injection():
 def test_criterion_7_trip_logic():
     # Below the low cut-out the protection multiplier is exactly zero.
     protection = dera_algebra(TABLE)[2]
-    assert protection(0.43, dataclasses.astuple(DerATrackers(0.43, 1.0))) == 0.0
-    assert protection(0.3, dataclasses.astuple(DerATrackers(0.3, 1.0))) == 0.0
+    assert protection(0.43, DerATrackers(0.43, 1.0)) == 0.0
+    assert protection(0.3, DerATrackers(0.3, 1.0)) == 0.0
 
     # Dwell below Vl1 past tvl1, then recovery: the partial-recovery branch
     # value, compared against direct branch evaluation.

@@ -13,7 +13,7 @@ import yaml
 
 from clm_sim import cli
 from clm_sim.cli import main
-from clm_sim.composite import COMPONENT_NAMES
+from clm_sim.composite import LoadMix
 from clm_sim.config import SECTIONS, TOP_LEVEL_KEYS, load_config, parse_config, parse_integrator
 from clm_sim.errors import ChannelError, ConfigError
 from clm_sim.sim import COMPONENT_TYPES, Trajectory, mse, read_csv, resample, write_csv
@@ -338,6 +338,20 @@ def test_batch_runs_multiple(tmp_path):
     assert (tmp_path / "runs" / "two" / "traj.csv").exists()
 
 
+def test_batch_refuses_two_configs_with_one_output_directory(tmp_path, capsys):
+    # a/x.yaml and b/x.yaml would both write <out-dir>/x: the second run would overwrite the first.
+    configs = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        configs.append(str(_write_config(tmp_path / sub, BASE_DOC, name="x.yaml")))
+    runs = tmp_path / "runs"
+    assert main(["batch", *configs, "--out-dir", str(runs)]) == 2
+    assert _single_error_line(capsys, "CONFIG_INVALID") == (f"error: CONFIG_INVALID: {configs[0]} "
+                                                           f"and {configs[1]} would both be "
+                                                           f"written to {runs / 'x'}")
+    assert not runs.exists()
+
+
 def test_batch_reports_failures(tmp_path, capsys):
     good = _write_config(tmp_path, BASE_DOC, "good.yaml")
     bad_doc = dict(BASE_DOC)
@@ -655,8 +669,11 @@ def test_run_unknown_channel_fails_before_the_first_step(tmp_path, capsys, monke
 
 
 def test_every_component_table_names_the_same_components():
-    assert set(SECTIONS) == set(COMPONENT_TYPES) == set(COMPONENT_NAMES)
+    assert set(SECTIONS) == set(COMPONENT_TYPES)
     assert set(SECTIONS) <= set(TOP_LEVEL_KEYS)
+    mix = LoadMix(f_a=0.5, f_zip=0.5)
+    assert {name: mix.weight(name) for name in COMPONENT_TYPES} == {
+        "motor_a": 0.5, "motor_b": 0.0, "motor_c": 0.0, "dera": 0.0, "zip": 0.5, "elec": 0.0}
 
 
 DER_DOC = {
@@ -708,8 +725,23 @@ def test_step_count_bound_at_parse():
     assert exc_info.value.field == "integrator.t_end"
 
 
+@pytest.mark.parametrize("t_end", [0.0004, 0.0005])
+def test_run_of_zero_steps_fails_at_parse(tmp_path, capsys, t_end):
+    # round(t_end / dt) is 0 (round(0.5) is 0): the run would record t = 0 alone.
+    with pytest.raises(ConfigError) as exc_info:
+        parse_integrator({"dt": 1e-3, "t_end": t_end})
+    assert str(exc_info.value) == (f"t_end / dt is {t_end / 1e-3:.3g} steps, which rounds to 0 "
+                                   "(field: integrator.t_end)")
+    assert parse_integrator({"dt": 1e-3, "t_end": 0.0006}).t_end == 0.0006  # 1 step
+    cfg = _write_config(tmp_path, BASE_DOC)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out), "--t-end", str(t_end)]) == 2
+    assert _single_error_line(capsys, "CONFIG_INVALID").endswith("(field: integrator.t_end)")
+    assert not out.exists()
+
+
 def test_step_count_bound_at_parse_names_the_field():
-    # IntegratorConfig checks the bound too, but the parser reports it first, on integrator.t_end.
+    # The parser reports IntegratorConfig's bound on integrator.t_end.
     with pytest.raises(ConfigError) as exc_info:
         parse_integrator({"dt": 1e-3, "t_end": 1e300})
     assert str(exc_info.value) == ("t_end / dt is 1e+303 steps, more than 10000000 "
@@ -900,6 +932,36 @@ def test_pure_python_yaml_loader_gives_the_same_config(tmp_path, monkeypatch):
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     assert [load_config(path) for path in paths] == fast
     assert fast[-1].outputs.channels == ["total.P", "total.Q"]
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+@pytest.mark.parametrize("text, key, line", [
+    ("integrator: {t_end: 0.01, dt: 0.001, dt: 0.002}\nmix: {f_a: 1.0}\n", "dt", 1),
+    ("mix: {f_a: 1.0}\nintegrator: {t_end: 0.01}\nmix: {f_a: 1.0}\n", "mix", 3),
+], ids=["in a section", "at the top level"])
+def test_repeated_yaml_key_is_config_invalid_under_both_loaders(tmp_path, capsys, monkeypatch,
+                                                                 libyaml, text, key, line):
+    # A repeated key would otherwise take its last value silently, in a section or at the top.
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    cfg = tmp_path / "repeated.yaml"
+    cfg.write_text(text + "motor_a: {preset: motor_a, p0: 0.8}\ndisturbance: {type: constant}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    error = _single_error_line(capsys, "CONFIG_INVALID")
+    assert f"found repeated key {key!r} in \"{cfg}\", line {line}," in error
+    assert not out.exists()
+
+
+def test_yaml_merge_key_is_not_a_repeated_key(tmp_path):
+    # Only a mapping's own keys must be unique: outputs' own type overrides the merged type, and
+    # parsing goes on to refuse the merged keys as unknown to outputs.
+    cfg = tmp_path / "merge.yaml"
+    cfg.write_text("mix: {f_a: 1.0}\nmotor_a: {preset: motor_a, p0: 0.8}\n"
+                   "disturbance: &bus {type: constant, v: 0.9}\n"
+                   "integrator: {t_end: 0.01}\noutputs: {<<: *bus, type: x}\n")
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['type', 'v'\]"):
+        load_config(cfg)
 
 
 @pytest.mark.parametrize("libyaml", [True, False])

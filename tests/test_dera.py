@@ -5,13 +5,12 @@ function against direct branch evaluation, frequency-trip timer semantics
 (including the voltage gate and exact latch step count), 1000-point
 equivalence of the derivative vector against the straight-line reference
 transcription, initialization fixed points, and the first-order filter
-step responses. The kernels take the memory as the DerATrackers fields in
-order (astuple), and the states S0..S9 as a sequence.
+step responses. The kernels take the memory as a DerATrackers (a tuple of
+its fields in order), and the states S0..S9 as a sequence.
 """
 
 import dataclasses
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -38,7 +37,7 @@ from oracles import dera_reference_rhs, voltage_protection_reference
 
 TABLE = DERA_PRESETS["dera_table3"]
 PROTECTION = dera_algebra(TABLE)[2]  # the voltage multiplier at (Vt, memory)
-FRESH = astuple(DerATrackers(1.0, 1.0))  # the memory at t = 0 under a 1 pu bus
+FRESH = DerATrackers(1.0, 1.0)  # the memory at t = 0 under a 1 pu bus
 
 
 def _vec_rel_err(a, b):
@@ -120,31 +119,31 @@ def test_voltage_deadband_properties():
 def test_voltage_protection_normal_band_is_one():
     assert PROTECTION(1.0, FRESH) == 1.0
     trk = DerATrackers(vmin_seen=0.8, vmax_seen=1.05)
-    assert PROTECTION(1.0, astuple(trk)) == 1.0
+    assert PROTECTION(1.0, trk) == 1.0
 
 
 def test_voltage_protection_below_cutout_is_zero():
     trk = DerATrackers(vmin_seen=0.3, vmax_seen=1.0)
-    assert PROTECTION(0.3, astuple(trk)) == 0.0
+    assert PROTECTION(0.3, trk) == 0.0
 
 
 def test_voltage_protection_linear_derating_midpoint():
     vt = 0.465  # midpoint of (Vl0, Vl1) = (0.44, 0.49)
     trk = DerATrackers(vmin_seen=vt, vmax_seen=1.0)
-    assert PROTECTION(vt, astuple(trk)) == (vt - 0.44) / (0.49 - 0.44)
+    assert PROTECTION(vt, trk) == (vt - 0.44) / (0.49 - 0.44)
 
 
 def test_voltage_protection_high_side_derating():
     vt = 1.175  # midpoint of (Vh1, Vh0) = (1.15, 1.2)
     trk = DerATrackers(vmin_seen=1.0, vmax_seen=vt)
-    assert PROTECTION(vt, astuple(trk)) == (1.2 - vt) / (1.2 - 1.15)
+    assert PROTECTION(vt, trk) == (1.2 - vt) / (1.2 - 1.15)
     trk_over = DerATrackers(vmin_seen=1.0, vmax_seen=1.25)
-    assert PROTECTION(1.25, astuple(trk_over)) == 0.0
+    assert PROTECTION(1.25, trk_over) == 0.0
 
 
 def test_voltage_protection_partial_recovery_after_expiry():
     vmin = 0.46
-    expired = astuple(DerATrackers(vmin_seen=vmin, vmax_seen=1.0, low_v_timer=0.2))
+    expired = DerATrackers(vmin_seen=vmin, vmax_seen=1.0, low_v_timer=0.2)
     # Recovery into the normal band: Vrfrac * (Vl1 - vmin) / (Vl1 - Vl0).
     got = PROTECTION(1.0, expired)
     assert got == 0.7 * (0.49 - vmin) / (0.49 - 0.44)
@@ -155,7 +154,7 @@ def test_voltage_protection_partial_recovery_after_expiry():
 
 def test_voltage_protection_before_expiry_full_line():
     trk = DerATrackers(vmin_seen=0.46, vmax_seen=1.0, low_v_timer=0.1)
-    assert PROTECTION(0.475, astuple(trk)) == (0.475 - 0.44) / (0.49 - 0.44)
+    assert PROTECTION(0.475, trk) == (0.475 - 0.44) / (0.49 - 0.44)
 
 
 def test_voltage_protection_always_in_unit_interval():
@@ -168,7 +167,7 @@ def test_voltage_protection_always_in_unit_interval():
             high_v_timer=float(rng.choice([0.0, 1.0])),
         )
         v = float(rng.uniform(0.0, 1.5))
-        assert 0.0 <= PROTECTION(v, astuple(trk)) <= 1.0
+        assert 0.0 <= PROTECTION(v, trk) <= 1.0
 
 
 def test_voltage_protection_matches_reference_transcription():
@@ -182,7 +181,7 @@ def test_voltage_protection_matches_reference_transcription():
                            low_v_timer=1.0 if lv else 0.0,
                            high_v_timer=1.0 if hv else 0.0)
         v = float(rng.uniform(0.0, 1.5))
-        got = PROTECTION(v, astuple(trk))
+        got = PROTECTION(v, trk)
         ref = voltage_protection_reference(v, TABLE.Vrfrac, vmin, vmax, lv, hv,
                                            TABLE.Vl0, TABLE.Vl1, TABLE.Vh0, TABLE.Vh1)
         assert got == ref
@@ -364,7 +363,7 @@ def test_oracle_equivalence_1000_random_points():
         vt = float(rng.uniform(0.0, 1.3))
         freq = float(rng.uniform(0.94, 1.06))
 
-        d = dera_rhs(params, refs, dt)(astuple(state), astuple(trackers), vt, freq)
+        d = dera_rhs(params, refs, dt)(state, trackers, vt, freq)
         ref = dera_reference_rhs(
             (state.S0, state.S1, state.S2, state.S3, state.S4,
              state.S5, state.S6, state.S7, state.S8, state.S9),
@@ -378,7 +377,7 @@ def test_oracle_equivalence_1000_random_points():
 
 def test_initialized_equilibrium_all_derivatives_small():
     state, refs, trackers = dera_initialize(0.5, 0.1, 1.0, 1.0, TABLE)
-    d = dera_rhs(TABLE, refs, 1e-3)(astuple(state), astuple(trackers), 1.0, 1.0)
+    d = dera_rhs(TABLE, refs, 1e-3)(state, trackers, 1.0, 1.0)
     assert float(np.max(np.abs(d))) < 1e-8
 
 
@@ -403,7 +402,7 @@ def test_initialize_table_values():
 def test_initialize_idempotent():
     a = dera_initialize(0.7, -0.15, 1.0, 1.0, TABLE)
     b = dera_initialize(0.7, -0.15, 1.0, 1.0, TABLE)
-    assert float(np.max(np.abs(a[0].as_array() - b[0].as_array()))) < 1e-12
+    assert float(np.max(np.abs(np.array(a[0]) - np.array(b[0])))) < 1e-12
     assert a[1] == b[1]
 
 
@@ -443,7 +442,7 @@ def test_initialize_infeasible_cases():
 def test_equilibrium_outputs_match_operating_point():
     for pgen0, qgen0 in [(0.5, 0.1), (0.9, -0.3), (0.2, 0.0)]:
         state, refs, trackers = dera_initialize(pgen0, qgen0, 1.0, 1.0, TABLE)
-        p, q, _ = component_output(astuple(state), astuple(trackers), 1.0, 1.0)
+        p, q, _ = component_output(state, trackers, 1.0, 1.0)
         assert abs(p - pgen0) < 1e-6
         assert abs(q - qgen0) < 1e-6
 
@@ -453,7 +452,7 @@ def test_outputs_truth_table():
     assert component_output((1, 0, 0, 0, 1, 1, 0, 0, 0, 0), FRESH, 1.0, 1.0) == (0.0, 0.0, 0.0)
     state = (1, 0, 0, 0, 1, 1, 0, 0.5, 0.5, 0.5)
     assert component_output(state, FRESH, 1.0, 1.0) == (0.5, -0.0, 0.0)
-    tripped = astuple(DerATrackers(1.0, 1.0, tripped=True))
+    tripped = DerATrackers(1.0, 1.0, tripped=True)
     assert component_output(state, tripped, 1.0, 1.0) == (0.0, 0.0, 1.0)
 
 
@@ -467,8 +466,8 @@ def test_pf_flag_fixed_point_returns_initial_reactive_output():
     state, refs, trackers = dera_initialize(pgen0, qgen0, 1.0, 1.0, TABLE)
     s2_fixed = math.tan(refs.pfaref) * state.S1 / max(state.S0, 0.01)
     assert s2_fixed == pytest.approx(-qgen0, abs=1e-12)
-    bumped = dataclasses.replace(state, S2=s2_fixed + 0.2)
-    d = dera_rhs(TABLE, refs, 1e-3)(astuple(bumped), astuple(trackers), 1.0, 1.0)
+    bumped = state._replace(S2=s2_fixed + 0.2)
+    d = dera_rhs(TABLE, refs, 1e-3)(bumped, trackers, 1.0, 1.0)
     assert d[2] == pytest.approx(-0.2 / TABLE.Tiq, abs=1e-12)
 
 
@@ -477,8 +476,8 @@ def test_wide_deadband_suppresses_voltage_support():
     # proportional voltage-support path contributes exactly nothing and S3
     # tracks the saturated Q command scaled by the trip multiplier.
     state, refs, trackers = dera_initialize(0.5, 0.1, 1.0, 1.0, TABLE)
-    faulted = dataclasses.replace(state, S0=0.8)
-    d = dera_rhs(TABLE, refs, 1e-3)(astuple(faulted), astuple(trackers), 0.8, 1.0)
+    faulted = state._replace(S0=0.8)
+    d = dera_rhs(TABLE, refs, 1e-3)(faulted, trackers, 0.8, 1.0)
     expected = -(faulted.S3 - faulted.S2 * faulted.S4) / TABLE.Tg
     assert d[3] == expected
 
@@ -486,8 +485,8 @@ def test_wide_deadband_suppresses_voltage_support():
 def test_narrow_deadband_injects_support():
     params = dataclasses.replace(TABLE, dbd1=-0.05, dbd2=0.05, Vref0=1.0)
     state, refs, trackers = dera_initialize(0.5, 0.1, 1.0, 1.0, params)
-    faulted = dataclasses.replace(state, S0=0.8)
-    d = dera_rhs(params, refs, 1e-3)(astuple(faulted), astuple(trackers), 0.8, 1.0)
+    faulted = state._replace(S0=0.8)
+    d = dera_rhs(params, refs, 1e-3)(faulted, trackers, 0.8, 1.0)
     support = min(max((1.0 - 0.8) - 0.05, params.Iql1), params.Iqh1) * params.Kqv
     support = min(max(params.Kqv * ((1.0 - 0.8) - 0.05), params.Iql1), params.Iqh1)
     iqcmd = min(max(faulted.S2 + support, -params.Imax), params.Imax)
@@ -496,8 +495,8 @@ def test_narrow_deadband_injects_support():
 
 def test_freqflag_zero_holds_power_order():
     state, refs, trackers = dera_initialize(0.5, 0.1, 1.0, 1.0, TABLE)
-    shaken = dataclasses.replace(state, S6=0.9, S8=0.2)
-    d = dera_rhs(TABLE, refs, 1e-3)(astuple(shaken), astuple(trackers), 0.7, 1.02)
+    shaken = state._replace(S6=0.9, S8=0.2)
+    d = dera_rhs(TABLE, refs, 1e-3)(shaken, trackers, 0.7, 1.02)
     assert d[7] == 0.0
 
 
@@ -506,10 +505,10 @@ def test_freqflag_one_rate_limits_power_order():
     state, refs, trackers = dera_initialize(0.5, 0.1, 1.0, 1.0, params)
     dt = 1e-3
     rhs = dera_rhs(params, refs, dt)
-    far = dataclasses.replace(state, S6=1.05)  # tracking error 0.55/dt >> dPmax
-    assert rhs(astuple(far), astuple(trackers), 1.0, 1.0)[7] == params.dPmax
-    near = dataclasses.replace(state, S6=state.S7 + 0.2 * params.dPmax * dt)
-    assert abs(rhs(astuple(near), astuple(trackers), 1.0, 1.0)[7]) < params.dPmax
+    far = state._replace(S6=1.05)  # tracking error 0.55/dt >> dPmax
+    assert rhs(far, trackers, 1.0, 1.0)[7] == params.dPmax
+    near = state._replace(S6=state.S7 + 0.2 * params.dPmax * dt)
+    assert abs(rhs(near, trackers, 1.0, 1.0)[7]) < params.dPmax
 
 
 def test_param_validation():
@@ -526,11 +525,11 @@ def test_param_validation():
 
 
 def _rk4_dera(state, trackers, params, refs, vt, freq, dt, n):
-    y = state.as_array()
-    rhs, mem = dera_rhs(params, refs, dt), astuple(trackers)
+    y = np.array(state)
+    rhs = dera_rhs(params, refs, dt)
 
     def f(yv):
-        return np.array(rhs(yv.tolist(), mem, vt, freq))
+        return np.array(rhs(yv.tolist(), trackers, vt, freq))
 
     hist = [y.copy()]
     for _ in range(n):
@@ -564,7 +563,7 @@ def test_filter_step_response_time_constant(channel, tau_name):
 def test_power_order_filter_time_constant():
     # S8 tracks the frozen S7 as a pure first-order lag with Tpord.
     state, refs, trackers = dera_initialize(0.5, 0.0, 1.0, 1.0, TABLE)
-    displaced = dataclasses.replace(state, S8=0.0)
+    displaced = state._replace(S8=0.0)
     tau = TABLE.Tpord
     dt = tau / 200.0
     hist = _rk4_dera(displaced, trackers, TABLE, refs, 1.0, 1.0, dt, 600)
@@ -578,7 +577,7 @@ def test_power_order_filter_time_constant():
 def test_filtered_power_time_constant():
     # S1 tracks the steady S8 as a pure first-order lag with Tp.
     state, refs, trackers = dera_initialize(0.5, 0.0, 1.0, 1.0, TABLE)
-    displaced = dataclasses.replace(state, S1=0.0)
+    displaced = state._replace(S1=0.0)
     tau = TABLE.Tp
     dt = tau / 200.0
     hist = _rk4_dera(displaced, trackers, TABLE, refs, 1.0, 1.0, dt, 600)
@@ -591,13 +590,13 @@ def test_filtered_power_time_constant():
 
 def test_limiter_flags_quiet_at_equilibrium():
     state, _, _ = dera_initialize(0.5, 0.1, 1.0, 1.0, TABLE)
-    flags = dera_algebra(TABLE)[1](astuple(state))
+    flags = dera_algebra(TABLE)[1](state)
     assert len(flags) == len(LIMITER_FLAGS)
     assert not any(flags)
 
 
 def test_limiter_flags_detect_windup():
     state, _, _ = dera_initialize(0.5, 0.1, 1.0, 1.0, TABLE)
-    wound = dataclasses.replace(state, S6=TABLE.Pmax + 0.5)
-    flags = dict(zip(LIMITER_FLAGS, dera_algebra(TABLE)[1](astuple(wound))))
+    wound = state._replace(S6=TABLE.Pmax + 0.5)
+    flags = dict(zip(LIMITER_FLAGS, dera_algebra(TABLE)[1](wound)))
     assert flags["power_order_windup"]

@@ -11,7 +11,6 @@ derivatives at the states (Eqp, Edp, Eqpp, Edpp, slip).
 
 import dataclasses
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from clm_sim.composite import LoadMix
 from clm_sim.errors import NoEquilibrium, NonFiniteInput
 from clm_sim.motor3 import (
     MOTOR_PRESETS,
-    MotorInit,
     MotorParams,
     MotorState,
     motor_initialize,
@@ -49,30 +47,30 @@ def _vec_rel_err(a, b):
 
 def test_zero_voltage_zero_emf_algebra():
     params = MOTOR_PRESETS["motor_a"]
-    init = MotorInit(Tm0=0.7)
-    algebra, load_torque = motor_kernel(params, init)[:2]
+    Tm0 = 0.7
+    algebra, load_torque = motor_kernel(params, Tm0)[:2]
     Id, Iq, P, Q, w = algebra(0.0, 0.0, 0.0, 0.0, 0.0)
     assert Id == 0.0 and Iq == 0.0
     assert P == 0.0 and Q == 0.0
     assert w == 1.0
     # A = B = C0 = 0, D = 1, Etrq = 0: TL = Tm0 * (A + B + C0 + D)
-    assert load_torque(w) == init.Tm0 * (params.A + params.B + params.C0 + params.D)
+    assert load_torque(w) == Tm0 * (params.A + params.B + params.C0 + params.D)
 
 
 def test_motor_a_constant_torque_for_any_speed():
     params = MOTOR_PRESETS["motor_a"]
-    init = MotorInit(Tm0=0.35)
-    algebra, load_torque = motor_kernel(params, init)[:2]
+    Tm0 = 0.35
+    algebra, load_torque = motor_kernel(params, Tm0)[:2]
     for w in (0.1, 0.5, 0.9, 1.0, 1.1):
-        assert load_torque(algebra(0.15, -0.12, 1.0 - w, 1.0, 0.0)[4]) == init.Tm0
+        assert load_torque(algebra(0.15, -0.12, 1.0 - w, 1.0, 0.0)[4]) == Tm0
 
 
 def test_slip_derivative_with_zero_electrical_torque():
     params = MOTOR_PRESETS["motor_a"]
-    init = MotorInit(Tm0=0.4)
+    Tm0 = 0.4
     # Zero subtransient EMFs and zero voltage give zero currents, so the
     # slip derivative reduces to TL / (2H).
-    algebra, load_torque, rhs = motor_kernel(params, init)[:3]
+    algebra, load_torque, rhs = motor_kernel(params, Tm0)[:3]
     d = rhs((0.3, 0.2, 0.0, 0.0, 0.05), (), 0.0, 0.0)
     Id, Iq, _, _, w = algebra(0.0, 0.0, 0.05, 0.0, 0.0)
     assert Id == 0.0 and Iq == 0.0
@@ -126,18 +124,18 @@ def test_oracle_equivalence_1000_random_points():
             p=float(rng.choice([-1.0, 1.0])),
             q=float(rng.choice([-1.0, 1.0])),
         )
-        init = MotorInit(Tm0=float(rng.uniform(-1.0, 1.0)))
+        Tm0 = float(rng.uniform(-1.0, 1.0))
         state = MotorState(*rng.uniform(-2.0, 2.0, size=4), float(rng.uniform(-0.5, 1.2)))
         Vd, Vq = rng.uniform(-1.5, 1.5, size=2)
 
-        algebra, load_torque, rhs = motor_kernel(params, init, Vq)[:3]
-        d = rhs(astuple(state), (), Vd, 0.0)
+        algebra, load_torque, rhs = motor_kernel(params, Tm0, Vq)[:3]
+        d = rhs(state, (), Vd, 0.0)
         Id, Iq, P, Q, w = algebra(state.Eqpp, state.Edpp, state.slip, Vd, Vq)
         (rd, ro) = motor_reference_rhs(
             state.Eqp, state.Edp, state.Eqpp, state.Edpp, state.slip, Vd, Vq,
             params.rs, params.Ls, params.Lp, params.Lpp, params.Tp0, params.Tpp0,
             params.H, params.A, params.B, params.C0, params.D, params.Etrq,
-            params.p, params.q, params.omega0, init.Tm0,
+            params.p, params.q, params.omega0, Tm0,
         )
         assert _vec_rel_err(d, rd) <= 1e-14
         assert _vec_rel_err((Id, Iq, P, Q, load_torque(w), w), ro) <= 1e-14
@@ -150,7 +148,7 @@ def test_rhs_gives_the_bits_of_algebra_and_load_torque():
     params = dataclasses.replace(MOTOR_PRESETS["motor_b"], A=0.3, B=-0.2, C0=0.1, D=0.8,
                                  Etrq=1.7)
     P, Tm0, Vq = params, 0.7, 0.05
-    algebra, load_torque, rhs = motor_kernel(params, MotorInit(Tm0), Vq)[:3]
+    algebra, load_torque, rhs = motor_kernel(params, Tm0, Vq)[:3]
     dLs, T = P.Ls - P.Lp, P.Tp0 * P.Tpp0
     c_em, c_i = (P.Tp0 - P.Tpp0) / T, (P.Tpp0 * dLs + P.Tp0 * (P.Lp - P.Lpp)) / T
     for _ in range(500):
@@ -173,7 +171,7 @@ def test_rhs_gives_the_bits_of_algebra_and_load_torque():
 def test_algebraic_identities_random_points():
     rng = np.random.default_rng(7)
     params = MOTOR_PRESETS["motor_b"]
-    algebra = motor_kernel(params, MotorInit(Tm0=0.6))[0]
+    algebra = motor_kernel(params, 0.6)[0]
     for _ in range(200):
         state = MotorState(*rng.uniform(-1.5, 1.5, size=4), float(rng.uniform(-0.3, 0.3)))
         Vd, Vq = rng.uniform(-1.2, 1.2, size=2)
@@ -186,19 +184,19 @@ def test_algebraic_identities_random_points():
 @pytest.mark.parametrize("name,p0", [("motor_a", 0.8), ("motor_b", 0.5), ("motor_c", 0.5)])
 def test_initialize_residual_below_1e8(name, p0):
     params = MOTOR_PRESETS[name]
-    state, init = motor_initialize(p0, None, *V1, params)
-    algebra, _, rhs = motor_kernel(params, init)[:3]
-    assert max(abs(x) for x in rhs(astuple(state), (), 1.0, 0.0)) < 1e-8
+    state, Tm0 = motor_initialize(p0, None, *V1, params)
+    algebra, _, rhs = motor_kernel(params, Tm0)[:3]
+    assert max(abs(x) for x in rhs(state, (), 1.0, 0.0)) < 1e-8
     assert abs(algebra(state.Eqpp, state.Edpp, state.slip, *V1)[2] - p0) < 1e-6
 
 
 def test_initialize_no_load_case():
     params = MOTOR_PRESETS["motor_a"]
-    state, init = motor_initialize(0.0, None, *V1, params)
-    algebra, load_torque, rhs = motor_kernel(params, init)[:3]
+    state, Tm0 = motor_initialize(0.0, None, *V1, params)
+    algebra, load_torque, rhs = motor_kernel(params, Tm0)[:3]
     Id, Iq, P, _, w = algebra(state.Eqpp, state.Edpp, state.slip, *V1)
     assert abs(P) < 1e-8
-    assert max(abs(x) for x in rhs(astuple(state), (), 1.0, 0.0)) < 1e-8
+    assert max(abs(x) for x in rhs(state, (), 1.0, 0.0)) < 1e-8
     # Zero input power still leaves a small counter-torque covering the
     # stator loss, so the solved torque base is near (not at) zero.
     assert abs(load_torque(w)) < params.rs * (Id**2 + Iq**2) + 1e-6
@@ -206,8 +204,8 @@ def test_initialize_no_load_case():
 
 def test_initialize_consistent_q_roundtrip():
     params = MOTOR_PRESETS["motor_a"]
-    state, init = motor_initialize(0.8, None, *V1, params)
-    q_solved = motor_kernel(params, init)[0](state.Eqpp, state.Edpp, state.slip, *V1)[3]
+    state, Tm0 = motor_initialize(0.8, None, *V1, params)
+    q_solved = motor_kernel(params, Tm0)[0](state.Eqpp, state.Edpp, state.slip, *V1)[3]
     state2, init2 = motor_initialize(0.8, q_solved, *V1, params)
     _, _, P2, Q2, _ = motor_kernel(params, init2)[0](state2.Eqpp, state2.Edpp, state2.slip, *V1)
     assert abs(P2 - 0.8) < 1e-6
@@ -216,11 +214,11 @@ def test_initialize_consistent_q_roundtrip():
 
 def test_initialize_idempotent():
     params = MOTOR_PRESETS["motor_c"]
-    s1, i1 = motor_initialize(0.4, None, *V1, params)
-    s2, i2 = motor_initialize(0.4, None, *V1, params)
-    for a, b in zip(s1.as_array(), s2.as_array()):
+    s1, tm1 = motor_initialize(0.4, None, *V1, params)
+    s2, tm2 = motor_initialize(0.4, None, *V1, params)
+    for a, b in zip(s1, s2):
         assert abs(a - b) < 1e-10
-    assert abs(i1.Tm0 - i2.Tm0) < 1e-10
+    assert abs(tm1 - tm2) < 1e-10
 
 
 def test_initialize_infeasible_loading_raises():
@@ -247,14 +245,14 @@ def _rk4(f, y, t, dt):
 def test_equilibrium_hold_10s_constant_voltage():
     params = MOTOR_PRESETS["motor_a"]
     p0 = 0.8
-    state, init = motor_initialize(p0, None, *V1, params)
-    algebra, load_torque, rhs = motor_kernel(params, init)[:3]
+    state, Tm0 = motor_initialize(p0, None, *V1, params)
+    algebra, load_torque, rhs = motor_kernel(params, Tm0)[:3]
     q0 = algebra(state.Eqpp, state.Edpp, state.slip, *V1)[3]
 
     def f(t, y):
         return np.array(rhs(y.tolist(), (), 1.0, 0.0))
 
-    y = state.as_array()
+    y = np.array(state)
     dt = 1e-3
     worst_p = 0.0
     worst_q = 0.0
@@ -274,26 +272,26 @@ def test_equilibrium_hold_10s_constant_voltage():
 
 def test_torque_constant_along_trajectory_motor_a():
     params = MOTOR_PRESETS["motor_a"]
-    state, init = motor_initialize(0.6, None, *V1, params)
-    algebra, load_torque, rhs = motor_kernel(params, init)[:3]
+    state, Tm0 = motor_initialize(0.6, None, *V1, params)
+    algebra, load_torque, rhs = motor_kernel(params, Tm0)[:3]
 
     def f(t, y):
         v = 1.0 - 0.15 * math.sin(2 * math.pi * t) ** 2
         return np.array(rhs(y.tolist(), (), v, 0.0))
 
-    y = state.as_array()
+    y = np.array(state)
     dt = 1e-3
     for i in range(2000):
         y = _rk4(f, y, i * dt, dt)
         v = 1.0 - 0.15 * math.sin(2 * math.pi * (i + 1) * dt) ** 2
-        assert load_torque(algebra(y[2], y[3], y[4], v, 0.0)[4]) == init.Tm0
+        assert load_torque(algebra(y[2], y[3], y[4], v, 0.0)[4]) == Tm0
 
 
 @pytest.mark.parametrize("name", ["motor_b", "motor_c"])
 def test_torque_monotone_in_speed_for_fan_presets(name):
     params = MOTOR_PRESETS[name]
-    init = MotorInit(Tm0=0.5)
+    Tm0 = 0.5
     ws = np.linspace(1e-3, 1.2, 400)
-    tls = [init.Tm0 * (params.A * w**2 + params.B * w + params.C0 + params.D * w**params.Etrq)
+    tls = [Tm0 * (params.A * w**2 + params.B * w + params.C0 + params.D * w**params.Etrq)
            for w in ws]
     assert all(b > a for a, b in zip(tls, tls[1:]))

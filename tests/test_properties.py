@@ -72,8 +72,8 @@ integrator_sections = st.fixed_dictionaries({}, optional={
     "dt": st.floats(1e-6, 0.1),
     "t_end": st.floats(1e-3, 100.0),
     "record_every": st.integers(1, 1000),
-}).filter(  # more steps than a run may take is rejected
-    lambda s: s.get("t_end", 5.0) / s.get("dt", 1e-3) <= IntegratorConfig.MAX_STEPS + 0.5)
+}).filter(  # fewer than one step, or more than a run may take, is rejected
+    lambda s: 1 <= round(s.get("t_end", 5.0) / s.get("dt", 1e-3)) <= IntegratorConfig.MAX_STEPS)
 
 outputs_sections = st.fixed_dictionaries({}, optional={
     "out_dir": names,

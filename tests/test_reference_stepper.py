@@ -104,7 +104,6 @@ def reference_run(inputs, config):
     bus, mix = inputs["bus"], inputs["mix"]
     scenario = build_scenario(**inputs)
     comps = scenario.components(dt)
-    setups = {name: setup for name, _, setup in scenario.parts}
 
     def bus_at(t):  # (V, F) at one time
         return float(bus.voltage(t)), float(bus.frequency(t))
@@ -137,7 +136,7 @@ def reference_run(inputs, config):
         return row + [P, Q]
 
     def expired(mem):
-        trk, params = DerATrackers(*mem), setups["dera"][0]
+        trk, params = DerATrackers(*mem), inputs["loads"]["dera"][0]
         return (trk.low_v_timer >= params.tvl1 - TIMER_EPS,
                 trk.high_v_timer >= params.tvh1 - TIMER_EPS)
 
@@ -270,8 +269,8 @@ def test_components_settling_at_different_steps_match_reference_stepper(monkeypa
     calls = Counter()
 
     def counted(build):  # the builder, with each component's rhs calls counted
-        def counted_build(name, weight, setup, dt):
-            c = build(name, weight, setup, dt)
+        def counted_build(name, weight, dt):
+            c = build(name, weight, dt)
 
             def rhs(s, m, v, f):
                 calls[name] += 1
@@ -280,7 +279,7 @@ def test_components_settling_at_different_steps_match_reference_stepper(monkeypa
         return counted_build
 
     scenario = build_scenario(**inputs)
-    scenario.parts = [(name, counted(build), setup) for name, build, setup in scenario.parts]
+    scenario.parts = [(name, counted(build)) for name, build in scenario.parts]
     config = IntegratorConfig(method="rk4", dt=1e-3, t_end=4.0, record_every=7)
     _assert_bit_identical(inputs, config, scenario)
     # The computed steps of each component: one residual call, then 4 rk4 stages a step.

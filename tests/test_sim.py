@@ -314,6 +314,14 @@ def test_step_count_bound_in_integrator_config():
             IntegratorConfig(**kwargs)
 
 
+def test_run_of_zero_steps_is_refused_by_integrator_config():
+    # run_simulation takes int(round(t_end / dt)) steps; round(0.5) is 0.
+    assert IntegratorConfig(dt=1e-3, t_end=0.0006).t_end == 0.0006  # 1 step
+    for t_end in (0.0004, 0.0005, 1e-300):
+        with pytest.raises(ValueError, match=r"steps, which rounds to 0$"):
+            IntegratorConfig(dt=1e-3, t_end=t_end)
+
+
 @pytest.mark.parametrize("every", [0, -3, 1.5, 2.0, True])
 def test_record_every_must_be_an_int(every):
     # 2.0 and True equal whole numbers but would fail later, when the run slices by them.
@@ -337,7 +345,7 @@ def _failing_at(step, error=_inf):
     def rhs(s, m, v, f):
         return (0.0 if m[0] < step - 1 else error(),)
 
-    def build(name, weight, setup, dt):
+    def build(name, weight, dt):
         return Component(name, weight, output=lambda s, m, v, f: (s[0], 0.0), states=("x",),
                          state0=[0.0], rhs=rhs, memory0=(0,),
                          advance=lambda m, v, f: ((m[0] + 1,), ()))
@@ -345,8 +353,7 @@ def _failing_at(step, error=_inf):
 
 
 def _two_failing(bus, a_step, b_step, b_error=_inf) -> Scenario:
-    parts = [("motor_a", _failing_at(a_step), None),
-             ("motor_b", _failing_at(b_step, b_error), None)]
+    parts = [("motor_a", _failing_at(a_step)), ("motor_b", _failing_at(b_step, b_error))]
     return Scenario(LoadMix(f_a=0.5, f_b=0.5), bus, parts)
 
 
@@ -404,10 +411,10 @@ def test_non_finite_bus_is_reported_unless_a_state_failed_before(monkeypatch, bl
 
 def _one_state_scenario(rhs, x0: float) -> Scenario:
     """One custom component with state x (P = x) in the zip slot, on a flat bus."""
-    def build(name, weight, setup, dt):
+    def build(name, weight, dt):
         return Component(name, weight, output=lambda s, m, v, f: (s[0], 0.0), states=("x",),
                          state0=[x0], rhs=rhs)
-    return Scenario(LoadMix(f_zip=1.0), ConstantBus(), [("zip", build, None)])
+    return Scenario(LoadMix(f_zip=1.0), ConstantBus(), [("zip", build)])
 
 
 @pytest.mark.parametrize("method", ["rk4", "heun", "euler"])

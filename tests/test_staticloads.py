@@ -1,18 +1,18 @@
 """ZIP and electronic load: table rows, tracker recursion, curvature check.
 
-The electronic load's running minimum voltage is a plain float: elec_tracker_init
-gives it at t = 0, elec_vmin_update after each step, and elec_power_at(Vt, vmin,
+The electronic load's running minimum voltage is a plain float: elec_vmin_update
+gives it after each step (and at t = 0 from V0 itself), and elec_power_at(Vt, vmin,
 params) gives (P, Q, ct, mode) with vmin already updated for Vt.
 """
 
 import numpy as np
 import pytest
 
+from clm_sim.sim import elec_component
 from clm_sim.staticloads import (
     ElecParams,
     ZipParams,
     elec_power_at,
-    elec_tracker_init,
     elec_vmin_update,
     zip_power,
 )
@@ -62,9 +62,11 @@ def test_elec_tracker_recursion():
     assert elec_vmin_update(0.55, 0.6, ELEC) == 0.55
 
 
-def test_elec_tracker_init_floors_at_vd2():
-    assert elec_tracker_init(1.0, ELEC) == 1.0
-    assert elec_tracker_init(0.3, ELEC) == ELEC.Vd2
+def test_elec_memory_at_t0_floors_at_vd2():
+    # The component's memory at t = 0 is the running minimum of V0 alone.
+    for v0, vmin in ((1.0, 1.0), (0.3, ELEC.Vd2)):
+        assert elec_vmin_update(v0, v0, ELEC) == vmin
+        assert elec_component(ELEC, v0, 1.0)("elec", 0.2, 1e-3).memory0 == (vmin,)
 
 
 def test_elec_mode_1_disconnected():
@@ -128,7 +130,7 @@ def test_elec_continuity_at_mode_2_3_boundary():
 
 
 def test_elec_tracker_monotone_until_floor():
-    vmin = elec_tracker_init(1.0, ELEC)
+    vmin = elec_vmin_update(1.0, 1.0, ELEC)
     rng = np.random.default_rng(6)
     prev = vmin
     for _ in range(500):
