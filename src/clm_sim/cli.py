@@ -48,49 +48,73 @@ def _overridden(section, **overrides):
     return {**dataclasses.asdict(section), **{k: v for k, v in overrides.items() if v is not None}}
 
 
-def cmd_run(args) -> int:
+def _configured(args):
+    """The config at args.config with the options that `run` was given put over it."""
     cfg = load_config(args.config)
     cfg.integrator = parse_integrator(_overridden(cfg.integrator, dt=args.dt, t_end=args.t_end))
     cfg.outputs = parse_outputs(_overridden(cfg.outputs, out_dir=args.out_dir,
                                             channels=_split_channels(args.channels)))
+    return cfg
 
+
+def _output_paths(cfg):
+    """The files a run of cfg writes: (paths, csvs, binary, summary).
+
+    paths holds them all in the order the run prints them; csvs holds
+    (path, channels or None for every channel) per CSV, the trajectory's
+    first; binary is None when the run writes none.
+    """
+    outputs, out_dir = cfg.outputs, Path(cfg.outputs.out_dir)
+    names = [c for c in sim.COMPONENT_TYPES if c in cfg.components] if outputs.figure_csvs else []
+    csvs = [(out_dir / outputs.trajectory_csv, outputs.channels),
+            *((out_dir / f"figure_{c}.csv", _figure_channels(c)) for c in names)]
+    binary = out_dir / outputs.binary if outputs.binary is not None else None
+    summary = out_dir / outputs.summary_json
+    paths = [csvs[0][0], *([binary] if binary else []), summary, *(path for path, _ in csvs[1:])]
+    return paths, csvs, binary, summary
+
+
+def cmd_run(args, cfg=None) -> int:
+    """Run one config; cfg, when given, is _configured(args), already loaded."""
+    cfg = cfg or _configured(args)
     scenario = cfg.build()
+    channels = sim.channel_names(scenario.components(cfg.integrator.dt))
     if cfg.outputs.channels is not None:  # fail before the first step, not after the last
-        sim.require_channels(cfg.outputs.channels,
-                             sim.channel_names(scenario.components(cfg.integrator.dt)),
-                             "this run's trajectory")
-    out_dir = Path(cfg.outputs.out_dir)
-    csv_path = out_dir / cfg.outputs.trajectory_csv
-    binary_path = out_dir / cfg.outputs.binary if cfg.outputs.binary is not None else None
-    summary_path = out_dir / cfg.outputs.summary_json
-    components = [name for name, _ in scenario.parts] if cfg.outputs.figure_csvs else []
-    figures = {out_dir / f"figure_{c}.csv": _figure_channels(c) for c in components}
-    paths = [csv_path, *([binary_path] if binary_path else []), summary_path, *figures]
+        sim.require_channels(cfg.outputs.channels, channels, "this run's trajectory")
+    paths, csvs, binary_path, summary_path = _output_paths(cfg)
     real = [path.resolve() for path in paths]  # out/../out/a.csv is out/a.csv
     for path, file in zip(paths, real):
         if real.count(file) > 1:
             raise ConfigError(f"two outputs would both be written to {path}", field="outputs")
 
-    result = sim.run_simulation(scenario, cfg.integrator)
-    traj = result.trajectory
-    summary = {**result.summary, "channels": traj.channels, "config": cfg.to_dict()}
-    # Each output is written to a temporary name, then all renamed: a failed write leaves none.
+    # Each block of rows goes to the outputs' temporary names as it is stepped; all are
+    # renamed once the run is done. A run that fails, however, leaves none of them, nor
+    # a directory that it made.
+    out_dir = Path(cfg.outputs.out_dir)
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]  # deepest first
     temp = {path: path.with_name(f".{path.name}.tmp") for path in paths}
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        csvs = {csv_path: cfg.outputs.channels, **figures}  # written in one pass
-        sim.write_csv(traj, {temp[path]: channels for path, channels in csvs.items()})
-        if binary_path:
-            sim.write_binary(traj, temp[binary_path])
+        with sim.BlockWriter(channels, {temp[path]: names for path, names in csvs},
+                             binary_path and temp[binary_path]) as writer:
+            result = sim.run_simulation(scenario, cfg.integrator, write=writer.write)
+        summary = {**result.summary, "channels": channels, "config": cfg.to_dict()}
         with open(temp[summary_path], "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
         for path in paths:
             os.replace(temp[path], path)
-    except OSError as exc:
+    except BaseException as exc:  # a failed write or run, or an interrupt
         for path in filter(Path.exists, temp.values()):  # none where the directory is missing
             path.unlink()
-        raise ConfigError(f"cannot write outputs: {exc}") from None
+        for path in made:
+            try:
+                path.rmdir()
+            except OSError:  # not empty: something else wrote there meanwhile
+                pass
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write outputs: {exc}") from None
+        raise
 
     print(*paths, sep="\n")
     return 0
@@ -145,15 +169,30 @@ def cmd_batch(args) -> int:
             if path in real[:i]:
                 raise ConfigError(f"{args.configs[real.index(path)]} and {args.configs[i]} "
                                   f"would both be written to {out_dirs[i]}")
-    failures = 0
+    runs = []  # (run options, the config or the error its own run reports)
     for config_path, out_dir in zip(args.configs, out_dirs):
         ns = argparse.Namespace(config=config_path, out_dir=out_dir and str(out_dir),
                                 dt=None, t_end=None, channels=None)
         try:
-            cmd_run(ns)
+            runs.append((ns, _configured(ns)))
+        except ClmSimError as exc:
+            runs.append((ns, exc))
+    first_run = {}  # each file that a run writes, resolved -> the first run that writes it
+    for i, (_, cfg) in enumerate(runs):
+        for path in [] if isinstance(cfg, ClmSimError) else _output_paths(cfg)[0]:
+            first = first_run.setdefault(path.resolve(), i)
+            if first != i:
+                raise ConfigError(f"{args.configs[first]} and {args.configs[i]} "
+                                  f"would both write {path}")
+    failures = 0
+    for ns, cfg in runs:
+        try:
+            if isinstance(cfg, ClmSimError):
+                raise cfg
+            cmd_run(ns, cfg)
         except ClmSimError as exc:
             failures += 1
-            print(f"error: {exc.code}: {config_path}: {exc}", file=sys.stderr)
+            print(f"error: {exc.code}: {ns.config}: {exc}", file=sys.stderr)
     if failures:
         print(f"batch: {failures} of {len(args.configs)} scenario(s) failed", file=sys.stderr)
         return 1

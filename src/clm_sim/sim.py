@@ -34,12 +34,19 @@ change, its rows and limiter flags repeated: outputs are unchanged. Limiter
 activity is counted by runs of equal flags, added up when the flags change
 and at the end. A run that fails raises the error of
 its earliest failing step: a non-finite bus value at a stage time, else a
-stage overflow, else the first non-finite state in channel order.
+stage overflow, else the first non-finite state in channel order. Each
+block's rows, totals included, are either kept in the run's trajectory or
+handed to a writer (run_simulation's write) once the block is stepped, in
+one block-sized buffer: a streamed run's memory does not depend on its
+length. `clm-sim run` streams every run to its files this way; a run that
+fails or is interrupted there leaves no file and no directory that it made.
 
 Trajectories are channel matrices with a leading, strictly increasing time
-column. CSV export writes 17 significant digits (float64 round-trips), a
-changed cell formatted once for all files of a call; the binary dump is
-raw little-endian float64, row major, one row per sample in channel order
+column. BlockWriter appends blocks of rows to the CSV and binary files, and
+write_csv and write_binary write a whole trajectory through it. CSV export
+writes 17 significant digits (float64 round-trips), a changed cell
+formatted once for all files of a block; the binary dump is raw
+little-endian float64, row major, one row per sample in channel order
 (interpret it with the channel list from the CSV header or the run summary).
 """
 
@@ -325,21 +332,51 @@ def _step(method: str, n: int) -> Callable:
     return scope["step"]
 
 
+def _read_bus(bus, stages: tuple, dt: float, i0: int, n: int) -> tuple:
+    """The bus over the n steps from step i0, read once per signal: (at_t, inputs, args, vf).
+
+    at_t holds (t, V, F) at the n + 1 step boundaries; inputs has a column per
+    step, V and F at each stage time, then at the step's end; args and vf are
+    the stage inputs per step and at_t's (V, F) per boundary, as lists. (Kept
+    out of run_simulation's long body, where tracemalloc traces an allocation
+    far slower: it finds the line by scanning the function's line table.)
+    """
+    t = np.arange(i0, i0 + n + 1) * dt  # each step's t, then the last step's end
+    times = np.concatenate([t, *(t[:n] + h * dt for h in stages[1:])])  # t, later stages'
+    V, F = bus.voltage(times), bus.frequency(times)
+    starts = [0, *(k * n + 1 for k in range(1, len(stages))), 1]  # each stage's, the ends'
+    inputs = np.array([x[a:a + n] for a in starts for x in (V, F)])
+    at_t = np.transpose([t, V[:n + 1], F[:n + 1]])
+    return at_t, inputs, inputs[:-2].T.tolist(), at_t[:, 1:].tolist()
+
+
 @dataclass
 class SimResult:
-    trajectory: Trajectory
+    trajectory: Trajectory | None  # None when the run's rows went to a writer
     summary: dict
 
 
-def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
-    """Integrate the scenario and collect the run summary alongside the data."""
+def run_simulation(scenario: Scenario, config: IntegratorConfig,
+                   write: Callable | None = None) -> SimResult:
+    """Integrate the scenario and collect the run summary alongside the data.
+
+    Without write, the result's trajectory holds every sample. With write,
+    each block's samples (rows of every channel, totals included; none in a
+    block between two samples when record_every > STEP_BLOCK) are passed to
+    write(rows) once that block is stepped, in order, in one buffer that the
+    next block reuses, and the result's trajectory is None.
+    """
     dt, every = config.dt, config.record_every
     n_steps = int(round(config.t_end / dt))
+    samples = n_steps // every + 1
     stages = _STEPPERS[config.method][0]
     voltage, frequency = scenario.bus.voltage, scenario.bus.frequency
     components = scenario.components(dt)
     channels = channel_names(components)
-    data = np.empty((n_steps // every + 1, len(channels)))
+    # Every sample, or the samples of one block: at most ceil(STEP_BLOCK / every).
+    data = np.empty((samples if write is None else min(samples, -(-STEP_BLOCK // every)),
+                     len(channels)))
+    totals = [(c.weight, channels.index(f"{c.name}.P")) for c in components]
     v0, f0 = float(voltage(0.0)), float(frequency(0.0))
     residuals = {c.name: max(map(abs, c.rhs(c.state0, c.memory0, v0, f0)))
                  for c in components if c.states}  # 0 at equilibrium
@@ -351,7 +388,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
     runs, count_names, col = [], [], 3
     for c in components:
         width = len(c.states) + 2 + len(c.extras)
-        runs.append([data[:, col:col + width], list(c.state0), c.memory0, False, None,
+        runs.append([slice(col, col + width), list(c.state0), c.memory0, False, None,
                      [0] * len(c.flag_names), (False,) * len(c.flag_names), 0])
         count_names += [f"{c.name}.{flag}" for flag in c.flag_names]
         col += width
@@ -360,22 +397,19 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
     for i0 in range(0, n_steps + 1, STEP_BLOCK):
         rows = min(STEP_BLOCK, n_steps + 1 - i0)  # rows i0 + r of the trajectory
         n = min(rows, n_steps - i0)  # the steps among them: the row at t_end has none
-        t = np.arange(i0, i0 + n + 1) * dt  # each step's t, then the last step's end
-        times = np.concatenate([t, *(t[:n] + h * dt for h in stages[1:])])  # t, later stages'
-        V, F = voltage(times), frequency(times)  # the bus read once per signal
-        starts = [0, *(k * n + 1 for k in range(1, len(stages))), 1]  # each stage's, the ends'
-        inputs = np.array([x[a:a + n] for a in starts for x in (V, F)])  # a column per step
+        at_t, inputs, args, vf = _read_bus(scenario.bus, stages, dt, i0, n)
         bits = inputs.view(np.uint64)  # a step repeats when its inputs equal the step before's
         changed = (np.diff(bits, axis=1, prepend=last) != 0).any(axis=0).tolist() + [True]
         last = bits[:, -1:] if n else last
         bad = np.flatnonzero(~np.isfinite(inputs[:-2]).all(axis=0))  # stage inputs only
         stop = int(bad[0]) if bad.size else rows
-        at_t = np.transpose([t, V[:n + 1], F[:n + 1]])
-        args, vf, fails = inputs[:-2].T.tolist(), at_t[:, 1:].tolist(), []
-        lo, hi = -(-i0 // every), -(-(i0 + rows) // every)  # the data rows of this block
-        data[lo:hi, :3] = at_t[lo * every - i0:rows:every]
+        fails = []
+        lo, hi = -(-i0 // every), -(-(i0 + rows) // every)  # the samples of this block
+        block = data[lo:hi] if write is None else data[:hi - lo]  # sample lo in its row 0
+        block[:, :3] = at_t[lo * every - i0:rows:every]
         for k, (c, run) in enumerate(zip(components, runs)):
-            out, s, m, repeat, held, counts, flagged, since = run
+            cols, s, m, repeat, held, counts, flagged, since = run
+            out = block[:, cols]
             rhs, output, flags, advance = c.rhs, c.output, c.flags, c.advance
             step = _step(config.method, len(c.states)) if c.states else None
             recorded, r = {}, 0  # data row -> the row of a computed step
@@ -383,7 +417,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
                 i = i0 + r
                 if repeat and not changed[r]:  # steps r to j - 1 repeat the fixed point
                     j = changed.index(True, r)  # changed ends with True: t_end or the next block
-                    out[-(-i // every):-(-(i0 + j) // every)] = held  # its flags' run goes on
+                    out[-(-i // every) - lo:-(-(i0 + j) // every) - lo] = held  # flags' run goes on
                     repeated, r = repeated + j - r, j
                     continue
                 raised = flags(s)  # limiter activity: each run of equal flags counted at its end
@@ -391,7 +425,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
                     counts = [a + b * (i - since) for a, b in zip(counts, flagged)]
                     flagged, since = raised, i
                 if i % every == 0:
-                    recorded[i // every] = row = (*s, *output(s, m, *vf[r]))
+                    recorded[i // every - lo] = row = (*s, *output(s, m, *vf[r]))
                 if i == n_steps:
                     break
                 try:
@@ -424,32 +458,33 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig) -> SimResult:
         if bad.size:
             r = int(bad[0])  # the step's first stage time with a non-finite V or F
             h = stages[np.flatnonzero(~np.isfinite(inputs[:-2, r]))[0] // 2]
-            raise NonFiniteInput(f"the bus gave a non-finite input at t = {float(t[r]) + h * dt}")
+            t = float(at_t[r, 0]) + h * dt
+            raise NonFiniteInput(f"the bus gave a non-finite input at t = {t}")
+        with np.errstate(all="ignore"):  # inf and nan as plain floats give them, without a warning
+            P = Q = 0.0  # the weighted total, added in channel order
+            for weight, j in totals:
+                P, Q = P + weight * block[:, j], Q + weight * block[:, j + 1]
+            block[:, -2], block[:, -1] = P, Q
+        if write is not None:
+            write(block)
     logging.getLogger(__name__).info("repeated %d of %d steps at a fixed point",
                                      repeated, n_steps * len(components))
     events.sort(key=lambda e: e[:2])  # by step, then channel order
-    with np.errstate(all="ignore"):  # inf and nan as plain floats give them, without a warning
-        P = Q = 0.0  # the weighted total, added in channel order
-        for c in components:
-            j = channels.index(f"{c.name}.P")
-            P, Q = P + c.weight * data[:, j], Q + c.weight * data[:, j + 1]
-        data[:, -2], data[:, -1] = P, Q
 
     counts = [a + b * (n_steps + 1 - since)  # the runs at t_end end there
               for *_, tally, flagged, since in runs for a, b in zip(tally, flagged)]
-    traj = Trajectory(channels, data)
     summary = {
         "method": config.method,
         "dt": dt,
         "t_end_requested": config.t_end,
         "t_end_actual": n_steps * dt,
         "steps": n_steps,
-        "samples": len(data),
+        "samples": samples,
         "initial_residuals": residuals,
         "trip_events": [{"type": kind, "t": (i + 1) * dt} for i, k, kind in events],
         "limiter_activity": dict(sorted(zip(count_names, map(int, counts)))),
     }
-    return SimResult(trajectory=traj, summary=summary)
+    return SimResult(Trajectory(channels, data) if write is None else None, summary)
 
 
 def _column_text(block: np.ndarray) -> list[list[str]]:
@@ -463,34 +498,66 @@ def _column_text(block: np.ndarray) -> list[list[str]]:
     return np.repeat(text, runs).reshape(bits.shape).tolist()
 
 
+class BlockWriter:
+    """Appends blocks of a run's rows to CSV files and a binary file as they come.
+
+    channels names the rows' columns. files maps each CSV path to its channel
+    list (t put first, a repeat dropped) or None for every channel, all
+    checked before any file is opened; binary is the raw float64 file's path,
+    or None. write(rows) formats each column that a CSV uses once (see
+    _column_text), each CSV joining its rows from its columns' text, and
+    appends rows to the binary from the array's own buffer. A row's text does
+    not depend on where its block starts, so the files hold the same bytes
+    however the rows are split into blocks. Close it, or use it in a with.
+    """
+
+    def __init__(self, channels: list[str], files: dict, binary=None):
+        layouts = []  # (path, header, column of each header name)
+        for path, names in files.items():
+            require_channels(names or (), channels, "the trajectory")
+            names = channels if names is None else ["t"] + [
+                c for c in dict.fromkeys(names) if c != "t"]  # read_csv rejects repeats
+            layouts.append((path, names, [channels.index(c) for c in names]))
+        self._used = sorted({j for _, _, cols in layouts for j in cols})
+        with ExitStack() as stack:  # a file that fails to open closes those before it
+            self._csvs = []
+            for path, names, cols in layouts:
+                fh = stack.enter_context(open(path, "w", newline=""))
+                fh.write(",".join(names) + "\n")
+                self._csvs.append((fh, [self._used.index(j) for j in cols]))
+            self._binary = binary and stack.enter_context(open(binary, "wb"))
+            self._files = stack.pop_all()
+
+    def write(self, rows: np.ndarray) -> None:
+        if self._csvs and len(rows):
+            cells = _column_text(rows[:, self._used].T)
+            for fh, cols in self._csvs:
+                fh.write("\n".join(map(",".join, zip(*[cells[k] for k in cols]))))
+                fh.write("\n")
+        if self._binary:
+            self._binary.write(np.ascontiguousarray(rows, dtype="<f8"))
+
+    def close(self) -> None:
+        self._files.close()
+
+    def __enter__(self) -> BlockWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def write_csv(traj: Trajectory, files: dict) -> None:
     """Write CSV files of the trajectory: header row, time first, 17 significant digits.
 
     files maps each path to its channel list (t put first, a repeat dropped)
-    or None for every channel, all checked before any file is opened. A
-    block of rows at a time, each column a file uses is formatted once,
-    and each file joins its rows from its columns' text: the bytes of
-    formatting every row on its own.
+    or None for every channel, all checked before any file is opened. The
+    rows go to a BlockWriter CSV_BLOCK_ROWS at a time, so one block's text
+    is the writer's peak memory: the bytes of formatting every row on its own.
     """
-    layouts = []  # (path, header, trajectory column of each header name)
-    for path, channels in files.items():
-        require_channels(channels or (), traj.channels, "the trajectory")
-        names = traj.channels if channels is None else ["t"] + [
-            c for c in dict.fromkeys(channels) if c != "t"]  # read_csv rejects repeats
-        layouts.append((path, names, [traj.channels.index(c) for c in names]))
-    used = sorted({j for _, _, cols in layouts for j in cols})
-    with ExitStack() as stack:
-        out = []
-        for path, names, cols in layouts:
-            fh = stack.enter_context(open(path, "w", newline=""))
-            fh.write(",".join(names) + "\n")
-            out.append((fh, [used.index(j) for j in cols]))
+    with BlockWriter(traj.channels, files) as writer:
         for start in range(0, len(traj), CSV_BLOCK_ROWS):
-            cells = _column_text(traj.data[start:start + CSV_BLOCK_ROWS, used].T)
-            for fh, cols in out:
-                fh.write("\n".join(map(",".join, zip(*[cells[k] for k in cols]))))
-                fh.write("\n")
-            del cells  # freed before the next block's are made: one block's text at a time
+            writer.write(traj.data[start:start + CSV_BLOCK_ROWS])
 
 
 def read_table(path, what: str = "file") -> tuple[list[str] | None, np.ndarray]:
@@ -579,8 +646,8 @@ def write_binary(traj: Trajectory, path) -> None:
     The layout carries no header; pair it with the channel list (CSV header
     or run summary) to interpret the columns.
     """
-    with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(traj.data, dtype="<f8").tobytes())
+    with BlockWriter(traj.channels, {}, path) as writer:
+        writer.write(traj.data)
 
 
 def read_binary(path, channels: list[str]) -> Trajectory:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,16 @@ from clm_sim.cli import main
 from clm_sim.composite import LoadMix
 from clm_sim.config import SECTIONS, TOP_LEVEL_KEYS, load_config, parse_config, parse_integrator
 from clm_sim.errors import ChannelError, ConfigError
-from clm_sim.sim import COMPONENT_TYPES, Trajectory, mse, read_csv, resample, write_csv
+from clm_sim.sim import (
+    COMPONENT_TYPES,
+    Trajectory,
+    mse,
+    read_csv,
+    resample,
+    run_simulation,
+    write_binary,
+    write_csv,
+)
 from clm_sim.staticloads import ElecParams, ZipParams
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -463,7 +473,7 @@ def test_diverging_rk4_run_reports_non_finite_state(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_torque_overflow_reports_non_finite_state(tmp_path, capsys):
+def test_torque_overflow_reports_non_finite_state(tmp_path, capsys, monkeypatch):
     # A motor B with a tiny inertia, driven as a generator, runs away after
     # the fault: its speed grows until w**Etrq (Etrq = 2) overflows inside
     # an rk4 stage, which plain floats raise as OverflowError.
@@ -471,10 +481,21 @@ def test_torque_overflow_reports_non_finite_state(tmp_path, capsys):
                motor_b={"preset": "motor_b", "overrides": {"H": 0.001}, "p0": -0.6})
     doc.pop("motor_a")
     doc["integrator"] = dict(BASE_DOC["integrator"], t_end=2.0)
+    doc["outputs"] = dict(BASE_DOC["outputs"], binary="t.bin", figure_csvs=True)
     cfg = _write_config(tmp_path, doc)
-    rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    blocks, write = [], cli.sim.BlockWriter.write
+
+    def counted(self, rows):
+        blocks.append(len(rows))
+        write(self, rows)
+    monkeypatch.setattr(cli.sim.BlockWriter, "write", counted)
+    rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "a" / "b")])
     assert rc == 4
     assert _single_error_line(capsys, "NON_FINITE_STATE").endswith("(step 1017)")
+    # Four blocks of 250 steps were written before step 1017 failed: no file of
+    # them is left, nor a directory that the run made.
+    assert blocks == [250] * 4
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.yaml"]
 
 
 # ------------------------------------------------------------ input validation
@@ -974,3 +995,126 @@ def test_malformed_yaml_is_config_invalid_under_both_loaders(tmp_path, capsys, m
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
     assert _single_error_line(capsys, "CONFIG_INVALID").startswith(
         f"error: CONFIG_INVALID: cannot parse config {cfg}: ")
+
+
+# ------------------------------------------------------------ streamed outputs
+
+def _composite_doc(disturbance, **integrator):
+    """The bundled composite_fault scenario behind another disturbance."""
+    doc = yaml.safe_load((SCENARIOS / "composite_fault.yaml").read_text())
+    doc["integrator"].update(integrator)
+    return dict(doc, disturbance=disturbance)
+
+
+@pytest.mark.parametrize("every", [1, 3, 7, 300])
+@pytest.mark.parametrize("method", ["rk4", "heun", "euler"])
+def test_streamed_outputs_are_what_the_kept_trajectory_writes(tmp_path, method, every):
+    # 250 steps to a block: 249 and 250 steps end in a block of 250 rows and of one row;
+    # with a sample every 300 steps, a block may hold none.
+    series = tmp_path / "dip.csv"  # moving in every block
+    series.write_text("t,V\n0,1\n0.1,1\n0.2,0.85\n0.5,0.95\n")
+    outputs = {"trajectory_csv": "t.csv", "binary": "t.bin", "figure_csvs": True}
+    for n in (249, 250, 251, 500):
+        doc = _composite_doc({"type": "series", "file": str(series)},
+                             method=method, t_end=n / 1000, record_every=every)
+        cfg = _write_config(tmp_path, dict(doc, outputs=outputs), f"{method}_{every}_{n}.yaml")
+        streamed, kept = tmp_path / f"streamed_{n}", tmp_path / f"kept_{n}"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(streamed)]) == 0
+        loaded = load_config(cfg)
+        scenario = loaded.build()
+        result = run_simulation(scenario, loaded.integrator)
+        traj = result.trajectory
+        assert result.summary["steps"] == n and len(traj) == n // every + 1
+        kept.mkdir()
+        write_csv(traj, {kept / "t.csv": None, **{kept / f"figure_{c}.csv": cli._figure_channels(c)
+                                                  for c, _ in scenario.parts}})
+        write_binary(traj, kept / "t.bin")
+        for path in kept.iterdir():
+            assert (streamed / path.name).read_bytes() == path.read_bytes(), (n, path.name)
+        summary = json.loads((streamed / "summary.json").read_text())
+        assert summary["channels"] == traj.channels
+        assert {key: summary[key] for key in result.summary} == json.loads(
+            json.dumps(result.summary))
+
+
+def test_run_memory_does_not_grow_with_run_length(tmp_path):
+    # 24,001 rows of 44 channels: 8.4 MB as one array. A flat bus leaves every component at
+    # its fixed point, so the run is mostly repeated steps.
+    doc = _composite_doc({"type": "constant"}, t_end=24.0)
+    cfg = _write_config(tmp_path, dict(doc, outputs={"channels": ["total.P"], "binary": "t.bin"}))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out / "t.bin").stat().st_size == 24001 * 44 * 8
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("error, status", [(KeyboardInterrupt, None),
+                                           (OSError(28, "No space left on device"), 2)])
+def test_run_stopped_mid_write_leaves_nothing(tmp_path, capsys, monkeypatch, error, status):
+    blocks, write = [], cli.sim.BlockWriter.write
+
+    def second_fails(self, rows):
+        blocks.append(len(rows))
+        if len(blocks) == 2:
+            raise error
+        write(self, rows)
+    monkeypatch.setattr(cli.sim.BlockWriter, "write", second_fails)
+    outputs = dict(BASE_DOC["outputs"], binary="t.bin", figure_csvs=True)
+    cfg = _write_config(tmp_path, dict(BASE_DOC, outputs=outputs))
+    out = tmp_path / "out" / "deeper"
+    if status is None:
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", str(cfg), "--out-dir", str(out)])
+    else:
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == status
+        assert _single_error_line(capsys, "CONFIG_INVALID").endswith("No space left on device")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.yaml"]
+
+
+def test_run_keeps_an_out_dir_that_was_there(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "mine").mkdir(parents=True)
+    cfg = _write_config(tmp_path, BASE_DOC)  # motor_a diverges under rk4 at dt = 10 ms
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out / "new"), "--dt", "0.01"]) == 4
+    assert [p.name for p in out.iterdir()] == ["mine"]
+
+
+def test_batch_refuses_two_configs_that_write_one_file(tmp_path, capsys):
+    # f1/c1.yaml and f2/c2.yaml both write shared/summary.json and shared/traj.csv.
+    shared = tmp_path / "shared"
+    configs = []
+    for k, v in ((1, 0.9), (2, 0.95)):
+        (tmp_path / f"f{k}").mkdir()
+        doc = dict(ZIP_DOC, disturbance={"type": "constant", "v": v},
+                   outputs={"out_dir": str(shared), "trajectory_csv": "traj.csv"})
+        configs.append(str(_write_config(tmp_path / f"f{k}", doc, f"c{k}.yaml")))
+    assert main(["batch", *configs]) == 2
+    assert _single_error_line(capsys, "CONFIG_INVALID") == (
+        f"error: CONFIG_INVALID: {configs[0]} and {configs[1]} "
+        f"would both write {shared / 'traj.csv'}")
+    assert not shared.exists()
+
+
+def test_batch_leaves_a_config_that_does_not_load_to_its_run(tmp_path, capsys):
+    good = _write_config(tmp_path, dict(ZIP_DOC, outputs={"out_dir": str(tmp_path / "out")}),
+                         "good.yaml")
+    bad = _write_config(tmp_path, dict(ZIP_DOC, mix={"f_zip": 0.5}), "bad.yaml")
+    assert main(["batch", str(bad), str(good)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[:3] for line in lines[:1]] == [["error", "CONFIG_INVALID", str(bad)]]
+    assert lines[1:] == ["batch: 1 of 2 scenario(s) failed"]
+    assert _files_under(tmp_path / "out") == ["summary.json", "trajectory.csv"]
+
+
+def test_batch_runs_two_configs_sharing_an_out_dir_with_different_names(tmp_path):
+    shared = tmp_path / "shared"
+    configs = [str(_write_config(tmp_path, dict(ZIP_DOC, outputs={
+        "out_dir": str(shared), "trajectory_csv": f"{k}.csv", "summary_json": f"{k}.json"}),
+        f"{k}.yaml")) for k in ("one", "two")]
+    assert main(["batch", *configs]) == 0
+    assert _files_under(shared) == ["one.csv", "one.json", "two.csv", "two.json"]
