@@ -11,7 +11,6 @@ from .composite import (
     ConstantBus,
     LoadMix,
     PlaybackBus,
-    PlaybackParams,
     SeriesBus,
 )
 from .dera import (

@@ -11,7 +11,9 @@ Bus disturbances are playback signals, i.e. scripted voltage/frequency
 time series with no network solution: the piecewise fault/recovery voltage
 generator, a constant bus, or an externally supplied sampled series.
 A bus maps times to values: voltage(t) and frequency(t) take an array of
-times and give an array of values, and a float is one time.
+times and give an array of values, and a float is one time. PlaybackBus
+and ConstantBus are frozen dataclasses whose fields are the YAML keys of
+their disturbance types, checked as the bus is made.
 """
 
 from __future__ import annotations
@@ -58,9 +60,20 @@ class LoadMix:
         }[name]
 
 
+def _held(t, value: float):
+    """value at each time of t."""
+    return np.full(np.shape(t), value, dtype=float)[()]
+
+
+def _check_freq(bus) -> None:
+    """Every bus's frequency (pu) must be positive."""
+    if not bus.freq > 0.0:
+        raise ValueError(f"need freq > 0, got {bus.freq}")
+
+
 @dataclass(frozen=True)
-class PlaybackParams:
-    """Fault/recovery voltage script: dip to `a` for `b` cycles at t = 1 s.
+class PlaybackBus:
+    """Fault/recovery voltage script: dip to `a` for `b` cycles at t = 1 s; constant frequency.
 
     shape "verbatim" keeps the printed recovery segment
     (1-d)*(t-c-1)/(b/60-c) + 1, which with the stock values starts at 1.1
@@ -75,6 +88,7 @@ class PlaybackParams:
     c: float      # recovery end-time offset (s)
     d: float      # recovery shape parameter (pu)
     shape: str = "verbatim"
+    freq: float = 1.0  # bus frequency (pu)
 
     def __post_init__(self):
         if not (0.0 < self.a < 1.0):
@@ -87,42 +101,35 @@ class PlaybackParams:
             raise ValueError(f"need d in (0, 1], got {self.d}")
         if self.shape not in PLAYBACK_SHAPES:
             raise ValueError(f"shape must be one of {PLAYBACK_SHAPES}, got {self.shape!r}")
-
-
-def _held(t, value: float):
-    """value at each time of t."""
-    return np.full(np.shape(t), value, dtype=float)[()]
-
-
-class PlaybackBus:
-    """Playback-voltage bus with constant frequency."""
-
-    def __init__(self, playback: PlaybackParams, freq: float = 1.0):
-        self.playback = playback
-        self.freq = freq
+        _check_freq(self)
 
     def voltage(self, t):
         """The scripted voltage at each time; branch boundaries resolve in listed order."""
-        p, t = self.playback, np.asarray(t, dtype=float)
-        t_clear = 1.0 + p.b / 60.0
-        t_end = 1.0 + p.c
-        if p.shape == "ramp":
-            recovery = p.a + (1.0 - p.a) * (t - t_clear) / (t_end - t_clear)
+        a, b, c, d, t = self.a, self.b, self.c, self.d, np.asarray(t, dtype=float)
+        t_clear = 1.0 + b / 60.0
+        t_end = 1.0 + c
+        if self.shape == "ramp":
+            recovery = a + (1.0 - a) * (t - t_clear) / (t_end - t_clear)
         else:
-            recovery = (1.0 - p.d) * (t - p.c - 1.0) / (p.b / 60.0 - p.c) + 1.0
-        return np.where((1.0 <= t) & (t <= t_clear), p.a,
+            recovery = (1.0 - d) * (t - c - 1.0) / (b / 60.0 - c) + 1.0
+        return np.where((1.0 <= t) & (t <= t_clear), a,
                         np.where((t_clear <= t) & (t <= t_end), recovery, 1.0))[()]
 
     def frequency(self, t):
         return _held(t, self.freq)
 
 
+@dataclass(frozen=True)
 class ConstantBus:
     """Fixed voltage and frequency."""
 
-    def __init__(self, v: float = 1.0, freq: float = 1.0):
-        self.v = v
-        self.freq = freq
+    v: float = 1.0
+    freq: float = 1.0
+
+    def __post_init__(self):
+        if not self.v >= 0.0:
+            raise ValueError(f"need v >= 0, got {self.v}")
+        _check_freq(self)
 
     def voltage(self, t):
         return _held(t, self.v)

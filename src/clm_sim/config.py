@@ -2,7 +2,10 @@
 
 Parsing is strict: unknown and repeated keys are rejected at every level
 (no silent defaulting of misspelled fields, no last value taken), referenced
-presets must exist, and every numeric field is type-checked. A parsed
+presets must exist, and every numeric field is type-checked. Each section
+parses straight into its object, whose field names are the section's keys:
+LoadMix, ZipParams, ElecParams, a preset section, or the disturbance's bus
+(a series bus reads its file here, as the config loads). A parsed
 ScenarioConfig serialises back to a semantically identical dictionary, so
 configs are diff-able and reproducible.
 
@@ -21,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 import yaml
 
-from .composite import ConstantBus, LoadMix, PlaybackBus, PlaybackParams, SeriesBus
+from .composite import ConstantBus, LoadMix, PlaybackBus, SeriesBus, _check_freq
 from .dera import DERA_PRESETS, DerAParams
 from .errors import ConfigError, FileFormatError, PresetError
 from .motor3 import MOTOR_PRESETS, MotorParams
@@ -29,11 +32,6 @@ from .sim import INTEGRATION_METHODS, IntegratorConfig, Scenario, build_scenario
 from .staticloads import ElecParams, ZipParams
 
 PRESETS = {**MOTOR_PRESETS, **DERA_PRESETS}
-
-# YAML key -> field name, for the sections whose keys differ from their fields.
-ZIP_KEYS = {"p0": "P0", "q0": "Q0", "v0": "V0", "a_p": "ap", "b_p": "bp", "c_p": "cp",
-            "a_q": "aq", "b_q": "bq", "c_q": "cq"}
-ELEC_KEYS = {"pe0": "PE0", "qe0": "QE0", "vd1": "Vd1", "vd2": "Vd2", "alpha": "alpha"}
 
 
 def _require_mapping(node, where: str) -> dict:
@@ -64,26 +62,23 @@ def _number(node: dict, key: str, where: str, default=None, required=False):
     return _finite(v, f"{where}.{key}")
 
 
-def _parse_numeric(node, where: str, cls, keys=None, **defaults):
-    """Parse a section of numbers and strings into the dataclass cls.
+def _parse_numeric(node, where: str, cls):
+    """Parse a section of numbers and strings into the dataclass cls, whose fields are its keys.
 
-    keys maps YAML keys to field names (default: the field names
-    themselves); required keys and defaults come from the fields, and
-    defaults adds YAML-only defaults by key. A str field given as null
-    is not a string; a number field given as null takes its default.
+    Required keys and defaults come from the fields. A str field given as
+    null is not a string; a number field given as null takes its default.
     """
     node = _require_mapping(node, where)
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    keys = keys or {name: name for name in fields}
-    _reject_unknown(node, keys, where)
+    fields = dataclasses.fields(cls)
+    _reject_unknown(node, [f.name for f in fields], where)
     values = {}
-    for key, name in keys.items():
-        default = defaults.get(key, fields[name].default)
-        if fields[name].type != "str" or key not in node:
-            values[name] = _number(node, key, where, default,
-                                   required=default is dataclasses.MISSING)
+    for f in fields:
+        key = f.name
+        if f.type != "str" or key not in node:
+            values[key] = _number(node, key, where, f.default,
+                                  required=f.default is dataclasses.MISSING)
         elif isinstance(node[key], str):
-            values[name] = node[key]
+            values[key] = node[key]
         else:
             raise ConfigError(f"{key} must be a string, got {node[key]!r}", field=f"{where}.{key}")
     try:
@@ -131,50 +126,20 @@ class DeraSection(PresetSection):
     qgen0: float = 0.0
 
 
-def _check_freq(section) -> None:
-    """Every disturbance section's check: its bus frequency (pu) must be positive."""
-    if not section.freq > 0.0:
-        raise ValueError(f"need freq > 0, got {section.freq}")
+@dataclass
+class SeriesSection(SeriesBus):
+    """A series bus whose samples are read from its file (see read_series_file) as it is made."""
 
-
-@dataclass(frozen=True)
-class PlaybackSection(PlaybackParams):
-    freq: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        _check_freq(self)
-
-    def make_bus(self):
-        return PlaybackBus(self, freq=self.freq)
-
-
-@dataclass(frozen=True)
-class ConstantSection:
-    v: float = 1.0
-    freq: float = 1.0
-
-    def __post_init__(self):
-        if not self.v >= 0.0:
-            raise ValueError(f"need v >= 0, got {self.v}")
-        _check_freq(self)
-
-    def make_bus(self):
-        return ConstantBus(v=self.v, freq=self.freq)
-
-
-@dataclass(frozen=True)
-class SeriesSection:
     file: str
     freq: float = 1.0  # used only when the file has no F column
-    __post_init__ = _check_freq
 
-    def make_bus(self):
-        return SeriesBus(*read_series_file(self.file), freq=self.freq)
+    def __post_init__(self):
+        _check_freq(self)
+        SeriesBus.__init__(self, *read_series_file(self.file), freq=self.freq)
 
 
-# Disturbance type name -> its section: the YAML keys besides type are its fields.
-DISTURBANCES = {"playback": PlaybackSection, "constant": ConstantSection, "series": SeriesSection}
+# Disturbance type name -> its bus: the YAML keys besides type are its fields.
+DISTURBANCES = {"playback": PlaybackBus, "constant": ConstantBus, "series": SeriesSection}
 
 
 @dataclass
@@ -193,7 +158,7 @@ class ScenarioConfig:
 
     components maps each configured component's section name (a key of
     SECTIONS) to its parsed section: a MotorSection or DeraSection, or the
-    ZipParams or ElecParams themselves. disturbance is a section of one of
+    ZipParams or ElecParams themselves. disturbance is the bus, of one of
     the DISTURBANCES types.
     """
 
@@ -206,22 +171,18 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         """Serialise back to the (normalised) config document."""
         dtype = next(name for name, cls in DISTURBANCES.items() if type(self.disturbance) is cls)
-        doc: dict = {
+        return {
             "mix": dataclasses.asdict(self.mix),
             "disturbance": {"type": dtype, **dataclasses.asdict(self.disturbance)},
             "integrator": dataclasses.asdict(self.integrator),
             "outputs": dataclasses.asdict(self.outputs),
+            **{name: dataclasses.asdict(sec) for name, sec in self.components.items()},
         }
-        for name, sec in self.components.items():
-            keys = SECTIONS[name][1]
-            doc[name] = ({key: getattr(sec, field) for key, field in keys.items()} if keys
-                         else dataclasses.asdict(sec))
-        return doc
 
     def build(self) -> Scenario:
-        loads = {name: sec if SECTIONS[name][1] else sec.load()
+        loads = {name: sec.load() if isinstance(sec, PresetSection) else sec
                  for name, sec in self.components.items()}
-        return build_scenario(self.mix, self.disturbance.make_bus(), loads)
+        return build_scenario(self.mix, self.disturbance, loads)
 
 
 def _parse_overrides(node, where: str, param_cls) -> dict:
@@ -321,14 +282,14 @@ def parse_outputs(node, where="outputs") -> OutputsSection:
     return out
 
 
-# Component section name -> (parse(node, where), YAML key map; None for a preset
-# section, which serialises by its fields and loads as section.load()).
+# Component section name -> parse(node, where), giving the section object; its fields
+# are the section's YAML keys.
 SECTIONS = {
     **dict.fromkeys(("motor_a", "motor_b", "motor_c"),
-                    (partial(_parse_preset_section, section_cls=MotorSection), None)),
-    "dera": (partial(_parse_preset_section, section_cls=DeraSection), None),
-    "zip": (partial(_parse_numeric, cls=ZipParams, keys=ZIP_KEYS, v0=1.0), ZIP_KEYS),
-    "elec": (partial(_parse_numeric, cls=ElecParams, keys=ELEC_KEYS), ELEC_KEYS),
+                    partial(_parse_preset_section, section_cls=MotorSection)),
+    "dera": partial(_parse_preset_section, section_cls=DeraSection),
+    "zip": partial(_parse_numeric, cls=ZipParams),
+    "elec": partial(_parse_numeric, cls=ElecParams),
 }
 
 TOP_LEVEL_KEYS = ("mix", *SECTIONS, "disturbance", "integrator", "outputs")
@@ -345,7 +306,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         disturbance=_parse_disturbance(doc["disturbance"]),
         integrator=parse_integrator(doc["integrator"]),
         components={name: parse(doc[name], name)
-                    for name, (parse, _) in SECTIONS.items() if name in doc},
+                    for name, parse in SECTIONS.items() if name in doc},
         outputs=parse_outputs(doc.get("outputs", {})),
     )
 

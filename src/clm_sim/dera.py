@@ -310,13 +310,12 @@ def dera_rhs(params: DerAParams, refs: DerARefs, dt: float):
 
 
 def dera_memory(params: DerAParams, dt: float):
-    """(advance, freq_trip) of the DER_A memory over one step of length dt.
+    """advance(mem, Vt, Freq) -> (mem, events): the DER_A memory over one step of length dt.
 
-    Both take (mem, Vt, Freq) at the step's end; advance also returns the events it fired.
-    A band dwell timer grows while Vt is outside Vl1..Vh1 and resets on return until it
-    expires, then holds. The frequency timers grow while Freq is outside [fl, fh] with
-    Vt >= Vpr, freeze while Vt < Vpr and reset when Freq returns; one that reaches its dwell
-    latches the trip for the rest of the run.
+    Vt and Freq are the bus values at the step's end. A band dwell timer grows while Vt is
+    outside Vl1..Vh1 and resets on return until it expires, then holds. The frequency timers
+    grow while Freq is outside [fl, fh] with Vt >= Vpr, freeze while Vt < Vpr and reset when
+    Freq returns; one that reaches its dwell latches the trip for the rest of the run.
     """
     P = params
     Vl1, Vh1, lo_thr, hi_thr = P.Vl1, P.Vh1, P.tvl1 - TIMER_EPS, P.tvh1 - TIMER_EPS
@@ -359,7 +358,7 @@ def dera_memory(params: DerAParams, dt: float):
             events += ("high_voltage_dwell_expired",)
         return mem, events
 
-    return advance, freq_trip
+    return advance
 
 
 def dera_initialize(

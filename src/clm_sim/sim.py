@@ -162,7 +162,7 @@ def dera_component(load, v0: float, f0: float) -> Callable:
         return Component(name, weight, dera_mod.component_output, state0._fields, ("tripped",),
                          state0, rhs=dera_mod.dera_rhs(params, refs, dt),
                          flag_names=dera_mod.LIMITER_FLAGS, flags=flags, memory0=memory0,
-                         advance=dera_mod.dera_memory(params, dt)[0])
+                         advance=dera_mod.dera_memory(params, dt))
     return build
 
 
@@ -173,7 +173,7 @@ def zip_component(params: ZipParams, v0: float, f0: float) -> Callable:
 
 
 def elec_component(params: ElecParams, v0: float, f0: float) -> Callable:
-    """The electronic load; its memory is (running minimum voltage,), v0 floored at Vd2 at t = 0."""
+    """The electronic load; its memory is (running minimum voltage,), v0 floored at vd2 at t = 0."""
     power, update = staticloads.elec_power_at, staticloads.elec_vmin_update
     output = lambda s, m, v, f: power(v, m[0], params)[:3]
     advance = lambda m, v, f: ((update(v, m[0], params),), ())
@@ -438,10 +438,11 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
                     fails.append((r, 1, k, NonFiniteState(
                         f"{diverged} at t = {(i + 1) * dt:g} s, first in {first}", step=i + 1)))
                     break
-                repeat = new == s and same_bits(new, s)
+                repeat = new is s or (new == s and same_bits(new, s))  # s itself: no states
                 if advance is not None:
                     mem, fired = advance(m, *vf[r + 1])
-                    events += ((i, k, kind) for kind in fired)
+                    if fired:
+                        events += ((i, k, kind) for kind in fired)
                     repeat = repeat and not fired and same_bits(mem, m)
                     m = mem
                 s = new

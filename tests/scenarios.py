@@ -6,17 +6,17 @@ import dataclasses
 
 import numpy as np
 
-from clm_sim.composite import LoadMix, PlaybackBus, PlaybackParams
+from clm_sim.composite import LoadMix, PlaybackBus
 from clm_sim.dera import DERA_PRESETS
 from clm_sim.motor3 import MOTOR_PRESETS
 from clm_sim.sim import Scenario, build_scenario
 from clm_sim.staticloads import ElecParams, ZipParams
 
-TABLE_PLAYBACK = PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9)
+TABLE_PLAYBACK = PlaybackBus(a=0.8, b=5.0, c=1.0, d=0.9)
 
-ZIP = ZipParams(P0=1.0, Q0=0.3, V0=1.0, ap=0.4, bp=0.3, cp=0.3,
-                aq=0.5, bq=0.25, cq=0.25)
-ELEC = ElecParams(PE0=1.0, QE0=0.2, Vd1=0.7, Vd2=0.5, alpha=1.0)
+ZIP = ZipParams(p0=1.0, q0=0.3, v0=1.0, a_p=0.4, b_p=0.3, c_p=0.3,
+                a_q=0.5, b_q=0.25, c_q=0.25)
+ELEC = ElecParams(pe0=1.0, qe0=0.2, vd1=0.7, vd2=0.5, alpha=1.0)
 
 
 class SmoothDipBus:
@@ -55,21 +55,20 @@ class StepFrequencyBus:
 
 
 def motor_playback_scenario(p0: float = 0.8, shape: str = "verbatim") -> Scenario:
-    playback = dataclasses.replace(TABLE_PLAYBACK, shape=shape)
     return build_scenario(
         LoadMix(f_a=1.0),
-        PlaybackBus(playback),
+        dataclasses.replace(TABLE_PLAYBACK, shape=shape),
         {"motor_a": (MOTOR_PRESETS["motor_a"], p0, None)},
     )
 
 
 def dera_playback_scenario(pgen0: float = 0.5, qgen0: float = 0.1,
-                           playback: PlaybackParams = TABLE_PLAYBACK) -> Scenario:
-    zero_zip = ZipParams(P0=0.0, Q0=0.0, V0=1.0, ap=0.0, bp=0.0, cp=1.0,
-                         aq=0.0, bq=0.0, cq=1.0)
+                           playback: PlaybackBus = TABLE_PLAYBACK) -> Scenario:
+    zero_zip = ZipParams(p0=0.0, q0=0.0, v0=1.0, a_p=0.0, b_p=0.0, c_p=1.0,
+                         a_q=0.0, b_q=0.0, c_q=1.0)
     return build_scenario(
         LoadMix(f_zip=1.0, der_scale=1.0),
-        PlaybackBus(playback),
+        playback,
         {"dera": (DERA_PRESETS["dera_table3"], pgen0, qgen0), "zip": zero_zip},
     )
 

@@ -38,7 +38,7 @@ import pytest
 import yaml
 
 from clm_sim.cli import main as cli_main
-from clm_sim.composite import LoadMix, PlaybackBus, PlaybackParams
+from clm_sim.composite import LoadMix, PlaybackBus
 from clm_sim.dera import (
     DERA_PRESETS,
     DerARefs,
@@ -104,13 +104,13 @@ def test_criterion_1_piecewise_truth_tables():
                   (1.0003, 0.0)):  # inside the deadband
         assert split((1, 0, 0, 0, 1, S5, 0, 0, 0, 0), mem, 1.0, S5)[6] == droop.Kig * e
 
-    zipp = ZipParams(P0=1.2, Q0=0.4, V0=1.0, ap=0.4, bp=0.35, cp=0.25,
-                     aq=0.5, bq=0.3, cq=0.2)
+    zipp = ZipParams(p0=1.2, q0=0.4, v0=1.0, a_p=0.4, b_p=0.35, c_p=0.25,
+                     a_q=0.5, b_q=0.3, c_q=0.2)
     assert zip_power(1.0, zipp) == (1.2, 0.4)
     assert zip_power(0.0, zipp) == (0.25 * 1.2, 0.2 * 0.4)
 
-    elec = ElecParams(PE0=1.0, QE0=0.25, Vd1=0.7, Vd2=0.5, alpha=0.6)
-    span = elec.Vd1 - elec.Vd2
+    elec = ElecParams(pe0=1.0, qe0=0.25, vd1=0.7, vd2=0.5, alpha=0.6)
+    span = elec.vd1 - elec.vd2
     assert elec_power_at(0.45, 0.5, elec)[2:] == (0.0, 1)  # (ct, mode) at (Vt, running min)
     assert elec_power_at(0.6, 0.6, elec)[2:] == ((0.6 - 0.5) / span, 2)
     assert elec_power_at(0.65, 0.55, elec)[2:] == ((0.55 - 0.5 + 0.6 * (0.65 - 0.55)) / span, 3)
@@ -128,7 +128,7 @@ def test_criterion_1_piecewise_truth_tables():
     assert commands(1, 0, 0)[6:] == (-1.2, 1.2, -1.2, 1.2)
     assert commands(1, 1.2, 0)[6:8] == (0.0, 0.0)
 
-    bus = PlaybackBus(PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9))
+    bus = PlaybackBus(a=0.8, b=5.0, c=1.0, d=0.9)
     assert bus.voltage(0.5) == 1.0
     assert bus.voltage(1.04) == 0.8
     assert bus.voltage(2.0) == 1.0
@@ -272,7 +272,7 @@ def test_criterion_5_integrator_convergence():
 
 def test_criterion_6_bounded_injection():
     # Derating fault with voltage tripping active (Freqflag = 0).
-    fault = PlaybackParams(a=0.46, b=30.0, c=1.0, d=0.9)
+    fault = PlaybackBus(a=0.46, b=30.0, c=1.0, d=0.9)
     traj = run_simulation(dera_playback_scenario(playback=fault),
                           IntegratorConfig(dt=1e-3, t_end=3.0)).trajectory
     s2 = traj.channel("dera.S2")
@@ -293,8 +293,8 @@ def test_criterion_6_bounded_injection():
 
     # Frequency-control run: over-frequency event, ramp band must bind.
     params = dataclasses.replace(TABLE, Freqflag=1, Ftripflag=0)
-    zero_zip = ZipParams(P0=0.0, Q0=0.0, V0=1.0, ap=0.0, bp=0.0, cp=1.0,
-                         aq=0.0, bq=0.0, cq=1.0)
+    zero_zip = ZipParams(p0=0.0, q0=0.0, v0=1.0, a_p=0.0, b_p=0.0, c_p=1.0,
+                         a_q=0.0, b_q=0.0, c_q=1.0)
     dt = 1e-3
     scenario = build_scenario(LoadMix(f_zip=1.0, der_scale=1.0),
                               StepFrequencyBus(f_after=1.03, t_step=0.5),
@@ -318,7 +318,7 @@ def test_criterion_7_trip_logic():
 
     # Dwell below Vl1 past tvl1, then recovery: the partial-recovery branch
     # value, compared against direct branch evaluation.
-    fault = PlaybackParams(a=0.46, b=30.0, c=1.0, d=0.9)
+    fault = PlaybackBus(a=0.46, b=30.0, c=1.0, d=0.9)
     result = run_simulation(dera_playback_scenario(playback=fault),
                             IntegratorConfig(dt=1e-3, t_end=4.0))
     assert any(e["type"] == "low_voltage_dwell_expired"
@@ -329,8 +329,8 @@ def test_criterion_7_trip_logic():
 
     # Configured frequency trip: latch after exactly ceil(tfl/dt) steps.
     params = dataclasses.replace(TABLE, fl=0.98, tfl=0.1)
-    zero_zip = ZipParams(P0=0.0, Q0=0.0, V0=1.0, ap=0.0, bp=0.0, cp=1.0,
-                         aq=0.0, bq=0.0, cq=1.0)
+    zero_zip = ZipParams(p0=0.0, q0=0.0, v0=1.0, a_p=0.0, b_p=0.0, c_p=1.0,
+                         a_q=0.0, b_q=0.0, c_q=1.0)
     dt = 1e-3
     scenario = build_scenario(LoadMix(f_zip=1.0, der_scale=1.0),
                               StepFrequencyBus(f_after=0.97, t_step=0.5),

@@ -1,5 +1,6 @@
 """CLI and config layer: runs, validation errors, determinism, presets."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,11 +13,18 @@ import numpy as np
 import pytest
 import yaml
 
-from clm_sim import cli
+from clm_sim import cli, config
 from clm_sim.cli import main
 from clm_sim.composite import LoadMix
-from clm_sim.config import SECTIONS, TOP_LEVEL_KEYS, load_config, parse_config, parse_integrator
-from clm_sim.errors import ChannelError, ConfigError
+from clm_sim.config import (
+    DISTURBANCES,
+    SECTIONS,
+    TOP_LEVEL_KEYS,
+    load_config,
+    parse_config,
+    parse_integrator,
+)
+from clm_sim.errors import ChannelError, ConfigError, FileFormatError
 from clm_sim.sim import (
     COMPONENT_TYPES,
     Trajectory,
@@ -186,7 +194,9 @@ def test_infeasible_operating_point_exit_code(tmp_path, capsys):
     ({"type": "constant", "v": 0.95}, {"type", "v", "freq"}),
     ({"type": "series", "file": "vf.csv"}, {"type", "file", "freq"}),
 ], ids=["playback", "constant", "series"])
-def test_config_round_trip_semantically_identical(disturbance, keys):
+def test_config_round_trip_semantically_identical(tmp_path, monkeypatch, disturbance, keys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "vf.csv").write_text("t,V,F\n0.0,1.0,1.0\n1.0,0.9,0.99\n")  # series reads it
     doc = {
         "mix": {"f_a": 0.4, "f_zip": 0.6, "der_scale": 0.25, "p_base_mva": 15.0},
         "motor_a": {"preset": "motor_a", "overrides": {"H": 0.06}, "p0": 0.7},
@@ -798,7 +808,7 @@ def test_numeric_sections_reject_unknown_and_non_numbers():
         parse_config(dict(BASE_DOC, mix={"f_a": "1"}))
     assert exc_info.value.field == "mix.f_a"
     cfg = parse_config(dict(BASE_DOC, zip=DER_DOC["zip"]))
-    assert cfg.components["zip"].V0 == 1.0  # v0 default
+    assert cfg.components["zip"].v0 == 1.0  # v0 default
 
 
 def test_zip_and_elec_keys_map_to_fields():
@@ -807,10 +817,48 @@ def test_zip_and_elec_keys_map_to_fields():
                     "a_q": 0.6, "b_q": 0.1, "c_q": 0.3},
                elec={"pe0": 0.8, "qe0": 0.2, "vd1": 0.7, "vd2": 0.5, "alpha": 0.25})
     cfg = parse_config(doc)
-    assert cfg.components["zip"] == ZipParams(P0=1.0, Q0=0.3, V0=0.9, ap=0.5, bp=0.3, cp=0.2,
-                                              aq=0.6, bq=0.1, cq=0.3)
-    assert cfg.components["elec"] == ElecParams(PE0=0.8, QE0=0.2, Vd1=0.7, Vd2=0.5, alpha=0.25)
+    assert cfg.components["zip"] == ZipParams(p0=1.0, q0=0.3, v0=0.9, a_p=0.5, b_p=0.3, c_p=0.2,
+                                              a_q=0.6, b_q=0.1, c_q=0.3)
+    assert cfg.components["elec"] == ElecParams(pe0=0.8, qe0=0.2, vd1=0.7, vd2=0.5, alpha=0.25)
     assert cfg.to_dict()["zip"] == doc["zip"] and cfg.to_dict()["elec"] == doc["elec"]
+
+
+def test_each_section_takes_its_fields_as_keys(tmp_path):
+    # Every key of every section, as given: the parsed object's fields, with no other name.
+    series = tmp_path / "vf.csv"
+    series.write_text("t,V\n0,1\n1,0.9\n")
+    components = {
+        **{name: {"preset": name, "overrides": {"H": 0.06}, "p0": 0.7, "q0": 0.2}
+           for name in ("motor_a", "motor_b", "motor_c")},
+        "dera": {"preset": "dera_table3", "overrides": {"Freqflag": 1}, "pgen0": 0.5,
+                 "qgen0": 0.1},
+        "zip": {"p0": 1.0, "q0": 0.3, "a_p": 0.5, "b_p": 0.3, "c_p": 0.2,
+                "a_q": 0.6, "b_q": 0.1, "c_q": 0.3, "v0": 0.9},
+        "elec": {"pe0": 0.8, "qe0": 0.2, "vd1": 0.7, "vd2": 0.5, "alpha": 0.25},
+    }
+    disturbances = {
+        "playback": {"a": 0.8, "b": 5.0, "c": 1.0, "d": 0.9, "shape": "ramp", "freq": 1.01},
+        "constant": {"v": 0.95, "freq": 1.01},
+        "series": {"file": str(series), "freq": 1.01},
+    }
+    assert set(components) == set(SECTIONS) and set(disturbances) == set(DISTURBANCES)
+    doc = dict(BASE_DOC, **components)
+    cfg = parse_config(doc)
+    for name, section in components.items():
+        parsed = cfg.components[name]
+        assert set(section) == {f.name for f in dataclasses.fields(parsed)}
+        assert cfg.to_dict()[name] == dataclasses.asdict(parsed) == section
+        with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['x'\] \(field: {name}\)"):
+            parse_config(dict(doc, **{name: dict(section, x=1.0)}))
+    for dtype, section in disturbances.items():
+        cfg = parse_config(dict(doc, disturbance={"type": dtype, **section}))
+        bus = cfg.disturbance
+        assert type(bus) is DISTURBANCES[dtype]
+        assert set(section) == {f.name for f in dataclasses.fields(bus)}
+        assert cfg.to_dict()["disturbance"] == {"type": dtype, **dataclasses.asdict(bus)}
+        assert dataclasses.asdict(bus) == section
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['x'\] \(field: disturbance\)"):
+            parse_config(dict(doc, disturbance={"type": dtype, **section, "x": 1.0}))
 
 
 def test_fractional_der_flag_rejected():
@@ -1109,6 +1157,26 @@ def test_batch_leaves_a_config_that_does_not_load_to_its_run(tmp_path, capsys):
     assert [line.split(": ")[:3] for line in lines[:1]] == [["error", "CONFIG_INVALID", str(bad)]]
     assert lines[1:] == ["batch: 1 of 2 scenario(s) failed"]
     assert _files_under(tmp_path / "out") == ["summary.json", "trajectory.csv"]
+
+
+@pytest.mark.parametrize("text", [None, "t,V\n0,1\n0.5,nan\n1,1\n"], ids=["missing", "nan"])
+def test_series_file_is_read_when_the_config_loads(tmp_path, capsys, monkeypatch, text):
+    series = tmp_path / "vf.csv"
+    if text is not None:
+        series.write_text(text)
+    doc = dict(ZIP_DOC, disturbance={"type": "series", "file": str(series)})
+    bad = _write_config(tmp_path, doc, "bad.yaml")
+    with monkeypatch.context() as m:
+        m.setattr(config, "build_scenario", lambda *args: pytest.fail("built"))
+        with pytest.raises(FileFormatError, match="vf.csv"):
+            load_config(bad)
+    good = _write_config(tmp_path, ZIP_DOC, "good.yaml")
+    runs = tmp_path / "runs"
+    assert main(["batch", str(bad), str(good), "--out-dir", str(runs)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[:3] for line in lines[:1]] == [["error", "FILE_FORMAT", str(bad)]]
+    assert lines[1:] == ["batch: 1 of 2 scenario(s) failed"]
+    assert _files_under(runs) == ["good/summary.json", "good/trajectory.csv"]
 
 
 def test_batch_runs_two_configs_sharing_an_out_dir_with_different_names(tmp_path):

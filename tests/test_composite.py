@@ -10,18 +10,17 @@ from clm_sim.composite import (
     ConstantBus,
     LoadMix,
     PlaybackBus,
-    PlaybackParams,
     SeriesBus,
 )
 from clm_sim.sim import COMPONENT_TYPES, Component, IntegratorConfig, Scenario, run_simulation
 
 from oracles import playback_voltage_reference, series_reference
 
-PB = PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9)
+PB = PlaybackBus(a=0.8, b=5.0, c=1.0, d=0.9)
 
 
-def _voltage(t, params):
-    return PlaybackBus(params).voltage(t)
+def _voltage(t, bus):
+    return bus.voltage(t)
 
 
 def test_playback_pre_fault_is_nominal():
@@ -66,7 +65,7 @@ def test_playback_clearing_discontinuity_measured():
 
 
 def test_playback_ramp_shape_is_continuous_at_clearing():
-    ramp = PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9, shape="ramp")
+    ramp = PlaybackBus(a=0.8, b=5.0, c=1.0, d=0.9, shape="ramp")
     t_clear = 1.0 + ramp.b / 60.0
     assert _voltage(t_clear, ramp) == 0.8
     assert _voltage(np.nextafter(t_clear, 2.0), ramp) == pytest.approx(0.8, abs=1e-9)
@@ -78,11 +77,11 @@ def test_playback_ramp_shape_is_continuous_at_clearing():
 
 def test_playback_param_validation():
     with pytest.raises(ValueError):
-        PlaybackParams(a=1.2, b=5.0, c=1.0, d=0.9)
+        PlaybackBus(a=1.2, b=5.0, c=1.0, d=0.9)
     with pytest.raises(ValueError):
-        PlaybackParams(a=0.8, b=5.0, c=0.01, d=0.9)  # c must exceed b/60
+        PlaybackBus(a=0.8, b=5.0, c=0.01, d=0.9)  # c must exceed b/60
     with pytest.raises(ValueError):
-        PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9, shape="spline")
+        PlaybackBus(a=0.8, b=5.0, c=1.0, d=0.9, shape="spline")
 
 
 def test_mix_fraction_sum_enforced():
@@ -159,7 +158,7 @@ def test_series_bus_without_frequency_column():
 
 
 def test_playback_bus_wraps_generator():
-    bus = PlaybackBus(PB, freq=1.0)
+    bus = PlaybackBus(a=0.8, b=5.0, c=1.0, d=0.9, freq=1.0)
     assert bus.voltage(1.05) == 0.8
     assert bus.frequency(1.05) == 1.0
 
@@ -184,13 +183,14 @@ RK4_TIMES = np.concatenate([GRID, GRID + 0.5 * 1e-3, GRID + 1.0 * 1e-3]).tolist(
 
 # The bundled fault, and one cleared 0.25 ms past a whole millisecond, as the benchmark clears.
 @pytest.mark.parametrize("shape", PLAYBACK_SHAPES)
-@pytest.mark.parametrize("params", [PB, PlaybackParams(a=0.55, b=5.0115, c=0.4, d=0.9)])
+@pytest.mark.parametrize("params", [PB, PlaybackBus(a=0.55, b=5.0115, c=0.4, d=0.9)])
 def test_playback_bus_gives_the_scalar_branches_bit_for_bit(params, shape):
     p = dataclasses.replace(params, shape=shape)
     times = _with_neighbours(1.0, 1.0 + p.b / 60.0, 1.0 + p.c) + RK4_TIMES
     want = _bits([playback_voltage_reference(t, p.a, p.b, p.c, p.d, shape) for t in times])
-    assert _read(PlaybackBus(p).voltage, times) == (want, want)
-    assert _read(PlaybackBus(p, freq=1.01).frequency, times) == (_bits([1.01] * len(times)),) * 2
+    assert _read(p.voltage, times) == (want, want)
+    at_101 = dataclasses.replace(p, freq=1.01)
+    assert _read(at_101.frequency, times) == (_bits([1.01] * len(times)),) * 2
 
 
 @pytest.mark.parametrize("with_f", [True, False])

@@ -188,74 +188,73 @@ def test_voltage_protection_matches_reference_transcription():
 
 
 # ---------------------------------------------------------------- frequency trip
-# freq_trip(mem, Vt, Freq) of the kernel gives the memory after one step; the
-# fields are read back through DerATrackers.
+# advance(mem, Vt, Freq) of the kernel gives (the memory after one step, its events);
+# the fields are read back through DerATrackers.
 
 def test_frequency_trip_disabled_never_trips():
-    freq_trip = dera_memory(dataclasses.replace(TABLE, Ftripflag=0), 1e-3)[1]
+    advance = dera_memory(dataclasses.replace(TABLE, Ftripflag=0), 1e-3)
     mem = FRESH
     for _ in range(1000):
-        mem = freq_trip(mem, 1.0, 0.5)
+        mem, _ = advance(mem, 1.0, 0.5)
     assert not DerATrackers(*mem).tripped
 
 
 def test_frequency_trip_latches_after_exact_step_count():
     params = dataclasses.replace(TABLE, fl=0.98, tfl=0.1)
     dt = 1e-3
-    freq_trip = dera_memory(params, dt)[1]
+    advance = dera_memory(params, dt)
     expected_steps = math.ceil(params.tfl / dt)
     mem = FRESH
     steps = 0
     while not DerATrackers(*mem).tripped:
-        mem = freq_trip(mem, 1.0, 0.97)
+        mem, _ = advance(mem, 1.0, 0.97)
         steps += 1
         assert steps < 10 * expected_steps
     assert steps == expected_steps
 
 
 def test_frequency_trip_low_voltage_freezes_timer():
-    freq_trip = dera_memory(dataclasses.replace(TABLE, fl=0.98, tfl=0.05), 1e-3)[1]
-    mem = freq_trip(FRESH, 1.0, 0.97)
+    advance = dera_memory(dataclasses.replace(TABLE, fl=0.98, tfl=0.05), 1e-3)
+    mem, _ = advance(FRESH, 1.0, 0.97)
     frozen = DerATrackers(*mem).freq_low_timer
     for _ in range(500):
-        mem = freq_trip(mem, 0.5, 0.97)  # Vt < Vpr = 0.8
+        mem, _ = advance(mem, 0.5, 0.97)  # Vt < Vpr = 0.8
     assert DerATrackers(*mem).freq_low_timer == frozen
     assert not DerATrackers(*mem).tripped
 
 
 def test_frequency_trip_resets_on_recovery():
-    freq_trip = dera_memory(dataclasses.replace(TABLE, fl=0.98, tfl=0.05), 1e-3)[1]
+    advance = dera_memory(dataclasses.replace(TABLE, fl=0.98, tfl=0.05), 1e-3)
     mem = FRESH
     for _ in range(20):
-        mem = freq_trip(mem, 1.0, 0.97)
-    mem = freq_trip(mem, 1.0, 1.0)
+        mem, _ = advance(mem, 1.0, 0.97)
+    mem, _ = advance(mem, 1.0, 1.0)
     assert DerATrackers(*mem).freq_low_timer == 0.0
 
 
 def test_frequency_trip_high_side():
-    freq_trip = dera_memory(dataclasses.replace(TABLE, fh=1.02, tfh=0.05), 1e-3)[1]
+    advance = dera_memory(dataclasses.replace(TABLE, fh=1.02, tfh=0.05), 1e-3)
     mem = FRESH
     for _ in range(51):
-        mem = freq_trip(mem, 1.0, 1.03)
+        mem, _ = advance(mem, 1.0, 1.03)
     assert DerATrackers(*mem).tripped
 
 
 def test_trip_latch_is_permanent():
-    freq_trip = dera_memory(dataclasses.replace(TABLE, fl=0.98, tfl=0.01), 1e-3)[1]
+    advance = dera_memory(dataclasses.replace(TABLE, fl=0.98, tfl=0.01), 1e-3)
     mem = FRESH
     for _ in range(11):
-        mem = freq_trip(mem, 1.0, 0.9)
+        mem, _ = advance(mem, 1.0, 0.9)
     assert DerATrackers(*mem).tripped
-    mem = freq_trip(mem, 1.0, 1.0)
+    mem, _ = advance(mem, 1.0, 1.0)
     assert DerATrackers(*mem).tripped
 
 
 # ----------------------------------------------------------------- tracker sweep
-# advance(mem, Vt, Freq) of the kernel gives (the memory after one step, its events).
 
 def test_voltage_dwell_timer_resets_before_expiry_latches_after():
     params = TABLE
-    advance = dera_memory(params, 1e-3)[0]
+    advance = dera_memory(params, 1e-3)
     mem = FRESH
     # 100 steps below Vl1 (0.1 s < tvl1 = 0.16 s), then recovery: reset.
     for _ in range(100):
@@ -272,7 +271,7 @@ def test_voltage_dwell_timer_resets_before_expiry_latches_after():
 
 
 def test_tracker_extremes_are_running_min_max():
-    advance = dera_memory(TABLE, 1e-3)[0]
+    advance = dera_memory(TABLE, 1e-3)
     mem = FRESH
     for v in (0.9, 0.5, 0.7, 1.1, 1.3, 1.0):
         mem, _ = advance(mem, v, 1.0)
@@ -417,8 +416,8 @@ class _NanVoltageBus:
 
 
 def test_rejects_non_finite_inputs():
-    zero_zip = ZipParams(P0=0.0, Q0=0.0, V0=1.0, ap=0.0, bp=0.0, cp=1.0,
-                         aq=0.0, bq=0.0, cq=1.0)
+    zero_zip = ZipParams(p0=0.0, q0=0.0, v0=1.0, a_p=0.0, b_p=0.0, c_p=1.0,
+                         a_q=0.0, b_q=0.0, c_q=1.0)
     scenario = build_scenario(LoadMix(f_zip=1.0, der_scale=1.0), _NanVoltageBus(),
                               {"dera": (TABLE, 0.5, 0.1), "zip": zero_zip})
     with pytest.raises(NonFiniteInput, match=r"non-finite input at t = 0\.5$"):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clm_sim.composite import PlaybackBus, PlaybackParams
+from clm_sim.composite import PlaybackBus
 from clm_sim.config import load_config
 from clm_sim.dera import TIMER_EPS, DerATrackers
 from clm_sim.sim import _STEPPERS, IntegratorConfig, _step, build_scenario, run_simulation
@@ -90,7 +90,7 @@ def scenario_inputs(cfg):
         der = sections["dera"]
         loads["dera"] = (der.params(), der.pgen0, der.qgen0)
     loads.update({name: sections[name] for name in ("zip", "elec") if name in sections})
-    return {"mix": cfg.mix, "bus": cfg.disturbance.make_bus(), "loads": loads}
+    return {"mix": cfg.mix, "bus": cfg.disturbance, "loads": loads}
 
 
 def reference_run(inputs, config):
@@ -194,7 +194,7 @@ def test_bundled_scenarios_match_reference_stepper(name, method):
 class DeepFaultFrequencyStepBus:
     """A deep, long playback dip after an over-frequency step."""
 
-    playback = PlaybackBus(PlaybackParams(a=0.45, b=30.0, c=1.0, d=0.9))
+    playback = PlaybackBus(a=0.45, b=30.0, c=1.0, d=0.9)
 
     def voltage(self, t):
         return self.playback.voltage(t)
@@ -235,7 +235,7 @@ def test_dwell_timer_moving_under_a_settled_state_matches_reference_stepper():
     cfg = load_config(SCENARIOS / "dera_playback.yaml")
     der = cfg.components["dera"]
     params = dataclasses.replace(der.params(), tvl0=1.5, tvl1=1.5)
-    bus = PlaybackBus(PlaybackParams(a=0.47, b=180.0, c=3.5, d=0.9))
+    bus = PlaybackBus(a=0.47, b=180.0, c=3.5, d=0.9)
     inputs = {"mix": cfg.mix, "bus": bus,
               "loads": {"dera": (params, der.pgen0, der.qgen0), "zip": cfg.components["zip"]}}
     config = dataclasses.replace(cfg.integrator, method="rk4", t_end=5.0)
@@ -265,7 +265,7 @@ def test_components_settling_at_different_steps_match_reference_stepper(monkeypa
     # repeated and computed stretches.
     monkeypatch.setattr("clm_sim.sim.STEP_BLOCK", 97)
     cfg = load_config(SCENARIOS / "composite_fault.yaml")
-    inputs = dict(scenario_inputs(cfg), bus=dataclasses.replace(cfg.disturbance, c=0.2).make_bus())
+    inputs = dict(scenario_inputs(cfg), bus=dataclasses.replace(cfg.disturbance, c=0.2))
     calls = Counter()
 
     def counted(build):  # the builder, with each component's rhs calls counted
@@ -302,7 +302,7 @@ def test_limiter_counts_across_blocks_and_repeats_match_reference_stepper(monkey
     monkeypatch.setattr("clm_sim.sim.STEP_BLOCK", block)
     cfg = load_config(SCENARIOS / "dera_playback.yaml")
     der = cfg.components["dera"]
-    inputs = {"mix": cfg.mix, "bus": PlaybackBus(PlaybackParams(a=0.55, b=60.0, c=1.5, d=0.9)),
+    inputs = {"mix": cfg.mix, "bus": PlaybackBus(a=0.55, b=60.0, c=1.5, d=0.9),
               "loads": {"dera": (der.params(), 0.8, der.qgen0), "zip": cfg.components["zip"]}}
     result = _assert_bit_identical(inputs, dataclasses.replace(cfg.integrator, t_end=t_end))
     last = min(2006, round(t_end * 1000) + 1)  # the step after the last one flagged

@@ -15,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from clm_sim.composite import ConstantBus, LoadMix, PlaybackBus, PlaybackParams
+from clm_sim.composite import ConstantBus, LoadMix, PlaybackBus
 from clm_sim.dera import DERA_PRESETS
 from clm_sim.errors import ConfigError, GridMismatch, NonFiniteInput, NonFiniteState, OutOfRange
 from clm_sim.motor3 import MOTOR_PRESETS
@@ -147,10 +147,9 @@ def test_binary_round_trip_is_exact(tmp_path):
 
 def test_repeated_runs_bit_identical():
     cfg = IntegratorConfig(dt=1e-3, t_end=1.5)
-    a = run_simulation(full_composite_scenario(PlaybackBus(
-        PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9))), cfg).trajectory
-    b = run_simulation(full_composite_scenario(PlaybackBus(
-        PlaybackParams(a=0.8, b=5.0, c=1.0, d=0.9))), cfg).trajectory
+    bus = PlaybackBus(a=0.8, b=5.0, c=1.0, d=0.9)
+    a = run_simulation(full_composite_scenario(bus), cfg).trajectory
+    b = run_simulation(full_composite_scenario(bus), cfg).trajectory
     assert np.array_equal(a.data, b.data)
 
 
@@ -242,7 +241,7 @@ def test_build_scenario_rejects_an_unknown_component_name():
 
 def test_frequency_trip_zeroes_dera_output_in_simulation():
     params = dataclasses.replace(DERA_PRESETS["dera_table3"], fl=0.98, tfl=0.1)
-    zero_zip = dataclasses.replace(ZIP, P0=0.0, Q0=0.0)  # a zero-power ZIP
+    zero_zip = dataclasses.replace(ZIP, p0=0.0, q0=0.0)  # a zero-power ZIP
     scenario = build_scenario(
         LoadMix(f_zip=1.0, der_scale=1.0),
         StepFrequencyBus(f_after=0.97, t_step=0.5),
@@ -268,7 +267,7 @@ def test_frequency_trip_zeroes_dera_output_in_simulation():
 
 
 def test_voltage_dwell_event_reported():
-    deep = PlaybackParams(a=0.45, b=30.0, c=1.0, d=0.9)
+    deep = PlaybackBus(a=0.45, b=30.0, c=1.0, d=0.9)
     result = run_simulation(dera_playback_scenario(playback=deep),
                             IntegratorConfig(dt=1e-3, t_end=3.0))
     kinds = [e["type"] for e in result.summary["trip_events"]]
@@ -455,7 +454,7 @@ def test_run_logs_repeated_steps_and_keeps_summary(caplog):
 def test_scenario_runs_twice_to_the_same_result():
     # The stepper starts every memory afresh: a run after another, at another dt, repeats
     # the first bit for bit, DER dwell timer expiry and electronic-load minimum included.
-    scenario = full_composite_scenario(PlaybackBus(PlaybackParams(a=0.45, b=30, c=1, d=0.9)))
+    scenario = full_composite_scenario(PlaybackBus(a=0.45, b=30, c=1, d=0.9))
     first, _, again = (run_simulation(scenario, IntegratorConfig(dt=dt, t_end=3.0))
                        for dt in (1e-3, 5e-4, 1e-3))
     assert first.summary["trip_events"] == [{"type": "low_voltage_dwell_expired", "t": 1.159}]

@@ -17,24 +17,24 @@ from clm_sim.staticloads import (
     zip_power,
 )
 
-ZIP = ZipParams(P0=1.2, Q0=0.4, V0=1.0, ap=0.4, bp=0.35, cp=0.25,
-                aq=0.5, bq=0.3, cq=0.2)
-ELEC = ElecParams(PE0=1.0, QE0=0.25, Vd1=0.7, Vd2=0.5, alpha=0.6)
+ZIP = ZipParams(p0=1.2, q0=0.4, v0=1.0, a_p=0.4, b_p=0.35, c_p=0.25,
+                a_q=0.5, b_q=0.3, c_q=0.2)
+ELEC = ElecParams(pe0=1.0, qe0=0.25, vd1=0.7, vd2=0.5, alpha=0.6)
 
 
 def test_zip_nominal_point():
-    assert zip_power(ZIP.V0, ZIP) == (ZIP.P0, ZIP.Q0)
+    assert zip_power(ZIP.v0, ZIP) == (ZIP.p0, ZIP.q0)
 
 
 def test_zip_zero_voltage_leaves_constant_power_term():
     P, Q = zip_power(0.0, ZIP)
-    assert P == ZIP.cp * ZIP.P0
-    assert Q == ZIP.cq * ZIP.Q0
+    assert P == ZIP.c_p * ZIP.p0
+    assert Q == ZIP.c_q * ZIP.q0
 
 
 def test_zip_pure_impedance_quadratic():
-    pure_z = ZipParams(P0=2.0, Q0=1.0, V0=1.0, ap=1.0, bp=0.0, cp=0.0,
-                       aq=1.0, bq=0.0, cq=0.0)
+    pure_z = ZipParams(p0=2.0, q0=1.0, v0=1.0, a_p=1.0, b_p=0.0, c_p=0.0,
+                       a_q=1.0, b_q=0.0, c_q=0.0)
     P, Q = zip_power(0.9, pure_z)
     assert P == pytest.approx(0.81 * 2.0, abs=1e-15)
     assert Q == pytest.approx(0.81 * 1.0, abs=1e-15)
@@ -46,14 +46,14 @@ def test_zip_second_derivative_matches_impedance_fraction():
     for v in (0.6, 0.9, 1.0, 1.1):
         pp = (zip_power(v + h, ZIP)[0] - 2 * zip_power(v, ZIP)[0]
               + zip_power(v - h, ZIP)[0]) / h**2
-        assert abs(pp - 2.0 * ZIP.ap * ZIP.P0 / ZIP.V0**2) < 1e-6
+        assert abs(pp - 2.0 * ZIP.a_p * ZIP.p0 / ZIP.v0**2) < 1e-6
 
 
 def test_zip_fraction_sum_enforced():
     with pytest.raises(ValueError):
-        ZipParams(P0=1, Q0=1, V0=1, ap=0.5, bp=0.3, cp=0.1, aq=0.5, bq=0.3, cq=0.2)
+        ZipParams(p0=1, q0=1, v0=1, a_p=0.5, b_p=0.3, c_p=0.1, a_q=0.5, b_q=0.3, c_q=0.2)
     with pytest.raises(ValueError):
-        ZipParams(P0=1, Q0=1, V0=0.0, ap=0.4, bp=0.3, cp=0.3, aq=0.4, bq=0.3, cq=0.3)
+        ZipParams(p0=1, q0=1, v0=0.0, a_p=0.4, b_p=0.3, c_p=0.3, a_q=0.4, b_q=0.3, c_q=0.3)
 
 
 def test_elec_tracker_recursion():
@@ -64,7 +64,7 @@ def test_elec_tracker_recursion():
 
 def test_elec_memory_at_t0_floors_at_vd2():
     # The component's memory at t = 0 is the running minimum of V0 alone.
-    for v0, vmin in ((1.0, 1.0), (0.3, ELEC.Vd2)):
+    for v0, vmin in ((1.0, 1.0), (0.3, ELEC.vd2)):
         assert elec_vmin_update(v0, v0, ELEC) == vmin
         assert elec_component(ELEC, v0, 1.0)("elec", 0.2, 1e-3).memory0 == (vmin,)
 
@@ -77,20 +77,20 @@ def test_elec_mode_2_linear_disconnection():
     vt = 0.6
     ct, mode = elec_power_at(vt, 0.6, ELEC)[2:]  # at the running minimum
     assert mode == 2
-    assert ct == (vt - ELEC.Vd2) / (ELEC.Vd1 - ELEC.Vd2)
+    assert ct == (vt - ELEC.vd2) / (ELEC.vd1 - ELEC.vd2)
 
 
 def test_elec_mode_3_partial_reconnection_inside_band():
     vt, vmin = 0.65, 0.55
     ct, mode = elec_power_at(vt, vmin, ELEC)[2:]
     assert mode == 3
-    assert ct == (vmin - ELEC.Vd2 + ELEC.alpha * (vt - vmin)) / (ELEC.Vd1 - ELEC.Vd2)
+    assert ct == (vmin - ELEC.vd2 + ELEC.alpha * (vt - vmin)) / (ELEC.vd1 - ELEC.vd2)
 
 
 def test_elec_mode_4_full_output():
     ct, mode = elec_power_at(1.0, 1.0, ELEC)[2:]
     assert (ct, mode) == (1.0, 4)
-    ct, mode = elec_power_at(ELEC.Vd1, ELEC.Vd1, ELEC)[2:]
+    ct, mode = elec_power_at(ELEC.vd1, ELEC.vd1, ELEC)[2:]
     assert (ct, mode) == (1.0, 4)
 
 
@@ -98,11 +98,11 @@ def test_elec_mode_5_partial_recovery_above_band():
     vmin = 0.55
     ct, mode = elec_power_at(1.0, vmin, ELEC)[2:]
     assert mode == 5
-    assert ct == (vmin - ELEC.Vd2 + ELEC.alpha * (ELEC.Vd1 - vmin)) / (ELEC.Vd1 - ELEC.Vd2)
+    assert ct == (vmin - ELEC.vd2 + ELEC.alpha * (ELEC.vd1 - vmin)) / (ELEC.vd1 - ELEC.vd2)
 
 
 def test_elec_full_alpha_gives_full_recovery():
-    full = ElecParams(PE0=1.0, QE0=0.2, Vd1=0.7, Vd2=0.5, alpha=1.0)
+    full = ElecParams(pe0=1.0, qe0=0.2, vd1=0.7, vd2=0.5, alpha=1.0)
     for vmin in (0.5, 0.55, 0.69):
         ct, mode = elec_power_at(0.9, vmin, full)[2:]
         assert mode == 5
@@ -114,7 +114,7 @@ def test_elec_coefficient_bounded_and_modes_partition():
     for _ in range(2000):
         vt = float(rng.uniform(0.0, 1.3))
         vmin_raw = float(rng.uniform(0.0, 1.3))
-        vmin = elec_vmin_update(vt, max(ELEC.Vd2, vmin_raw), ELEC)
+        vmin = elec_vmin_update(vt, max(ELEC.vd2, vmin_raw), ELEC)
         ct, mode = elec_power_at(vt, vmin, ELEC)[2:]
         assert 0.0 <= ct <= 1.0
         assert mode in (1, 2, 3, 4, 5)
@@ -136,18 +136,18 @@ def test_elec_tracker_monotone_until_floor():
     for _ in range(500):
         vmin = elec_vmin_update(float(rng.uniform(0.2, 1.2)), vmin, ELEC)
         assert vmin <= prev
-        assert vmin >= ELEC.Vd2
+        assert vmin >= ELEC.vd2
         prev = vmin
 
 
 def test_elec_power_scales_base():
     p, q, ct, mode = elec_power_at(0.9, 0.55, ELEC)
-    assert p == ct * ELEC.PE0 and q == ct * ELEC.QE0
+    assert p == ct * ELEC.pe0 and q == ct * ELEC.qe0
     assert mode == 5
 
 
 def test_elec_param_validation():
     with pytest.raises(ValueError):
-        ElecParams(PE0=1, QE0=0, Vd1=0.5, Vd2=0.7, alpha=0.5)
+        ElecParams(pe0=1, qe0=0, vd1=0.5, vd2=0.7, alpha=0.5)
     with pytest.raises(ValueError):
-        ElecParams(PE0=1, QE0=0, Vd1=0.7, Vd2=0.5, alpha=1.5)
+        ElecParams(pe0=1, qe0=0, vd1=0.7, vd2=0.5, alpha=1.5)
