@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .staticloads import FRACTION_SUM_TOL
 
 PLAYBACK_SHAPES = ("verbatim", "ramp")
@@ -142,20 +141,31 @@ class SeriesBus:
     """Sampled (t, V[, F]) series with linear interpolation between samples.
 
     Outside the sampled span the end values are held. Frequency falls back
-    to a constant when the series has no frequency column.
+    to a constant when the series has no frequency column. The samples are
+    checked as the bus is made, by a series file's rules (a ValueError): one
+    1-D shape, at least two samples, strictly increasing t, V >= 0, F > 0
+    and freq > 0.
     """
 
     def __init__(self, t, v, f=None, freq: float = 1.0):
-        self.t = np.asarray(t, dtype=float)
-        self.v = np.asarray(v, dtype=float)
-        if self.t.ndim != 1 or self.t.shape != self.v.shape or self.t.size < 2:
-            raise ConfigError("series disturbance needs matching 1-D t and V with >= 2 samples")
-        if not np.all(np.diff(self.t) > 0.0):
-            raise ConfigError("series disturbance times must be strictly increasing")
+        self.t, self.v = np.asarray(t, dtype=float), np.asarray(v, dtype=float)
         self.f = None if f is None else np.asarray(f, dtype=float)
-        if self.f is not None and self.f.shape != self.t.shape:
-            raise ConfigError("series disturbance frequency column length mismatch")
         self.freq = freq
+        if self.t.ndim != 1 or any(y.shape != self.t.shape
+                                   for y in (self.v, self.f) if y is not None):
+            raise ValueError("need t, V and F of one 1-D shape")
+        if self.t.size < 2:
+            raise ValueError("need at least two samples")
+        back = np.flatnonzero(~(np.diff(self.t) > 0.0))  # a nan is out of order too
+        if back.size:
+            raise ValueError(f"time must be strictly increasing, got "
+                             f"{self.t[back[0] + 1]:.17g} after {self.t[back[0]]:.17g}")
+        for rule, ys, ok in (("V >= 0", self.v, np.greater_equal), ("F > 0", self.f, np.greater)):
+            rows = () if ys is None else np.flatnonzero(~ok(ys, 0.0))
+            if len(rows):
+                raise ValueError(f"need {rule}, got {ys[rows[0]]:.17g} "
+                                 f"at t = {self.t[rows[0]]:.17g}")
+        _check_freq(self)
 
     def _interp(self, t, ys: np.ndarray):
         ts, t = self.t, np.asarray(t, dtype=float)

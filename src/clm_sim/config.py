@@ -1,13 +1,22 @@
 """Scenario configuration: one YAML document per experiment.
 
 Parsing is strict: unknown and repeated keys are rejected at every level
-(no silent defaulting of misspelled fields, no last value taken), referenced
-presets must exist, and every numeric field is type-checked. Each section
-parses straight into its object, whose field names are the section's keys:
-LoadMix, ZipParams, ElecParams, a preset section, or the disturbance's bus
-(a series bus reads its file here, as the config loads). A parsed
-ScenarioConfig serialises back to a semantically identical dictionary, so
-configs are diff-able and reproducible.
+(no silent defaulting of misspelled fields, no last value taken), and
+referenced presets must exist. Every section parses by one rule
+(_parse_section) straight into its object, whose field names are the
+section's keys: LoadMix, a preset section, ZipParams, ElecParams, the
+disturbance's bus (a series bus reads its file here, as the config loads),
+IntegratorConfig or OutputsSection. Each value is converted by its field's
+type: a float is a finite number, an int a whole one (DER flags,
+record_every), and str, bool and list[str] are what they say; a type
+`T | None` also takes null. A key left out, or a number given as null,
+takes the field's default; a field without one is required. A preset
+section's overrides are converted by the types of its parameter class's
+fields. The objects check their own values as they are made: a check about
+one key raises errors.FieldError and is reported on <section>.<key>, any
+other ValueError on the section. A parsed ScenarioConfig serialises back to
+a semantically identical dictionary, so configs are diff-able and
+reproducible.
 
 Units follow the models: powers and voltages in pu on the component base,
 time constants and times in seconds, fractions dimensionless.
@@ -17,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import ClassVar
@@ -26,9 +36,9 @@ import yaml
 
 from .composite import ConstantBus, LoadMix, PlaybackBus, SeriesBus, _check_freq
 from .dera import DERA_PRESETS, DerAParams
-from .errors import ConfigError, FileFormatError, PresetError
+from .errors import ConfigError, FieldError, FileFormatError, PresetError
 from .motor3 import MOTOR_PRESETS, MotorParams
-from .sim import INTEGRATION_METHODS, IntegratorConfig, Scenario, build_scenario, read_table
+from .sim import IntegratorConfig, Scenario, build_scenario, read_table
 from .staticloads import ElecParams, ZipParams
 
 PRESETS = {**MOTOR_PRESETS, **DERA_PRESETS}
@@ -46,45 +56,63 @@ def _reject_unknown(node: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown}", field=where)
 
 
-def _finite(v, field: str) -> float:
+def _finite(v, key: str) -> float:
     # The comparison is false for nan and inf, and exact for an int beyond the float range.
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
-        raise ConfigError(f"expected a finite number, got {v!r}", field=field)
+        raise FieldError(f"expected a finite number, got {v!r}", key)
     return float(v)
 
 
-def _number(node: dict, key: str, where: str, default=None, required=False):
-    v = node.get(key)
-    if v is None:  # absent or explicit null
-        if required:
-            raise ConfigError("missing required key", field=f"{where}.{key}")
-        return default
-    return _finite(v, f"{where}.{key}")
+def _value(value, ftype: str, key: str):
+    """value converted to the field type ftype (the annotation's text); else a FieldError on key."""
+    kind, _, none = ftype.partition(" | ")
+    if value is None and none:  # T | None
+        return None
+    if kind in ("float", "int"):
+        number = _finite(value, key)
+        if kind == "float":
+            return number
+        if not number.is_integer():
+            raise FieldError(f"expected a whole number, got {number!r}", key)
+        return int(number)
+    fits, what = {  # per other type: whether value is one, and what the error says it must be
+        "str": (isinstance(value, str), "a string"),
+        "bool": (isinstance(value, bool), "a boolean"),
+        "list[str]": (isinstance(value, list) and all(isinstance(s, str) for s in value),
+                      "a list of strings"),
+        "dict": (isinstance(value, dict), "a mapping"),
+    }[kind]
+    if not fits:
+        raise FieldError(f"{key} must be {what}, got {value!r}", key)
+    return list(value) if kind == "list[str]" else value
 
 
-def _parse_numeric(node, where: str, cls):
-    """Parse a section of numbers and strings into the dataclass cls, whose fields are its keys.
+@contextmanager
+def _reported(where: str):
+    """A FieldError as a ConfigError on <where>.<key>, and any other ValueError on where."""
+    try:
+        yield
+    except FieldError as exc:
+        raise ConfigError(str(exc), field=f"{where}.{exc.key}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=where) from None
 
-    Required keys and defaults come from the fields. A str field given as
-    null is not a string; a number field given as null takes its default.
-    """
+
+def _parse_section(node, where: str, cls):
+    """Parse the section node into the dataclass cls by the rule in the module docstring."""
     node = _require_mapping(node, where)
     fields = dataclasses.fields(cls)
     _reject_unknown(node, [f.name for f in fields], where)
-    values = {}
-    for f in fields:
-        key = f.name
-        if f.type != "str" or key not in node:
-            values[key] = _number(node, key, where, f.default,
-                                  required=f.default is dataclasses.MISSING)
-        elif isinstance(node[key], str):
-            values[key] = node[key]
-        else:
-            raise ConfigError(f"{key} must be a string, got {node[key]!r}", field=f"{where}.{key}")
-    try:
+    with _reported(where):
+        values = {}
+        for f in fields:
+            value = node.get(f.name)
+            if value is None and (f.name not in node or f.type in ("float", "int")):
+                if f.default is dataclasses.MISSING:  # else cls gives the default
+                    raise FieldError("missing required key", f.name)
+            else:
+                values[f.name] = _value(value, f.type, f.name)
         return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field=where) from None
 
 
 @dataclass
@@ -97,6 +125,14 @@ class PresetSection:
 
     preset: str | None
     overrides: dict
+
+    def __post_init__(self):
+        if self.preset is None:
+            missing = sorted(f.name for f in dataclasses.fields(self.PARAMS)
+                             if f.default is dataclasses.MISSING and f.name not in self.overrides)
+            if missing:
+                raise ValueError(f"no preset given and parameters missing: {missing}")
+        self.params()  # the parameter class checks the values; an unknown preset is a PresetError
 
     def params(self):
         if self.preset is None:
@@ -134,8 +170,12 @@ class SeriesSection(SeriesBus):
     freq: float = 1.0  # used only when the file has no F column
 
     def __post_init__(self):
-        _check_freq(self)
-        SeriesBus.__init__(self, *read_series_file(self.file), freq=self.freq)
+        _check_freq(self)  # a config error, found before the file is read
+        t, v, f = read_series_file(self.file)
+        try:
+            SeriesBus.__init__(self, t, v, f, freq=self.freq)
+        except ValueError as exc:  # the samples break a series rule: the file is at fault
+            raise FileFormatError(f"{self.file}: {exc}") from None
 
 
 # Disturbance type name -> its bus: the YAML keys besides type are its fields.
@@ -148,8 +188,16 @@ class OutputsSection:
     trajectory_csv: str = "trajectory.csv"
     summary_json: str = "summary.json"
     binary: str | None = None
-    channels: list[str] | None = None
+    channels: list[str] | None = None  # None for every channel; t is always written, first
     figure_csvs: bool = False
+
+    def __post_init__(self):
+        if self.channels is not None and not set(self.channels) - {"t"}:
+            raise FieldError(f"channels must name a channel besides t, got {self.channels!r}",
+                             "channels")
+        for key in ("trajectory_csv", "summary_json", "binary"):
+            if getattr(self, key) == "":
+                raise FieldError("expected a file name, got an empty string", key)
 
 
 @dataclass
@@ -185,46 +233,16 @@ class ScenarioConfig:
         return build_scenario(self.mix, self.disturbance, loads)
 
 
-def _parse_overrides(node, where: str, param_cls) -> dict:
-    node = _require_mapping(node, where)
-    fields = {f.name: f for f in dataclasses.fields(param_cls)}
-    _reject_unknown(node, fields, where)
-    out = {}
-    for key, value in node.items():
-        value = _finite(value, f"{where}.{key}")
-        if fields[key].type != "int":
-            out[key] = value
-        elif value.is_integer():  # DER flags
-            out[key] = int(value)
-        else:
-            raise ConfigError(f"expected a whole number, got {value!r}", field=f"{where}.{key}")
-    return out
-
-
 def _parse_preset_section(node, where: str, section_cls):
-    """Parse a motor or DER section: a preset and/or overrides plus its initial loading."""
+    """Parse a motor or DER section; its overrides take the parameter class's field types."""
     node = _require_mapping(node, where)
-    fields = dataclasses.fields(section_cls)
-    _reject_unknown(node, [f.name for f in fields], where)
-    preset = node.get("preset")
-    if preset is not None and not isinstance(preset, str):
-        raise ConfigError(f"preset must be a string, got {preset!r}", field=f"{where}.preset")
-    param_cls = section_cls.PARAMS
-    overrides = _parse_overrides(node.get("overrides", {}), f"{where}.overrides", param_cls)
-    if preset is None:
-        required = {f.name for f in dataclasses.fields(param_cls) if f.default is dataclasses.MISSING}
-        missing = sorted(required - set(overrides))
-        if missing:
-            raise ConfigError(f"no preset given and parameters missing: {missing}", field=where)
-    loading = {f.name: _number(node, f.name, where, f.default,
-                               required=f.default is dataclasses.MISSING)
-               for f in fields[2:]}  # the fields after preset and overrides
-    sec = section_cls(preset, overrides, **loading)
-    try:
-        sec.params()
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc), field=where) from None
-    return sec
+    overrides = _require_mapping(node.get("overrides", {}), f"{where}.overrides")
+    types = {f.name: f.type for f in dataclasses.fields(section_cls.PARAMS)}
+    _reject_unknown(overrides, types, f"{where}.overrides")
+    with _reported(f"{where}.overrides"):
+        overrides = {key: _value(value, types[key], key) for key, value in overrides.items()}
+    return _parse_section({**node, "preset": node.get("preset"), "overrides": overrides},
+                          where, section_cls)
 
 
 def _parse_disturbance(node, where="disturbance"):
@@ -233,53 +251,13 @@ def _parse_disturbance(node, where="disturbance"):
     if not isinstance(dtype, str) or dtype not in DISTURBANCES:  # str first: a list is unhashable
         raise ConfigError(f"type must be one of {list(DISTURBANCES)}, got {dtype!r}",
                           field=f"{where}.type")
-    return _parse_numeric({k: v for k, v in node.items() if k != "type"}, where, DISTURBANCES[dtype])
+    return _parse_section({k: v for k, v in node.items() if k != "type"}, where,
+                          DISTURBANCES[dtype])
 
 
-def parse_integrator(node, where="integrator") -> IntegratorConfig:
-    """Parse an integrator section; `clm-sim run` checks its --dt/--t-end overrides here too."""
-    node = _require_mapping(node, where)
-    _reject_unknown(node, ("method", "dt", "t_end", "record_every"), where)
-    method = node.get("method", "rk4")
-    if not isinstance(method, str) or method not in INTEGRATION_METHODS:
-        raise ConfigError(f"method must be one of {INTEGRATION_METHODS}, got {method!r}",
-                          field=f"{where}.method")
-    record_every = _number(node, "record_every", where, 1.0)
-    if not (record_every.is_integer() and record_every >= 1):
-        raise ConfigError(f"expected a whole number of steps >= 1, got {record_every!r}",
-                          field=f"{where}.record_every")
-    dt, t_end = _number(node, "dt", where, 1e-3), _number(node, "t_end", where, 5.0)
-    for key, value in (("dt", dt), ("t_end", t_end)):
-        if not value > 0.0:
-            raise ConfigError(f"need {key} > 0, got {value!r}", field=f"{where}.{key}")
-    try:  # all IntegratorConfig has left to refuse is the step count, round(t_end / dt)
-        return IntegratorConfig(method=method, dt=dt, t_end=t_end, record_every=int(record_every))
-    except ValueError as exc:
-        raise ConfigError(str(exc), field=f"{where}.t_end") from None
-
-
-def parse_outputs(node, where="outputs") -> OutputsSection:
-    """Parse an outputs section; `clm-sim run` checks its --out-dir/--channels here too."""
-    node = _require_mapping(node, where)
-    _reject_unknown(node, [f.name for f in dataclasses.fields(OutputsSection)], where)
-    out = OutputsSection(**node)
-    if out.channels is not None:
-        if not (isinstance(out.channels, list) and all(isinstance(c, str) for c in out.channels)
-                and set(out.channels) - {"t"}):  # t is always written, first
-            raise ConfigError("channels must be a list of strings naming a channel besides t",
-                              field=f"{where}.channels")
-        out.channels = list(out.channels)
-    if not isinstance(out.figure_csvs, bool):
-        raise ConfigError("figure_csvs must be a boolean", field=f"{where}.figure_csvs")
-    for key in ("out_dir", "trajectory_csv", "summary_json"):
-        if not isinstance(getattr(out, key), str):
-            raise ConfigError("expected a string", field=f"{where}.{key}")
-    if out.binary is not None and not isinstance(out.binary, str):
-        raise ConfigError("expected a string or null", field=f"{where}.binary")
-    for key in ("trajectory_csv", "summary_json", "binary"):
-        if getattr(out, key) == "":
-            raise ConfigError("expected a file name, got an empty string", field=f"{where}.{key}")
-    return out
+# `clm-sim run` checks its --dt/--t-end and --out-dir/--channels options through these too.
+parse_integrator = partial(_parse_section, where="integrator", cls=IntegratorConfig)
+parse_outputs = partial(_parse_section, where="outputs", cls=OutputsSection)
 
 
 # Component section name -> parse(node, where), giving the section object; its fields
@@ -288,8 +266,8 @@ SECTIONS = {
     **dict.fromkeys(("motor_a", "motor_b", "motor_c"),
                     partial(_parse_preset_section, section_cls=MotorSection)),
     "dera": partial(_parse_preset_section, section_cls=DeraSection),
-    "zip": partial(_parse_numeric, cls=ZipParams),
-    "elec": partial(_parse_numeric, cls=ElecParams),
+    "zip": partial(_parse_section, cls=ZipParams),
+    "elec": partial(_parse_section, cls=ElecParams),
 }
 
 TOP_LEVEL_KEYS = ("mix", *SECTIONS, "disturbance", "integrator", "outputs")
@@ -302,7 +280,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         if key not in doc:
             raise ConfigError("missing required section", field=key)
     return ScenarioConfig(
-        mix=_parse_numeric(doc["mix"], "mix", LoadMix),
+        mix=_parse_section(doc["mix"], "mix", LoadMix),
         disturbance=_parse_disturbance(doc["disturbance"]),
         integrator=parse_integrator(doc["integrator"]),
         components={name: parse(doc[name], name)
@@ -340,22 +318,11 @@ def read_series_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Read an external disturbance series: (t, V) or (t, V, F) CSV.
 
     The table rules are read_table's (optional header, one field count,
-    finite values); V must be >= 0 and F > 0, as constant's v and freq.
-    Values are linearly interpolated between samples at run time.
+    finite values) and 2 or 3 columns; the samples' rules are SeriesBus's,
+    which SeriesSection reports as a FileFormatError on the file.
     """
     _, data = read_table(path, "series file")
     if data.shape[1] not in (2, 3):
         raise FileFormatError(f"{path}: expected 2 or 3 columns, got {data.shape[1]}")
-    if len(data) < 2:
-        raise FileFormatError(f"{path}: need at least two samples")
-    back = np.flatnonzero(np.diff(data[:, 0]) <= 0.0)
-    if back.size:
-        raise FileFormatError(f"{path}: time must be strictly increasing, got "
-                              f"{data[back[0] + 1, 0]:.17g} after {data[back[0], 0]:.17g}")
-    for j, rule, bad in ((1, "V >= 0", np.less), (2, "F > 0", np.less_equal))[:data.shape[1] - 1]:
-        rows = np.flatnonzero(bad(data[:, j], 0.0))
-        if rows.size:
-            raise FileFormatError(f"{path}: need {rule}, got {data[rows[0], j]:.17g} "
-                                  f"at t = {data[rows[0], 0]:.17g}")
     f = data[:, 2] if data.shape[1] == 3 else None
     return data[:, 0], data[:, 1], f

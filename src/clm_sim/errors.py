@@ -28,6 +28,14 @@ class ConfigError(ClmSimError):
         super().__init__(message)
 
 
+class FieldError(ValueError):
+    """A failed check of one key of a config section; the parser reports it on <section>.<key>."""
+
+    def __init__(self, message, key):
+        self.key = key
+        super().__init__(message)
+
+
 class PresetError(ClmSimError):
     """Unknown parameter preset name."""
 

@@ -70,6 +70,7 @@ from .composite import LoadMix
 from .errors import (
     ChannelError,
     ConfigError,
+    FieldError,
     FileFormatError,
     GridMismatch,
     NonFiniteInput,
@@ -84,10 +85,8 @@ INTEGRATION_METHODS = ("rk4", "heun", "euler")
 # Tolerance when deciding two time grids are the same grid.
 GRID_ATOL = 1e-12
 
-# Rows per block in write_csv, whose text is the writer's peak memory.
-CSV_BLOCK_ROWS = 250
-
-# Steps per block in run_simulation, whose bus table and rows are the stepper's peak memory.
+# Steps per block in run_simulation, whose bus table and rows are the stepper's peak memory,
+# and rows per block in write_csv, whose text is the writer's.
 STEP_BLOCK = 250
 
 
@@ -101,16 +100,18 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if self.method not in INTEGRATION_METHODS:
-            raise ValueError(f"method must be one of {INTEGRATION_METHODS}, got {self.method!r}")
+            raise FieldError(f"method must be one of {INTEGRATION_METHODS}, got {self.method!r}",
+                             "method")
         for name in ("dt", "t_end"):
             if not 0.0 < getattr(self, name) < inf:
-                raise ValueError(f"need finite {name} > 0, got {getattr(self, name)}")
+                raise FieldError(f"need finite {name} > 0, got {getattr(self, name)}", name)
         if (steps := self.t_end / self.dt) > self.MAX_STEPS + 0.5:  # round(t_end / dt) > MAX_STEPS
-            raise ValueError(f"t_end / dt is {steps:.3g} steps, more than {self.MAX_STEPS}")
+            raise FieldError(f"t_end / dt is {steps:.3g} steps, more than {self.MAX_STEPS}",
+                             "t_end")
         if round(steps) < 1:  # a run of int(round(t_end / dt)) steps would take none
-            raise ValueError(f"t_end / dt is {steps:.3g} steps, which rounds to 0")
+            raise FieldError(f"t_end / dt is {steps:.3g} steps, which rounds to 0", "t_end")
         if not isinstance(every := self.record_every, int) or isinstance(every, bool) or every < 1:
-            raise ValueError(f"record_every must be an integer >= 1, got {every!r}")
+            raise FieldError(f"record_every must be an integer >= 1, got {every!r}", "record_every")
 
 
 @dataclass(frozen=True)
@@ -553,12 +554,13 @@ def write_csv(traj: Trajectory, files: dict) -> None:
 
     files maps each path to its channel list (t put first, a repeat dropped)
     or None for every channel, all checked before any file is opened. The
-    rows go to a BlockWriter CSV_BLOCK_ROWS at a time, so one block's text
-    is the writer's peak memory: the bytes of formatting every row on its own.
+    rows go to a BlockWriter STEP_BLOCK at a time, as a streamed run hands
+    them over, so one block's text is the writer's peak memory: the bytes of
+    formatting every row on its own.
     """
     with BlockWriter(traj.channels, files) as writer:
-        for start in range(0, len(traj), CSV_BLOCK_ROWS):
-            writer.write(traj.data[start:start + CSV_BLOCK_ROWS])
+        for start in range(0, len(traj), STEP_BLOCK):
+            writer.write(traj.data[start:start + STEP_BLOCK])
 
 
 def read_table(path, what: str = "file") -> tuple[list[str] | None, np.ndarray]:

@@ -20,6 +20,7 @@ from clm_sim.config import (
     DISTURBANCES,
     SECTIONS,
     TOP_LEVEL_KEYS,
+    OutputsSection,
     load_config,
     parse_config,
     parse_integrator,
@@ -425,6 +426,34 @@ def test_bad_integrator_value_names_its_key(key, value):
     with pytest.raises(ConfigError) as exc_info:
         parse_integrator(dict(BASE_DOC["integrator"], **{key: value}))
     assert exc_info.value.field == f"integrator.{key}"
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("outputs", "figure_csvs", 3),
+    ("outputs", "out_dir", 3),
+    ("outputs", "binary", 3),
+    ("outputs", "channels", "total.P"),
+    ("outputs", "channels", [1]),
+    ("integrator", "method", None),
+    ("integrator", "record_every", True),
+    ("integrator", "dt", "1"),
+    ("integrator", "dt", 0),
+])
+def test_bad_integrator_or_outputs_value_is_one_error_line_on_its_key(tmp_path, capsys, section,
+                                                                      key, value):
+    doc = dict(BASE_DOC, **{section: dict(BASE_DOC[section], **{key: value})})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, doc)), "--out-dir", str(out)]) == 2
+    assert _single_error_line(capsys, "CONFIG_INVALID").endswith(f"(field: {section}.{key})")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("trajectory_csv", ""), ("summary_json", ""),
+                                        ("binary", ""), ("channels", ["t"]), ("channels", [])])
+def test_outputs_section_built_in_python_checks_its_values(key, value):
+    with pytest.raises(ValueError) as exc_info:
+        OutputsSection(**{key: value})
+    assert exc_info.value.key == key
 
 
 # ------------------------------------------------------ compare on foreign files
@@ -841,11 +870,16 @@ def test_each_section_takes_its_fields_as_keys(tmp_path):
         "constant": {"v": 0.95, "freq": 1.01},
         "series": {"file": str(series), "freq": 1.01},
     }
+    sections = {
+        "integrator": {"method": "heun", "dt": 0.002, "t_end": 0.5, "record_every": 2},
+        "outputs": {"out_dir": "o", "trajectory_csv": "a.csv", "summary_json": "s.json",
+                    "binary": "b.bin", "channels": ["total.P"], "figure_csvs": True},
+    }
     assert set(components) == set(SECTIONS) and set(disturbances) == set(DISTURBANCES)
-    doc = dict(BASE_DOC, **components)
+    doc = dict(BASE_DOC, **components, **sections)
     cfg = parse_config(doc)
-    for name, section in components.items():
-        parsed = cfg.components[name]
+    for name, section in {**components, **sections}.items():
+        parsed = cfg.components[name] if name in SECTIONS else getattr(cfg, name)
         assert set(section) == {f.name for f in dataclasses.fields(parsed)}
         assert cfg.to_dict()[name] == dataclasses.asdict(parsed) == section
         with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['x'\] \(field: {name}\)"):

@@ -157,6 +157,23 @@ def test_series_bus_without_frequency_column():
     assert bus.frequency(0.5) == 1.02
 
 
+@pytest.mark.parametrize("args, freq, message", [
+    (([0, 1], [1, -0.5], [1, -1]), 0.0, "need V >= 0, got -0.5 at t = 1"),
+    (([0, 1], [1, np.nan]), 1.0, "need V >= 0, got nan at t = 1"),
+    (([0, 0.5, 1], [1, 1, 1], [1, 0, -1]), 1.0, "need F > 0, got 0 at t = 0.5"),
+    (([0, 1], [1, 1]), 0.0, "need freq > 0, got 0.0"),
+    (([0], [1]), 1.0, "need at least two samples"),
+    (([0, 1, 1], [1, 1, 1]), 1.0, "time must be strictly increasing, got 1 after 1"),
+    (([0, 1], [1, 1, 1]), 1.0, "need t, V and F of one 1-D shape"),
+    (([0, 1], [1, 1], [1]), 1.0, "need t, V and F of one 1-D shape"),
+    (([[0, 1]], [[1, 1]]), 1.0, "need t, V and F of one 1-D shape"),
+])
+def test_series_bus_checks_its_samples_as_a_series_file_is_checked(args, freq, message):
+    with pytest.raises(ValueError) as exc_info:
+        SeriesBus(*args, freq=freq)
+    assert str(exc_info.value) == message
+
+
 def test_playback_bus_wraps_generator():
     bus = PlaybackBus(a=0.8, b=5.0, c=1.0, d=0.9, freq=1.0)
     assert bus.voltage(1.05) == 0.8

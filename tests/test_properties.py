@@ -17,8 +17,8 @@ from hypothesis import strategies as st  # noqa: E402
 from clm_sim.config import parse_config  # noqa: E402
 from clm_sim.errors import FileFormatError  # noqa: E402
 from clm_sim.sim import (  # noqa: E402
-    CSV_BLOCK_ROWS,
     INTEGRATION_METHODS,
+    STEP_BLOCK,
     IntegratorConfig,
     Trajectory,
     read_binary,
@@ -172,7 +172,7 @@ def test_write_csv_matches_per_row_formatting(traj, data, block_rows):
     extra = traj.channels[1:]
     subset = st.none() | (st.lists(st.sampled_from(extra), unique=True) if extra else st.just([]))
     subsets = data.draw(st.lists(subset, min_size=1, max_size=4))  # the files of one call
-    with mock.patch("clm_sim.sim.CSV_BLOCK_ROWS", block_rows):  # cells repeat across blocks
+    with mock.patch("clm_sim.sim.STEP_BLOCK", block_rows):  # cells repeat across blocks
         texts = written_csvs(traj, subsets)
     for channels, text in zip(subsets, texts):
         assert text == per_row_csv(traj, channels)
@@ -180,7 +180,7 @@ def test_write_csv_matches_per_row_formatting(traj, data, block_rows):
 
 @pytest.mark.parametrize("channels", [None, ["b"], []])
 def test_write_csv_reuse_across_a_block_boundary(channels):
-    n = CSV_BLOCK_ROWS
+    n = STEP_BLOCK
     a = np.arange(2 * n + 1) * 0.25
     a[n] = a[n - 1]  # a's first cell in the second block repeats the first block's last
     b = np.where(np.arange(2 * n + 1) % 2, -0.0, 0.0)  # b flips between 0.0 and -0.0
