@@ -11,7 +11,10 @@ Bus disturbances are playback signals, i.e. scripted voltage/frequency
 time series with no network solution: the piecewise fault/recovery voltage
 generator, a constant bus, or an externally supplied sampled series.
 A bus maps times to values: voltage(t) and frequency(t) take an array of
-times and give an array of values, and a float is one time. PlaybackBus
+times and give an array of values, and a float is one time. A bus also
+gives breakpoints(), the times at which a signal jumps or its slope does:
+the stepper takes sub-steps there, so that no integrator stage reads the
+bus across one (a bus without the method has none). PlaybackBus
 and ConstantBus are frozen dataclasses whose fields are the YAML keys of
 their disturbance types, checked as the bus is made.
 """
@@ -117,6 +120,10 @@ class PlaybackBus:
     def frequency(self, t):
         return _held(t, self.freq)
 
+    def breakpoints(self) -> tuple[float, ...]:
+        """The fault's start, its clearing and the recovery's end, as voltage() computes them."""
+        return 1.0, 1.0 + self.b / 60.0, 1.0 + self.c
+
 
 @dataclass(frozen=True)
 class ConstantBus:
@@ -135,6 +142,9 @@ class ConstantBus:
 
     def frequency(self, t):
         return _held(t, self.freq)
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return ()
 
 
 class SeriesBus:
@@ -181,3 +191,7 @@ class SeriesBus:
         if self.f is None:
             return _held(t, self.freq)
         return self._interp(t, self.f)
+
+    def breakpoints(self) -> tuple[float, ...]:
+        """None: the knots between samples are stepped through."""
+        return ()

@@ -1,14 +1,15 @@
 """Fixed-step integration engine, trajectory recording and comparison metrics.
 
-The integrator is deterministic: a fixed step (rk4, heun or euler), no
-event location (piecewise switches are integrated through; the convergence
-tests quantify the resulting error), and all simulation memory (voltage
-extremes, dwell timers, trip latches, the electronic-load minimum tracker)
-advanced exactly once per accepted step using end-of-step values, never
-inside integrator stages. Identical inputs therefore produce bit-identical
-trajectories. Each method's step is written out for a component's number of
-states, made on first use, with the float operations in the order of the
-array form that tests/test_reference_stepper.py checks it against bit for bit.
+The integrator is deterministic: a fixed step (rk4, heun or euler), split
+at the bus's breakpoints (see below) but with no event location for the
+models' own switches (limiters and deadbands are integrated through), and
+all simulation memory (voltage extremes, dwell timers, trip latches, the
+electronic-load minimum tracker) advanced exactly once per accepted step
+using end-of-step values, never inside integrator stages. Identical inputs
+therefore produce bit-identical trajectories. Each method's step is written
+out for a component's number of states, made on first use, with the float
+operations in the order of the array form that
+tests/test_reference_stepper.py checks it against bit for bit.
 
 The stepper drives one list of components, one per configured model, each
 made for the run by the builder its type's initialiser (motor_component,
@@ -26,20 +27,28 @@ the components' P and Q.
 The run goes STEP_BLOCK steps at a time. For each block the bus is read as
 arrays, one voltage and one frequency call over every time the method uses
 (each stage time and each step's end), so a bus must accept an array of
-times (see composite.py). The steps whose inputs equal the step before's bit
-for bit are marked, and each component is stepped through the block on its
-own, in channel order. A component whose last computed step left its state
-and memory bit for bit as they were skips to the next step whose inputs
-change, its rows and limiter flags repeated: outputs are unchanged. Limiter
-activity is counted by runs of equal flags, added up when the flags change
-and at the end. A run that fails raises the error of
-its earliest failing step: a non-finite bus value at a stage time, else a
-stage overflow, else the first non-finite state in channel order. Each
-block's rows, totals included, are either kept in the run's trajectory or
-handed to a writer (run_simulation's write) once the block is stepped, in
-one block-sized buffer: a streamed run's memory does not depend on its
-length. `clm-sim run` streams every run to its files this way; a run that
-fails or is interrupted there leaves no file and no directory that it made.
+times (see composite.py). A step whose closed interval [t, t + dt] holds one
+of the bus's breakpoints() is split: it runs as one sub-step per piece
+between its interior breakpoints, each stage reading the bus at its time
+clamped to just inside its piece (the one-sided limits at a jump), so no
+stage reads the bus across a jump or a kink. One more call per signal reads
+a block's sub-step inputs; the rows, the end-of-step memory
+advance and every other step are as without the split. The steps whose
+inputs equal the step before's bit for bit are marked, and each component
+is stepped through the block on its own, in channel order. A component
+whose last computed step left its state and memory bit for bit as they were
+skips to the next step whose inputs change, its rows and limiter flags
+repeated: outputs are unchanged. Every component computes a split step,
+which never starts such a skip. Limiter activity is counted by runs of equal flags,
+added up when the flags change and at the end. A run that fails raises the
+error of its earliest failing step: a non-finite bus value at a stage time
+(a split step's included), else a stage overflow, else the first non-finite
+state in channel order. Each block's rows, totals included, are either kept
+in the run's trajectory or handed to a writer (run_simulation's write) once
+the block is stepped, in one block-sized buffer: a streamed run's memory
+does not depend on its length. `clm-sim run` streams every run to its files
+this way; a run that fails or is interrupted there leaves no file and no
+directory that it made.
 
 Trajectories are channel matrices with a leading, strictly increasing time
 column. BlockWriter appends blocks of rows to the CSV and binary files, and
@@ -56,11 +65,13 @@ import logging
 import re
 import struct
 import warnings
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cache
-from math import inf, isfinite
+from itertools import chain
+from math import inf, isfinite, nextafter
 
 import numpy as np
 
@@ -351,6 +362,43 @@ def _read_bus(bus, stages: tuple, dt: float, i0: int, n: int) -> tuple:
     return at_t, inputs, inputs[:-2].T.tolist(), at_t[:, 1:].tolist()
 
 
+def _split_steps(bus, stages: tuple, breaks: list[float], t: list[float]) -> tuple[dict, dict]:
+    """(split, bad) for the steps r whose closed interval [t[r], t[r + 1]] holds a breakpoint.
+
+    t holds the steps' boundaries. split maps each such step to its pieces,
+    a sub-step (h, args) between the step's ends and its interior breakpoints
+    each, args the bus's V and F at its stage times, each clamped to
+    [nextafter(lo, inf), nextafter(hi, -inf)] of its piece [lo, hi]: the
+    one-sided limits at a jump, even at a grid point. bad maps a step to the
+    earliest of those times whose V or F is not finite, if it has one. The bus
+    is read once for all of them; every value is a Python float.
+    """
+    last = len(t) - 1  # the steps are 0 to last - 1
+    marked = sorted({r for b in breaks
+                     for r in range(max(bisect_left(t, b) - 1, 0), min(bisect_right(t, b), last))})
+    if not marked:
+        return {}, {}
+    spans, times = [], []
+    for r in marked:
+        ends = [t[r], *(b for b in breaks if t[r] < b < t[r + 1]), t[r + 1]]
+        spans.append(list(zip(ends, ends[1:])))
+        times += [min(max(lo + h * (hi - lo), nextafter(lo, inf)), nextafter(hi, -inf))
+                  for lo, hi in spans[-1] for h in stages]
+    at = np.array(times)
+    V, F = (np.asarray(x, dtype=float).tolist() for x in (bus.voltage(at), bus.frequency(at)))
+    split, bad, k, width = {}, {}, 0, len(stages)
+    for r, pieces in zip(marked, spans):
+        end = k + width * len(pieces)
+        split[r] = [(hi - lo, [x for j in range(a, a + width) for x in (V[j], F[j])])
+                    for a, (lo, hi) in zip(range(k, end, width), pieces)]
+        for j in range(k, end):
+            if not (isfinite(V[j]) and isfinite(F[j])):
+                bad[r] = times[j]
+                break
+        k = end
+    return split, bad
+
+
 @dataclass
 class SimResult:
     trajectory: Trajectory | None  # None when the run's rows went to a writer
@@ -372,6 +420,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
     samples = n_steps // every + 1
     stages = _STEPPERS[config.method][0]
     voltage, frequency = scenario.bus.voltage, scenario.bus.frequency
+    breaks = sorted(map(float, getattr(scenario.bus, "breakpoints", tuple)()))
     components = scenario.components(dt)
     channels = channel_names(components)
     # Every sample, or the samples of one block: at most ceil(STEP_BLOCK / every).
@@ -399,11 +448,17 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
         rows = min(STEP_BLOCK, n_steps + 1 - i0)  # rows i0 + r of the trajectory
         n = min(rows, n_steps - i0)  # the steps among them: the row at t_end has none
         at_t, inputs, args, vf = _read_bus(scenario.bus, stages, dt, i0, n)
+        # The split steps' pieces, and each step's first time with a non-finite stage input.
+        split, bad = _split_steps(scenario.bus, stages, breaks, at_t[:, 0].tolist())
         bits = inputs.view(np.uint64)  # a step repeats when its inputs equal the step before's
         changed = (np.diff(bits, axis=1, prepend=last) != 0).any(axis=0).tolist() + [True]
         last = bits[:, -1:] if n else last
-        bad = np.flatnonzero(~np.isfinite(inputs[:-2]).all(axis=0))  # stage inputs only
-        stop = int(bad[0]) if bad.size else rows
+        for r in np.flatnonzero(~np.isfinite(inputs[:-2]).all(axis=0))[:1].tolist():  # stages only
+            h = stages[np.flatnonzero(~np.isfinite(inputs[:-2, r]))[0] // 2]
+            bad[r] = min(bad.get(r, inf), float(at_t[r, 0]) + h * dt)
+        for r in split:  # every component computes a split step
+            changed[r] = True
+        stop = min(bad, default=rows)
         fails = []
         lo, hi = -(-i0 // every), -(-(i0 + rows) // every)  # the samples of this block
         block = data[lo:hi] if write is None else data[:hi - lo]  # sample lo in its row 0
@@ -412,7 +467,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
             cols, s, m, repeat, held, counts, flagged, since = run
             out = block[:, cols]
             rhs, output, flags, advance = c.rhs, c.output, c.flags, c.advance
-            step = _step(config.method, len(c.states)) if c.states else None
+            step = _step(config.method, len(c.states)) if c.states else lambda rhs, s, *_: s
             recorded, r = {}, 0  # data row -> the row of a computed step
             while r < stop:
                 i = i0 + r
@@ -429,8 +484,14 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
                     recorded[i // every - lo] = row = (*s, *output(s, m, *vf[r]))
                 if i == n_steps:
                     break
+                pieces = split.get(r)
                 try:
-                    new = step(rhs, s, m, dt, *args[r]) if c.states else s
+                    if pieces is None:
+                        new = step(rhs, s, m, dt, *args[r])
+                    else:  # one sub-step per piece between the step's breakpoints
+                        new = s
+                        for h, piece in pieces:
+                            new = step(rhs, new, m, h, *piece)
                 except (OverflowError, ZeroDivisionError):  # plain floats raise these in a stage
                     fails.append((r, 0, k, NonFiniteState(diverged, step=i + 1)))
                     break
@@ -439,7 +500,8 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
                     fails.append((r, 1, k, NonFiniteState(
                         f"{diverged} at t = {(i + 1) * dt:g} s, first in {first}", step=i + 1)))
                     break
-                repeat = new is s or (new == s and same_bits(new, s))  # s itself: no states
+                # s itself: no states. A split step never starts a run of repeats.
+                repeat = pieces is None and (new is s or (new == s and same_bits(new, s)))
                 if advance is not None:
                     mem, fired = advance(m, *vf[r + 1])
                     if fired:
@@ -452,16 +514,16 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
                 r += 1
             if fails:  # later components need only reach the earliest failing step
                 stop = min(fails)[0] + 1
-            if recorded:
-                out[list(recorded)] = list(recorded.values())
+            if recorded:  # one flat array of the rows' floats, as one slice if the rows are
+                keys = list(recorded)  # consecutive: no list of tuples to convert, no index
+                values = np.fromiter(chain.from_iterable(recorded.values()), float)
+                at = slice(keys[0], keys[-1] + 1) if keys[-1] - keys[0] == len(keys) - 1 else keys
+                out[at] = values.reshape(len(keys), -1)
             run[1:] = s, m, repeat, held, counts, flagged, since
         if fails:
             raise min(fails)[-1]
-        if bad.size:
-            r = int(bad[0])  # the step's first stage time with a non-finite V or F
-            h = stages[np.flatnonzero(~np.isfinite(inputs[:-2, r]))[0] // 2]
-            t = float(at_t[r, 0]) + h * dt
-            raise NonFiniteInput(f"the bus gave a non-finite input at t = {t}")
+        if bad:
+            raise NonFiniteInput(f"the bus gave a non-finite input at t = {bad[min(bad)]}")
         with np.errstate(all="ignore"):  # inf and nan as plain floats give them, without a warning
             P = Q = 0.0  # the weighted total, added in channel order
             for weight, j in totals:

@@ -530,8 +530,8 @@ def test_torque_overflow_reports_non_finite_state(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(cli.sim.BlockWriter, "write", counted)
     rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "a" / "b")])
     assert rc == 4
-    assert _single_error_line(capsys, "NON_FINITE_STATE").endswith("(step 1017)")
-    # Four blocks of 250 steps were written before step 1017 failed: no file of
+    assert _single_error_line(capsys, "NON_FINITE_STATE").endswith("(step 1018)")
+    # Four blocks of 250 steps were written before step 1018 failed: no file of
     # them is left, nor a directory that the run made.
     assert blocks == [250] * 4
     assert [p.name for p in tmp_path.iterdir()] == ["scenario.yaml"]

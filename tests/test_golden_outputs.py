@@ -19,22 +19,22 @@ from clm_sim.cli import main
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN_CSV_SHA256 = {
-    "composite_fault/rk4": "1b14b78df72b1f5e8099fd4e36bfb6b956a84d61787f13b19ffe2b356d9d9e93",
-    "composite_fault/heun": "d4644548c5305d69f55f6644043bd6b2500cb1fc33b232fc0ef53eba53e6013d",
-    "composite_fault/euler": "7583e1361c85c2d805ce1bb6ea31c78b60ea34dd36272cb9329227e08e5c8bdd",
-    "dera_playback/rk4": "e3e43426e27585981850479c97603df4d1fd23341e6e73b25d7d9f5ace2213ed",
-    "dera_playback/heun": "76e5eac01904d9ac39898599a946d25f2fff77ede8b99fe3a0d0f99a6b9473b5",
-    "dera_playback/euler": "aeb280e1e2f397239025c1a10029472664239404515914d0203fb4dcea8e018e",
-    "motor_a_playback/rk4": "ab8c2bff7dfb879516abb7dac25775386b29627338edf03cdd20ed08ac730565",
-    "motor_a_playback/heun": "4aad4b07404ff6e1e352232e0e4b321c940f7e24bb5f99cce5bb3cab7d5fd368",
-    "motor_a_playback/euler": "b6dc4b457e8d34c45033aad713c48806e4ab387bdce9f3304b87df221aac2663",
+    "composite_fault/rk4": "f0f93380f5e64d659171d87ae197998c6b4e37269a79041cf66ac1f94092735f",
+    "composite_fault/heun": "2edb3ebb7cfedc78fecdc8a897e75b3bd6a234d752a9dc564a545694a9147a0e",
+    "composite_fault/euler": "11834787c4888a9747bbada8ed54ed54e0974050ab6824bcae176bb7d28b4926",
+    "dera_playback/rk4": "6c85512d9b6b3b294b372a8c5d0f4c7a2b3f6e5b83352af9cc4f13c3c01b83df",
+    "dera_playback/heun": "26460c9ac49339423a7aafce7b5412a998e64ea75cc7c526f18f583612fcf14b",
+    "dera_playback/euler": "6cc133a2572b1a032d6f214e6d634db5cee141dd695175c4e21eded204f6daa5",
+    "motor_a_playback/rk4": "fa8c35bc569f092e43ff3e1a6964355aa05434c4f82de9df9c8f56c477455511",
+    "motor_a_playback/heun": "efe3d4e0449662e3d56b721ece3546d8a958e1a2ab6ddd6054db3e6f5a17d06a",
+    "motor_a_playback/euler": "569e74898365a943f7d67559b73863590798ea32bf202f26b9b770df44bb4230",
 }
 
 GOLDEN_FIGURE_SHA256 = {
-    "figure_motor_a.csv": "64fd649042f329fb4c796159c9569e10c9ef0ae0f69d30fb13256d2f0629ef08",
-    "figure_motor_b.csv": "633729ed025397abdf6831e81fb87fe9576bab4aceeab2e1184c18aaf02d25f4",
-    "figure_motor_c.csv": "dc4cecdd8763284f0fd8a6736821bcfbe075e877ef85fd8038536d6ba3dc898a",
-    "figure_dera.csv": "829104f3ede09e306d8d1c89724dd9591ea58d52a132253a88d07ebeb38667aa",
+    "figure_motor_a.csv": "4783aa97cbc3a0d7702126b3f3f8474d7e1cee122ef068ee2e5a8a1a88927c73",
+    "figure_motor_b.csv": "0d1326cda59318aaccca9ed3f9e27654d95624d7b60b4edb49b88d4a3c203494",
+    "figure_motor_c.csv": "c91326c65cf67bfe20ed923aab326c186d21adc7b3e782804722b94dd6e336f7",
+    "figure_dera.csv": "301d730747f3577e0d75dcc461189896e6026c264b14fff5dcac3757f0fca3b8",
     "figure_zip.csv": "b8550a9d5324ccea574cf63357bba76bef1134b30faf71eb578304268a7925f7",
     "figure_elec.csv": "7505670878584d2777bb799f5f0274740452c68f001bc096faf841f9051f8338",
 }

@@ -3,7 +3,10 @@
 The reference below is the stepping loop in its array form: numpy state
 vectors, the components of Scenario.components(dt) called one model
 evaluation at a time (rhs, output, flags, advance), every step computed,
-and the rk4/heun/euler steps written on arrays. run_simulation works on
+and the rk4/heun/euler steps written on arrays. A step whose closed
+interval holds one of the bus's breakpoints is taken as one array step per
+piece between its interior breakpoints, each stage reading the bus at its
+time clamped to just inside its piece. run_simulation works on
 plain floats per component, a block of steps at a time, and skips the steps
 that repeat; it must reproduce the reference's channel names, recorded
 data, initial residuals, limiter counts and trip events, the data bit for
@@ -102,6 +105,7 @@ def reference_run(inputs, config):
     n_steps = int(round(config.t_end / dt))
     step = STEPPERS[config.method]
     bus, mix = inputs["bus"], inputs["mix"]
+    breaks = sorted(map(float, getattr(bus, "breakpoints", tuple)()))
     scenario = build_scenario(**inputs)
     comps = scenario.components(dt)
 
@@ -150,8 +154,14 @@ def reference_run(inputs, config):
                            for name, active in zip(c.flag_names, c.flags(y[part].tolist()))})
         if i == n_steps:
             break
-        y = step(rhs, t, y, dt)
         t_next = (i + 1) * dt
+        if any(t <= b <= t_next for b in breaks):
+            ends = [t, *(b for b in breaks if t < b < t_next), t_next]
+            for lo, hi in zip(ends, ends[1:]):  # the one-sided limits at each end
+                inside = (np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf))
+                y = step(lambda s, yv: rhs(float(np.clip(s, *inside)), yv), lo, y, hi - lo)
+        else:
+            y = step(rhs, t, y, dt)
         v_next, f_next = bus_at(t_next)
         for k, c in enumerate(comps):
             if c.advance is None:

@@ -1,10 +1,9 @@
 """Integration engine: metrics, resampling, determinism, convergence, trips.
 
-The self-convergence bounds split by disturbance smoothness: with a
+The self-convergence tests cover both kinds of disturbance: with a
 value-continuous bus signal the fixed-step scheme shows its clean fourth
-order and refinement MSE far below 1e-8; integrating through the scripted
-fault's voltage jumps caps channel agreement near 1e-6-1e-5 (quantified
-here, asserted as the documented bound for discontinuous playback).
+order and refinement MSE far below 1e-8; the scripted fault's voltage
+jumps, stepped at as the bus's breakpoints, keep that order too.
 """
 
 import dataclasses
@@ -35,6 +34,7 @@ from clm_sim.sim import (
 )
 
 from scenarios import (
+    TABLE_PLAYBACK,
     ZIP,
     SmoothDipBus,
     StepFrequencyBus,
@@ -205,18 +205,59 @@ def test_rk4_refinement_mse_smooth_scenario():
 
 
 def test_rk4_refinement_mse_discontinuous_playback_quantified():
-    # Integrating through the playback voltage jumps caps self-convergence:
-    # the error is concentrated in the few samples after each jump. The
-    # refinement MSE stays below 1e-5 but cannot reach the smooth-signal
-    # 1e-8 level; this quantifies the no-event-location design choice.
+    # The steps at the playback voltage jumps are split there, so no rk4 stage
+    # reads across one: the refinement MSE is far below the smooth-signal 1e-8
+    # level (integrating through the jumps gave 4.0e-6 and 5.1e-6). What is
+    # left in motor_a.P, 2.2e-10, is the rk4 error of the fast transient after
+    # each jump, which falls fourth order with dt; motor_a.Q's is 7.8e-12.
     coarse = run_simulation(motor_playback_scenario(),
                             IntegratorConfig(dt=1e-3, t_end=5.0)).trajectory
     fine = run_simulation(motor_playback_scenario(),
                           IntegratorConfig(dt=1e-4, t_end=5.0, record_every=10)).trajectory
-    for ch in ("motor_a.P", "motor_a.Q"):
+    for ch, bound in (("motor_a.P", 1e-9), ("motor_a.Q", 1e-10)):
         value = mse(coarse, fine, ch)
         assert value < 1e-5
-        assert value > 1e-10  # genuinely limited by the jumps, not slack
+        assert value < bound
+
+
+def test_rk4_refinement_of_the_fault_scenario_is_fourth_order():
+    # composite_fault's total.P against a 0.125 ms run: halving dt from 1 ms cuts
+    # the MSE 294x (6.9e-11 to 2.4e-13), near rk4's 256x. Stepping across the
+    # jumps, the error was first order in dt and fell 8x (1.5e-6 to 1.9e-7).
+    def run(dt, every):
+        return run_simulation(full_composite_scenario(TABLE_PLAYBACK),
+                              IntegratorConfig(dt=dt, t_end=2.5, record_every=every)).trajectory
+
+    fine = run(1.25e-4, 8)
+    coarse, finer = run(1e-3, 1), run(5e-4, 2)
+    assert mse(coarse, fine, "total.P") > 100.0 * mse(finer, fine, "total.P")
+
+
+def test_split_steps_read_the_bus_on_one_side_of_each_breakpoint():
+    # Breakpoints at 1.0 (a grid point), 1.05 (inside the step from 1.0 to 1.125)
+    # and 1.5: the steps that touch them are the 4 from 0.875, 1.0, 1.375 and 1.5,
+    # and only the one holding 1.05 takes two sub-steps. Every stage reads the bus
+    # on its own piece's side of a jump: the step ending at 1.0 never sees the fault.
+    seen = []
+
+    def rhs(s, m, v, f):
+        seen.append(v)
+        return (1.0,)  # the state moves every step: none repeats
+
+    def build(name, weight, dt):
+        return Component(name, weight, output=lambda s, m, v, f: (s[0], 0.0), states=("x",),
+                         state0=[0.0], rhs=rhs)
+
+    bus = PlaybackBus(a=0.5, b=3.0, c=0.5, d=0.9)
+    assert bus.breakpoints() == (1.0, 1.05, 1.5)
+    scenario = Scenario(LoadMix(f_zip=1.0), bus, [("zip", build)])
+    traj = run_simulation(scenario, IntegratorConfig(dt=0.125, t_end=2.0)).trajectory
+    assert len(seen) == 1 + 4 * (16 + 1)  # the residual, then 4 rk4 stages a (sub-)step
+    assert seen[29:33] == [1.0] * 4  # 0.875 to 1.0: the last stage just before the fault
+    assert seen[33:37] == [0.5] * 4  # 1.0 to 1.05: in the fault from its first stage
+    assert seen[37] > 1.0999 and min(seen[37:41]) > 1.08  # 1.05 to 1.125: the recovery from 1.1
+    assert traj.channel("V")[traj.t == 1.0].tolist() == [0.5]  # rows keep the grid value
+    assert traj.channel("zip.x").tolist() == (np.arange(17) * 0.125).tolist()
 
 
 def test_euler_and_heun_agree_with_rk4_in_the_limit():
@@ -402,6 +443,37 @@ def test_non_finite_bus_is_reported_unless_a_state_failed_before(monkeypatch, bl
         run_simulation(scenario, IntegratorConfig(method=method, dt=0.125, t_end=2.0))
     if error is NonFiniteInput:
         assert str(exc_info.value) == "the bus gave a non-finite input at t = 0.5"
+    else:
+        assert str(exc_info.value).endswith(f"first in motor_b.x (step {b_step})")
+
+
+class NanJustAfterHalfSecondBus:
+    """V = 1 but nan on (0.5, 0.501), just after its breakpoint at 0.5 s: no grid stage is there."""
+
+    def voltage(self, t):
+        t = np.asarray(t)
+        return np.where((t > 0.5) & (t < 0.501), math.nan, 1.0)
+
+    def frequency(self, t):
+        return np.ones(np.shape(t))
+
+    def breakpoints(self):
+        return (0.5,)
+
+
+@pytest.mark.parametrize("block", [3, 1000])
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("b_step, error", [
+    # The step from t = 0.5 (step 5) reads the bus first at nextafter(0.5, inf).
+    (4, NonFiniteState), (5, NonFiniteInput), (10**6, NonFiniteInput),
+])
+def test_non_finite_bus_at_a_split_stage_is_reported(monkeypatch, block, method, b_step, error):
+    monkeypatch.setattr("clm_sim.sim.STEP_BLOCK", block)
+    scenario = _two_failing(NanJustAfterHalfSecondBus(), 10**6, b_step)
+    with pytest.raises(error) as exc_info:
+        run_simulation(scenario, IntegratorConfig(method=method, dt=0.125, t_end=2.0))
+    if error is NonFiniteInput:
+        assert str(exc_info.value) == "the bus gave a non-finite input at t = 0.5000000000000001"
     else:
         assert str(exc_info.value).endswith(f"first in motor_b.x (step {b_step})")
 
