@@ -163,12 +163,6 @@ def cmd_preset(args) -> int:
 
 def cmd_batch(args) -> int:
     out_dirs = [Path(args.out_dir) / Path(c).stem if args.out_dir else None for c in args.configs]
-    if args.out_dir:  # refused before the first run, as cmd_run refuses colliding outputs
-        real = [path.resolve() for path in out_dirs]
-        for i, path in enumerate(real):
-            if path in real[:i]:
-                raise ConfigError(f"{args.configs[real.index(path)]} and {args.configs[i]} "
-                                  f"would both be written to {out_dirs[i]}")
     runs = []  # (run options, the config or the error its own run reports)
     for config_path, out_dir in zip(args.configs, out_dirs):
         ns = argparse.Namespace(config=config_path, out_dir=out_dir and str(out_dir),

@@ -44,11 +44,11 @@ class LoadMix:
 
     def __post_init__(self):
         fracs = (self.f_a, self.f_b, self.f_c, self.f_elec, self.f_zip)
-        if any(f < 0.0 for f in fracs) or self.der_scale < 0.0:
+        if not all(f >= 0.0 for f in (*fracs, self.der_scale)):
             raise ValueError("mix fractions must be >= 0")
-        if abs(sum(fracs) - 1.0) > FRACTION_SUM_TOL:
+        if not abs(sum(fracs) - 1.0) <= FRACTION_SUM_TOL:
             raise ValueError(f"load fractions must sum to 1, got {sum(fracs)!r}")
-        if self.p_base_mva <= 0.0:
+        if not self.p_base_mva > 0.0:
             raise ValueError("need p_base_mva > 0")
 
     def weight(self, name: str) -> float:

@@ -98,9 +98,9 @@ class DerAParams:
 
     def __post_init__(self):
         for name in ("Trv", "Tp", "Tiq", "Tg", "Tv", "Trf", "Tpord"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"time constant {name} must be > 0")
-        if self.Trf < 0.02:
+        if not self.Trf >= 0.02:
             raise ValueError(f"Trf must be >= 0.02 s, got {self.Trf}")
         if not (self.Vl0 < self.Vl1 < self.Vh1 < self.Vh0):
             raise ValueError("voltage break-points must satisfy Vl0 < Vl1 < Vh1 < Vh0")
@@ -110,17 +110,17 @@ class DerAParams:
             raise ValueError("frequency deadband knees must satisfy fdbd1 <= 0 <= fdbd2")
         if not (0.0 <= self.Vrfrac <= 1.0):
             raise ValueError(f"Vrfrac must be in [0, 1], got {self.Vrfrac}")
-        if self.Pmin > self.Pmax:
+        if not self.Pmin <= self.Pmax:
             raise ValueError("need Pmin <= Pmax")
         if not (self.dPmin < 0.0 < self.dPmax):
             raise ValueError("need dPmin < 0 < dPmax")
-        if self.Imax <= 0.0:
+        if not self.Imax > 0.0:
             raise ValueError("need Imax > 0")
-        if self.Iql1 > self.Iqh1:
+        if not self.Iql1 <= self.Iqh1:
             raise ValueError("need Iql1 <= Iqh1")
         if not (self.femin <= 0.0 <= self.femax):
             raise ValueError("need femin <= 0 <= femax")
-        if self.Ddn < 0.0 or self.Dup < 0.0:
+        if not (self.Ddn >= 0.0 and self.Dup >= 0.0):
             raise ValueError("droop gains must be >= 0")
         for name in ("PfFlag", "Freqflag", "Vtripflag", "Ftripflag", "PQflag", "typeflag"):
             if getattr(self, name) not in (0, 1):

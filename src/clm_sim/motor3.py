@@ -53,11 +53,11 @@ class MotorParams:
             raise ValueError(f"need Ls > Lp > Lpp > 0, got ({self.Ls}, {self.Lp}, {self.Lpp})")
         if not (self.Tp0 > self.Tpp0 > 0.0):
             raise ValueError(f"need Tp0 > Tpp0 > 0, got ({self.Tp0}, {self.Tpp0})")
-        if self.H <= 0.0:
+        if not self.H > 0.0:
             raise ValueError(f"need H > 0, got {self.H}")
-        if self.rs < 0.0:
+        if not self.rs >= 0.0:
             raise ValueError(f"need rs >= 0, got {self.rs}")
-        if self.Etrq < 0.0:
+        if not self.Etrq >= 0.0:
             raise ValueError(f"need Etrq >= 0, got {self.Etrq}")
 
 
@@ -144,8 +144,10 @@ def motor_initialize(
     Q is not a free boundary condition: at fixed voltage the machine's
     reactive power is determined by the solved slip. A requested Q0 is
     checked and a mismatch beyond 1e-6 pu is logged as a warning, never
-    forced. Raises NoEquilibrium when the Newton solve stalls or exhausts
-    its iteration budget (infeasible loading, e.g. beyond pull-out torque).
+    forced. The solve does not check stability: it can return an
+    equilibrium past the torque peak (motor_a at V = 1 pu and P0 = 5 solves
+    to slip 0.72, beyond the peak at slip 0.55). Raises NoEquilibrium only
+    when the Newton solve stalls or exhausts its iteration budget.
     """
     if math.hypot(Vd0, Vq0) <= 0.0:
         raise NoEquilibrium("terminal voltage magnitude must be positive")

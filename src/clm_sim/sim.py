@@ -26,24 +26,25 @@ the components' P and Q.
 
 The run goes STEP_BLOCK steps at a time. For each block the bus is read as
 arrays, one voltage and one frequency call over every time the method uses
-(each stage time and each step's end), so a bus must accept an array of
-times (see composite.py). A step whose closed interval [t, t + dt] holds one
-of the bus's breakpoints() is split: it runs as one sub-step per piece
-between its interior breakpoints, each stage reading the bus at its time
-clamped to just inside its piece (the one-sided limits at a jump), so no
-stage reads the bus across a jump or a kink. One more call per signal reads
-a block's sub-step inputs; the rows, the end-of-step memory
-advance and every other step are as without the split. The steps whose
-inputs equal the step before's bit for bit are marked, and each component
-is stepped through the block on its own, in channel order. A component
-whose last computed step left its state and memory bit for bit as they were
-skips to the next step whose inputs change, its rows and limiter flags
-repeated: outputs are unchanged. Every component computes a split step,
-which never starts such a skip. Limiter activity is counted by runs of equal flags,
-added up when the flags change and at the end. A run that fails raises the
-error of its earliest failing step: a non-finite bus value at a stage time
-(a split step's included), else a stage overflow, else the first non-finite
-state in channel order. Each block's rows, totals included, are either kept
+(each stage time, each step's end and each sub-step's stage time, below),
+so a bus must accept an array of times (see composite.py). That read gives
+each step its plan, the sub-steps it runs. A step whose closed interval
+[t, t + dt] holds one of the bus's breakpoints() is split: it runs as one
+sub-step per piece between its interior breakpoints, each stage reading the
+bus at its time clamped to just inside its piece (the one-sided limits at a
+jump), so no stage reads the bus across a jump or a kink; any other step is
+one sub-step of dt. The rows, the end-of-step memory advance and every other
+step are as without the split. The steps whose inputs equal the step
+before's bit for bit are marked, and each component is stepped through the
+block on its own, in channel order. A component whose last computed step
+left its state and memory bit for bit as they were skips to the next step
+whose inputs change, its rows and limiter flags repeated: outputs are
+unchanged. Every component computes a split step and the step after it, so
+a split step never starts such a skip. Limiter activity is counted by runs
+of equal flags, added up when the flags change and at the end. A run that
+fails raises the error of its earliest failing step: a non-finite bus value
+at a stage time (a split step's included), else a stage overflow, else the
+first non-finite state in channel order. Each block's rows, totals included, are either kept
 in the run's trajectory or handed to a writer (run_simulation's write) once
 the block is stepped, in one block-sized buffer: a streamed run's memory
 does not depend on its length. `clm-sim run` streams every run to its files
@@ -65,12 +66,11 @@ import logging
 import re
 import struct
 import warnings
-from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
+from itertools import chain, pairwise
 from math import inf, isfinite, nextafter
 
 import numpy as np
@@ -344,59 +344,53 @@ def _step(method: str, n: int) -> Callable:
     return scope["step"]
 
 
-def _read_bus(bus, stages: tuple, dt: float, i0: int, n: int) -> tuple:
-    """The bus over the n steps from step i0, read once per signal: (at_t, inputs, args, vf).
+def _read_bus(bus, stages: tuple, breaks: list[float], dt: float, i0: int, n: int,
+              last: np.ndarray) -> tuple:
+    """The bus over the n steps from step i0, read once per signal, as each step's plan.
 
-    at_t holds (t, V, F) at the n + 1 step boundaries; inputs has a column per
-    step, V and F at each stage time, then at the step's end; args and vf are
-    the stage inputs per step and at_t's (V, F) per boundary, as lists. (Kept
-    out of run_simulation's long body, where tracemalloc traces an allocation
-    far slower: it finds the line by scanning the function's line table.)
+    Returns (at_t, vf, plan, changed, last, bad). at_t holds (t, V, F) at the
+    n + 1 step boundaries, vf its (V, F) per boundary as a list. plan[r] holds
+    step r's sub-steps (h, V and F at each stage time): (dt, the bus at
+    t + stage * dt) for a grid step. A step whose closed interval [t, t + dt]
+    holds one of breaks is split: a sub-step per piece [lo, hi] between its
+    ends and its interior breakpoints, (hi - lo, the bus at lo + stage *
+    (hi - lo) clamped to [nextafter(lo, inf), nextafter(hi, -inf)]), the
+    one-sided limits at a jump, even at a grid point. changed[r] says whether
+    step r's grid inputs (at its stage times and its end) differ from the
+    step before's bit for bit, the first step's from last, which is returned
+    for the next block. It is also set for row n, for a split step and for the
+    step after one, in the next block too: a split step never starts a run of
+    repeats. bad is (r, t) for the earliest step r with a non-finite V or F at
+    a stage time (a split step's grid ones too), t the earliest such time in
+    it, or None. (Kept out of run_simulation's long body, where tracemalloc
+    traces an allocation far slower: it finds the line by scanning the
+    function's line table.)
     """
-    t = np.arange(i0, i0 + n + 1) * dt  # each step's t, then the last step's end
-    times = np.concatenate([t, *(t[:n] + h * dt for h in stages[1:])])  # t, later stages'
+    edges = np.arange(i0 - 1, i0 + n + 1) * dt  # t of the step before the block, of each, the end
+    left, right = np.searchsorted(breaks, edges), np.searchsorted(breaks, edges, "right")
+    split = right[1:] > left[:-1]  # steps i0 - 1 to i0 + n - 1: a breakpoint in [t, t + dt]
+    bounds = edges.tolist()
+    pieces = {r: list(pairwise([bounds[r + 1], *breaks[right[r + 1]:left[r + 2]], bounds[r + 2]]))
+              for r in np.flatnonzero(split[1:]).tolist()}  # each split step's [lo, hi]
+    t, width = edges[1:], len(stages)
+    times = np.concatenate([(t[:n, None] + np.multiply(stages, dt)).ravel(), [
+        min(max(lo + h * (hi - lo), nextafter(lo, inf)), nextafter(hi, -inf))
+        for spans in pieces.values() for lo, hi in spans for h in stages], t[n:]])
     V, F = bus.voltage(times), bus.frequency(times)
-    starts = [0, *(k * n + 1 for k in range(1, len(stages))), 1]  # each stage's, the ends'
-    inputs = np.array([x[a:a + n] for a in starts for x in (V, F)])
-    at_t = np.transpose([t, V[:n + 1], F[:n + 1]])
-    return at_t, inputs, inputs[:-2].T.tolist(), at_t[:, 1:].tolist()
-
-
-def _split_steps(bus, stages: tuple, breaks: list[float], t: list[float]) -> tuple[dict, dict]:
-    """(split, bad) for the steps r whose closed interval [t[r], t[r + 1]] holds a breakpoint.
-
-    t holds the steps' boundaries. split maps each such step to its pieces,
-    a sub-step (h, args) between the step's ends and its interior breakpoints
-    each, args the bus's V and F at its stage times, each clamped to
-    [nextafter(lo, inf), nextafter(hi, -inf)] of its piece [lo, hi]: the
-    one-sided limits at a jump, even at a grid point. bad maps a step to the
-    earliest of those times whose V or F is not finite, if it has one. The bus
-    is read once for all of them; every value is a Python float.
-    """
-    last = len(t) - 1  # the steps are 0 to last - 1
-    marked = sorted({r for b in breaks
-                     for r in range(max(bisect_left(t, b) - 1, 0), min(bisect_right(t, b), last))})
-    if not marked:
-        return {}, {}
-    spans, times = [], []
-    for r in marked:
-        ends = [t[r], *(b for b in breaks if t[r] < b < t[r + 1]), t[r + 1]]
-        spans.append(list(zip(ends, ends[1:])))
-        times += [min(max(lo + h * (hi - lo), nextafter(lo, inf)), nextafter(hi, -inf))
-                  for lo, hi in spans[-1] for h in stages]
-    at = np.array(times)
-    V, F = (np.asarray(x, dtype=float).tolist() for x in (bus.voltage(at), bus.frequency(at)))
-    split, bad, k, width = {}, {}, 0, len(stages)
-    for r, pieces in zip(marked, spans):
-        end = k + width * len(pieces)
-        split[r] = [(hi - lo, [x for j in range(a, a + width) for x in (V[j], F[j])])
-                    for a, (lo, hi) in zip(range(k, end, width), pieces)]
-        for j in range(k, end):
-            if not (isfinite(V[j]) and isfinite(F[j])):
-                bad[r] = times[j]
-                break
-        k = end
-    return split, bad
+    vf = np.stack([V, F], 1)
+    args = vf[:-1].reshape(-1, 2 * width)  # per step, then per piece: (V, F) at each stage
+    at = np.concatenate([vf[:n * width:width], vf[-1:]])  # at each boundary
+    bits = np.hstack([args[:n], at[1:]]).view(np.uint64)
+    changed = (np.diff(bits, axis=0, prepend=last) != 0).any(axis=1) | split[1:] | split[:-1]
+    plan = [((dt, stage),) for stage in args[:n].tolist()]
+    sub = iter(args[n:].tolist())
+    for r, spans in pieces.items():
+        plan[r] = [(hi - lo, next(sub)) for lo, hi in spans]
+    owner = [*range(n), *(r for r, spans in pieces.items() for _ in spans)]  # each (sub-)step's
+    failed = np.flatnonzero(~(np.isfinite(V[:-1]) & np.isfinite(F[:-1]))).tolist()  # stage times
+    bad = min(((owner[j // width], float(times[j])) for j in failed), default=None)
+    return (np.column_stack([t, at]), at.tolist(), plan, changed.tolist() + [True],
+            bits[-1:] if n else last, bad)
 
 
 @dataclass
@@ -419,7 +413,6 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
     n_steps = int(round(config.t_end / dt))
     samples = n_steps // every + 1
     stages = _STEPPERS[config.method][0]
-    voltage, frequency = scenario.bus.voltage, scenario.bus.frequency
     breaks = sorted(map(float, getattr(scenario.bus, "breakpoints", tuple)()))
     components = scenario.components(dt)
     channels = channel_names(components)
@@ -427,7 +420,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
     data = np.empty((samples if write is None else min(samples, -(-STEP_BLOCK // every)),
                      len(channels)))
     totals = [(c.weight, channels.index(f"{c.name}.P")) for c in components]
-    v0, f0 = float(voltage(0.0)), float(frequency(0.0))
+    v0, f0 = float(scenario.bus.voltage(0.0)), float(scenario.bus.frequency(0.0))
     residuals = {c.name: max(map(abs, c.rhs(c.state0, c.memory0, v0, f0)))
                  for c in components if c.states}  # 0 at equilibrium
 
@@ -443,22 +436,13 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
         count_names += [f"{c.name}.{flag}" for flag in c.flag_names]
         col += width
     diverged = "a state left the finite range during integration (instability or too large a step)"
-    events, repeated, last = [], 0, np.zeros((2 * len(stages) + 2, 1), np.uint64)
+    events, repeated, last = [], 0, np.zeros((1, 2 * len(stages) + 2), np.uint64)
     for i0 in range(0, n_steps + 1, STEP_BLOCK):
         rows = min(STEP_BLOCK, n_steps + 1 - i0)  # rows i0 + r of the trajectory
         n = min(rows, n_steps - i0)  # the steps among them: the row at t_end has none
-        at_t, inputs, args, vf = _read_bus(scenario.bus, stages, dt, i0, n)
-        # The split steps' pieces, and each step's first time with a non-finite stage input.
-        split, bad = _split_steps(scenario.bus, stages, breaks, at_t[:, 0].tolist())
-        bits = inputs.view(np.uint64)  # a step repeats when its inputs equal the step before's
-        changed = (np.diff(bits, axis=1, prepend=last) != 0).any(axis=0).tolist() + [True]
-        last = bits[:, -1:] if n else last
-        for r in np.flatnonzero(~np.isfinite(inputs[:-2]).all(axis=0))[:1].tolist():  # stages only
-            h = stages[np.flatnonzero(~np.isfinite(inputs[:-2, r]))[0] // 2]
-            bad[r] = min(bad.get(r, inf), float(at_t[r, 0]) + h * dt)
-        for r in split:  # every component computes a split step
-            changed[r] = True
-        stop = min(bad, default=rows)
+        at_t, vf, plan, changed, last, bad = _read_bus(scenario.bus, stages, breaks, dt, i0, n,
+                                                       last)
+        stop = bad[0] if bad else rows
         fails = []
         lo, hi = -(-i0 // every), -(-(i0 + rows) // every)  # the samples of this block
         block = data[lo:hi] if write is None else data[:hi - lo]  # sample lo in its row 0
@@ -484,14 +468,10 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
                     recorded[i // every - lo] = row = (*s, *output(s, m, *vf[r]))
                 if i == n_steps:
                     break
-                pieces = split.get(r)
                 try:
-                    if pieces is None:
-                        new = step(rhs, s, m, dt, *args[r])
-                    else:  # one sub-step per piece between the step's breakpoints
-                        new = s
-                        for h, piece in pieces:
-                            new = step(rhs, new, m, h, *piece)
+                    new = s
+                    for h, stage in plan[r]:  # one sub-step, or one per piece of a split step
+                        new = step(rhs, new, m, h, *stage)
                 except (OverflowError, ZeroDivisionError):  # plain floats raise these in a stage
                     fails.append((r, 0, k, NonFiniteState(diverged, step=i + 1)))
                     break
@@ -500,8 +480,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
                     fails.append((r, 1, k, NonFiniteState(
                         f"{diverged} at t = {(i + 1) * dt:g} s, first in {first}", step=i + 1)))
                     break
-                # s itself: no states. A split step never starts a run of repeats.
-                repeat = pieces is None and (new is s or (new == s and same_bits(new, s)))
+                repeat = new is s or (new == s and same_bits(new, s))  # s itself: no states
                 if advance is not None:
                     mem, fired = advance(m, *vf[r + 1])
                     if fired:
@@ -523,7 +502,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
         if fails:
             raise min(fails)[-1]
         if bad:
-            raise NonFiniteInput(f"the bus gave a non-finite input at t = {bad[min(bad)]}")
+            raise NonFiniteInput(f"the bus gave a non-finite input at t = {bad[1]}")
         with np.errstate(all="ignore"):  # inf and nan as plain floats give them, without a warning
             P = Q = 0.0  # the weighted total, added in channel order
             for weight, j in totals:

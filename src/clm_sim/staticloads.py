@@ -28,15 +28,15 @@ class ZipParams:
     v0: float = 1.0  # nominal voltage (pu)
 
     def __post_init__(self):
-        if abs(self.a_p + self.b_p + self.c_p - 1.0) > FRACTION_SUM_TOL:
+        if not abs(self.a_p + self.b_p + self.c_p - 1.0) <= FRACTION_SUM_TOL:
             raise ValueError(
                 f"active ZIP fractions must sum to 1, got {self.a_p + self.b_p + self.c_p!r}"
             )
-        if abs(self.a_q + self.b_q + self.c_q - 1.0) > FRACTION_SUM_TOL:
+        if not abs(self.a_q + self.b_q + self.c_q - 1.0) <= FRACTION_SUM_TOL:
             raise ValueError(
                 f"reactive ZIP fractions must sum to 1, got {self.a_q + self.b_q + self.c_q!r}"
             )
-        if self.v0 <= 0.0:
+        if not self.v0 > 0.0:
             raise ValueError(f"need v0 > 0, got {self.v0}")
 
 

@@ -360,7 +360,8 @@ def test_batch_runs_multiple(tmp_path):
 
 
 def test_batch_refuses_two_configs_with_one_output_directory(tmp_path, capsys):
-    # a/x.yaml and b/x.yaml would both write <out-dir>/x: the second run would overwrite the first.
+    # a/x.yaml and b/x.yaml would both write <out-dir>/x/traj.csv: the second run would
+    # overwrite the first's files.
     configs = []
     for sub in ("a", "b"):
         (tmp_path / sub).mkdir()
@@ -368,8 +369,8 @@ def test_batch_refuses_two_configs_with_one_output_directory(tmp_path, capsys):
     runs = tmp_path / "runs"
     assert main(["batch", *configs, "--out-dir", str(runs)]) == 2
     assert _single_error_line(capsys, "CONFIG_INVALID") == (f"error: CONFIG_INVALID: {configs[0]} "
-                                                           f"and {configs[1]} would both be "
-                                                           f"written to {runs / 'x'}")
+                                                           f"and {configs[1]} would both write "
+                                                           f"{runs / 'x' / 'traj.csv'}")
     assert not runs.exists()
 
 

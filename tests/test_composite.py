@@ -1,6 +1,7 @@
 """Load mix algebra, the run's weighted total and the scripted bus disturbances."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from clm_sim.composite import (
     PlaybackBus,
     SeriesBus,
 )
+from clm_sim.dera import DERA_PRESETS
+from clm_sim.motor3 import MOTOR_PRESETS
 from clm_sim.sim import COMPONENT_TYPES, Component, IntegratorConfig, Scenario, run_simulation
+from clm_sim.staticloads import ZipParams
 
 from oracles import playback_voltage_reference, series_reference
 
@@ -90,6 +94,46 @@ def test_mix_fraction_sum_enforced():
     with pytest.raises(ValueError):
         LoadMix(f_a=1.2, f_zip=-0.2)
     LoadMix(f_a=0.5, f_zip=0.5)  # valid
+
+
+ZIP_FRACTIONS = {"p0": 1.0, "q0": 0.3, "a_p": 0.4, "b_p": 0.3, "c_p": 0.3,
+                 "a_q": 0.5, "b_q": 0.25, "c_q": 0.25}
+NAN_MAKERS = {  # each model object from valid values, with the fields given replaced
+    "LoadMix": lambda **kw: LoadMix(**{"f_zip": 1.0, **kw}),
+    "ZipParams": lambda **kw: ZipParams(**{**ZIP_FRACTIONS, **kw}),
+    "MotorParams": lambda **kw: dataclasses.replace(MOTOR_PRESETS["motor_a"], **kw),
+    "DerAParams": lambda **kw: dataclasses.replace(DERA_PRESETS["dera_table3"], **kw),
+}
+
+
+@pytest.mark.parametrize("owner, field, message", [
+    # LoadMix's sum check is reached by no nan: a nan fraction fails the sign check first.
+    ("LoadMix", "f_zip", "mix fractions must be >= 0"),
+    ("LoadMix", "der_scale", "mix fractions must be >= 0"),
+    ("LoadMix", "p_base_mva", "need p_base_mva > 0"),
+    ("ZipParams", "a_p", "active ZIP fractions must sum to 1, got nan"),
+    ("ZipParams", "c_q", "reactive ZIP fractions must sum to 1, got nan"),
+    ("ZipParams", "v0", "need v0 > 0, got nan"),
+    ("MotorParams", "H", "need H > 0, got nan"),
+    ("MotorParams", "rs", "need rs >= 0, got nan"),
+    ("MotorParams", "Etrq", "need Etrq >= 0, got nan"),
+    ("DerAParams", "Tg", "time constant Tg must be > 0"),
+    # A nan Trf fails the time-constant check before the Trf >= 0.02 one.
+    ("DerAParams", "Trf", "time constant Trf must be > 0"),
+    ("DerAParams", "Pmin", "need Pmin <= Pmax"),
+    ("DerAParams", "Pmax", "need Pmin <= Pmax"),
+    ("DerAParams", "Imax", "need Imax > 0"),
+    ("DerAParams", "Iql1", "need Iql1 <= Iqh1"),
+    ("DerAParams", "Iqh1", "need Iql1 <= Iqh1"),
+    ("DerAParams", "Ddn", "droop gains must be >= 0"),
+    ("DerAParams", "Dup", "droop gains must be >= 0"),
+])
+def test_model_objects_refuse_nan(owner, field, message):
+    # A config file's nan is refused when it is read; an object built in Python is checked
+    # by its own rules, each written so that a nan fails it.
+    with pytest.raises(ValueError) as exc_info:
+        NAN_MAKERS[owner](**{field: math.nan})
+    assert str(exc_info.value) == message
 
 
 def _total(pq, mix):

@@ -31,6 +31,7 @@ from clm_sim.sim import (
     run_simulation,
     write_binary,
     write_csv,
+    zip_component,
 )
 
 from scenarios import (
@@ -258,6 +259,62 @@ def test_split_steps_read_the_bus_on_one_side_of_each_breakpoint():
     assert seen[37] > 1.0999 and min(seen[37:41]) > 1.08  # 1.05 to 1.125: the recovery from 1.1
     assert traj.channel("V")[traj.t == 1.0].tolist() == [0.5]  # rows keep the grid value
     assert traj.channel("zip.x").tolist() == (np.arange(17) * 0.125).tolist()
+
+
+class CountingBus:
+    """A bus that reads inner, recording each call's np.ndim(t): 0 for one time, 1 for an array."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, {"voltage": [], "frequency": []}
+
+    def voltage(self, t):
+        self.calls["voltage"].append(np.ndim(t))
+        return self.inner.voltage(t)
+
+    def frequency(self, t):
+        self.calls["frequency"].append(np.ndim(t))
+        return self.inner.frequency(t)
+
+    def breakpoints(self):
+        return self.inner.breakpoints()
+
+
+def test_bus_is_read_once_per_block(monkeypatch):
+    # Breakpoints at 1.0 and 1.5 (grid points) and 1.05 (inside a step): the blocks of
+    # steps 5-9 and 10-14 hold split steps, and still read each signal once.
+    monkeypatch.setattr("clm_sim.sim.STEP_BLOCK", 5)
+    bus = CountingBus(PlaybackBus(a=0.5, b=3.0, c=0.5, d=0.9))
+    scenario = Scenario(LoadMix(f_zip=1.0), bus, [("zip", zip_component(ZIP, 1.0, 1.0))])
+    run_simulation(scenario, IntegratorConfig(dt=0.125, t_end=2.0))  # 16 steps, 17 rows
+    assert bus.calls == {"voltage": [0, 1, 1, 1, 1], "frequency": [0, 1, 1, 1, 1]}
+
+
+@pytest.mark.parametrize("block", [9, 250])
+def test_split_step_never_starts_a_run_of_repeats(monkeypatch, block):
+    # x stays at its fixed point 0 until t = 1.125: V = 1 at every stage time but the
+    # midpoints 1.0625 and 1.1875 of steps 8 and 9. Step 8 is split at its midpoint, so
+    # none of its stages sees the 0.5 there, and it leaves x at 0. Step 9's grid inputs
+    # equal step 8's, yet it must be computed: its midpoint stages read 0.5. With a block
+    # of 9, step 8 ends the first block and step 9 starts the next.
+    monkeypatch.setattr("clm_sim.sim.STEP_BLOCK", block)
+
+    class SpikeBus:
+        def voltage(self, t):
+            return np.where(np.isin(t, (1.0625, 1.1875)), 0.5, 1.0)
+
+        def frequency(self, t):
+            return np.ones(np.shape(t))
+
+        def breakpoints(self):
+            return (1.0625,)
+
+    def build(name, weight, dt):
+        return Component(name, weight, output=lambda s, m, v, f: (s[0], 0.0), states=("x",),
+                         state0=[0.0], rhs=lambda s, m, v, f: (1.0 - v,))
+
+    scenario = Scenario(LoadMix(f_zip=1.0), SpikeBus(), [("zip", build)])
+    traj = run_simulation(scenario, IntegratorConfig(dt=0.125, t_end=2.0)).trajectory
+    assert traj.channel("zip.x")[traj.t == 1.25].tolist() == [1.0 / 24.0]
 
 
 def test_euler_and_heun_agree_with_rk4_in_the_limit():
