@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InfeasibleInit
+from .errors import InfeasibleInit, require_finite
 
 # Floor applied to the filtered voltage before any division.
 VOLTAGE_FLOOR = 0.01
@@ -97,6 +97,8 @@ class DerAParams:
     tfh: float = 0.16  # over-frequency trip dwell (s)
 
     def __post_init__(self):
+        require_finite(self, ("Vref0", "Kqv", "tvl0", "tvl1", "tvh0", "tvh1", "Kpg", "Kig", "Xe",
+                              "Vpr", "fl", "fh", "tfl", "tfh"))
         for name in ("Trv", "Tp", "Tiq", "Tg", "Tv", "Trf", "Tpord"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"time constant {name} must be > 0")

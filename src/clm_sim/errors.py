@@ -7,6 +7,8 @@ and exits with the status. Library callers catch the classes directly.
 
 from __future__ import annotations
 
+import math
+
 
 class ClmSimError(Exception):
     """Base class for all library errors."""
@@ -34,6 +36,13 @@ class FieldError(ValueError):
     def __init__(self, message, key):
         self.key = key
         super().__init__(message)
+
+
+def require_finite(obj, names) -> None:
+    """Raise ValueError naming the first of obj's fields names that is nan or infinite."""
+    for name in names:
+        if not math.isfinite(value := getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 class PresetError(ClmSimError):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoEquilibrium
+from .errors import NoEquilibrium, require_finite
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +49,7 @@ class MotorParams:
     omega0: float = 120.0 * math.pi  # synchronous frequency (rad/s)
 
     def __post_init__(self):
+        require_finite(self, ("A", "B", "C0", "D", "p", "q", "omega0"))
         if not (self.Ls > self.Lp > self.Lpp > 0.0):
             raise ValueError(f"need Ls > Lp > Lpp > 0, got ({self.Ls}, {self.Lp}, {self.Lpp})")
         if not (self.Tp0 > self.Tpp0 > 0.0):
@@ -158,33 +159,36 @@ def motor_initialize(
     algebra, load_torque, rhs = motor_kernel(params, 1.0, Vq0)[:3]
 
     def residual(x):  # on plain floats: numpy scalars make each operation slow
-        x = x.tolist()
         d = rhs(x, (), Vd0, 0.0)
-        return np.array([d[0], d[1], d[2], d[3], algebra(*x[2:], Vd0, Vq0)[2] - P0])
+        return [d[0], d[1], d[2], d[3], algebra(x[2], x[3], x[4], Vd0, Vq0)[2] - P0]
 
-    x = np.array([Vd0, -Vq0, Vd0, -Vq0, 0.01])
+    def size(f):  # the largest |f_i|, nan if one is nan, as np.max(np.abs(f)) gives it
+        return math.nan if any(map(math.isnan, f)) else max(map(abs, f))
+
+    x = [Vd0, -Vq0, Vd0, -Vq0, 0.01]
     fx = residual(x)
-    norm = float(np.max(np.abs(fx)))
+    norm = size(fx)
     for _ in range(NEWTON_MAX_ITER):
         if norm < NEWTON_TOL:
             break
         jac = np.empty((5, 5))
-        for j in range(5):
-            h = 1e-7 * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xp[j] += h
-            xm = x.copy()
-            xm[j] -= h
-            jac[:, j] = (residual(xp) - residual(xm)) / (2.0 * h)
+        for j, xj in enumerate(x):  # central differences, x[j] moved in place and put back
+            h = 1e-7 * max(1.0, abs(xj))
+            x[j] = xj + h
+            fp = residual(x)
+            x[j] = xj - h
+            fm = residual(x)
+            x[j] = xj
+            jac[:, j] = [(a - b) / (2.0 * h) for a, b in zip(fp, fm)]
         try:
-            dx = np.linalg.solve(jac, -fx)
+            dx = np.linalg.solve(jac, [-v for v in fx]).tolist()
         except np.linalg.LinAlgError:
             raise NoEquilibrium("singular Jacobian in equilibrium solve", residual=norm)
         lam = 1.0
         while True:
-            x_new = x + lam * dx
+            x_new = [a + lam * b for a, b in zip(x, dx)]
             f_new = residual(x_new)
-            n_new = float(np.max(np.abs(f_new)))
+            n_new = size(f_new)
             if n_new < norm:
                 break
             lam *= 0.5
@@ -199,7 +203,7 @@ def motor_initialize(
             "equilibrium solve did not converge in the iteration budget", residual=norm
         )
 
-    state = MotorState(*x.tolist())
+    state = MotorState(*x)
     Id, Iq, _, Q, w = algebra(state.Eqpp, state.Edpp, state.slip, Vd0, Vq0)
     poly = load_torque(w)
     if abs(poly) < 1e-12:

@@ -28,27 +28,30 @@ The run goes STEP_BLOCK steps at a time. For each block the bus is read as
 arrays, one voltage and one frequency call over every time the method uses
 (each stage time, each step's end and each sub-step's stage time, below),
 so a bus must accept an array of times (see composite.py). That read gives
-each step its plan, the sub-steps it runs. A step whose closed interval
-[t, t + dt] holds one of the bus's breakpoints() is split: it runs as one
-sub-step per piece between its interior breakpoints, each stage reading the
-bus at its time clamped to just inside its piece (the one-sided limits at a
-jump), so no stage reads the bus across a jump or a kink; any other step is
-one sub-step of dt. The rows, the end-of-step memory advance and every other
-step are as without the split. The steps whose inputs equal the step
-before's bit for bit are marked, and each component is stepped through the
-block on its own, in channel order. A component whose last computed step
-left its state and memory bit for bit as they were skips to the next step
-whose inputs change, its rows and limiter flags repeated: outputs are
-unchanged. Every component computes a split step and the step after it, so
-a split step never starts such a skip. Limiter activity is counted by runs
-of equal flags, added up when the flags change and at the end. A run that
-fails raises the error of its earliest failing step: a non-finite bus value
-at a stage time (a split step's included), else a stage overflow, else the
-first non-finite state in channel order. Each block's rows, totals included, are either kept
-in the run's trajectory or handed to a writer (run_simulation's write) once
-the block is stepped, in one block-sized buffer: a streamed run's memory
-does not depend on its length. `clm-sim run` streams every run to its files
-this way; a run that fails or is interrupted there leaves no file and no
+each step its plan, the sub-steps it runs as one flat list of floats: per
+sub-step its h, then V and F at each stage time. A step whose closed
+interval [t, t + dt] holds one of the bus's breakpoints() is split: it runs
+as one sub-step per piece between its interior breakpoints, each stage
+reading the bus at its time clamped to just inside its piece (the one-sided
+limits at a jump), so no stage reads the bus across a jump or a kink; any
+other step is one sub-step of dt. The method's step runs a whole plan, so a
+component takes one step call per step, split or not. The rows, the
+end-of-step memory advance and every other step are as without the split.
+The steps whose inputs equal the step before's bit for bit are marked, and
+each component is stepped through the block on its own, in channel order. A
+component whose last computed step left its state and memory bit for bit as
+they were skips to the next step whose inputs change, its rows and limiter
+flags repeated: outputs are unchanged. Every component computes a split
+step and the step after it, so a split step never starts such a skip.
+Limiter activity is counted by runs of equal flags, added up when the flags
+change and at the end. A run that fails raises the error of its earliest
+failing step: a non-finite bus value at a stage time (a split step's
+included), else a stage overflow, else the first non-finite state in
+channel order. Each block's rows, totals included, are either kept in the
+run's trajectory or handed to a writer (run_simulation's write) once the
+block is stepped, in one block-sized buffer: a streamed run's memory does
+not depend on its length. `clm-sim run` streams every run to its files this
+way; a run that fails or is interrupted there leaves no file and no
 directory that it made.
 
 Trajectories are channel matrices with a leading, strictly increasing time
@@ -72,6 +75,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, pairwise
 from math import inf, isfinite, nextafter
+from operator import is_
 
 import numpy as np
 
@@ -148,6 +152,8 @@ class Component:
 
 def same_bits(a: Sequence[float], b: Sequence[float]) -> bool:
     """Whether two float sequences are equal bit for bit (0.0 and -0.0 differ)."""
+    if len(a) == len(b) and all(map(is_, a, b)):  # the very same floats: no bytes to pack
+        return True
     return a == b and struct.pack(f"{len(a)}d", *a) == struct.pack(f"{len(b)}d", *b)
 
 
@@ -321,24 +327,33 @@ def resample(traj: Trajectory, grid) -> Trajectory:
     return Trajectory(traj.channels, out)
 
 
-# Each method's stage times (fractions of h), then the lines of its step after k1 = <b#>, which
-# _step writes out for n states: "<...>" once per state, "#" its index, joined by ", ".
+# Each method's stage times (fractions of h), then the lines of a piece's step after k1 = <b#>,
+# ending in its new y, which _step writes out for n states: "<...>" once per state, "#" its
+# index, joined by ", ".
 _STEPPERS = {
     "rk4": ((0.0, 0.5, 1.0), "hh = 0.5 * h", "<c#>, = rhs((<y# + hh * b#>,), m, v1, f1)",
             "<d#>, = rhs((<y# + hh * c#>,), m, v1, f1)", "<e#>, = rhs((<y# + h * d#>,), m, v2, f2)",
-            "h6 = h / 6.0", "return [<y# + h6 * (b# + 2.0 * c# + 2.0 * d# + e#)>]"),
+            "h6 = h / 6.0", "y = [<y# + h6 * (b# + 2.0 * c# + 2.0 * d# + e#)>]"),
     "heun": ((0.0, 1.0), "<c#>, = rhs((<y# + h * b#>,), m, v1, f1)", "hh = 0.5 * h",
-             "return [<y# + hh * (b# + c#)>]"),
-    "euler": ((0.0,), "return [<y# + h * b#>]"),
+             "y = [<y# + hh * (b# + c#)>]"),
+    "euler": ((0.0,), "y = [<y# + h * b#>]"),
 }
 
 
 @cache
 def _step(method: str, n: int) -> Callable:
-    """step(rhs, y, m, h, v0, f0, ...) -> the n next states, rhs(y, m, v, f) at each stage's bus."""
+    """step(rhs, y, m, plan) -> the n states after the plan's pieces, each from the one before.
+
+    plan is flat: per piece h, then V and F at each of its stage times (see
+    _read_bus), rhs(y, m, v, f) called at each stage's bus.
+    """
     stages, *lines = _STEPPERS[method]
-    head = "def step(rhs, y, m, h" + "".join(f", v{j}, f{j}" for j in range(len(stages))) + "):"
-    code = "\n    ".join([head, "<y#>, = y", "<b#>, = rhs(y, m, v0, f0)", *lines])
+    width = 1 + 2 * len(stages)  # a piece: h, then (V, F) at each stage time
+    piece = ", ".join(["h", *(f"v{j}, f{j}" for j in range(len(stages)))])
+    body = [f"{piece} = plan[k:k + {width}]", f"k += {width}", "<y#>, = y",
+            "<b#>, = rhs(y, m, v0, f0)", *lines]
+    code = "\n    ".join(["def step(rhs, y, m, plan):", "k = 0", "while k < len(plan):",
+                           *("    " + line for line in body), "return y"])
     exec(re.sub("<(.*?)>", lambda x: ", ".join(x[1].replace("#", f"{i}") for i in range(n)), code),
          scope := {})
     return scope["step"]
@@ -349,19 +364,22 @@ def _read_bus(bus, stages: tuple, breaks: list[float], dt: float, i0: int, n: in
     """The bus over the n steps from step i0, read once per signal, as each step's plan.
 
     Returns (at_t, vf, plan, changed, last, bad). at_t holds (t, V, F) at the
-    n + 1 step boundaries, vf its (V, F) per boundary as a list. plan[r] holds
-    step r's sub-steps (h, V and F at each stage time): (dt, the bus at
-    t + stage * dt) for a grid step. A step whose closed interval [t, t + dt]
-    holds one of breaks is split: a sub-step per piece [lo, hi] between its
-    ends and its interior breakpoints, (hi - lo, the bus at lo + stage *
-    (hi - lo) clamped to [nextafter(lo, inf), nextafter(hi, -inf)]), the
-    one-sided limits at a jump, even at a grid point. changed[r] says whether
-    step r's grid inputs (at its stage times and its end) differ from the
-    step before's bit for bit, the first step's from last, which is returned
-    for the next block. It is also set for row n, for a split step and for the
-    step after one, in the next block too: a split step never starts a run of
-    repeats. bad is (r, t) for the earliest step r with a non-finite V or F at
-    a stage time (a split step's grid ones too), t the earliest such time in
+    n + 1 step boundaries, vf its (V, F) per boundary as a list. plan[r] is
+    step r's plan, the flat list of floats that _step's step runs: per piece
+    its h, then V and F at each stage time. A grid step is one piece, (dt,
+    the bus at t + stage * dt). A step whose closed interval [t, t + dt]
+    holds one of breaks is split: its plan is its pieces [lo, hi] between
+    its ends and its interior breakpoints, one after the other, each (hi -
+    lo, the bus at lo + stage * (hi - lo) clamped to [nextafter(lo, inf),
+    nextafter(hi, -inf)]), the one-sided limits at a jump, even at a grid
+    point. Every plan is a row of one stacked array's tolist(), a split
+    step's its pieces' rows joined. changed[r] says whether step r's grid
+    inputs (at its stage times and its end) differ from the step before's
+    bit for bit, the first step's from last, which is returned for the next
+    block. It is also set for row n, for a split step and for the step after
+    one, in the next block too: a split step never starts a run of repeats.
+    bad is (r, t) for the earliest step r with a non-finite V or F at a
+    stage time (a split step's grid ones too), t the earliest such time in
     it, or None. (Kept out of run_simulation's long body, where tracemalloc
     traces an allocation far slower: it finds the line by scanning the
     function's line table.)
@@ -372,21 +390,22 @@ def _read_bus(bus, stages: tuple, breaks: list[float], dt: float, i0: int, n: in
     bounds = edges.tolist()
     pieces = {r: list(pairwise([bounds[r + 1], *breaks[right[r + 1]:left[r + 2]], bounds[r + 2]]))
               for r in np.flatnonzero(split[1:]).tolist()}  # each split step's [lo, hi]
+    spans = [span for own in pieces.values() for span in own]  # every piece, in step order
     t, width = edges[1:], len(stages)
     times = np.concatenate([(t[:n, None] + np.multiply(stages, dt)).ravel(), [
         min(max(lo + h * (hi - lo), nextafter(lo, inf)), nextafter(hi, -inf))
-        for spans in pieces.values() for lo, hi in spans for h in stages], t[n:]])
+        for lo, hi in spans for h in stages], t[n:]])
     V, F = bus.voltage(times), bus.frequency(times)
     vf = np.stack([V, F], 1)
     args = vf[:-1].reshape(-1, 2 * width)  # per step, then per piece: (V, F) at each stage
     at = np.concatenate([vf[:n * width:width], vf[-1:]])  # at each boundary
     bits = np.hstack([args[:n], at[1:]]).view(np.uint64)
     changed = (np.diff(bits, axis=0, prepend=last) != 0).any(axis=1) | split[1:] | split[:-1]
-    plan = [((dt, stage),) for stage in args[:n].tolist()]
-    sub = iter(args[n:].tolist())
-    for r, spans in pieces.items():
-        plan[r] = [(hi - lo, next(sub)) for lo, hi in spans]
-    owner = [*range(n), *(r for r, spans in pieces.items() for _ in spans)]  # each (sub-)step's
+    rows = np.column_stack([[dt] * n + [hi - lo for lo, hi in spans], args]).tolist()
+    plan, sub = rows[:n], iter(rows[n:])
+    for r, own in pieces.items():  # a split step's pieces, one after the other
+        plan[r] = [x for _ in own for x in next(sub)]
+    owner = [*range(n), *(r for r, own in pieces.items() for _ in own)]  # each piece's step
     failed = np.flatnonzero(~(np.isfinite(V[:-1]) & np.isfinite(F[:-1]))).tolist()  # stage times
     bad = min(((owner[j // width], float(times[j])) for j in failed), default=None)
     return (np.column_stack([t, at]), at.tolist(), plan, changed.tolist() + [True],
@@ -451,7 +470,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
             cols, s, m, repeat, held, counts, flagged, since = run
             out = block[:, cols]
             rhs, output, flags, advance = c.rhs, c.output, c.flags, c.advance
-            step = _step(config.method, len(c.states)) if c.states else lambda rhs, s, *_: s
+            step = _step(config.method, len(c.states)) if c.states else lambda rhs, s, m, plan: s
             recorded, r = {}, 0  # data row -> the row of a computed step
             while r < stop:
                 i = i0 + r
@@ -469,9 +488,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
                 if i == n_steps:
                     break
                 try:
-                    new = s
-                    for h, stage in plan[r]:  # one sub-step, or one per piece of a split step
-                        new = step(rhs, new, m, h, *stage)
+                    new = step(rhs, s, m, plan[r])
                 except (OverflowError, ZeroDivisionError):  # plain floats raise these in a stage
                     fails.append((r, 0, k, NonFiniteState(diverged, step=i + 1)))
                     break
@@ -535,8 +552,9 @@ def _column_text(block: np.ndarray) -> list[list[str]]:
     bits = block.view(np.uint64)
     new = np.ones(bits.shape, dtype=bool)
     np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
-    values = block[new].tolist()  # one % call formats them all
-    text = np.array((("%.17g," * len(values))[:-1] % tuple(values)).split(","), dtype=object)
+    # One % call formats them all, from a tuple that is gone before the text is split.
+    text = np.array((("%.17g," * np.count_nonzero(new))[:-1] % tuple(block[new].tolist()))
+                    .split(","), dtype=object)
     runs = np.diff(np.flatnonzero(new), append=new.size)  # the rows each text fills
     return np.repeat(text, runs).reshape(bits.shape).tolist()
 

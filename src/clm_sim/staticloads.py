@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import require_finite
+
 FRACTION_SUM_TOL = 1e-12
 
 
@@ -28,6 +30,7 @@ class ZipParams:
     v0: float = 1.0  # nominal voltage (pu)
 
     def __post_init__(self):
+        require_finite(self, ("p0", "q0"))
         if not abs(self.a_p + self.b_p + self.c_p - 1.0) <= FRACTION_SUM_TOL:
             raise ValueError(
                 f"active ZIP fractions must sum to 1, got {self.a_p + self.b_p + self.c_p!r}"
@@ -57,6 +60,7 @@ class ElecParams:
     alpha: float  # fraction of tripped load that reconnects on recovery
 
     def __post_init__(self):
+        require_finite(self, ("pe0", "qe0"))
         if not (self.vd1 > self.vd2 > 0.0):
             raise ValueError(f"need vd1 > vd2 > 0, got ({self.vd1}, {self.vd2})")
         if not (0.0 <= self.alpha <= 1.0):

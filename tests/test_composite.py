@@ -16,7 +16,7 @@ from clm_sim.composite import (
 from clm_sim.dera import DERA_PRESETS
 from clm_sim.motor3 import MOTOR_PRESETS
 from clm_sim.sim import COMPONENT_TYPES, Component, IntegratorConfig, Scenario, run_simulation
-from clm_sim.staticloads import ZipParams
+from clm_sim.staticloads import ElecParams, ZipParams
 
 from oracles import playback_voltage_reference, series_reference
 
@@ -101,6 +101,8 @@ ZIP_FRACTIONS = {"p0": 1.0, "q0": 0.3, "a_p": 0.4, "b_p": 0.3, "c_p": 0.3,
 NAN_MAKERS = {  # each model object from valid values, with the fields given replaced
     "LoadMix": lambda **kw: LoadMix(**{"f_zip": 1.0, **kw}),
     "ZipParams": lambda **kw: ZipParams(**{**ZIP_FRACTIONS, **kw}),
+    "ElecParams": lambda **kw: ElecParams(**{"pe0": 1.0, "qe0": 0.2, "vd1": 0.7, "vd2": 0.5,
+                                             "alpha": 1.0, **kw}),
     "MotorParams": lambda **kw: dataclasses.replace(MOTOR_PRESETS["motor_a"], **kw),
     "DerAParams": lambda **kw: dataclasses.replace(DERA_PRESETS["dera_table3"], **kw),
 }
@@ -134,6 +136,27 @@ def test_model_objects_refuse_nan(owner, field, message):
     with pytest.raises(ValueError) as exc_info:
         NAN_MAKERS[owner](**{field: math.nan})
     assert str(exc_info.value) == message
+
+
+# The fields that no rule of their object covers: each has a check of its own.
+UNCHECKED_FIELDS = {
+    "ZipParams": ("p0", "q0"),
+    "ElecParams": ("pe0", "qe0"),
+    "MotorParams": ("A", "B", "C0", "D", "p", "q", "omega0"),
+    "DerAParams": ("Vref0", "Kqv", "tvl0", "tvl1", "tvh0", "tvh1", "Kpg", "Kig", "Xe", "Vpr",
+                   "fl", "fh", "tfl", "tfh"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("owner, field", [
+    (owner, field) for owner, fields in UNCHECKED_FIELDS.items() for field in fields])
+def test_model_objects_refuse_non_finite_fields(owner, field, value):
+    # A nan p0 would run to an all-nan total, a nan Vpr would never arm the frequency trip:
+    # an object built in Python refuses them as a config file's values are refused.
+    with pytest.raises(ValueError) as exc_info:
+        NAN_MAKERS[owner](**{field: value})
+    assert str(exc_info.value) == f"{field} must be finite, got {value}"
 
 
 def _total(pq, mix):

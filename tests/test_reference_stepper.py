@@ -55,23 +55,31 @@ STEPPERS = {"rk4": _rk4_step, "heun": _heun_step, "euler": _euler_step}
 
 @pytest.mark.parametrize("method", METHODS)
 def test_written_out_steps_match_array_steps(method):
-    # Widths 1 to 12 on a linear rhs whose bus voltage is the stage time: each step written
-    # out for n states gives the array-form step's states bit for bit, -0.0 included.
+    # Widths 1 to 12 on a linear rhs whose bus voltage is the stage time: a plan of 1, 2 or 3
+    # pieces, written out for n states, gives the array-form steps taken piece by piece, each
+    # from the states the one before left, bit for bit, -0.0 included.
     rng = np.random.default_rng(16)
+    stages = _STEPPERS[method][0]
     for n in range(1, 13):
         a, b = rng.standard_normal((n, n)).tolist(), rng.standard_normal(n).tolist()
 
         def rhs(y, m, v, f):
             return [sum(map(mul, row, y)) + v * c for row, c in zip(a, b)]
 
-        for _ in range(20):
-            y, t, h = rng.standard_normal(n), rng.uniform(0.0, 5.0), 10.0 ** rng.uniform(-4.0, 0.0)
-            t, h = float(t), float(h)
-            y[rng.integers(n)] = -0.0
-            bus = [x for stage in _STEPPERS[method][0] for x in (t + stage * h, 1.0)]
-            got = np.array(_step(method, n)(rhs, y.tolist(), (), h, *bus))
-            want = STEPPERS[method](lambda t, y: np.array(rhs(y.tolist(), (), t, 1.0)), t, y, h)
-            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        def array_rhs(t, y):
+            return np.array(rhs(y.tolist(), (), t, 1.0))
+
+        for pieces in (1, 2, 3):
+            for _ in range(20):
+                y, t = rng.standard_normal(n), float(rng.uniform(0.0, 5.0))
+                y[rng.integers(n)] = -0.0
+                plan, want = [], y
+                for h in (10.0 ** rng.uniform(-4.0, 0.0, pieces)).tolist():
+                    plan += [h, *(x for stage in stages for x in (t + stage * h, 1.0))]
+                    want = STEPPERS[method](array_rhs, t, want, h)
+                    t += h
+                got = np.array(_step(method, n)(rhs, y.tolist(), (), plan))
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         assert _step(method, n) is _step(method, n)
 
 
