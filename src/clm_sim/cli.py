@@ -79,8 +79,6 @@ def cmd_run(args, cfg=None) -> int:
     cfg = cfg or _configured(args)
     scenario = cfg.build()
     channels = sim.channel_names(scenario.components(cfg.integrator.dt))
-    if cfg.outputs.channels is not None:  # fail before the first step, not after the last
-        sim.require_channels(cfg.outputs.channels, channels, "this run's trajectory")
     paths, csvs, binary_path, summary_path = _output_paths(cfg)
     real = [path.resolve() for path in paths]  # out/../out/a.csv is out/a.csv
     for path, file in zip(paths, real):

@@ -16,7 +16,7 @@ gives breakpoints(), the times at which a signal jumps or its slope does:
 the stepper takes sub-steps there, so that no integrator stage reads the
 bus across one (a bus without the method has none). PlaybackBus
 and ConstantBus are frozen dataclasses whose fields are the YAML keys of
-their disturbance types, checked as the bus is made.
+their disturbance types, checked as the bus is made, every float finite.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_finite
 from .staticloads import FRACTION_SUM_TOL
 
 PLAYBACK_SHAPES = ("verbatim", "ramp")
@@ -50,6 +51,7 @@ class LoadMix:
             raise ValueError(f"load fractions must sum to 1, got {sum(fracs)!r}")
         if not self.p_base_mva > 0.0:
             raise ValueError("need p_base_mva > 0")
+        require_finite(self)
 
     def weight(self, name: str) -> float:
         return {
@@ -68,9 +70,11 @@ def _held(t, value: float):
 
 
 def _check_freq(bus) -> None:
-    """Every bus's frequency (pu) must be positive."""
+    """Every bus's frequency (pu) must be positive and finite."""
     if not bus.freq > 0.0:
         raise ValueError(f"need freq > 0, got {bus.freq}")
+    if not np.isfinite(bus.freq):
+        raise ValueError(f"need finite freq, got {bus.freq}")
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,7 @@ class PlaybackBus:
         if self.shape not in PLAYBACK_SHAPES:
             raise ValueError(f"shape must be one of {PLAYBACK_SHAPES}, got {self.shape!r}")
         _check_freq(self)
+        require_finite(self)
 
     def voltage(self, t):
         """The scripted voltage at each time; branch boundaries resolve in listed order."""
@@ -136,6 +141,7 @@ class ConstantBus:
         if not self.v >= 0.0:
             raise ValueError(f"need v >= 0, got {self.v}")
         _check_freq(self)
+        require_finite(self)
 
     def voltage(self, t):
         return _held(t, self.v)
@@ -153,8 +159,8 @@ class SeriesBus:
     Outside the sampled span the end values are held. Frequency falls back
     to a constant when the series has no frequency column. The samples are
     checked as the bus is made, by a series file's rules (a ValueError): one
-    1-D shape, at least two samples, strictly increasing t, V >= 0, F > 0
-    and freq > 0.
+    1-D shape, at least two samples, strictly increasing t, finite V >= 0,
+    finite F > 0 and finite freq > 0.
     """
 
     def __init__(self, t, v, f=None, freq: float = 1.0):
@@ -170,11 +176,14 @@ class SeriesBus:
         if back.size:
             raise ValueError(f"time must be strictly increasing, got "
                              f"{self.t[back[0] + 1]:.17g} after {self.t[back[0]]:.17g}")
-        for rule, ys, ok in (("V >= 0", self.v, np.greater_equal), ("F > 0", self.f, np.greater)):
-            rows = () if ys is None else np.flatnonzero(~ok(ys, 0.0))
-            if len(rows):
-                raise ValueError(f"need {rule}, got {ys[rows[0]]:.17g} "
-                                 f"at t = {self.t[rows[0]]:.17g}")
+        for name, ys, rule, ok in (("V", self.v, "V >= 0", np.greater_equal),
+                                   ("F", self.f, "F > 0", np.greater)):
+            if ys is None:
+                continue
+            for need, bad in ((rule, ~ok(ys, 0.0)), (f"finite {name}", ~np.isfinite(ys))):
+                if (rows := np.flatnonzero(bad)).size:  # a nan fails the range first
+                    raise ValueError(f"need {need}, got {ys[rows[0]]:.17g} "
+                                     f"at t = {self.t[rows[0]]:.17g}")
         _check_freq(self)
 
     def _interp(self, t, ys: np.ndarray):

@@ -4,19 +4,20 @@ Parsing is strict: unknown and repeated keys are rejected at every level
 (no silent defaulting of misspelled fields, no last value taken), and
 referenced presets must exist. Every section parses by one rule
 (_parse_section) straight into its object, whose field names are the
-section's keys: LoadMix, a preset section, ZipParams, ElecParams, the
-disturbance's bus (a series bus reads its file here, as the config loads),
-IntegratorConfig or OutputsSection. Each value is converted by its field's
-type: a float is a finite number, an int a whole one (DER flags,
-record_every), and str, bool and list[str] are what they say; a type
-`T | None` also takes null. A key left out, or a number given as null,
-takes the field's default; a field without one is required. A preset
-section's overrides are converted by the types of its parameter class's
-fields. The objects check their own values as they are made: a check about
-one key raises errors.FieldError and is reported on <section>.<key>, any
-other ValueError on the section. A parsed ScenarioConfig serialises back to
-a semantically identical dictionary, so configs are diff-able and
-reproducible.
+section's keys: LoadMix, a motor or DER section (a PresetSection),
+ZipParams, ElecParams, the disturbance's bus (a series bus reads its file
+as it is made, as the config loads), IntegratorConfig or OutputsSection.
+Each value is converted by its field's type: a float is a finite number,
+an int a whole one (DER flags, record_every), and str, bool, list[str] and
+dict are what they say; a type `T | None` also takes null. A key left
+out, or a number given as null, takes the field's default; a field
+without one is required. A preset section converts its own overrides by
+the same rule, by the types of its parameter class's fields. The objects
+check their own values as they are made: a check about one key raises
+errors.FieldError and is reported on <section>.<key> (an override's on
+<section>.overrides.<name>), any other ValueError on the section. A
+parsed ScenarioConfig serialises back to a semantically identical
+dictionary, so configs are diff-able and reproducible.
 
 Units follow the models: powers and voltages in pu on the component base,
 time constants and times in seconds, fractions dimensionless.
@@ -27,11 +28,10 @@ from __future__ import annotations
 import dataclasses
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import ClassVar
 
-import numpy as np
 import yaml
 
 from .composite import ConstantBus, LoadMix, PlaybackBus, SeriesBus, _check_freq
@@ -108,25 +108,36 @@ def _parse_section(node, where: str, cls):
         for f in fields:
             value = node.get(f.name)
             if value is None and (f.name not in node or f.type in ("float", "int")):
-                if f.default is dataclasses.MISSING:  # else cls gives the default
+                if f.default is f.default_factory is dataclasses.MISSING:  # else cls gives it
                     raise FieldError("missing required key", f.name)
             else:
                 values[f.name] = _value(value, f.type, f.name)
         return cls(**values)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class PresetSection:
-    """A motor or DER section: a preset and/or overrides, then its initial loading fields."""
+    """A motor or DER section: a preset and/or overrides, then its initial loading fields.
+
+    Each override is converted by the type of its PARAMS field, as a section's
+    keys are by theirs, and a name that is no PARAMS field is refused.
+    """
 
     PARAMS: ClassVar[type]   # the parameter dataclass
     PRESETS: ClassVar[dict]  # preset name -> parameters
     KIND: ClassVar[str]      # the kind an unknown-preset message names
 
-    preset: str | None
-    overrides: dict
+    preset: str | None = None
+    overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        types = {f.name: f.type for f in dataclasses.fields(self.PARAMS)}
+        overrides = _value(self.overrides, "dict", "overrides")
+        unknown = sorted(set(overrides) - set(types))
+        if unknown:
+            raise FieldError(f"unknown key(s) {unknown}", "overrides")
+        self.overrides = {key: _value(value, types[key], f"overrides.{key}")
+                          for key, value in overrides.items()}
         if self.preset is None:
             missing = sorted(f.name for f in dataclasses.fields(self.PARAMS)
                              if f.default is dataclasses.MISSING and f.name not in self.overrides)
@@ -164,16 +175,23 @@ class DeraSection(PresetSection):
 
 @dataclass
 class SeriesSection(SeriesBus):
-    """A series bus whose samples are read from its file (see read_series_file) as it is made."""
+    """A series bus whose samples are read from its file as it is made.
+
+    The file is a (t, V) or (t, V, F) CSV by read_table's rules (optional
+    header, one field count, finite values), with 2 or 3 columns; its samples
+    break a SeriesBus rule as a FileFormatError on the file.
+    """
 
     file: str
     freq: float = 1.0  # used only when the file has no F column
 
     def __post_init__(self):
         _check_freq(self)  # a config error, found before the file is read
-        t, v, f = read_series_file(self.file)
+        _, data = read_table(self.file, "series file")
+        if data.shape[1] not in (2, 3):
+            raise FileFormatError(f"{self.file}: expected 2 or 3 columns, got {data.shape[1]}")
         try:
-            SeriesBus.__init__(self, t, v, f, freq=self.freq)
+            SeriesBus.__init__(self, *data.T, freq=self.freq)
         except ValueError as exc:  # the samples break a series rule: the file is at fault
             raise FileFormatError(f"{self.file}: {exc}") from None
 
@@ -233,18 +251,6 @@ class ScenarioConfig:
         return build_scenario(self.mix, self.disturbance, loads)
 
 
-def _parse_preset_section(node, where: str, section_cls):
-    """Parse a motor or DER section; its overrides take the parameter class's field types."""
-    node = _require_mapping(node, where)
-    overrides = _require_mapping(node.get("overrides", {}), f"{where}.overrides")
-    types = {f.name: f.type for f in dataclasses.fields(section_cls.PARAMS)}
-    _reject_unknown(overrides, types, f"{where}.overrides")
-    with _reported(f"{where}.overrides"):
-        overrides = {key: _value(value, types[key], key) for key, value in overrides.items()}
-    return _parse_section({**node, "preset": node.get("preset"), "overrides": overrides},
-                          where, section_cls)
-
-
 def _parse_disturbance(node, where="disturbance"):
     node = _require_mapping(node, where)
     dtype = node.get("type")
@@ -260,14 +266,12 @@ parse_integrator = partial(_parse_section, where="integrator", cls=IntegratorCon
 parse_outputs = partial(_parse_section, where="outputs", cls=OutputsSection)
 
 
-# Component section name -> parse(node, where), giving the section object; its fields
-# are the section's YAML keys.
+# Component section name -> the class of its section object, whose fields are its YAML keys.
 SECTIONS = {
-    **dict.fromkeys(("motor_a", "motor_b", "motor_c"),
-                    partial(_parse_preset_section, section_cls=MotorSection)),
-    "dera": partial(_parse_preset_section, section_cls=DeraSection),
-    "zip": partial(_parse_section, cls=ZipParams),
-    "elec": partial(_parse_section, cls=ElecParams),
+    **dict.fromkeys(("motor_a", "motor_b", "motor_c"), MotorSection),
+    "dera": DeraSection,
+    "zip": ZipParams,
+    "elec": ElecParams,
 }
 
 TOP_LEVEL_KEYS = ("mix", *SECTIONS, "disturbance", "integrator", "outputs")
@@ -283,8 +287,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
         mix=_parse_section(doc["mix"], "mix", LoadMix),
         disturbance=_parse_disturbance(doc["disturbance"]),
         integrator=parse_integrator(doc["integrator"]),
-        components={name: parse(doc[name], name)
-                    for name, parse in SECTIONS.items() if name in doc},
+        components={name: _parse_section(doc[name], name, cls)
+                    for name, cls in SECTIONS.items() if name in doc},
         outputs=parse_outputs(doc.get("outputs", {})),
     )
 
@@ -313,16 +317,3 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"config {path} is empty")
     return parse_config(doc)
 
-
-def read_series_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Read an external disturbance series: (t, V) or (t, V, F) CSV.
-
-    The table rules are read_table's (optional header, one field count,
-    finite values) and 2 or 3 columns; the samples' rules are SeriesBus's,
-    which SeriesSection reports as a FileFormatError on the file.
-    """
-    _, data = read_table(path, "series file")
-    if data.shape[1] not in (2, 3):
-        raise FileFormatError(f"{path}: expected 2 or 3 columns, got {data.shape[1]}")
-    f = data[:, 2] if data.shape[1] == 3 else None
-    return data[:, 0], data[:, 1], f

@@ -97,8 +97,6 @@ class DerAParams:
     tfh: float = 0.16  # over-frequency trip dwell (s)
 
     def __post_init__(self):
-        require_finite(self, ("Vref0", "Kqv", "tvl0", "tvl1", "tvh0", "tvh1", "Kpg", "Kig", "Xe",
-                              "Vpr", "fl", "fh", "tfl", "tfh"))
         for name in ("Trv", "Tp", "Tiq", "Tg", "Tv", "Trf", "Tpord"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"time constant {name} must be > 0")
@@ -127,6 +125,7 @@ class DerAParams:
         for name in ("PfFlag", "Freqflag", "Vtripflag", "Ftripflag", "PQflag", "typeflag"):
             if getattr(self, name) not in (0, 1):
                 raise ValueError(f"flag {name} must be 0 or 1")
+        require_finite(self)
 
 
 class DerAState(NamedTuple):
@@ -152,8 +151,8 @@ class DerATrackers(NamedTuple):
 
     vmin_seen: float          # running minimum of Vt since start (pu)
     vmax_seen: float          # running maximum of Vt since start (pu)
-    low_v_timer: float = 0.0   # dwell below Vl1 (s); latched once >= tvl1
-    high_v_timer: float = 0.0  # dwell above Vh1 (s); latched once >= tvh1
+    low_v_timer: float = 0.0   # dwell below Vl1 (s); holds its value once >= tvl1
+    high_v_timer: float = 0.0  # dwell above Vh1 (s); holds its value once >= tvh1
     freq_low_timer: float = 0.0   # dwell below fl while Vt >= Vpr (s)
     freq_high_timer: float = 0.0  # dwell above fh while Vt >= Vpr (s)
     tripped: bool = False      # frequency-trip latch; forces P = Q = 0
@@ -315,7 +314,8 @@ def dera_memory(params: DerAParams, dt: float):
     """advance(mem, Vt, Freq) -> (mem, events): the DER_A memory over one step of length dt.
 
     Vt and Freq are the bus values at the step's end. A band dwell timer grows while Vt is
-    outside Vl1..Vh1 and resets on return until it expires, then holds. The frequency timers
+    outside Vl1..Vh1 and resets on return until it expires; an expired one holds its value,
+    so a DER settled outside the band leaves its memory as it was. The frequency timers
     grow while Freq is outside [fl, fh] with Vt >= Vpr, freeze while Vt < Vpr and reset when
     Freq returns; one that reaches its dwell latches the trip for the rest of the run.
     """
@@ -324,33 +324,25 @@ def dera_memory(params: DerAParams, dt: float):
     freq_trip_on, Vpr, fl, fh = P.Ftripflag == 1, P.Vpr, P.fl, P.fh
     tfl_thr, tfh_thr = P.tfl - TIMER_EPS, P.tfh - TIMER_EPS
 
-    def freq_trip(mem, Vt, Freq):
-        if not freq_trip_on or mem[6]:
-            return mem
-        vmin, vmax, low, high, f_low, f_high, _ = mem
-        if Vt >= Vpr:
-            if Freq < fl:
-                f_low += dt
-            elif Freq > fh:
-                f_high += dt
-            else:
-                f_low = f_high = 0.0
-        return (vmin, vmax, low, high, f_low, f_high,
-                f_low >= tfl_thr or f_high >= tfh_thr)
-
     def advance(mem, Vt, Freq):
         vmin, vmax, low, high, f_low, f_high, tripped = mem
         low_expired, high_expired = low >= lo_thr, high >= hi_thr
-        if Vt < Vl1:
-            low += dt
-        elif not low_expired:
-            low = 0.0
-        if Vt > Vh1:
-            high += dt
-        elif not high_expired:
-            high = 0.0
-        mem = freq_trip((Vt if Vt < vmin else vmin, Vt if Vt > vmax else vmax,
-                         low, high, f_low, f_high, tripped), Vt, Freq)
+        if not low_expired:
+            low = low + dt if Vt < Vl1 else 0.0
+        if not high_expired:
+            high = high + dt if Vt > Vh1 else 0.0
+        trip = tripped
+        if freq_trip_on and not tripped:
+            if Vt >= Vpr:
+                if Freq < fl:
+                    f_low += dt
+                elif Freq > fh:
+                    f_high += dt
+                else:
+                    f_low = f_high = 0.0
+            trip = f_low >= tfl_thr or f_high >= tfh_thr
+        mem = (Vt if Vt < vmin else vmin, Vt if Vt > vmax else vmax,
+               low, high, f_low, f_high, trip)
         events = ()
         if mem[6] and not tripped:
             events += ("frequency_trip",)

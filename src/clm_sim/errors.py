@@ -7,6 +7,7 @@ and exits with the status. Library callers catch the classes directly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 
@@ -38,11 +39,11 @@ class FieldError(ValueError):
         super().__init__(message)
 
 
-def require_finite(obj, names) -> None:
-    """Raise ValueError naming the first of obj's fields names that is nan or infinite."""
-    for name in names:
-        if not math.isfinite(value := getattr(obj, name)):
-            raise ValueError(f"{name} must be finite, got {value}")
+def require_finite(obj) -> None:
+    """Raise a FieldError naming the first float field of the dataclass obj that is nan or inf."""
+    for f in dataclasses.fields(obj):
+        if f.type in ("float", float) and not math.isfinite(value := getattr(obj, f.name)):
+            raise FieldError(f"{f.name} must be finite, got {value}", f.name)
 
 
 class PresetError(ClmSimError):

@@ -49,7 +49,6 @@ class MotorParams:
     omega0: float = 120.0 * math.pi  # synchronous frequency (rad/s)
 
     def __post_init__(self):
-        require_finite(self, ("A", "B", "C0", "D", "p", "q", "omega0"))
         if not (self.Ls > self.Lp > self.Lpp > 0.0):
             raise ValueError(f"need Ls > Lp > Lpp > 0, got ({self.Ls}, {self.Lp}, {self.Lpp})")
         if not (self.Tp0 > self.Tpp0 > 0.0):
@@ -60,6 +59,7 @@ class MotorParams:
             raise ValueError(f"need rs >= 0, got {self.rs}")
         if not self.Etrq >= 0.0:
             raise ValueError(f"need Etrq >= 0, got {self.Etrq}")
+        require_finite(self)
 
 
 class MotorState(NamedTuple):

@@ -30,7 +30,6 @@ class ZipParams:
     v0: float = 1.0  # nominal voltage (pu)
 
     def __post_init__(self):
-        require_finite(self, ("p0", "q0"))
         if not abs(self.a_p + self.b_p + self.c_p - 1.0) <= FRACTION_SUM_TOL:
             raise ValueError(
                 f"active ZIP fractions must sum to 1, got {self.a_p + self.b_p + self.c_p!r}"
@@ -41,6 +40,7 @@ class ZipParams:
             )
         if not self.v0 > 0.0:
             raise ValueError(f"need v0 > 0, got {self.v0}")
+        require_finite(self)
 
 
 def zip_power(V: float, params: ZipParams) -> tuple[float, float]:
@@ -60,11 +60,11 @@ class ElecParams:
     alpha: float  # fraction of tripped load that reconnects on recovery
 
     def __post_init__(self):
-        require_finite(self, ("pe0", "qe0"))
         if not (self.vd1 > self.vd2 > 0.0):
             raise ValueError(f"need vd1 > vd2 > 0, got ({self.vd1}, {self.vd2})")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"need alpha in [0, 1], got {self.alpha}")
+        require_finite(self)
 
 
 def elec_vmin_update(Vt: float, vmin_t: float, params: ElecParams) -> float:

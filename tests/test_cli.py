@@ -255,6 +255,33 @@ def test_preset_show_unknown(capsys):
     assert "PRESET_UNKNOWN" in capsys.readouterr().err
 
 
+def test_preset_show_without_a_name(capsys):
+    assert main(["preset", "show"]) == 2
+    assert _single_error_line(capsys, "PRESET_UNKNOWN") == (
+        "error: PRESET_UNKNOWN: preset show needs a preset name")
+
+
+def test_config_without_integrator_is_config_invalid():
+    doc = {k: v for k, v in BASE_DOC.items() if k != "integrator"}
+    with pytest.raises(ConfigError, match=r"^missing required section \(field: integrator\)$"):
+        parse_config(doc)
+
+
+def test_empty_config_file_is_config_invalid(tmp_path, capsys):
+    path = tmp_path / "empty.yaml"
+    path.write_text("# nothing here\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert _single_error_line(capsys, "CONFIG_INVALID").endswith(f"config {path} is empty")
+
+
+def test_compare_header_that_does_not_start_with_t_is_file_format(tmp_path, capsys):
+    path = tmp_path / "time.csv"
+    path.write_text("time,x.P\n0,1\n0.1,2\n")
+    assert main(["compare", str(path), str(path)]) == 3
+    assert _single_error_line(capsys, "FILE_FORMAT") == (
+        f"error: FILE_FORMAT: {path}:1: expected a header starting with 't', got 'time'")
+
+
 def test_compare_self_zero(tmp_path, capsys):
     cfg = _write_config(tmp_path, BASE_DOC)
     main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
@@ -729,6 +756,17 @@ def test_run_unknown_channel_fails_before_the_first_step(tmp_path, capsys, monke
     assert not out.exists()
 
 
+def test_run_unknown_channel_is_refused_by_the_block_writer(tmp_path, capsys, monkeypatch):
+    # cmd_run has no channel check of its own: the writer's, made before it opens a file.
+    monkeypatch.setattr(cli.sim, "run_simulation", lambda *a: pytest.fail("run started"))
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(_write_config(tmp_path, BASE_DOC)), "--out-dir", str(out)]
+    assert main(argv + ["--channels", "V,nope"]) == 3
+    assert _single_error_line(capsys, "CHANNEL_UNKNOWN") == (
+        "error: CHANNEL_UNKNOWN: no channel named 'nope' in the trajectory")
+    assert not out.exists()
+
+
 def test_every_component_table_names_the_same_components():
     assert set(SECTIONS) == set(COMPONENT_TYPES)
     assert set(SECTIONS) <= set(TOP_LEVEL_KEYS)
@@ -915,6 +953,27 @@ def test_non_finite_config_number_rejected(tmp_path, capsys, section, key, field
     doc = dict(BASE_DOC, **{section: dict(BASE_DOC[section], **{key: value})})
     assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == 2
     assert field in _single_error_line(capsys, "CONFIG_INVALID")
+
+
+def test_preset_section_converts_its_own_overrides():
+    # Built in Python, a section converts and checks its overrides as the config does.
+    with pytest.raises(ValueError) as exc_info:
+        config.MotorSection(preset="motor_a", p0=0.8, overrides={"H": "0.06"})
+    assert exc_info.value.key == "overrides.H"
+    with pytest.raises(ValueError, match=r"unknown key\(s\) \['Hx'\]") as exc_info:
+        config.MotorSection(preset="motor_a", p0=0.8, overrides={"Hx": 1.0})
+    assert exc_info.value.key == "overrides"
+    section = config.MotorSection(preset="motor_a", p0=0.8, overrides={"H": 1})
+    assert section.overrides == {"H": 1.0} and type(section.overrides["H"]) is float
+    assert section.params().H == 1.0
+    assert config.DeraSection(pgen0=0.5, preset="dera_table3").overrides == {}
+
+
+def test_non_mapping_overrides_are_refused_as_a_wrong_type():
+    doc = dict(BASE_DOC, motor_a=dict(BASE_DOC["motor_a"], overrides=[1]))
+    with pytest.raises(ConfigError, match=r"^overrides must be a mapping, got \[1\] "
+                                          r"\(field: motor_a.overrides\)$"):
+        parse_config(doc)
 
 
 def test_non_finite_override_rejected():

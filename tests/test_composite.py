@@ -14,6 +14,7 @@ from clm_sim.composite import (
     SeriesBus,
 )
 from clm_sim.dera import DERA_PRESETS
+from clm_sim.errors import FieldError
 from clm_sim.motor3 import MOTOR_PRESETS
 from clm_sim.sim import COMPONENT_TYPES, Component, IntegratorConfig, Scenario, run_simulation
 from clm_sim.staticloads import ElecParams, ZipParams
@@ -159,6 +160,42 @@ def test_model_objects_refuse_non_finite_fields(owner, field, value):
     assert str(exc_info.value) == f"{field} must be finite, got {value}"
 
 
+FINITE_MAKERS = {
+    **NAN_MAKERS,
+    "PlaybackBus": lambda **kw: PlaybackBus(**{"a": 0.8, "b": 5.0, "c": 1.0, "d": 0.9, **kw}),
+    "ConstantBus": ConstantBus,
+}
+
+
+@pytest.mark.parametrize("owner, field, value", [
+    ("PlaybackBus", "b", math.nan),  # would run with no fault at all
+    ("PlaybackBus", "c", math.nan),  # the recovery segment would never apply
+    ("ConstantBus", "v", math.inf),  # would fail at init as NO_EQUILIBRIUM
+    ("LoadMix", "der_scale", math.inf),  # would give total.P = -inf
+    ("LoadMix", "p_base_mva", math.inf),
+    ("MotorParams", "Ls", math.inf),
+    ("DerAParams", "Pmax", math.inf),
+    ("DerAParams", "femax", math.inf),
+])
+def test_values_that_pass_every_range_rule_must_be_finite(owner, field, value):
+    # Every float field of a model or bus object is finite: the one rule runs after the
+    # object's range rules, which these values pass.
+    with pytest.raises(FieldError) as exc_info:
+        FINITE_MAKERS[owner](**{field: value})
+    assert exc_info.value.key == field
+    assert str(exc_info.value) == f"{field} must be finite, got {value}"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ConstantBus(freq=math.inf),
+    lambda: PlaybackBus(a=0.8, b=5.0, c=1.0, d=0.9, freq=math.inf),
+    lambda: SeriesBus([0, 1], [1, 1], freq=math.inf),
+], ids=["constant", "playback", "series"])
+def test_every_bus_refuses_an_infinite_freq(make):
+    with pytest.raises(ValueError, match="^need finite freq, got inf$"):
+        make()
+
+
 def _total(pq, mix):
     """(total.P, total.Q) at t = 0 of a run whose components output the given fixed (P, Q)."""
     def fixed(p, q):
@@ -234,6 +271,9 @@ def test_series_bus_without_frequency_column():
     (([0, 1], [1, 1, 1]), 1.0, "need t, V and F of one 1-D shape"),
     (([0, 1], [1, 1], [1]), 1.0, "need t, V and F of one 1-D shape"),
     (([[0, 1]], [[1, 1]]), 1.0, "need t, V and F of one 1-D shape"),
+    (([0, 1], [1, np.inf]), 1.0, "need finite V, got inf at t = 1"),  # else NON_FINITE_INPUT
+    (([0, 1], [1, 1], [1, np.inf]), 1.0, "need finite F, got inf at t = 1"),
+    (([0, 1], [1, -np.inf]), 1.0, "need V >= 0, got -inf at t = 1"),
 ])
 def test_series_bus_checks_its_samples_as_a_series_file_is_checked(args, freq, message):
     with pytest.raises(ValueError) as exc_info:

@@ -268,6 +268,12 @@ def test_voltage_dwell_timer_resets_before_expiry_latches_after():
     assert DerATrackers(*mem).low_v_timer >= params.tvl1 - 1e-12
     mem, _ = advance(mem, 1.0, 1.0)
     assert DerATrackers(*mem).low_v_timer >= params.tvl1 - 1e-12
+    # Expired, it holds its value through further steps below Vl1 as after them.
+    expired = mem
+    for v in (0.47, 0.47, 1.0, 0.3):
+        mem, events = advance(mem, v, 1.0)
+        assert DerATrackers(*mem).low_v_timer == DerATrackers(*expired).low_v_timer
+        assert events == ()
 
 
 def test_tracker_extremes_are_running_min_max():
@@ -436,6 +442,26 @@ def test_initialize_infeasible_cases():
     generator = dataclasses.replace(TABLE, typeflag=0, PfFlag=0)
     with pytest.raises(InfeasibleInit):
         dera_initialize(-0.4, 0.0, 1.0, 1.0, generator)  # generators cannot absorb
+
+
+def test_initialize_refuses_a_pi_error_beyond_its_limit():
+    # Holding Pgen0 = 0.5 needs the PI error 0.5 * (1 - Kpg) / (Tp * Kig) = 2.25 pu.
+    with pytest.raises(InfeasibleInit, match=r"error limits \(2\.25 pu\)$"):
+        dera_initialize(0.5, 0.1, 1.0, 1.0, dataclasses.replace(TABLE, femax=0.01))
+
+
+def test_initialize_with_zero_integral_gain_needs_unit_proportional_gain():
+    with pytest.raises(InfeasibleInit, match="integral gain is zero"):
+        dera_initialize(0.5, 0.1, 1.0, 1.0, dataclasses.replace(TABLE, Kig=0.0))
+    state, refs, _ = dera_initialize(0.5, 0.1, 1.0, 1.0,
+                                     dataclasses.replace(TABLE, Kig=0.0, Kpg=1.0))
+    assert refs.Pref == 0.5 and state.S6 == 0.5
+
+
+def test_initialize_refuses_reactive_output_at_zero_power_under_power_factor_control():
+    assert TABLE.PfFlag == 1
+    with pytest.raises(InfeasibleInit, match="constant power-factor control"):
+        dera_initialize(0.0, 0.1, 1.0, 1.0, TABLE)
 
 
 def test_equilibrium_outputs_match_operating_point():

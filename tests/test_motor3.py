@@ -227,6 +227,11 @@ def test_initialize_infeasible_loading_raises():
         motor_initialize(25.0, None, *V1, params)  # far beyond pull-out
 
 
+def test_initialize_refuses_a_zero_terminal_voltage():
+    with pytest.raises(NoEquilibrium, match="^terminal voltage magnitude must be positive$"):
+        motor_initialize(0.8, None, 0.0, 0.0, MOTOR_PRESETS["motor_a"])
+
+
 def test_inconsistent_q_logs_warning(caplog):
     params = MOTOR_PRESETS["motor_a"]
     with caplog.at_level("WARNING", logger="clm_sim.motor3"):

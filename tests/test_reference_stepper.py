@@ -265,6 +265,53 @@ def test_dwell_timer_moving_under_a_settled_state_matches_reference_stepper():
     assert same_as_last[(t > 1.0) & (t < 2.499)].sum() >= 500
 
 
+def test_expired_dwell_timer_lets_a_settled_der_repeat_its_steps():
+    # A 3 s dip to 0.45 pu expires the low-voltage dwell at t = 1 + tvl1. The expired
+    # timer holds its value, so once the DER state settles bit for bit in the dip its
+    # steps repeat until the dip ends at t = 4 s; a timer still counting moves the memory
+    # and makes every one of them a computed step.
+    cfg = load_config(SCENARIOS / "dera_playback.yaml")
+    der = cfg.components["dera"]
+    params = der.params()
+    inputs = {"mix": cfg.mix, "bus": PlaybackBus(a=0.45, b=180.0, c=3.5, d=0.9),
+              "loads": {"dera": (params, der.pgen0, der.qgen0), "zip": cfg.components["zip"]}}
+    starts = []  # (memory, V at the step's end) of each computed DER step
+
+    def counted(build):
+        def counted_build(name, weight, dt):
+            c = build(name, weight, dt)
+
+            def advance(m, v, f):
+                starts.append((m, v))
+                return c.advance(m, v, f)
+            return dataclasses.replace(c, advance=advance)
+        return counted_build
+
+    scenario = build_scenario(**inputs)
+    scenario.parts = [(name, counted(build) if name == "dera" else build)
+                      for name, build in scenario.parts]
+    config = dataclasses.replace(cfg.integrator, method="rk4", t_end=4.5)
+    result = _assert_bit_identical(inputs, config, scenario)
+    assert result.summary["trip_events"] == [{"type": "low_voltage_dwell_expired", "t": 1.159}]
+    in_dip = [m for m, v in starts if DerATrackers(*m).low_v_timer >= params.tvl1 - TIMER_EPS
+              and v < params.Vl1]
+    dip_steps = round((4.0 - 1.159) / config.dt)  # the steps from the expiry to the dip's end
+    assert len({DerATrackers(*m).low_v_timer for m in in_dip}) == 1  # held
+    assert len(in_dip) <= dip_steps - 1000
+
+
+def test_high_voltage_dwell_expiry_matches_reference_stepper():
+    # The verbatim recovery after a 5-cycle dip to 0.8 pu starts at 1 + (1 - d) = 1.2 pu,
+    # above Vh1 = 1.15 until t = 1.81 s: the high-voltage dwell expires at the end of the
+    # ceil(tvh1 / dt)-th step ending above Vh1 after clearing, once. (The bus-derived dwell
+    # instants of ROADMAP item 10 will move the event to 1 + 5/60 + 0.16 s.)
+    cfg = load_config(SCENARIOS / "dera_playback.yaml")
+    inputs = dict(scenario_inputs(cfg), bus=PlaybackBus(a=0.8, b=5.0, c=3.0, d=0.8))
+    config = dataclasses.replace(cfg.integrator, t_end=T_END)
+    result = _assert_bit_identical(inputs, config)
+    assert result.summary["trip_events"] == [{"type": "high_voltage_dwell_expired", "t": 1.243}]
+
+
 def test_record_every_with_a_fixed_point_between_samples_matches_reference_stepper():
     # motor_a settles bit for bit again some 1.3 s after the fault, at a step
     # that need not be a recorded one; the repeated samples after it must

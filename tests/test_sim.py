@@ -16,7 +16,15 @@ import pytest
 
 from clm_sim.composite import ConstantBus, LoadMix, PlaybackBus
 from clm_sim.dera import DERA_PRESETS
-from clm_sim.errors import ConfigError, GridMismatch, NonFiniteInput, NonFiniteState, OutOfRange
+from clm_sim.errors import (
+    ChannelError,
+    ConfigError,
+    FileFormatError,
+    GridMismatch,
+    NonFiniteInput,
+    NonFiniteState,
+    OutOfRange,
+)
 from clm_sim.motor3 import MOTOR_PRESETS
 from clm_sim.sim import (
     Component,
@@ -123,6 +131,12 @@ def test_trajectory_invariants_enforced():
         Trajectory(["x", "t"], np.zeros((2, 2)))  # time must lead
 
 
+def test_trajectory_channel_refuses_an_unknown_name():
+    traj = Trajectory(["t", "x"], np.array([[0.0, 1.0], [0.1, 2.0]]))
+    with pytest.raises(ChannelError, match="^no channel named 'y'$"):
+        traj.channel("y")
+
+
 # -------------------------------------------------------------- file round-trip
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -142,6 +156,13 @@ def test_binary_round_trip_is_exact(tmp_path):
     write_binary(traj, path)
     back = read_binary(path, traj.channels)
     assert np.array_equal(back.data, traj.data)
+
+
+def test_binary_of_a_partial_row_is_file_format(tmp_path):
+    path = tmp_path / "five.bin"
+    path.write_bytes(np.arange(5.0).astype("<f8").tobytes())
+    with pytest.raises(FileFormatError, match="5 values do not divide into 2 channels$"):
+        read_binary(path, ["t", "x"])
 
 
 # ----------------------------------------------------------------- determinism
