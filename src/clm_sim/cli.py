@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import sim
-from .config import PRESETS, load_config, parse_integrator, parse_outputs
+from .config import COMPONENTS, PRESETS, load_config, parse_integrator, parse_outputs
 from .dera import DERA_PRESET_BASES
 from .errors import ChannelError, ClmSimError, ConfigError, PresetError
 
@@ -65,7 +65,7 @@ def _output_paths(cfg):
     first; binary is None when the run writes none.
     """
     outputs, out_dir = cfg.outputs, Path(cfg.outputs.out_dir)
-    names = [c for c in sim.COMPONENT_TYPES if c in cfg.components] if outputs.figure_csvs else []
+    names = [c for c in COMPONENTS if c in cfg.components] if outputs.figure_csvs else []
     csvs = [(out_dir / outputs.trajectory_csv, outputs.channels),
             *((out_dir / f"figure_{c}.csv", _figure_channels(c)) for c in names)]
     binary = out_dir / outputs.binary if outputs.binary is not None else None

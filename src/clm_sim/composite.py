@@ -159,8 +159,8 @@ class SeriesBus:
     Outside the sampled span the end values are held. Frequency falls back
     to a constant when the series has no frequency column. The samples are
     checked as the bus is made, by a series file's rules (a ValueError): one
-    1-D shape, at least two samples, strictly increasing t, finite V >= 0,
-    finite F > 0 and finite freq > 0.
+    1-D shape, at least two samples, strictly increasing finite t, finite
+    V >= 0, finite F > 0 and finite freq > 0.
     """
 
     def __init__(self, t, v, f=None, freq: float = 1.0):
@@ -176,6 +176,8 @@ class SeriesBus:
         if back.size:
             raise ValueError(f"time must be strictly increasing, got "
                              f"{self.t[back[0] + 1]:.17g} after {self.t[back[0]]:.17g}")
+        if (rows := np.flatnonzero(~np.isfinite(self.t))).size:  # inf - x > 0 passes the rule above
+            raise ValueError(f"need finite t, got {self.t[rows[0]]:.17g}")
         for name, ys, rule, ok in (("V", self.v, "V >= 0", np.greater_equal),
                                    ("F", self.f, "F > 0", np.greater)):
             if ys is None:

@@ -11,13 +11,18 @@ Each value is converted by its field's type: a float is a finite number,
 an int a whole one (DER flags, record_every), and str, bool, list[str] and
 dict are what they say; a type `T | None` also takes null. A key left
 out, or a number given as null, takes the field's default; a field
-without one is required. A preset section converts its own overrides by
-the same rule, by the types of its parameter class's fields. The objects
+without one is required. A preset section converts its own fields by the
+same rule, so one built in Python is checked as a parsed one is, and its
+overrides by the types of its parameter class's fields. The objects
 check their own values as they are made: a check about one key raises
 errors.FieldError and is reported on <section>.<key> (an override's on
 <section>.overrides.<name>), any other ValueError on the section. A
 parsed ScenarioConfig serialises back to a semantically identical
 dictionary, so configs are diff-able and reproducible.
+
+COMPONENTS is the one table of component types: per section name, in
+channel order, its section's class and the initialiser that makes the
+component from that section, parsed or built in Python (build_scenario).
 
 Units follow the models: powers and voltages in pu on the component base,
 time constants and times in seconds, fractions dimensionless.
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -34,11 +40,13 @@ from typing import ClassVar
 
 import yaml
 
+from . import dera as dera_mod
+from . import staticloads
 from .composite import ConstantBus, LoadMix, PlaybackBus, SeriesBus, _check_freq
 from .dera import DERA_PRESETS, DerAParams
 from .errors import ConfigError, FieldError, FileFormatError, PresetError
-from .motor3 import MOTOR_PRESETS, MotorParams
-from .sim import IntegratorConfig, Scenario, build_scenario, read_table
+from .motor3 import MOTOR_PRESETS, MotorParams, motor_initialize, motor_kernel
+from .sim import Component, IntegratorConfig, Scenario, read_table
 from .staticloads import ElecParams, ZipParams
 
 PRESETS = {**MOTOR_PRESETS, **DERA_PRESETS}
@@ -119,8 +127,9 @@ def _parse_section(node, where: str, cls):
 class PresetSection:
     """A motor or DER section: a preset and/or overrides, then its initial loading fields.
 
-    Each override is converted by the type of its PARAMS field, as a section's
-    keys are by theirs, and a name that is no PARAMS field is refused.
+    Each field is converted by its type as _parse_section converts a
+    section's keys, and each override by the type of its PARAMS field; a
+    name that is no PARAMS field is refused.
     """
 
     PARAMS: ClassVar[type]   # the parameter dataclass
@@ -132,12 +141,13 @@ class PresetSection:
 
     def __post_init__(self):
         types = {f.name: f.type for f in dataclasses.fields(self.PARAMS)}
-        overrides = _value(self.overrides, "dict", "overrides")
-        unknown = sorted(set(overrides) - set(types))
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, _value(getattr(self, f.name), f.type, f.name))
+        unknown = sorted(set(self.overrides) - set(types))
         if unknown:
             raise FieldError(f"unknown key(s) {unknown}", "overrides")
         self.overrides = {key: _value(value, types[key], f"overrides.{key}")
-                          for key, value in overrides.items()}
+                          for key, value in self.overrides.items()}
         if self.preset is None:
             missing = sorted(f.name for f in dataclasses.fields(self.PARAMS)
                              if f.default is dataclasses.MISSING and f.name not in self.overrides)
@@ -153,10 +163,6 @@ class PresetSection:
                               f"available: {sorted(self.PRESETS)}")
         base = self.PRESETS[self.preset]
         return dataclasses.replace(base, **self.overrides) if self.overrides else base
-
-    def load(self) -> tuple:
-        """(params, *the initial loading): the load build_scenario takes for this component."""
-        return (self.params(), *(getattr(self, f.name) for f in dataclasses.fields(self)[2:]))
 
 
 @dataclass
@@ -223,7 +229,7 @@ class ScenarioConfig:
     """A parsed scenario document.
 
     components maps each configured component's section name (a key of
-    SECTIONS) to its parsed section: a MotorSection or DeraSection, or the
+    COMPONENTS) to its parsed section: a MotorSection or DeraSection, or the
     ZipParams or ElecParams themselves. disturbance is the bus, of one of
     the DISTURBANCES types.
     """
@@ -246,9 +252,7 @@ class ScenarioConfig:
         }
 
     def build(self) -> Scenario:
-        loads = {name: sec.load() if isinstance(sec, PresetSection) else sec
-                 for name, sec in self.components.items()}
-        return build_scenario(self.mix, self.disturbance, loads)
+        return build_scenario(self.mix, self.disturbance, self.components)
 
 
 def _parse_disturbance(node, where="disturbance"):
@@ -266,15 +270,83 @@ parse_integrator = partial(_parse_section, where="integrator", cls=IntegratorCon
 parse_outputs = partial(_parse_section, where="outputs", cls=OutputsSection)
 
 
-# Component section name -> the class of its section object, whose fields are its YAML keys.
-SECTIONS = {
-    **dict.fromkeys(("motor_a", "motor_b", "motor_c"), MotorSection),
-    "dera": DeraSection,
-    "zip": ZipParams,
-    "elec": ElecParams,
+def motor_component(section: MotorSection, v0: float, f0: float) -> Callable:
+    """A motor at equilibrium at its section's p0 (and q0); its q-axis voltage is 0."""
+    params = section.params()
+    state0, Tm0 = motor_initialize(section.p0, section.q0, v0, 0.0, params)
+    _, _, rhs, output, flags = motor_kernel(params, Tm0)
+    return lambda name, weight, dt: Component(
+        name, weight, output, state0._fields, state0=state0, rhs=rhs,
+        flag_names=("speed_clamped",), flags=flags)
+
+
+def dera_component(section: DeraSection, v0: float, f0: float) -> Callable:
+    """The DER_A at equilibrium at its section's pgen0 and qgen0."""
+    params = section.params()
+    state0, refs, memory0 = dera_mod.dera_initialize(section.pgen0, section.qgen0, v0, f0, params)
+    flags = dera_mod.dera_algebra(params)[1]
+
+    def build(name: str, weight: float, dt: float) -> Component:
+        if params.Freqflag == 1 and dt > dera_mod.FREQ_CONTROL_MAX_DT:
+            raise ConfigError(f"DER frequency control needs dt <= "
+                              f"{dera_mod.FREQ_CONTROL_MAX_DT} s, got {dt}", field="integrator.dt")
+        return Component(name, weight, dera_mod.component_output, state0._fields, ("tripped",),
+                         state0, rhs=dera_mod.dera_rhs(params, refs, dt),
+                         flag_names=dera_mod.LIMITER_FLAGS, flags=flags, memory0=memory0,
+                         advance=dera_mod.dera_memory(params, dt))
+    return build
+
+
+def zip_component(params: ZipParams, v0: float, f0: float) -> Callable:
+    """The ZIP load: algebraic, no states."""
+    output = lambda s, m, v, f: staticloads.zip_power(v, params)
+    return lambda name, weight, dt: Component(name, weight, output)
+
+
+def elec_component(params: ElecParams, v0: float, f0: float) -> Callable:
+    """The electronic load; its memory is (running minimum voltage,), v0 floored at vd2 at t = 0."""
+    power, update = staticloads.elec_power_at, staticloads.elec_vmin_update
+    output = lambda s, m, v, f: power(v, m[0], params)[:3]
+    advance = lambda m, v, f: ((update(v, m[0], params),), ())
+    memory0 = (update(v0, v0, params),)
+    return lambda name, weight, dt: Component(name, weight, output, extras=("ct",),
+                                              memory0=memory0, advance=advance)
+
+
+# Component name -> (the class of its section, whose fields are its YAML keys, and its
+# initialiser), in channel order. initialiser(section, v0, f0) solves the component's
+# equilibrium at the t = 0 bus values and gives build(name, weight, dt) -> Component.
+COMPONENTS = {
+    **dict.fromkeys(("motor_a", "motor_b", "motor_c"), (MotorSection, motor_component)),
+    "dera": (DeraSection, dera_component),
+    "zip": (ZipParams, zip_component),
+    "elec": (ElecParams, elec_component),
 }
 
-TOP_LEVEL_KEYS = ("mix", *SECTIONS, "disturbance", "integrator", "outputs")
+TOP_LEVEL_KEYS = ("mix", *COMPONENTS, "disturbance", "integrator", "outputs")
+
+
+def build_scenario(mix: LoadMix, bus, sections: dict[str, object]) -> Scenario:
+    """Initialise every configured component at the bus's t = 0 conditions.
+
+    sections maps a component name (a key of COMPONENTS) to its section, as
+    parse_config makes it or as built in Python: a MotorSection for a motor,
+    a DeraSection for dera, the ZipParams or ElecParams for zip or elec. A
+    mix fraction may be zero for a configured component (it is simulated
+    with weight zero), but a nonzero weight without its component, or an
+    unknown name, is an error.
+    """
+    unknown = sorted(set(sections) - set(COMPONENTS))
+    if unknown:
+        raise ConfigError(f"unknown component(s) {unknown}; known: {list(COMPONENTS)}")
+    for name in COMPONENTS:
+        weight = mix.weight(name)
+        if weight != 0.0 and name not in sections:
+            raise ConfigError(f"{name} has mix weight {weight} but is not configured", field=name)
+    v0, f0 = float(bus.voltage(0.0)), float(bus.frequency(0.0))
+    parts = [(name, component(sections[name], v0, f0))
+             for name, (_, component) in COMPONENTS.items() if name in sections]
+    return Scenario(mix, bus, parts)
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
@@ -288,7 +360,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         disturbance=_parse_disturbance(doc["disturbance"]),
         integrator=parse_integrator(doc["integrator"]),
         components={name: _parse_section(doc[name], name, cls)
-                    for name, cls in SECTIONS.items() if name in doc},
+                    for name, (cls, _) in COMPONENTS.items() if name in doc},
         outputs=parse_outputs(doc.get("outputs", {})),
     )
 

@@ -12,17 +12,16 @@ operations in the order of the array form that
 tests/test_reference_stepper.py checks it against bit for bit.
 
 The stepper drives one list of components, one per configured model, each
-made for the run by the builder its type's initialiser (motor_component,
-dera_component, zip_component, elec_component) gave build_scenario. A
-Component is pure: the stepper holds every state vector s and memory m
-(the discrete logic that changes only between steps: DER_A voltage
-extremes, dwell timers and trip latch, the electronic-load minimum), each
-starting from the component's state0 and memory0 in every run. rhs(s, m,
-v, f) gives the derivatives of s at bus voltage v and frequency f,
-output(s, m, v, f) gives (P, Q, *extra values), flags(s) gives the limiter
-flag values, and advance(m, v, f) gives (the memory at the end of an
-accepted step, the events it fired). The bus total is the weighted sum of
-the components' P and Q.
+made for the run by the builder that its type's initialiser in
+config.COMPONENTS gave the scenario. A Component is pure: the stepper
+holds every state vector s and memory m (the discrete logic that changes
+only between steps: DER_A voltage extremes, dwell timers and trip latch,
+the electronic-load minimum), each starting from the component's state0
+and memory0 in every run. rhs(s, m, v, f) gives the derivatives of s at
+bus voltage v and frequency f, output(s, m, v, f) gives (P, Q, *extra
+values), flags(s) gives the limiter flag values, and advance(m, v, f)
+gives (the memory at the end of an accepted step, the events it fired).
+The bus total is the weighted sum of the components' P and Q.
 
 The run goes STEP_BLOCK steps at a time. For each block the bus is read as
 arrays, one voltage and one frequency call over every time the method uses
@@ -79,12 +78,9 @@ from operator import is_
 
 import numpy as np
 
-from . import dera as dera_mod
-from . import staticloads
 from .composite import LoadMix
 from .errors import (
     ChannelError,
-    ConfigError,
     FieldError,
     FileFormatError,
     GridMismatch,
@@ -92,8 +88,6 @@ from .errors import (
     NonFiniteState,
     OutOfRange,
 )
-from .motor3 import motor_initialize, motor_kernel
-from .staticloads import ElecParams, ZipParams
 
 INTEGRATION_METHODS = ("rk4", "heun", "euler")
 
@@ -157,59 +151,6 @@ def same_bits(a: Sequence[float], b: Sequence[float]) -> bool:
     return a == b and struct.pack(f"{len(a)}d", *a) == struct.pack(f"{len(b)}d", *b)
 
 
-def motor_component(load, v0: float, f0: float) -> Callable:
-    """A motor at equilibrium from (params, P0, Q0-or-None); its q-axis voltage is 0."""
-    params, p0, q0 = load
-    state0, Tm0 = motor_initialize(p0, q0, v0, 0.0, params)
-    _, _, rhs, output, flags = motor_kernel(params, Tm0)
-    return lambda name, weight, dt: Component(
-        name, weight, output, state0._fields, state0=state0, rhs=rhs,
-        flag_names=("speed_clamped",), flags=flags)
-
-
-def dera_component(load, v0: float, f0: float) -> Callable:
-    """The DER_A at equilibrium from (params, Pgen0, Qgen0)."""
-    params, pgen0, qgen0 = load
-    state0, refs, memory0 = dera_mod.dera_initialize(pgen0, qgen0, v0, f0, params)
-    flags = dera_mod.dera_algebra(params)[1]
-
-    def build(name: str, weight: float, dt: float) -> Component:
-        if params.Freqflag == 1 and dt > dera_mod.FREQ_CONTROL_MAX_DT:
-            raise ConfigError(f"DER frequency control needs dt <= "
-                              f"{dera_mod.FREQ_CONTROL_MAX_DT} s, got {dt}", field="integrator.dt")
-        return Component(name, weight, dera_mod.component_output, state0._fields, ("tripped",),
-                         state0, rhs=dera_mod.dera_rhs(params, refs, dt),
-                         flag_names=dera_mod.LIMITER_FLAGS, flags=flags, memory0=memory0,
-                         advance=dera_mod.dera_memory(params, dt))
-    return build
-
-
-def zip_component(params: ZipParams, v0: float, f0: float) -> Callable:
-    """The ZIP load: algebraic, no states."""
-    output = lambda s, m, v, f: staticloads.zip_power(v, params)
-    return lambda name, weight, dt: Component(name, weight, output)
-
-
-def elec_component(params: ElecParams, v0: float, f0: float) -> Callable:
-    """The electronic load; its memory is (running minimum voltage,), v0 floored at vd2 at t = 0."""
-    power, update = staticloads.elec_power_at, staticloads.elec_vmin_update
-    output = lambda s, m, v, f: power(v, m[0], params)[:3]
-    advance = lambda m, v, f: ((update(v, m[0], params),), ())
-    memory0 = (update(v0, v0, params),)
-    return lambda name, weight, dt: Component(name, weight, output, extras=("ct",),
-                                              memory0=memory0, advance=advance)
-
-
-# Component name -> component(load, v0, f0), in channel order: it solves the configured
-# load's equilibrium at the t = 0 bus values and gives build(name, weight, dt) -> Component.
-COMPONENT_TYPES = {
-    **dict.fromkeys(("motor_a", "motor_b", "motor_c"), motor_component),
-    "dera": dera_component,
-    "zip": zip_component,
-    "elec": elec_component,
-}
-
-
 @dataclass
 class Scenario:
     """A fully initialised component mix behind one scripted bus.
@@ -224,28 +165,6 @@ class Scenario:
 
     def components(self, dt: float) -> list[Component]:
         return [build(name, self.mix.weight(name), dt) for name, build in self.parts]
-
-
-def build_scenario(mix: LoadMix, bus, loads: dict[str, object]) -> Scenario:
-    """Initialise every configured component at the bus's t = 0 conditions.
-
-    loads maps a component name (a key of COMPONENT_TYPES) to its load:
-    (params, P0, Q0-or-None) for a motor, (params, Pgen0, Qgen0) for dera,
-    the ZipParams or ElecParams for zip or elec. A mix fraction may be zero
-    for a configured component (it is simulated with weight zero), but a
-    nonzero weight without its component, or an unknown name, is an error.
-    """
-    unknown = sorted(set(loads) - set(COMPONENT_TYPES))
-    if unknown:
-        raise ConfigError(f"unknown component(s) {unknown}; known: {list(COMPONENT_TYPES)}")
-    for name in COMPONENT_TYPES:
-        weight = mix.weight(name)
-        if weight != 0.0 and name not in loads:
-            raise ConfigError(f"{name} has mix weight {weight} but is not configured", field=name)
-    v0, f0 = float(bus.voltage(0.0)), float(bus.frequency(0.0))
-    parts = [(name, component(loads[name], v0, f0))
-             for name, component in COMPONENT_TYPES.items() if name in loads]
-    return Scenario(mix, bus, parts)
 
 
 def channel_names(components: Sequence[Component]) -> list[str]:

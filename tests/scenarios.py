@@ -7,9 +7,8 @@ import dataclasses
 import numpy as np
 
 from clm_sim.composite import LoadMix, PlaybackBus
-from clm_sim.dera import DERA_PRESETS
-from clm_sim.motor3 import MOTOR_PRESETS
-from clm_sim.sim import Scenario, build_scenario
+from clm_sim.config import DeraSection, MotorSection, build_scenario
+from clm_sim.sim import Scenario
 from clm_sim.staticloads import ElecParams, ZipParams
 
 TABLE_PLAYBACK = PlaybackBus(a=0.8, b=5.0, c=1.0, d=0.9)
@@ -58,7 +57,7 @@ def motor_playback_scenario(p0: float = 0.8, shape: str = "verbatim") -> Scenari
     return build_scenario(
         LoadMix(f_a=1.0),
         dataclasses.replace(TABLE_PLAYBACK, shape=shape),
-        {"motor_a": (MOTOR_PRESETS["motor_a"], p0, None)},
+        {"motor_a": MotorSection(preset="motor_a", p0=p0)},
     )
 
 
@@ -69,7 +68,7 @@ def dera_playback_scenario(pgen0: float = 0.5, qgen0: float = 0.1,
     return build_scenario(
         LoadMix(f_zip=1.0, der_scale=1.0),
         playback,
-        {"dera": (DERA_PRESETS["dera_table3"], pgen0, qgen0), "zip": zero_zip},
+        {"dera": DeraSection(preset="dera_table3", pgen0=pgen0, qgen0=qgen0), "zip": zero_zip},
     )
 
 
@@ -80,10 +79,10 @@ def full_composite_scenario(bus) -> Scenario:
                 p_base_mva=15.0),
         bus,
         {
-            "motor_a": (MOTOR_PRESETS["motor_a"], 0.8, None),
-            "motor_b": (MOTOR_PRESETS["motor_b"], 0.6, None),
-            "motor_c": (MOTOR_PRESETS["motor_c"], 0.6, None),
-            "dera": (DERA_PRESETS["dera_table3"], 0.5, 0.1),
+            "motor_a": MotorSection(preset="motor_a", p0=0.8),
+            "motor_b": MotorSection(preset="motor_b", p0=0.6),
+            "motor_c": MotorSection(preset="motor_c", p0=0.6),
+            "dera": DeraSection(preset="dera_table3", pgen0=0.5, qgen0=0.1),
             "zip": ZIP,
             "elec": ELEC,
         },

@@ -39,6 +39,7 @@ import yaml
 
 from clm_sim.cli import main as cli_main
 from clm_sim.composite import LoadMix, PlaybackBus
+from clm_sim.config import DeraSection, build_scenario
 from clm_sim.dera import (
     DERA_PRESETS,
     DerARefs,
@@ -50,7 +51,7 @@ from clm_sim.dera import (
     dera_rhs,
 )
 from clm_sim.motor3 import MOTOR_PRESETS, MotorState, motor_initialize, motor_kernel
-from clm_sim.sim import IntegratorConfig, Trajectory, build_scenario, mse, run_simulation
+from clm_sim.sim import IntegratorConfig, Trajectory, mse, run_simulation
 from clm_sim.staticloads import ElecParams, ZipParams, elec_power_at, zip_power
 
 from oracles import dera_reference_rhs, motor_reference_rhs
@@ -292,13 +293,15 @@ def test_criterion_6_bounded_injection():
     assert np.all(s9 >= -ip_max - 1e-9)
 
     # Frequency-control run: over-frequency event, ramp band must bind.
-    params = dataclasses.replace(TABLE, Freqflag=1, Ftripflag=0)
+    der = DeraSection(preset="dera_table3", overrides={"Freqflag": 1, "Ftripflag": 0},
+                      pgen0=0.8, qgen0=0.1)
+    params = der.params()
     zero_zip = ZipParams(p0=0.0, q0=0.0, v0=1.0, a_p=0.0, b_p=0.0, c_p=1.0,
                          a_q=0.0, b_q=0.0, c_q=1.0)
     dt = 1e-3
     scenario = build_scenario(LoadMix(f_zip=1.0, der_scale=1.0),
                               StepFrequencyBus(f_after=1.03, t_step=0.5),
-                              {"dera": (params, 0.8, 0.1), "zip": zero_zip})
+                              {"dera": der, "zip": zero_zip})
     traj2 = run_simulation(scenario, IntegratorConfig(dt=dt, t_end=3.0)).trajectory
     s7 = traj2.channel("dera.S7")
     slopes = np.diff(s7) / dt
@@ -328,13 +331,15 @@ def test_criterion_7_trip_logic():
     assert abs(s4_end - direct) < 1e-9
 
     # Configured frequency trip: latch after exactly ceil(tfl/dt) steps.
-    params = dataclasses.replace(TABLE, fl=0.98, tfl=0.1)
+    der = DeraSection(preset="dera_table3", overrides={"fl": 0.98, "tfl": 0.1},
+                      pgen0=0.5, qgen0=0.1)
+    params = der.params()
     zero_zip = ZipParams(p0=0.0, q0=0.0, v0=1.0, a_p=0.0, b_p=0.0, c_p=1.0,
                          a_q=0.0, b_q=0.0, c_q=1.0)
     dt = 1e-3
     scenario = build_scenario(LoadMix(f_zip=1.0, der_scale=1.0),
                               StepFrequencyBus(f_after=0.97, t_step=0.5),
-                              {"dera": (params, 0.5, 0.1), "zip": zero_zip})
+                              {"dera": der, "zip": zero_zip})
     traj = run_simulation(scenario, IntegratorConfig(dt=dt, t_end=1.0)).trajectory
     tripped = traj.channel("dera.tripped")
     latch_index = 500 + math.ceil(params.tfl / dt) - 1

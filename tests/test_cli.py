@@ -13,21 +13,21 @@ import numpy as np
 import pytest
 import yaml
 
+import clm_sim
 from clm_sim import cli, config
 from clm_sim.cli import main
 from clm_sim.composite import LoadMix
 from clm_sim.config import (
+    COMPONENTS,
     DISTURBANCES,
-    SECTIONS,
     TOP_LEVEL_KEYS,
     OutputsSection,
     load_config,
     parse_config,
     parse_integrator,
 )
-from clm_sim.errors import ChannelError, ConfigError, FileFormatError
+from clm_sim.errors import ChannelError, ConfigError, FieldError, FileFormatError
 from clm_sim.sim import (
-    COMPONENT_TYPES,
     Trajectory,
     mse,
     read_csv,
@@ -768,10 +768,9 @@ def test_run_unknown_channel_is_refused_by_the_block_writer(tmp_path, capsys, mo
 
 
 def test_every_component_table_names_the_same_components():
-    assert set(SECTIONS) == set(COMPONENT_TYPES)
-    assert set(SECTIONS) <= set(TOP_LEVEL_KEYS)
+    assert set(COMPONENTS) <= set(TOP_LEVEL_KEYS)
     mix = LoadMix(f_a=0.5, f_zip=0.5)
-    assert {name: mix.weight(name) for name in COMPONENT_TYPES} == {
+    assert {name: mix.weight(name) for name in COMPONENTS} == {
         "motor_a": 0.5, "motor_b": 0.0, "motor_c": 0.0, "dera": 0.0, "zip": 0.5, "elec": 0.0}
 
 
@@ -914,11 +913,11 @@ def test_each_section_takes_its_fields_as_keys(tmp_path):
         "outputs": {"out_dir": "o", "trajectory_csv": "a.csv", "summary_json": "s.json",
                     "binary": "b.bin", "channels": ["total.P"], "figure_csvs": True},
     }
-    assert set(components) == set(SECTIONS) and set(disturbances) == set(DISTURBANCES)
+    assert set(components) == set(COMPONENTS) and set(disturbances) == set(DISTURBANCES)
     doc = dict(BASE_DOC, **components, **sections)
     cfg = parse_config(doc)
     for name, section in {**components, **sections}.items():
-        parsed = cfg.components[name] if name in SECTIONS else getattr(cfg, name)
+        parsed = cfg.components[name] if name in COMPONENTS else getattr(cfg, name)
         assert set(section) == {f.name for f in dataclasses.fields(parsed)}
         assert cfg.to_dict()[name] == dataclasses.asdict(parsed) == section
         with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['x'\] \(field: {name}\)"):
@@ -967,6 +966,37 @@ def test_preset_section_converts_its_own_overrides():
     assert section.overrides == {"H": 1.0} and type(section.overrides["H"]) is float
     assert section.params().H == 1.0
     assert config.DeraSection(pgen0=0.5, preset="dera_table3").overrides == {}
+
+
+@pytest.mark.parametrize("make, key, value", [
+    (lambda v: config.MotorSection(preset="motor_a", p0=v), "p0", "0.8"),
+    (lambda v: config.MotorSection(preset="motor_a", p0=v), "p0", float("nan")),
+    (lambda v: config.DeraSection(preset="dera_table3", pgen0=0.5, qgen0=v), "qgen0", "0.1"),
+])
+def test_preset_section_converts_its_own_loading_fields(make, key, value):
+    # Built in Python, a section checks its loading fields as the config does: a string or a
+    # nan is refused on its key, not met later by the equilibrium solve.
+    with pytest.raises(FieldError) as exc_info:
+        make(value)
+    assert exc_info.value.key == key
+    assert str(exc_info.value) == f"expected a finite number, got {value!r}"
+
+
+def test_preset_section_stores_a_whole_loading_number_as_a_float():
+    section = config.MotorSection(preset="motor_a", p0=1)
+    assert section.p0 == 1.0 and type(section.p0) is float
+
+
+def test_a_section_built_in_python_runs_as_its_parsed_config():
+    # A configured component has one form, its section: built in Python and given to
+    # build_scenario, it runs the same as the config that parses into it.
+    cfg = load_config(SCENARIOS / "motor_a_playback.yaml")
+    section = config.MotorSection(preset="motor_a", p0=cfg.components["motor_a"].p0)
+    runs = [run_simulation(scenario, cfg.integrator) for scenario in (
+        cfg.build(), config.build_scenario(cfg.mix, cfg.disturbance, {"motor_a": section}))]
+    assert runs[0].trajectory.data.tobytes() == runs[1].trajectory.data.tobytes()
+    assert runs[0].summary == runs[1].summary
+    assert clm_sim.build_scenario is clm_sim.config.build_scenario
 
 
 def test_non_mapping_overrides_are_refused_as_a_wrong_type():

@@ -13,10 +13,11 @@ from clm_sim.composite import (
     PlaybackBus,
     SeriesBus,
 )
+from clm_sim.config import COMPONENTS
 from clm_sim.dera import DERA_PRESETS
 from clm_sim.errors import FieldError
 from clm_sim.motor3 import MOTOR_PRESETS
-from clm_sim.sim import COMPONENT_TYPES, Component, IntegratorConfig, Scenario, run_simulation
+from clm_sim.sim import Component, IntegratorConfig, Scenario, run_simulation
 from clm_sim.staticloads import ElecParams, ZipParams
 
 from oracles import playback_voltage_reference, series_reference
@@ -200,7 +201,7 @@ def _total(pq, mix):
     """(total.P, total.Q) at t = 0 of a run whose components output the given fixed (P, Q)."""
     def fixed(p, q):
         return lambda name, weight, dt: Component(name, weight, lambda s, m, v, f: (p, q))
-    parts = [(name, fixed(*pq[name])) for name in COMPONENT_TYPES if name in pq]
+    parts = [(name, fixed(*pq[name])) for name in COMPONENTS if name in pq]
     traj = run_simulation(Scenario(mix, ConstantBus(), parts),
                           IntegratorConfig(dt=0.1, t_end=0.1)).trajectory
     return float(traj.channel("total.P")[0]), float(traj.channel("total.Q")[0])
@@ -274,6 +275,8 @@ def test_series_bus_without_frequency_column():
     (([0, 1], [1, np.inf]), 1.0, "need finite V, got inf at t = 1"),  # else NON_FINITE_INPUT
     (([0, 1], [1, 1], [1, np.inf]), 1.0, "need finite F, got inf at t = 1"),
     (([0, 1], [1, -np.inf]), 1.0, "need V >= 0, got -inf at t = 1"),
+    (([0, np.inf], [1, 0.5]), 1.0, "need finite t, got inf"),
+    (([-np.inf, 0], [1, 1]), 1.0, "need finite t, got -inf"),
 ])
 def test_series_bus_checks_its_samples_as_a_series_file_is_checked(args, freq, message):
     with pytest.raises(ValueError) as exc_info:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from clm_sim.composite import LoadMix
+from clm_sim.config import DeraSection, build_scenario
 from clm_sim.dera import (
     DERA_PRESETS,
     DerAParams,
@@ -30,7 +31,7 @@ from clm_sim.dera import (
     dera_rhs,
 )
 from clm_sim.errors import InfeasibleInit, NonFiniteInput
-from clm_sim.sim import IntegratorConfig, build_scenario, run_simulation
+from clm_sim.sim import IntegratorConfig, run_simulation
 from clm_sim.staticloads import ZipParams
 
 from oracles import dera_reference_rhs, voltage_protection_reference
@@ -425,7 +426,8 @@ def test_rejects_non_finite_inputs():
     zero_zip = ZipParams(p0=0.0, q0=0.0, v0=1.0, a_p=0.0, b_p=0.0, c_p=1.0,
                          a_q=0.0, b_q=0.0, c_q=1.0)
     scenario = build_scenario(LoadMix(f_zip=1.0, der_scale=1.0), _NanVoltageBus(),
-                              {"dera": (TABLE, 0.5, 0.1), "zip": zero_zip})
+                              {"dera": DeraSection(preset="dera_table3", pgen0=0.5, qgen0=0.1),
+                               "zip": zero_zip})
     with pytest.raises(NonFiniteInput, match=r"non-finite input at t = 0\.5$"):
         run_simulation(scenario, IntegratorConfig(dt=0.125, t_end=1.0))
 

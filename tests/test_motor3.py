@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from clm_sim.composite import LoadMix
+from clm_sim.config import MotorSection, build_scenario
 from clm_sim.errors import NoEquilibrium, NonFiniteInput
 from clm_sim.motor3 import (
     MOTOR_PRESETS,
@@ -25,7 +26,7 @@ from clm_sim.motor3 import (
     motor_kernel,
 )
 
-from clm_sim.sim import IntegratorConfig, build_scenario, run_simulation
+from clm_sim.sim import IntegratorConfig, run_simulation
 
 from oracles import motor_reference_rhs
 
@@ -89,7 +90,7 @@ class _InfVoltageBus:
 
 def test_rejects_non_finite_inputs():
     scenario = build_scenario(LoadMix(f_a=1.0), _InfVoltageBus(),
-                              {"motor_a": (MOTOR_PRESETS["motor_a"], 0.5, None)})
+                              {"motor_a": MotorSection(preset="motor_a", p0=0.5)})
     with pytest.raises(NonFiniteInput, match=r"non-finite input at t = 0\.5$"):
         run_simulation(scenario, IntegratorConfig(dt=0.125, t_end=1.0))
 

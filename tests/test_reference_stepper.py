@@ -10,7 +10,7 @@ time clamped to just inside its piece. run_simulation works on
 plain floats per component, a block of steps at a time, and skips the steps
 that repeat; it must reproduce the reference's channel names, recorded
 data, initial residuals, limiter counts and trip events, the data bit for
-bit. The reference builds its own scenario from the loads passed to
+bit. The reference builds its own scenario from the sections passed to
 build_scenario, and finds the trip events from the DER_A memory itself.
 """
 
@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 
 from clm_sim.composite import PlaybackBus
-from clm_sim.config import load_config
+from clm_sim.config import build_scenario, load_config
 from clm_sim.dera import TIMER_EPS, DerATrackers
-from clm_sim.sim import _STEPPERS, IntegratorConfig, _step, build_scenario, run_simulation
+from clm_sim.sim import _STEPPERS, IntegratorConfig, _step, run_simulation
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 METHODS = ("rk4", "heun", "euler")
@@ -93,15 +93,8 @@ CHANNELS = {  # each component's channels after its name, in order
 
 
 def scenario_inputs(cfg):
-    """build_scenario's arguments (mix, bus, loads by component name) for a parsed config."""
-    sections = cfg.components
-    loads = {name: (sec.params(), sec.p0, sec.q0) for name, sec in sections.items()
-             if name in ("motor_a", "motor_b", "motor_c")}
-    if "dera" in sections:
-        der = sections["dera"]
-        loads["dera"] = (der.params(), der.pgen0, der.qgen0)
-    loads.update({name: sections[name] for name in ("zip", "elec") if name in sections})
-    return {"mix": cfg.mix, "bus": cfg.disturbance, "loads": loads}
+    """build_scenario's arguments (mix, bus, sections by component name) for a parsed config."""
+    return {"mix": cfg.mix, "bus": cfg.disturbance, "sections": cfg.components}
 
 
 def reference_run(inputs, config):
@@ -147,8 +140,11 @@ def reference_run(inputs, config):
             Q += mix.weight(c.name) * out[1]
         return row + [P, Q]
 
+    der = inputs["sections"].get("dera")
+    params = der and der.params()  # made once: the dwell checks below run every step
+
     def expired(mem):
-        trk, params = DerATrackers(*mem), inputs["loads"]["dera"][0]
+        trk = DerATrackers(*mem)
         return (trk.low_v_timer >= params.tvl1 - TIMER_EPS,
                 trk.high_v_timer >= params.tvh1 - TIMER_EPS)
 
@@ -227,10 +223,10 @@ def test_dera_branch_variant_matches_reference_stepper(method):
     # bundled scenarios never reach. The frequency step drives the droop and
     # the rate-limited power order S7; the dip expires the low-voltage dwell.
     cfg = load_config(SCENARIOS / "dera_playback.yaml")
-    der = cfg.components["dera"]
-    params = dataclasses.replace(der.params(), Freqflag=1, PQflag=1, PfFlag=0)
+    der = dataclasses.replace(cfg.components["dera"],
+                              overrides={"Freqflag": 1, "PQflag": 1, "PfFlag": 0})
     inputs = {"mix": cfg.mix, "bus": DeepFaultFrequencyStepBus(),
-              "loads": {"dera": (params, der.pgen0, der.qgen0), "zip": cfg.components["zip"]}}
+              "sections": {"dera": der, "zip": cfg.components["zip"]}}
     config = dataclasses.replace(cfg.integrator, method=method, t_end=T_END)
     result = _assert_bit_identical(inputs, config)
     kinds = [e["type"] for e in result.summary["trip_events"]]
@@ -251,11 +247,10 @@ def test_dwell_timer_moving_under_a_settled_state_matches_reference_stepper():
     # state repeats but whose memory moved must be computed; repeating them
     # would stop the timer and lose the dwell expiry at t = 1 + tvl1.
     cfg = load_config(SCENARIOS / "dera_playback.yaml")
-    der = cfg.components["dera"]
-    params = dataclasses.replace(der.params(), tvl0=1.5, tvl1=1.5)
+    der = dataclasses.replace(cfg.components["dera"], overrides={"tvl0": 1.5, "tvl1": 1.5})
     bus = PlaybackBus(a=0.47, b=180.0, c=3.5, d=0.9)
     inputs = {"mix": cfg.mix, "bus": bus,
-              "loads": {"dera": (params, der.pgen0, der.qgen0), "zip": cfg.components["zip"]}}
+              "sections": {"dera": der, "zip": cfg.components["zip"]}}
     config = dataclasses.replace(cfg.integrator, method="rk4", t_end=5.0)
     result = _assert_bit_identical(inputs, config)
     assert result.summary["trip_events"] == [{"type": "low_voltage_dwell_expired", "t": 2.499}]
@@ -271,10 +266,8 @@ def test_expired_dwell_timer_lets_a_settled_der_repeat_its_steps():
     # steps repeat until the dip ends at t = 4 s; a timer still counting moves the memory
     # and makes every one of them a computed step.
     cfg = load_config(SCENARIOS / "dera_playback.yaml")
-    der = cfg.components["dera"]
-    params = der.params()
-    inputs = {"mix": cfg.mix, "bus": PlaybackBus(a=0.45, b=180.0, c=3.5, d=0.9),
-              "loads": {"dera": (params, der.pgen0, der.qgen0), "zip": cfg.components["zip"]}}
+    params = cfg.components["dera"].params()
+    inputs = dict(scenario_inputs(cfg), bus=PlaybackBus(a=0.45, b=180.0, c=3.5, d=0.9))
     starts = []  # (memory, V at the step's end) of each computed DER step
 
     def counted(build):
@@ -366,9 +359,9 @@ def test_limiter_counts_across_blocks_and_repeats_match_reference_stepper(monkey
     # The counts must be the reference's step-by-step ones.
     monkeypatch.setattr("clm_sim.sim.STEP_BLOCK", block)
     cfg = load_config(SCENARIOS / "dera_playback.yaml")
-    der = cfg.components["dera"]
+    der = dataclasses.replace(cfg.components["dera"], pgen0=0.8)
     inputs = {"mix": cfg.mix, "bus": PlaybackBus(a=0.55, b=60.0, c=1.5, d=0.9),
-              "loads": {"dera": (der.params(), 0.8, der.qgen0), "zip": cfg.components["zip"]}}
+              "sections": {"dera": der, "zip": cfg.components["zip"]}}
     result = _assert_bit_identical(inputs, dataclasses.replace(cfg.integrator, t_end=t_end))
     last = min(2006, round(t_end * 1000) + 1)  # the step after the last one flagged
     assert result.summary["limiter_activity"]["dera.ip_command_limit"] == last - 1027

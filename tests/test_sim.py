@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from clm_sim.composite import ConstantBus, LoadMix, PlaybackBus
-from clm_sim.dera import DERA_PRESETS
+from clm_sim.config import DeraSection, MotorSection, build_scenario, zip_component
 from clm_sim.errors import (
     ChannelError,
     ConfigError,
@@ -25,13 +25,11 @@ from clm_sim.errors import (
     NonFiniteState,
     OutOfRange,
 )
-from clm_sim.motor3 import MOTOR_PRESETS
 from clm_sim.sim import (
     Component,
     IntegratorConfig,
     Scenario,
     Trajectory,
-    build_scenario,
     mse,
     read_binary,
     read_csv,
@@ -39,7 +37,6 @@ from clm_sim.sim import (
     run_simulation,
     write_binary,
     write_csv,
-    zip_component,
 )
 
 from scenarios import (
@@ -351,20 +348,21 @@ def test_euler_and_heun_agree_with_rk4_in_the_limit():
 
 
 def test_build_scenario_rejects_an_unknown_component_name():
-    loads = {"motor_d": (MOTOR_PRESETS["motor_a"], 0.8, None), "zip": ZIP}
+    sections = {"motor_d": MotorSection(preset="motor_a", p0=0.8), "zip": ZIP}
     with pytest.raises(ConfigError, match="unknown component.*'motor_d'"):
-        build_scenario(LoadMix(f_zip=1.0), ConstantBus(), loads)
+        build_scenario(LoadMix(f_zip=1.0), ConstantBus(), sections)
 
 
 # ----------------------------------------------------------------- trip logic
 
 def test_frequency_trip_zeroes_dera_output_in_simulation():
-    params = dataclasses.replace(DERA_PRESETS["dera_table3"], fl=0.98, tfl=0.1)
+    der = DeraSection(preset="dera_table3", overrides={"fl": 0.98, "tfl": 0.1},
+                      pgen0=0.5, qgen0=0.1)
     zero_zip = dataclasses.replace(ZIP, p0=0.0, q0=0.0)  # a zero-power ZIP
     scenario = build_scenario(
         LoadMix(f_zip=1.0, der_scale=1.0),
         StepFrequencyBus(f_after=0.97, t_step=0.5),
-        {"dera": (params, 0.5, 0.1), "zip": zero_zip},
+        {"dera": der, "zip": zero_zip},
     )
     dt = 1e-3
     result = run_simulation(scenario, IntegratorConfig(dt=dt, t_end=1.0))
@@ -372,7 +370,7 @@ def test_frequency_trip_zeroes_dera_output_in_simulation():
 
     # Condition first holds at the end-of-step update at t = 0.5; the latch
     # lands ceil(tfl/dt) updates later.
-    latch_index = 500 + math.ceil(params.tfl / dt) - 1
+    latch_index = 500 + math.ceil(der.params().tfl / dt) - 1
     tripped = traj.channel("dera.tripped")
     assert tripped[latch_index - 1] == 0.0
     assert tripped[latch_index] == 1.0

@@ -8,7 +8,7 @@ params) gives (P, Q, ct, mode) with vmin already updated for Vt.
 import numpy as np
 import pytest
 
-from clm_sim.sim import elec_component
+from clm_sim.config import elec_component
 from clm_sim.staticloads import (
     ElecParams,
     ZipParams,
