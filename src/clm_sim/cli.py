@@ -32,12 +32,6 @@ def _setup_logging() -> None:
     )
 
 
-def _figure_channels(component: str) -> list[str]:
-    """Plot-ready channel set for one component: bus signals (Freq too for the DER) plus its P/Q."""
-    bus = ["V", "Freq"] if component == "dera" else ["V"]
-    return [*bus, f"{component}.P", f"{component}.Q"]
-
-
 def _split_channels(text: str | None) -> list[str] | None:
     """The names in a --channels value, or None when the option was not given."""
     return None if text is None else [c.strip() for c in text.split(",") if c.strip()]
@@ -48,12 +42,11 @@ def _overridden(section, **overrides):
     return {**dataclasses.asdict(section), **{k: v for k, v in overrides.items() if v is not None}}
 
 
-def _configured(args):
-    """The config at args.config with the options that `run` was given put over it."""
-    cfg = load_config(args.config)
-    cfg.integrator = parse_integrator(_overridden(cfg.integrator, dt=args.dt, t_end=args.t_end))
-    cfg.outputs = parse_outputs(_overridden(cfg.outputs, out_dir=args.out_dir,
-                                            channels=_split_channels(args.channels)))
+def _configured(path, out_dir=None, dt=None, t_end=None, channels=None):
+    """The config at path with the options of `run` that were given (not None) put over it."""
+    cfg = load_config(path)
+    cfg.integrator = parse_integrator(_overridden(cfg.integrator, dt=dt, t_end=t_end))
+    cfg.outputs = parse_outputs(_overridden(cfg.outputs, out_dir=out_dir, channels=channels))
     return cfg
 
 
@@ -67,16 +60,21 @@ def _output_paths(cfg):
     outputs, out_dir = cfg.outputs, Path(cfg.outputs.out_dir)
     names = [c for c in COMPONENTS if c in cfg.components] if outputs.figure_csvs else []
     csvs = [(out_dir / outputs.trajectory_csv, outputs.channels),
-            *((out_dir / f"figure_{c}.csv", _figure_channels(c)) for c in names)]
+            *((out_dir / f"figure_{c}.csv", [*COMPONENTS[c].figure, f"{c}.P", f"{c}.Q"])
+              for c in names)]
     binary = out_dir / outputs.binary if outputs.binary is not None else None
     summary = out_dir / outputs.summary_json
     paths = [csvs[0][0], *([binary] if binary else []), summary, *(path for path, _ in csvs[1:])]
     return paths, csvs, binary, summary
 
 
-def cmd_run(args, cfg=None) -> int:
-    """Run one config; cfg, when given, is _configured(args), already loaded."""
-    cfg = cfg or _configured(args)
+def cmd_run(args) -> int:
+    return _run(_configured(args.config, args.out_dir, args.dt, args.t_end,
+                            _split_channels(args.channels)))
+
+
+def _run(cfg) -> int:
+    """Run one configured scenario, writing its outputs and printing their paths."""
     scenario = cfg.build()
     channels = sim.channel_names(scenario.components(cfg.integrator.dt))
     paths, csvs, binary_path, summary_path = _output_paths(cfg)
@@ -161,30 +159,28 @@ def cmd_preset(args) -> int:
 
 def cmd_batch(args) -> int:
     out_dirs = [Path(args.out_dir) / Path(c).stem if args.out_dir else None for c in args.configs]
-    runs = []  # (run options, the config or the error its own run reports)
+    runs = []  # the config, or the error its own run reports, per config path
     for config_path, out_dir in zip(args.configs, out_dirs):
-        ns = argparse.Namespace(config=config_path, out_dir=out_dir and str(out_dir),
-                                dt=None, t_end=None, channels=None)
         try:
-            runs.append((ns, _configured(ns)))
+            runs.append(_configured(config_path, out_dir and str(out_dir)))
         except ClmSimError as exc:
-            runs.append((ns, exc))
+            runs.append(exc)
     first_run = {}  # each file that a run writes, resolved -> the first run that writes it
-    for i, (_, cfg) in enumerate(runs):
+    for i, cfg in enumerate(runs):
         for path in [] if isinstance(cfg, ClmSimError) else _output_paths(cfg)[0]:
             first = first_run.setdefault(path.resolve(), i)
             if first != i:
                 raise ConfigError(f"{args.configs[first]} and {args.configs[i]} "
                                   f"would both write {path}")
     failures = 0
-    for ns, cfg in runs:
+    for config_path, cfg in zip(args.configs, runs):
         try:
             if isinstance(cfg, ClmSimError):
                 raise cfg
-            cmd_run(ns, cfg)
+            _run(cfg)
         except ClmSimError as exc:
             failures += 1
-            print(f"error: {exc.code}: {ns.config}: {exc}", file=sys.stderr)
+            print(f"error: {exc.code}: {config_path}: {exc}", file=sys.stderr)
     if failures:
         print(f"batch: {failures} of {len(args.configs)} scenario(s) failed", file=sys.stderr)
         return 1

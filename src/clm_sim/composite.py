@@ -33,7 +33,7 @@ PLAYBACK_SHAPES = ("verbatim", "ramp")
 
 @dataclass(frozen=True)
 class LoadMix:
-    """Component weights on the common pu base plus reporting metadata."""
+    """Component weights (the mix_keys of config.COMPONENTS) plus reporting metadata."""
 
     f_a: float = 0.0        # motor A fraction
     f_b: float = 0.0        # motor B fraction
@@ -52,16 +52,6 @@ class LoadMix:
         if not self.p_base_mva > 0.0:
             raise ValueError("need p_base_mva > 0")
         require_finite(self)
-
-    def weight(self, name: str) -> float:
-        return {
-            "motor_a": self.f_a,
-            "motor_b": self.f_b,
-            "motor_c": self.f_c,
-            "elec": self.f_elec,
-            "zip": self.f_zip,
-            "dera": -self.der_scale,
-        }[name]
 
 
 def _held(t, value: float):

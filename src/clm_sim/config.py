@@ -21,8 +21,9 @@ parsed ScenarioConfig serialises back to a semantically identical
 dictionary, so configs are diff-able and reproducible.
 
 COMPONENTS is the one table of component types: per section name, in
-channel order, its section's class and the initialiser that makes the
-component from that section, parsed or built in Python (build_scenario).
+channel order, a ComponentType: its section's class, the initialiser that
+makes the component from that section (parsed or built in Python), the
+LoadMix key that weights it, its sign and its figure file's bus channels.
 
 Units follow the models: powers and voltages in pu on the component base,
 time constants and times in seconds, fractions dimensionless.
@@ -36,7 +37,7 @@ from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import yaml
 
@@ -313,14 +314,23 @@ def elec_component(params: ElecParams, v0: float, f0: float) -> Callable:
                                               memory0=memory0, advance=advance)
 
 
-# Component name -> (the class of its section, whose fields are its YAML keys, and its
-# initialiser), in channel order. initialiser(section, v0, f0) solves the component's
-# equilibrium at the t = 0 bus values and gives build(name, weight, dt) -> Component.
+class ComponentType(NamedTuple):
+    """A value of COMPONENTS, which keys the component types by section name in channel order."""
+
+    section: type  # the class of its section, whose fields are its YAML keys
+    initialise: Callable  # (section, v0, f0) at t = 0 -> build(name, weight, dt) -> Component
+    mix_key: str  # the LoadMix field that weights it: the run's weight is sign * mix.<mix_key>
+    sign: float = 1.0  # -1.0 for the DER, whose output subtracts from net load
+    figure: tuple[str, ...] = ("V",)  # the bus channels of its figure file, before its P and Q
+
+
 COMPONENTS = {
-    **dict.fromkeys(("motor_a", "motor_b", "motor_c"), (MotorSection, motor_component)),
-    "dera": (DeraSection, dera_component),
-    "zip": (ZipParams, zip_component),
-    "elec": (ElecParams, elec_component),
+    "motor_a": ComponentType(MotorSection, motor_component, "f_a"),
+    "motor_b": ComponentType(MotorSection, motor_component, "f_b"),
+    "motor_c": ComponentType(MotorSection, motor_component, "f_c"),
+    "dera": ComponentType(DeraSection, dera_component, "der_scale", -1.0, ("V", "Freq")),
+    "zip": ComponentType(ZipParams, zip_component, "f_zip"),
+    "elec": ComponentType(ElecParams, elec_component, "f_elec"),
 }
 
 TOP_LEVEL_KEYS = ("mix", *COMPONENTS, "disturbance", "integrator", "outputs")
@@ -339,14 +349,18 @@ def build_scenario(mix: LoadMix, bus, sections: dict[str, object]) -> Scenario:
     unknown = sorted(set(sections) - set(COMPONENTS))
     if unknown:
         raise ConfigError(f"unknown component(s) {unknown}; known: {list(COMPONENTS)}")
-    for name in COMPONENTS:
-        weight = mix.weight(name)
-        if weight != 0.0 and name not in sections:
-            raise ConfigError(f"{name} has mix weight {weight} but is not configured", field=name)
+    for name, kind in COMPONENTS.items():
+        value = getattr(mix, kind.mix_key)
+        if name not in sections and value != 0.0:
+            raise ConfigError(f"mix.{kind.mix_key} is {value} but {name} is not configured",
+                              field=name)
+        if name in sections and not isinstance(sections[name], kind.section):
+            raise ConfigError(f"{name} needs a {kind.section.__name__}, "
+                              f"got {type(sections[name]).__name__}", field=name)
     v0, f0 = float(bus.voltage(0.0)), float(bus.frequency(0.0))
-    parts = [(name, component(sections[name], v0, f0))
-             for name, (_, component) in COMPONENTS.items() if name in sections]
-    return Scenario(mix, bus, parts)
+    parts = [(name, kind.sign * getattr(mix, kind.mix_key), kind.initialise(sections[name], v0, f0))
+             for name, kind in COMPONENTS.items() if name in sections]
+    return Scenario(bus, parts)
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
@@ -359,8 +373,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
         mix=_parse_section(doc["mix"], "mix", LoadMix),
         disturbance=_parse_disturbance(doc["disturbance"]),
         integrator=parse_integrator(doc["integrator"]),
-        components={name: _parse_section(doc[name], name, cls)
-                    for name, (cls, _) in COMPONENTS.items() if name in doc},
+        components={name: _parse_section(doc[name], name, kind.section)
+                    for name, kind in COMPONENTS.items() if name in doc},
         outputs=parse_outputs(doc.get("outputs", {})),
     )
 

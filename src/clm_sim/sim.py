@@ -78,7 +78,6 @@ from operator import is_
 
 import numpy as np
 
-from .composite import LoadMix
 from .errors import (
     ChannelError,
     FieldError,
@@ -155,16 +154,15 @@ def same_bits(a: Sequence[float], b: Sequence[float]) -> bool:
 class Scenario:
     """A fully initialised component mix behind one scripted bus.
 
-    parts holds (name, build) per configured component, in channel order;
-    components(dt) calls build(name, weight, dt).
+    parts holds (name, weight, build) per configured component, in channel
+    order; components(dt) calls build(name, weight, dt).
     """
 
-    mix: LoadMix
     bus: object  # voltage(t) and frequency(t) at each time of an array t
-    parts: list[tuple[str, Callable]]
+    parts: list[tuple[str, float, Callable]]
 
     def components(self, dt: float) -> list[Component]:
-        return [build(name, self.mix.weight(name), dt) for name, build in self.parts]
+        return [build(name, weight, dt) for name, weight, build in self.parts]
 
 
 def channel_names(components: Sequence[Component]) -> list[str]:

@@ -86,6 +86,23 @@ def test_run_figure_csvs(tmp_path):
     assert fig.channels == ["t", "V", "motor_a.P", "motor_a.Q"]
 
 
+def test_every_figure_file_holds_its_components_layout(tmp_path):
+    doc = yaml.safe_load((SCENARIOS / "composite_fault.yaml").read_text())
+    doc["outputs"]["figure_csvs"] = True
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(_write_config(tmp_path, doc)), "--out-dir", str(out)]
+    assert main(argv + ["--t-end", "0.01"]) == 0
+    headers = {path.name: path.read_text().splitlines()[0] for path in out.glob("figure_*.csv")}
+    assert headers == {
+        "figure_motor_a.csv": "t,V,motor_a.P,motor_a.Q",
+        "figure_motor_b.csv": "t,V,motor_b.P,motor_b.Q",
+        "figure_motor_c.csv": "t,V,motor_c.P,motor_c.Q",
+        "figure_dera.csv": "t,V,Freq,dera.P,dera.Q",
+        "figure_zip.csv": "t,V,zip.P,zip.Q",
+        "figure_elec.csv": "t,V,elec.P,elec.Q",
+    }
+
+
 def test_run_prints_written_paths_in_order(tmp_path, capsys):
     doc = dict(DER_DOC, outputs=dict(DER_DOC["outputs"], binary="traj.bin", figure_csvs=True))
     out = tmp_path / "out"
@@ -769,9 +786,9 @@ def test_run_unknown_channel_is_refused_by_the_block_writer(tmp_path, capsys, mo
 
 def test_every_component_table_names_the_same_components():
     assert set(COMPONENTS) <= set(TOP_LEVEL_KEYS)
-    mix = LoadMix(f_a=0.5, f_zip=0.5)
-    assert {name: mix.weight(name) for name in COMPONENTS} == {
-        "motor_a": 0.5, "motor_b": 0.0, "motor_c": 0.0, "dera": 0.0, "zip": 0.5, "elec": 0.0}
+    mix = LoadMix(f_a=0.5, f_zip=0.5, der_scale=0.25)
+    assert {name: kind.sign * getattr(mix, kind.mix_key) for name, kind in COMPONENTS.items()} == {
+        "motor_a": 0.5, "motor_b": 0.0, "motor_c": 0.0, "dera": -0.25, "zip": 0.5, "elec": 0.0}
 
 
 DER_DOC = {
@@ -1021,6 +1038,18 @@ ZIP_DOC = {
 }
 
 
+@pytest.mark.parametrize("mix, message", [
+    ({"f_zip": 1.0, "der_scale": 0.3},
+     "mix.der_scale is 0.3 but dera is not configured (field: dera)"),
+    ({"f_a": 0.5, "f_zip": 0.5}, "mix.f_a is 0.5 but motor_a is not configured (field: motor_a)"),
+], ids=["dera", "motor_a"])
+def test_run_names_the_mix_key_of_an_unconfigured_component(tmp_path, capsys, mix, message):
+    cfg = _write_config(tmp_path, dict(ZIP_DOC, mix=mix))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert _single_error_line(capsys, "CONFIG_INVALID") == f"error: CONFIG_INVALID: {message}"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("outputs, path", [
     ({"trajectory_csv": "summary.json"}, "summary.json"),
     ({"binary": "trajectory.csv"}, "trajectory.csv"),
@@ -1198,8 +1227,9 @@ def test_streamed_outputs_are_what_the_kept_trajectory_writes(tmp_path, method, 
         traj = result.trajectory
         assert result.summary["steps"] == n and len(traj) == n // every + 1
         kept.mkdir()
-        write_csv(traj, {kept / "t.csv": None, **{kept / f"figure_{c}.csv": cli._figure_channels(c)
-                                                  for c, _ in scenario.parts}})
+        figures = {kept / f"figure_{c}.csv": [*COMPONENTS[c].figure, f"{c}.P", f"{c}.Q"]
+                   for c, _, _ in scenario.parts}
+        write_csv(traj, {kept / "t.csv": None, **figures})
         write_binary(traj, kept / "t.bin")
         for path in kept.iterdir():
             assert (streamed / path.name).read_bytes() == path.read_bytes(), (n, path.name)

@@ -201,8 +201,9 @@ def _total(pq, mix):
     """(total.P, total.Q) at t = 0 of a run whose components output the given fixed (P, Q)."""
     def fixed(p, q):
         return lambda name, weight, dt: Component(name, weight, lambda s, m, v, f: (p, q))
-    parts = [(name, fixed(*pq[name])) for name in COMPONENTS if name in pq]
-    traj = run_simulation(Scenario(mix, ConstantBus(), parts),
+    parts = [(name, kind.sign * getattr(mix, kind.mix_key), fixed(*pq[name]))
+             for name, kind in COMPONENTS.items() if name in pq]
+    traj = run_simulation(Scenario(ConstantBus(), parts),
                           IntegratorConfig(dt=0.1, t_end=0.1)).trajectory
     return float(traj.channel("total.P")[0]), float(traj.channel("total.Q")[0])
 

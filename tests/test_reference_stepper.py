@@ -106,6 +106,8 @@ def reference_run(inputs, config):
     n_steps = int(round(config.t_end / dt))
     step = STEPPERS[config.method]
     bus, mix = inputs["bus"], inputs["mix"]
+    weights = {"motor_a": mix.f_a, "motor_b": mix.f_b, "motor_c": mix.f_c,  # not from the table
+               "dera": -mix.der_scale, "zip": mix.f_zip, "elec": mix.f_elec}
     breaks = sorted(map(float, getattr(bus, "breakpoints", tuple)()))
     scenario = build_scenario(**inputs)
     comps = scenario.components(dt)
@@ -136,8 +138,8 @@ def reference_run(inputs, config):
         for c, part, m in zip(comps, parts, mems):
             out = c.output(yv[part].tolist(), m, v, f)
             row += list(yv[part]) + list(out)
-            P += mix.weight(c.name) * out[0]
-            Q += mix.weight(c.name) * out[1]
+            P += weights[c.name] * out[0]
+            Q += weights[c.name] * out[1]
         return row + [P, Q]
 
     der = inputs["sections"].get("dera")
@@ -281,8 +283,8 @@ def test_expired_dwell_timer_lets_a_settled_der_repeat_its_steps():
         return counted_build
 
     scenario = build_scenario(**inputs)
-    scenario.parts = [(name, counted(build) if name == "dera" else build)
-                      for name, build in scenario.parts]
+    scenario.parts = [(name, weight, counted(build) if name == "dera" else build)
+                      for name, weight, build in scenario.parts]
     config = dataclasses.replace(cfg.integrator, method="rk4", t_end=4.5)
     result = _assert_bit_identical(inputs, config, scenario)
     assert result.summary["trip_events"] == [{"type": "low_voltage_dwell_expired", "t": 1.159}]
@@ -337,7 +339,7 @@ def test_components_settling_at_different_steps_match_reference_stepper(monkeypa
         return counted_build
 
     scenario = build_scenario(**inputs)
-    scenario.parts = [(name, counted(build)) for name, build in scenario.parts]
+    scenario.parts = [(name, weight, counted(build)) for name, weight, build in scenario.parts]
     config = IntegratorConfig(method="rk4", dt=1e-3, t_end=4.0, record_every=7)
     _assert_bit_identical(inputs, config, scenario)
     # The computed steps of each component: one residual call, then 4 rk4 stages a step.

@@ -269,7 +269,7 @@ def test_split_steps_read_the_bus_on_one_side_of_each_breakpoint():
 
     bus = PlaybackBus(a=0.5, b=3.0, c=0.5, d=0.9)
     assert bus.breakpoints() == (1.0, 1.05, 1.5)
-    scenario = Scenario(LoadMix(f_zip=1.0), bus, [("zip", build)])
+    scenario = Scenario(bus, [("zip", 1.0, build)])
     traj = run_simulation(scenario, IntegratorConfig(dt=0.125, t_end=2.0)).trajectory
     assert len(seen) == 1 + 4 * (16 + 1)  # the residual, then 4 rk4 stages a (sub-)step
     assert seen[29:33] == [1.0] * 4  # 0.875 to 1.0: the last stage just before the fault
@@ -302,7 +302,7 @@ def test_bus_is_read_once_per_block(monkeypatch):
     # steps 5-9 and 10-14 hold split steps, and still read each signal once.
     monkeypatch.setattr("clm_sim.sim.STEP_BLOCK", 5)
     bus = CountingBus(PlaybackBus(a=0.5, b=3.0, c=0.5, d=0.9))
-    scenario = Scenario(LoadMix(f_zip=1.0), bus, [("zip", zip_component(ZIP, 1.0, 1.0))])
+    scenario = Scenario(bus, [("zip", 1.0, zip_component(ZIP, 1.0, 1.0))])
     run_simulation(scenario, IntegratorConfig(dt=0.125, t_end=2.0))  # 16 steps, 17 rows
     assert bus.calls == {"voltage": [0, 1, 1, 1, 1], "frequency": [0, 1, 1, 1, 1]}
 
@@ -330,7 +330,7 @@ def test_split_step_never_starts_a_run_of_repeats(monkeypatch, block):
         return Component(name, weight, output=lambda s, m, v, f: (s[0], 0.0), states=("x",),
                          state0=[0.0], rhs=lambda s, m, v, f: (1.0 - v,))
 
-    scenario = Scenario(LoadMix(f_zip=1.0), SpikeBus(), [("zip", build)])
+    scenario = Scenario(SpikeBus(), [("zip", 1.0, build)])
     traj = run_simulation(scenario, IntegratorConfig(dt=0.125, t_end=2.0)).trajectory
     assert traj.channel("zip.x")[traj.t == 1.25].tolist() == [1.0 / 24.0]
 
@@ -351,6 +351,23 @@ def test_build_scenario_rejects_an_unknown_component_name():
     sections = {"motor_d": MotorSection(preset="motor_a", p0=0.8), "zip": ZIP}
     with pytest.raises(ConfigError, match="unknown component.*'motor_d'"):
         build_scenario(LoadMix(f_zip=1.0), ConstantBus(), sections)
+
+
+@pytest.mark.parametrize("section, got", [
+    ({"preset": "motor_a", "p0": 0.8}, "dict"),  # the YAML mapping, not its parsed section
+    (DeraSection(preset="dera_table3", pgen0=0.5), "DeraSection"),
+], ids=["mapping", "der_section"])
+def test_build_scenario_refuses_a_section_of_the_wrong_class(section, got):
+    with pytest.raises(ConfigError, match=rf"^motor_a needs a MotorSection, got {got} "
+                                          r"\(field: motor_a\)$"):
+        build_scenario(LoadMix(f_a=1.0), ConstantBus(), {"motor_a": section})
+
+
+def test_build_scenario_names_the_mix_key_of_an_unconfigured_motor():
+    sections = {"motor_a": MotorSection(preset="motor_a", p0=0.8)}
+    with pytest.raises(ConfigError, match=r"^mix\.f_b is 0\.5 but motor_b is not configured "
+                                          r"\(field: motor_b\)$"):
+        build_scenario(LoadMix(f_a=0.5, f_b=0.5), ConstantBus(), sections)
 
 
 # ----------------------------------------------------------------- trip logic
@@ -469,8 +486,8 @@ def _failing_at(step, error=_inf):
 
 
 def _two_failing(bus, a_step, b_step, b_error=_inf) -> Scenario:
-    parts = [("motor_a", _failing_at(a_step)), ("motor_b", _failing_at(b_step, b_error))]
-    return Scenario(LoadMix(f_a=0.5, f_b=0.5), bus, parts)
+    parts = [("motor_a", 0.5, _failing_at(a_step)), ("motor_b", 0.5, _failing_at(b_step, b_error))]
+    return Scenario(bus, parts)
 
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
@@ -561,7 +578,7 @@ def _one_state_scenario(rhs, x0: float) -> Scenario:
     def build(name, weight, dt):
         return Component(name, weight, output=lambda s, m, v, f: (s[0], 0.0), states=("x",),
                          state0=[x0], rhs=rhs)
-    return Scenario(LoadMix(f_zip=1.0), ConstantBus(), [("zip", build)])
+    return Scenario(ConstantBus(), [("zip", 1.0, build)])
 
 
 @pytest.mark.parametrize("method", ["rk4", "heun", "euler"])
