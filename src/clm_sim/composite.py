@@ -10,20 +10,23 @@ directly.
 Bus disturbances are playback signals, i.e. scripted voltage/frequency
 time series with no network solution: the piecewise fault/recovery voltage
 generator, a constant bus, or an externally supplied sampled series.
-A bus maps times to values: voltage(t) and frequency(t) take an array of
-times and give an array of values, and a float is one time. A bus also
+A bus maps times to values: voltage(t) and frequency(t) take a list of
+times and give a list of floats, and a float is one time. A bus also
 gives breakpoints(), the times at which a signal jumps or its slope does:
 the stepper takes sub-steps there, so that no integrator stage reads the
-bus across one (a bus without the method has none). PlaybackBus
+bus across one (a bus without the method has none), and held(lo, hi), the
+(V, F) that voltage() and frequency() give at every time of [lo, hi], or
+None where they may vary there: the stepper reads such a stretch once (a
+bus without the method holds nowhere). PlaybackBus
 and ConstantBus are frozen dataclasses whose fields are the YAML keys of
 their disturbance types, checked as the bus is made, every float finite.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import require_finite
 from .staticloads import FRACTION_SUM_TOL
@@ -55,15 +58,15 @@ class LoadMix:
 
 
 def _held(t, value: float):
-    """value at each time of t."""
-    return np.full(np.shape(t), value, dtype=float)[()]
+    """value at each time of t (a list, or one number)."""
+    return value if isinstance(t, (int, float)) else [value] * len(t)
 
 
 def _check_freq(bus) -> None:
     """Every bus's frequency (pu) must be positive and finite."""
     if not bus.freq > 0.0:
         raise ValueError(f"need freq > 0, got {bus.freq}")
-    if not np.isfinite(bus.freq):
+    if not math.isfinite(bus.freq):
         raise ValueError(f"need finite freq, got {bus.freq}")
 
 
@@ -102,15 +105,17 @@ class PlaybackBus:
 
     def voltage(self, t):
         """The scripted voltage at each time; branch boundaries resolve in listed order."""
-        a, b, c, d, t = self.a, self.b, self.c, self.d, np.asarray(t, dtype=float)
-        t_clear = 1.0 + b / 60.0
-        t_end = 1.0 + c
-        if self.shape == "ramp":
-            recovery = a + (1.0 - a) * (t - t_clear) / (t_end - t_clear)
-        else:
-            recovery = (1.0 - d) * (t - c - 1.0) / (b / 60.0 - c) + 1.0
-        return np.where((1.0 <= t) & (t <= t_clear), a,
-                        np.where((t_clear <= t) & (t <= t_end), recovery, 1.0))[()]
+        a, b, c, d = self.a, self.b, self.c, self.d
+        t_clear, t_end = 1.0 + b / 60.0, 1.0 + c
+        # The recovery as base + k * (t - t0 - t1) / span, the bits of both printed forms:
+        # a + (1 - a)(t - t_clear)/(t_end - t_clear) for "ramp" (t - t_clear - 0.0 is
+        # t - t_clear), else (1 - d)(t - c - 1)/(b/60 - c) + 1.
+        base, k, t0, t1, span = ((a, 1.0 - a, t_clear, 0.0, t_end - t_clear) if self.shape == "ramp"
+                                 else (1.0, 1.0 - d, c, 1.0, b / 60.0 - c))
+        one = isinstance(t, (int, float))
+        v = [a if 1.0 <= x <= t_clear else base + k * (x - t0 - t1) / span
+             if t_clear <= x <= t_end else 1.0 for x in ([t] if one else t)]
+        return v[0] if one else v
 
     def frequency(self, t):
         return _held(t, self.freq)
@@ -118,6 +123,14 @@ class PlaybackBus:
     def breakpoints(self) -> tuple[float, ...]:
         """The fault's start, its clearing and the recovery's end, as voltage() computes them."""
         return 1.0, 1.0 + self.b / 60.0, 1.0 + self.c
+
+    def held(self, lo: float, hi: float) -> tuple[float, float] | None:
+        """(V, F) on all of [lo, hi] inside the fault or wholly before or after it, else None."""
+        if 1.0 <= lo and hi <= 1.0 + self.b / 60.0:  # voltage()'s first branch
+            return self.a, self.freq
+        if hi < 1.0 or 1.0 + self.c < lo:  # neither the fault's nor the recovery's
+            return 1.0, self.freq
+        return None
 
 
 @dataclass(frozen=True)
@@ -142,6 +155,9 @@ class ConstantBus:
     def breakpoints(self) -> tuple[float, ...]:
         return ()
 
+    def held(self, lo: float, hi: float) -> tuple[float, float]:
+        return self.v, self.freq
+
 
 class SeriesBus:
     """Sampled (t, V[, F]) series with linear interpolation between samples.
@@ -154,36 +170,46 @@ class SeriesBus:
     """
 
     def __init__(self, t, v, f=None, freq: float = 1.0):
-        self.t, self.v = np.asarray(t, dtype=float), np.asarray(v, dtype=float)
-        self.f = None if f is None else np.asarray(f, dtype=float)
+        import numpy as np  # only where a series is made: a run of another bus loads no numpy
+
+        t, v = np.asarray(t, dtype=float), np.asarray(v, dtype=float)
+        f = None if f is None else np.asarray(f, dtype=float)
         self.freq = freq
-        if self.t.ndim != 1 or any(y.shape != self.t.shape
-                                   for y in (self.v, self.f) if y is not None):
+        if t.ndim != 1 or any(y.shape != t.shape for y in (v, f) if y is not None):
             raise ValueError("need t, V and F of one 1-D shape")
-        if self.t.size < 2:
+        if t.size < 2:
             raise ValueError("need at least two samples")
-        back = np.flatnonzero(~(np.diff(self.t) > 0.0))  # a nan is out of order too
+        back = np.flatnonzero(~(np.diff(t) > 0.0))  # a nan is out of order too
         if back.size:
             raise ValueError(f"time must be strictly increasing, got "
-                             f"{self.t[back[0] + 1]:.17g} after {self.t[back[0]]:.17g}")
-        if (rows := np.flatnonzero(~np.isfinite(self.t))).size:  # inf - x > 0 passes the rule above
-            raise ValueError(f"need finite t, got {self.t[rows[0]]:.17g}")
-        for name, ys, rule, ok in (("V", self.v, "V >= 0", np.greater_equal),
-                                   ("F", self.f, "F > 0", np.greater)):
+                             f"{t[back[0] + 1]:.17g} after {t[back[0]]:.17g}")
+        if (rows := np.flatnonzero(~np.isfinite(t))).size:  # inf - x > 0 passes the rule above
+            raise ValueError(f"need finite t, got {t[rows[0]]:.17g}")
+        for name, ys, rule, ok in (("V", v, "V >= 0", np.greater_equal),
+                                   ("F", f, "F > 0", np.greater)):
             if ys is None:
                 continue
             for need, bad in ((rule, ~ok(ys, 0.0)), (f"finite {name}", ~np.isfinite(ys))):
                 if (rows := np.flatnonzero(bad)).size:  # a nan fails the range first
                     raise ValueError(f"need {need}, got {ys[rows[0]]:.17g} "
-                                     f"at t = {self.t[rows[0]]:.17g}")
+                                     f"at t = {t[rows[0]]:.17g}")
         _check_freq(self)
+        self.t, self.v = t.tolist(), v.tolist()
+        self.f = None if f is None else f.tolist()
 
-    def _interp(self, t, ys: np.ndarray):
-        ts, t = self.t, np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(ts, t, side="right"), 1, ts.size - 1)
-        w = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
-        inside = ys[i - 1] + w * (ys[i] - ys[i - 1])
-        return np.where(t <= ts[0], ys[0], np.where(t >= ts[-1], ys[-1], inside))[()]
+    def _interp(self, t, ys: list[float]):
+        """ys linearly interpolated at each time of t, found by bisection on the knots."""
+        ts, last = self.t, len(self.t) - 1
+
+        def at(x):
+            if x <= ts[0]:
+                return ys[0]
+            if x >= ts[-1]:
+                return ys[-1]
+            i = min(bisect_right(ts, x), last)  # a nan time bisects past the end
+            w = (x - ts[i - 1]) / (ts[i] - ts[i - 1])
+            return ys[i - 1] + w * (ys[i] - ys[i - 1])
+        return at(t) if isinstance(t, (int, float)) else [at(x) for x in t]
 
     def voltage(self, t):
         return self._interp(t, self.v)
@@ -196,3 +222,7 @@ class SeriesBus:
     def breakpoints(self) -> tuple[float, ...]:
         """None: the knots between samples are stepped through."""
         return ()
+
+    def held(self, lo: float, hi: float) -> None:
+        """None: the stepper reads a series at every time."""
+        return None

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import NoEquilibrium, require_finite
 
 logger = logging.getLogger(__name__)
@@ -125,6 +123,31 @@ def motor_kernel(params: MotorParams, Tm0: float, Vq: float = 0.0):
     return algebra, load_torque, rhs, output, flags
 
 
+def _solve(a: list[list[float]], b: list[float]) -> list[float] | None:
+    """x with a x = b, by Gaussian elimination with partial pivoting (a and b overwritten).
+
+    None at an exactly zero pivot.
+    """
+    n = len(b)
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))  # the first of equal sizes
+        if a[p][k] == 0.0:
+            return None
+        a[k], a[p], b[k], b[p] = a[p], a[k], b[p], b[k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+            b[i] -= f * b[k]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        acc = b[i]
+        for j in range(i + 1, n):
+            acc -= a[i][j] * x[j]
+        x[i] = acc / a[i][i]
+    return x
+
+
 def motor_initialize(
     P0: float,
     Q0: float | None,
@@ -136,11 +159,13 @@ def motor_initialize(
 
     Damped Newton on (EMFs, slip) with the four EMF equations and the
     active-power match as residuals, started from slip 0.01 and EMFs equal
-    to the terminal voltage rotated by 90 degrees. The torque base Tm0 is
-    then set from the solved electrical torque divided by the speed
-    polynomial, which leaves all five derivatives at zero. For the
-    constant-torque motors (speed polynomial identically 1) this reduces to
-    Tm0 equal to the solved electrical torque.
+    to the terminal voltage rotated by 90 degrees. Each step's 5x5 linear
+    solve runs on Python floats in a floating-point order fixed in the
+    source, so the result does not depend on the BLAS build or the CPU.
+    The torque base Tm0 is then set from the solved electrical torque
+    divided by the speed polynomial, which leaves all five derivatives at
+    zero. For the constant-torque motors (speed polynomial identically 1)
+    this reduces to Tm0 equal to the solved electrical torque.
 
     Q is not a free boundary condition: at fixed voltage the machine's
     reactive power is determined by the solved slip. A requested Q0 is
@@ -158,7 +183,7 @@ def motor_initialize(
     # depend on it.
     algebra, load_torque, rhs = motor_kernel(params, 1.0, Vq0)[:3]
 
-    def residual(x):  # on plain floats: numpy scalars make each operation slow
+    def residual(x):  # on plain floats
         d = rhs(x, (), Vd0, 0.0)
         return [d[0], d[1], d[2], d[3], algebra(x[2], x[3], x[4], Vd0, Vq0)[2] - P0]
 
@@ -171,7 +196,7 @@ def motor_initialize(
     for _ in range(NEWTON_MAX_ITER):
         if norm < NEWTON_TOL:
             break
-        jac = np.empty((5, 5))
+        cols = []
         for j, xj in enumerate(x):  # central differences, x[j] moved in place and put back
             h = 1e-7 * max(1.0, abs(xj))
             x[j] = xj + h
@@ -179,10 +204,9 @@ def motor_initialize(
             x[j] = xj - h
             fm = residual(x)
             x[j] = xj
-            jac[:, j] = [(a - b) / (2.0 * h) for a, b in zip(fp, fm)]
-        try:
-            dx = np.linalg.solve(jac, [-v for v in fx]).tolist()
-        except np.linalg.LinAlgError:
+            cols.append([(a - b) / (2.0 * h) for a, b in zip(fp, fm)])
+        dx = _solve([list(row) for row in zip(*cols)], [-v for v in fx])
+        if dx is None:
             raise NoEquilibrium("singular Jacobian in equilibrium solve", residual=norm)
         lam = 1.0
         while True:

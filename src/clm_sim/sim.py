@@ -24,9 +24,11 @@ gives (the memory at the end of an accepted step, the events it fired).
 The bus total is the weighted sum of the components' P and Q.
 
 The run goes STEP_BLOCK steps at a time. For each block the bus is read as
-arrays, one voltage and one frequency call over every time the method uses
+lists, one voltage and one frequency call over every time the method uses
 (each stage time, each step's end and each sub-step's stage time, below),
-so a bus must accept an array of times (see composite.py). That read gives
+so a bus must accept a list of times (see composite.py); a block that lies
+in a stretch where the bus's held(lo, hi) gives its (V, F) is read by that
+one call, its steps sharing one plan. That read gives
 each step its plan, the sub-steps it runs as one flat list of floats: per
 sub-step its h, then V and F at each stage time. A step whose closed
 interval [t, t + dt] holds one of the bus's breakpoints() is split: it runs
@@ -46,12 +48,14 @@ Limiter activity is counted by runs of equal flags, added up when the flags
 change and at the end. A run that fails raises the error of its earliest
 failing step: a non-finite bus value at a stage time (a split step's
 included), else a stage overflow, else the first non-finite state in
-channel order. Each block's rows, totals included, are either kept in the
-run's trajectory or handed to a writer (run_simulation's write) once the
-block is stepped, in one block-sized buffer: a streamed run's memory does
-not depend on its length. `clm-sim run` streams every run to its files this
-way; a run that fails or is interrupted there leaves no file and no
-directory that it made.
+channel order. Each block's rows, lists of floats with the totals, are
+handed to a writer (run_simulation's write) once the block is stepped: a
+streamed run's memory does not depend on its length. `clm-sim run` streams
+every run to its files this way; a run that fails or is interrupted there
+leaves no file and no directory that it made. A run without a writer keeps
+its rows as its trajectory, each block converted to an array as it comes.
+Only that trajectory and the read side (Trajectory, read_csv, read_binary,
+resample, mse) use numpy, imported where they are called.
 
 Trajectories are channel matrices with a leading, strictly increasing time
 column. BlockWriter appends blocks of rows to the CSV and binary files, and
@@ -68,15 +72,14 @@ import logging
 import re
 import struct
 import warnings
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, pairwise
+from itertools import chain, compress, pairwise, repeat, starmap
 from math import inf, isfinite, nextafter
-from operator import is_
-
-import numpy as np
+from operator import is_, is_not, itemgetter, ne, sub
 
 from .errors import (
     ChannelError,
@@ -158,7 +161,7 @@ class Scenario:
     order; components(dt) calls build(name, weight, dt).
     """
 
-    bus: object  # voltage(t) and frequency(t) at each time of an array t
+    bus: object  # voltage(t) and frequency(t) at each time of a list t (see composite.py)
     parts: list[tuple[str, float, Callable]]
 
     def components(self, dt: float) -> list[Component]:
@@ -184,6 +187,7 @@ class Trajectory:
     """Sampled channel matrix; column 0 is time, strictly increasing, maybe unevenly."""
 
     def __init__(self, channels: list[str], data: np.ndarray):
+        import numpy as np  # the read side's: a run that writes its rows loads no numpy
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[1] != len(channels):
             raise ValueError("trajectory data must be (n_samples, n_channels)")
@@ -214,12 +218,14 @@ class Trajectory:
 
 
 def grids_match(traj_a: Trajectory, traj_b: Trajectory) -> bool:
+    import numpy as np
     ta, tb = traj_a.t, traj_b.t
     return ta.shape == tb.shape and float(np.max(np.abs(ta - tb))) <= GRID_ATOL
 
 
 def mse(traj_a: Trajectory, traj_b: Trajectory, channel: str) -> float:
     """Mean squared difference of one channel over identical sample grids."""
+    import numpy as np
     if not grids_match(traj_a, traj_b):
         raise GridMismatch(
             "trajectories are on different time grids; resample one onto the other first"
@@ -230,6 +236,7 @@ def mse(traj_a: Trajectory, traj_b: Trajectory, channel: str) -> float:
 
 def resample(traj: Trajectory, grid) -> Trajectory:
     """Linear-interpolate every channel onto the given time grid."""
+    import numpy as np
     grid = np.asarray(grid, dtype=float)
     t = traj.t
     if grid.min() < t[0] - GRID_ATOL or grid.max() > t[-1] + GRID_ATOL:
@@ -262,7 +269,8 @@ def _step(method: str, n: int) -> Callable:
     """step(rhs, y, m, plan) -> the n states after the plan's pieces, each from the one before.
 
     plan is flat: per piece h, then V and F at each of its stage times (see
-    _read_bus), rhs(y, m, v, f) called at each stage's bus.
+    _read_bus), rhs(y, m, v, f) called at each stage's bus. A plan is only
+    read: the steps of a held block share one.
     """
     stages, *lines = _STEPPERS[method]
     width = 1 + 2 * len(stages)  # a piece: h, then (V, F) at each stage time
@@ -277,56 +285,82 @@ def _step(method: str, n: int) -> Callable:
 
 
 def _read_bus(bus, stages: tuple, breaks: list[float], dt: float, i0: int, n: int,
-              last: np.ndarray) -> tuple:
+              last: bytes) -> tuple:
     """The bus over the n steps from step i0, read once per signal, as each step's plan.
 
-    Returns (at_t, vf, plan, changed, last, bad). at_t holds (t, V, F) at the
-    n + 1 step boundaries, vf its (V, F) per boundary as a list. plan[r] is
-    step r's plan, the flat list of floats that _step's step runs: per piece
-    its h, then V and F at each stage time. A grid step is one piece, (dt,
-    the bus at t + stage * dt). A step whose closed interval [t, t + dt]
-    holds one of breaks is split: its plan is its pieces [lo, hi] between
-    its ends and its interior breakpoints, one after the other, each (hi -
-    lo, the bus at lo + stage * (hi - lo) clamped to [nextafter(lo, inf),
-    nextafter(hi, -inf)]), the one-sided limits at a jump, even at a grid
-    point. Every plan is a row of one stacked array's tolist(), a split
-    step's its pieces' rows joined. changed[r] says whether step r's grid
-    inputs (at its stage times and its end) differ from the step before's
-    bit for bit, the first step's from last, which is returned for the next
-    block. It is also set for row n, for a split step and for the step after
-    one, in the next block too: a split step never starts a run of repeats.
-    bad is (r, t) for the earliest step r with a non-finite V or F at a
-    stage time (a split step's grid ones too), t the earliest such time in
-    it, or None. (Kept out of run_simulation's long body, where tracemalloc
-    traces an allocation far slower: it finds the line by scanning the
-    function's line table.)
+    Returns (t, vf, plan, changed, last, bad): t and vf hold the n + 1 step
+    boundaries' times and (V, F). plan[r] is step r's plan, the flat list
+    of floats that _step's step runs: per piece its h, then V and F at each
+    stage time. A grid step is one piece, (dt, the bus at t + stage * dt). A
+    step whose closed interval [t, t + dt] holds one of breaks is split: its
+    plan is its pieces [lo, hi] between its ends and its interior
+    breakpoints, one after the other, each (hi - lo, the bus at lo + stage *
+    (hi - lo) clamped to [nextafter(lo, inf), nextafter(hi, -inf)]), the
+    one-sided limits at a jump, even at a grid point. changed[r] says whether
+    step r's grid inputs (at its stage times and its end) differ from the
+    step before's bit for bit, the first step's from last, their bytes, which
+    is returned for the next block. It is also set for row n, for a split
+    step and for the step after one, in the next block too: a split step
+    never starts a run of repeats. bad is (r, t) for the earliest step r with
+    a non-finite V or F at a stage time (a split step's grid ones too), t the
+    earliest such time in it, or None. A block with no split step, nor one
+    before it, whose times lie where the bus's held(lo, hi) gives its (V, F)
+    takes them from that one call, its steps sharing one plan. (Kept out of
+    run_simulation's long body, where tracemalloc traces an allocation far
+    slower: it finds the line by scanning the function's line table.)
     """
-    edges = np.arange(i0 - 1, i0 + n + 1) * dt  # t of the step before the block, of each, the end
-    left, right = np.searchsorted(breaks, edges), np.searchsorted(breaks, edges, "right")
-    split = right[1:] > left[:-1]  # steps i0 - 1 to i0 + n - 1: a breakpoint in [t, t + dt]
-    bounds = edges.tolist()
-    pieces = {r: list(pairwise([bounds[r + 1], *breaks[right[r + 1]:left[r + 2]], bounds[r + 2]]))
-              for r in np.flatnonzero(split[1:]).tolist()}  # each split step's [lo, hi]
-    spans = [span for own in pieces.values() for span in own]  # every piece, in step order
-    t, width = edges[1:], len(stages)
-    times = np.concatenate([(t[:n, None] + np.multiply(stages, dt)).ravel(), [
-        min(max(lo + h * (hi - lo), nextafter(lo, inf)), nextafter(hi, -inf))
-        for lo, hi in spans for h in stages], t[n:]])
+    width, offsets = len(stages), [h * dt for h in stages]
+    end = (i0 + n) * dt
+    top = max(end, (i0 + n - 1) * dt + offsets[-1]) if n else end  # the latest time read
+    held = getattr(bus, "held", None)
+    if (held and bisect_left(breaks, (i0 - 1) * dt) == bisect_right(breaks, end)
+            and (vf := held(i0 * dt, top))):
+        key = struct.pack(f"{2 * width + 2}d", *vf * (width + 1))
+        changed = [key != last] + [False] * (n - 1) + [True] if n else [True]
+        return ([k * dt for k in range(i0, i0 + n + 1)], [vf] * (n + 1), [[dt, *vf * width]] * n,
+                changed, key if n else last, None)
+
+    edges = [k * dt for k in range(i0 - 1, i0 + n + 1)]  # the step before the block's t, then each
+    split = set()  # the steps with a breakpoint in [t, t + dt], by their index in edges
+    for b in breaks[bisect_left(breaks, edges[0]):bisect_right(breaks, edges[-1])]:
+        split.update(range(max(bisect_left(edges, b) - 1, 0), min(bisect_right(edges, b), n + 1)))
+    pieces = {j - 1: list(pairwise([edges[j], *breaks[bisect_right(breaks, edges[j]):
+                                                       bisect_left(breaks, edges[j + 1])],
+                                    edges[j + 1]]))
+              for j in sorted(split) if j}  # each split step's [lo, hi], by its row
+    grid = len(times := [t + h for t in edges[1:-1] for h in offsets] + edges[-1:])
+    times += [min(max(lo + h * (hi - lo), nextafter(lo, inf)), nextafter(hi, -inf))
+              for own in pieces.values() for lo, hi in own for h in stages]
     V, F = bus.voltage(times), bus.frequency(times)
-    vf = np.stack([V, F], 1)
-    args = vf[:-1].reshape(-1, 2 * width)  # per step, then per piece: (V, F) at each stage
-    at = np.concatenate([vf[:n * width:width], vf[-1:]])  # at each boundary
-    bits = np.hstack([args[:n], at[1:]]).view(np.uint64)
-    changed = (np.diff(bits, axis=0, prepend=last) != 0).any(axis=1) | split[1:] | split[:-1]
-    rows = np.column_stack([[dt] * n + [hi - lo for lo, hi in spans], args]).tolist()
-    plan, sub = rows[:n], iter(rows[n:])
-    for r, own in pieces.items():  # a split step's pieces, one after the other
-        plan[r] = [x for _ in own for x in next(sub)]
-    owner = [*range(n), *(r for r, own in pieces.items() for _ in own)]  # each piece's step
-    failed = np.flatnonzero(~(np.isfinite(V[:-1]) & np.isfinite(F[:-1]))).tolist()  # stage times
-    bad = min(((owner[j // width], float(times[j])) for j in failed), default=None)
-    return (np.column_stack([t, at]), at.tolist(), plan, changed.tolist() + [True],
-            bits[-1:] if n else last, bad)
+    vf = list(zip(V[:grid:width], F[:grid:width]))  # at each boundary
+    args = list(chain.from_iterable(zip(V, F)))  # per time, (V, F)
+    plan = list(map(list, zip(repeat(dt, n), *(x[j:n * width:width]
+                                               for j in range(width) for x in (V, F)))))
+    k = grid  # the pieces' times follow the grid's
+    for r, own in pieces.items():
+        plan[r] = []
+        for lo, hi in own:
+            plan[r] += [hi - lo, *args[2 * k:2 * (k + width)]]
+            k += width
+    packed, size = struct.pack(f"{2 * grid}d", *args[:2 * grid]), 16 * width
+    keys = [packed[a:a + size + 16] for a in range(0, n * size, size)]  # a step's inputs, its end's
+    changed = [*map(ne, keys, [last, *keys]), True]
+    for j in split:  # a split step (row j - 1) and the step after it (row j)
+        changed[max(j - 1, 0)] = changed[j] = True
+    bad = None
+    if not isfinite(sum(V) + sum(F)):  # a finite sum: every value finite
+        owner = [r for r in range(n) for _ in offsets] + [None] + [
+            r for r, own in pieces.items() for _ in own for _ in offsets]
+        bad = min(((owner[j], times[j]) for j, (v, f) in enumerate(zip(V, F))
+                   if j != grid - 1 and not (isfinite(v) and isfinite(f))), default=None)
+    return edges[1:], vf, plan, changed, keys[-1] if n else last, bad
+
+
+@cache
+def _row(n: int) -> Callable:
+    """row(t, vf, part_1, ..., part_n, total) -> [t, *vf, *part_1, ..., *total]."""
+    parts = [f"p{k}" for k in range(n)] + ["total"]
+    return eval(f"lambda t, vf, {', '.join(parts)}: [t, *vf, *{', *'.join(parts)}]")
 
 
 @dataclass
@@ -335,15 +369,29 @@ class SimResult:
     summary: dict
 
 
+class _Kept:
+    """A writer that keeps a run's rows as its trajectory, each block an array as it comes."""
+
+    def __init__(self, channels: list[str]):
+        import numpy as np
+        self.np, self.channels, self.blocks = np, channels, []
+
+    def write(self, rows: list[list[float]]) -> None:
+        self.blocks.append(self.np.array(rows, dtype=float).reshape(-1, len(self.channels)))
+
+    def trajectory(self) -> Trajectory:
+        return Trajectory(self.channels, self.np.concatenate(self.blocks))
+
+
 def run_simulation(scenario: Scenario, config: IntegratorConfig,
                    write: Callable | None = None) -> SimResult:
     """Integrate the scenario and collect the run summary alongside the data.
 
-    Without write, the result's trajectory holds every sample. With write,
-    each block's samples (rows of every channel, totals included; none in a
-    block between two samples when record_every > STEP_BLOCK) are passed to
-    write(rows) once that block is stepped, in order, in one buffer that the
-    next block reuses, and the result's trajectory is None.
+    Each block's samples (rows of every channel, totals included, as lists
+    of floats; none in a block between two samples when record_every >
+    STEP_BLOCK) are passed to write(rows) once that block is stepped, in
+    order, and the result's trajectory is None. Without write, the rows are
+    kept, and the result's trajectory holds every sample.
     """
     dt, every = config.dt, config.record_every
     n_steps = int(round(config.t_end / dt))
@@ -352,48 +400,45 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
     breaks = sorted(map(float, getattr(scenario.bus, "breakpoints", tuple)()))
     components = scenario.components(dt)
     channels = channel_names(components)
-    # Every sample, or the samples of one block: at most ceil(STEP_BLOCK / every).
-    data = np.empty((samples if write is None else min(samples, -(-STEP_BLOCK // every)),
-                     len(channels)))
-    totals = [(c.weight, channels.index(f"{c.name}.P")) for c in components]
+    kept = None if write else _Kept(channels)  # without a writer, the rows are kept
+    write = write or kept.write
+    totals = [(c.weight, len(c.states)) for c in components]  # where P is in a component's row
     v0, f0 = float(scenario.bus.voltage(0.0)), float(scenario.bus.frequency(0.0))
     residuals = {c.name: max(map(abs, c.rhs(c.state0, c.memory0, v0, f0)))
                  for c in components if c.states}  # 0 at equilibrium
 
-    # Each component's data columns, then what it carries from block to block: its
-    # state, memory, repeat flag (its last step left both as they were), the row held
-    # at that fixed point, its limiter counts up to the current run of equal flags,
-    # and that run's flags and first step.
-    runs, count_names, col = [], [], 3
+    # What each component carries from block to block: its state, memory, repeat flag
+    # (its last step left both as they were), the row held at that fixed point, its
+    # limiter counts up to the current run of equal flags, and that run's flags and
+    # first step.
+    runs, count_names = [], []
     for c in components:
-        width = len(c.states) + 2 + len(c.extras)
-        runs.append([slice(col, col + width), list(c.state0), c.memory0, False, None,
-                     [0] * len(c.flag_names), (False,) * len(c.flag_names), 0])
+        runs.append([list(c.state0), c.memory0, False, None, [0] * len(c.flag_names),
+                     (False,) * len(c.flag_names), 0])
         count_names += [f"{c.name}.{flag}" for flag in c.flag_names]
-        col += width
     diverged = "a state left the finite range during integration (instability or too large a step)"
-    events, repeated, last = [], 0, np.zeros((1, 2 * len(stages) + 2), np.uint64)
+    events, repeated, last, above, total = [], 0, b"", None, None
     for i0 in range(0, n_steps + 1, STEP_BLOCK):
         rows = min(STEP_BLOCK, n_steps + 1 - i0)  # rows i0 + r of the trajectory
         n = min(rows, n_steps - i0)  # the steps among them: the row at t_end has none
-        at_t, vf, plan, changed, last, bad = _read_bus(scenario.bus, stages, breaks, dt, i0, n,
-                                                       last)
+        t, vf, plan, changed, last, bad = _read_bus(scenario.bus, stages, breaks, dt, i0, n,
+                                                    last)
         stop = bad[0] if bad else rows
         fails = []
         lo, hi = -(-i0 // every), -(-(i0 + rows) // every)  # the samples of this block
-        block = data[lo:hi] if write is None else data[:hi - lo]  # sample lo in its row 0
-        block[:, :3] = at_t[lo * every - i0:rows:every]
+        outs = []  # per component, its row at each sample, sample lo first
         for k, (c, run) in enumerate(zip(components, runs)):
-            cols, s, m, repeat, held, counts, flagged, since = run
-            out = block[:, cols]
+            s, m, repeat, held, counts, flagged, since = run
+            out = [None] * (hi - lo)
             rhs, output, flags, advance = c.rhs, c.output, c.flags, c.advance
             step = _step(config.method, len(c.states)) if c.states else lambda rhs, s, m, plan: s
-            recorded, r = {}, 0  # data row -> the row of a computed step
+            r = 0
             while r < stop:
                 i = i0 + r
                 if repeat and not changed[r]:  # steps r to j - 1 repeat the fixed point
                     j = changed.index(True, r)  # changed ends with True: t_end or the next block
-                    out[-(-i // every) - lo:-(-(i0 + j) // every) - lo] = held  # flags' run goes on
+                    p0, p1 = -(-i // every) - lo, -(-(i0 + j) // every) - lo
+                    out[p0:p1] = [held] * (p1 - p0)  # the flags' run goes on
                     repeated, r = repeated + j - r, j
                     continue
                 raised = flags(s)  # limiter activity: each run of equal flags counted at its end
@@ -401,7 +446,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
                     counts = [a + b * (i - since) for a, b in zip(counts, flagged)]
                     flagged, since = raised, i
                 if i % every == 0:
-                    recorded[i // every - lo] = row = (*s, *output(s, m, *vf[r]))
+                    out[i // every - lo] = row = (*s, *output(s, m, *vf[r]))
                 if i == n_steps:
                     break
                 try:
@@ -427,23 +472,23 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
                 r += 1
             if fails:  # later components need only reach the earliest failing step
                 stop = min(fails)[0] + 1
-            if recorded:  # one flat array of the rows' floats, as one slice if the rows are
-                keys = list(recorded)  # consecutive: no list of tuples to convert, no index
-                values = np.fromiter(chain.from_iterable(recorded.values()), float)
-                at = slice(keys[0], keys[-1] + 1) if keys[-1] - keys[0] == len(keys) - 1 else keys
-                out[at] = values.reshape(len(keys), -1)
-            run[1:] = s, m, repeat, held, counts, flagged, since
+            outs.append(out)
+            run[:] = s, m, repeat, held, counts, flagged, since
         if fails:
             raise min(fails)[-1]
         if bad:
             raise NonFiniteInput(f"the bus gave a non-finite input at t = {bad[1]}")
-        with np.errstate(all="ignore"):  # inf and nan as plain floats give them, without a warning
-            P = Q = 0.0  # the weighted total, added in channel order
-            for weight, j in totals:
-                P, Q = P + weight * block[:, j], Q + weight * block[:, j + 1]
-            block[:, -2], block[:, -1] = P, Q
-        if write is not None:
-            write(block)
+        sums = []  # each row's weighted total, added in channel order
+        for parts in zip(*outs) if outs else [()] * (hi - lo):
+            if parts != above:  # equal rows, equal bits: sums from 0.0 are never -0.0
+                P = Q = 0.0
+                for (weight, j), part in zip(totals, parts):
+                    P, Q = P + weight * part[j], Q + weight * part[j + 1]
+                total = P, Q
+            sums.append(total)
+            above = parts
+        at = slice(lo * every - i0, rows, every)  # the samples' boundaries
+        write(list(map(_row(len(outs)), t[at], vf[at], *outs, sums)))
     logging.getLogger(__name__).info("repeated %d of %d steps at a fixed point",
                                      repeated, n_steps * len(components))
     events.sort(key=lambda e: e[:2])  # by step, then channel order
@@ -461,19 +506,13 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
         "trip_events": [{"type": kind, "t": (i + 1) * dt} for i, k, kind in events],
         "limiter_activity": dict(sorted(zip(count_names, map(int, counts)))),
     }
-    return SimResult(Trajectory(channels, data) if write is None else None, summary)
+    return SimResult(kept and kept.trajectory(), summary)
 
 
-def _column_text(block: np.ndarray) -> list[list[str]]:
-    """%.17g text of block's rows (columns): a cell is formatted at 0 or where its bits change."""
-    bits = block.view(np.uint64)
-    new = np.ones(bits.shape, dtype=bool)
-    np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
-    # One % call formats them all, from a tuple that is gone before the text is split.
-    text = np.array((("%.17g," * np.count_nonzero(new))[:-1] % tuple(block[new].tolist()))
-                    .split(","), dtype=object)
-    runs = np.diff(np.flatnonzero(new), append=new.size)  # the rows each text fills
-    return np.repeat(text, runs).reshape(bits.shape).tolist()
+def _items(indices: list[int]) -> Callable:
+    """A function giving a sequence's items at indices, as a tuple (one index too)."""
+    get = itemgetter(*indices)
+    return get if len(indices) > 1 else lambda seq: (get(seq),)
 
 
 class BlockWriter:
@@ -482,11 +521,14 @@ class BlockWriter:
     channels names the rows' columns. files maps each CSV path to its channel
     list (t put first, a repeat dropped) or None for every channel, all
     checked before any file is opened; binary is the raw float64 file's path,
-    or None. write(rows) formats each column that a CSV uses once (see
-    _column_text), each CSV joining its rows from its columns' text, and
-    appends rows to the binary from the array's own buffer. A row's text does
-    not depend on where its block starts, so the files hold the same bytes
-    however the rows are split into blocks. Close it, or use it in a with.
+    or None. write(rows) takes a list of rows, each a sequence of floats. It
+    makes the %.17g text of each cell that a CSV uses once, each CSV joining
+    its rows from that text, and a cell takes the text of the cell above it
+    (the block before's last row, for a block's first) when the two are the
+    same float or equal and nonzero: the same bits. Each row goes to the
+    binary as little-endian float64 (struct). A cell's text depends on its value
+    alone, so the files hold the same bytes however the rows are split into
+    blocks. Close it, or use it in a with.
     """
 
     def __init__(self, channels: list[str], files: dict, binary=None):
@@ -496,24 +538,52 @@ class BlockWriter:
             names = channels if names is None else ["t"] + [
                 c for c in dict.fromkeys(names) if c != "t"]  # read_csv rejects repeats
             layouts.append((path, names, [channels.index(c) for c in names]))
-        self._used = sorted({j for _, _, cols in layouts for j in cols})
+        self._used = used = sorted({j for _, _, cols in layouts for j in cols})
+        self._pick = _items(used) if 0 < len(used) < len(channels) else None  # None: every one
+        self._pack = struct.Struct(f"<{len(channels)}d").pack  # a row's bytes in the binary
+        self._above = [None] * len(used), [""] * len(used)  # no float is None: all new
         with ExitStack() as stack:  # a file that fails to open closes those before it
             self._csvs = []
             for path, names, cols in layouts:
                 fh = stack.enter_context(open(path, "w", newline=""))
                 fh.write(",".join(names) + "\n")
-                self._csvs.append((fh, [self._used.index(j) for j in cols]))
+                self._csvs.append((fh, _items([used.index(j) for j in cols])))
             self._binary = binary and stack.enter_context(open(binary, "wb"))
             self._files = stack.pop_all()
 
-    def write(self, rows: np.ndarray) -> None:
-        if self._csvs and len(rows):
-            cells = _column_text(rows[:, self._used].T)
+    def write(self, rows: list) -> None:
+        if self._csvs and rows:
+            n, text = len(rows), []  # per used column, its text: one str if it holds throughout
+            for col, y, was in zip(zip(*(rows if self._pick is None else map(self._pick, rows))),
+                                   *self._above):
+                x = col[0]
+                if x and col.count(x) == n:  # one nonzero value throughout: the same bits
+                    text.append(was if x is y or x == y else "%.17g" % x)
+                    continue
+                differs = is_not if 0.0 in col or y == 0.0 else ne  # 0.0 == -0.0: the same float
+                at = list(compress(range(n), map(differs, col, chain((y,), col))))
+                if not at:
+                    text.append(was)
+                    continue
+                new = ("%.17g," * len(at))[:-1] % tuple(map(col.__getitem__, at))
+                new = new.split(",") if at[0] == 0 else [was, *new.split(",")]
+                at = at if at[0] == 0 else [0, *at]
+                text.append(new if len(at) == n else list(chain.from_iterable(
+                    map(repeat, new, map(sub, at[1:] + [n], at)))))  # each text over its rows
+            self._above = ([rows[-1][j] for j in self._used],
+                           [t if isinstance(t, str) else t[-1] for t in text])
             for fh, cols in self._csvs:
-                fh.write("\n".join(map(",".join, zip(*[cells[k] for k in cols]))))
+                fields = []  # the file's columns, each run of held ones joined once
+                for t in cols(text):
+                    if isinstance(t, str) and fields and isinstance(fields[-1], str):
+                        fields[-1] += "," + t
+                    else:
+                        fields.append(t)
+                fh.write("\n".join(map(",".join, zip(*(
+                    [t] * n if isinstance(t, str) else t for t in fields)))))
                 fh.write("\n")
         if self._binary:
-            self._binary.write(np.ascontiguousarray(rows, dtype="<f8"))
+            self._binary.write(b"".join(starmap(self._pack, rows)))
 
     def close(self) -> None:
         self._files.close()
@@ -536,7 +606,7 @@ def write_csv(traj: Trajectory, files: dict) -> None:
     """
     with BlockWriter(traj.channels, files) as writer:
         for start in range(0, len(traj), STEP_BLOCK):
-            writer.write(traj.data[start:start + STEP_BLOCK])
+            writer.write(traj.data[start:start + STEP_BLOCK].tolist())
 
 
 def read_table(path, what: str = "file") -> tuple[list[str] | None, np.ndarray]:
@@ -547,6 +617,7 @@ def read_table(path, what: str = "file") -> tuple[list[str] | None, np.ndarray]:
     A bad row or value raises FileFormatError naming file:line. A file that one
     np.loadtxt call parses cleanly skips the per-line loop that defines these rules.
     """
+    import numpy as np
     try:
         fh = open(path, "r", newline="")
     except OSError as exc:
@@ -626,10 +697,12 @@ def write_binary(traj: Trajectory, path) -> None:
     or run summary) to interpret the columns.
     """
     with BlockWriter(traj.channels, {}, path) as writer:
-        writer.write(traj.data)
+        for start in range(0, len(traj), STEP_BLOCK):
+            writer.write(traj.data[start:start + STEP_BLOCK].tolist())
 
 
 def read_binary(path, channels: list[str]) -> Trajectory:
+    import numpy as np
     with open(path, "rb") as fh:
         buf = fh.read()
     flat = np.frombuffer(buf, dtype="<f8")

@@ -32,10 +32,10 @@ class SmoothDipBus:
 
     def voltage(self, t):
         z = (np.asarray(t) - self.center) / self.width
-        return 1.0 - self.depth * np.exp(-z * z)
+        return (1.0 - self.depth * np.exp(-z * z)).tolist()
 
     def frequency(self, t):
-        return np.ones(np.shape(t))
+        return np.ones(np.shape(t)).tolist()
 
 
 class StepFrequencyBus:
@@ -47,10 +47,10 @@ class StepFrequencyBus:
         self.v = v
 
     def voltage(self, t):
-        return np.full(np.shape(t), self.v)
+        return np.full(np.shape(t), self.v).tolist()
 
     def frequency(self, t):
-        return np.where(np.asarray(t) >= self.t_step, self.f_after, 1.0)
+        return np.where(np.asarray(t) >= self.t_step, self.f_after, 1.0).tolist()
 
 
 def motor_playback_scenario(p0: float = 0.8, shape: str = "verbatim") -> Scenario:

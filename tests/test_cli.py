@@ -1340,3 +1340,60 @@ def test_batch_runs_two_configs_sharing_an_out_dir_with_different_names(tmp_path
         f"{k}.yaml")) for k in ("one", "two")]
     assert main(["batch", *configs]) == 0
     assert _files_under(shared) == ["one.csv", "one.json", "two.csv", "two.json"]
+
+
+# ------------------------------------------------------------- numpy stays out of run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs `clm-sim <args>` in a fresh interpreter, then prints whether numpy was imported.
+_MAIN_THEN_NUMPY = ("import sys; from clm_sim.cli import main; status = main(sys.argv[1:]); "
+                    "print('numpy' in sys.modules); sys.exit(status)")
+
+
+def _fresh_cli(*args, cwd=None, **env):
+    """(exit status, whether numpy was loaded) of `clm-sim args` in a new process."""
+    proc = subprocess.run([sys.executable, "-c", _MAIN_THEN_NUMPY, *map(str, args)], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": str(SRC), **env},
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout.splitlines()[-1]
+
+
+def test_run_batch_and_preset_load_no_numpy(tmp_path):
+    doc = yaml.safe_load((SCENARIOS / "composite_fault.yaml").read_text())
+    doc["outputs"].update(binary="t.bin", figure_csvs=True)
+    cfg = _write_config(tmp_path, doc)
+    assert _fresh_cli("run", "--config", cfg, "--out-dir", tmp_path / "run") == (0, "False")
+    assert (tmp_path / "run" / "t.bin").exists() and (tmp_path / "run" / "figure_dera.csv").exists()
+    configs = sorted(SCENARIOS.glob("*.yaml"))
+    assert _fresh_cli("batch", *configs, "--out-dir", tmp_path / "batch") == (0, "False")
+    assert _fresh_cli("preset", "list") == (0, "False")
+
+
+def test_compare_still_loads_numpy(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(SCENARIOS / "motor_a_playback.yaml"), "--out-dir",
+                 str(out), "--t-end", "0.5"]) == 0
+    csv = next(out.glob("*.csv"))
+    assert _fresh_cli("compare", csv, csv) == (0, "True")
+
+
+def _blas_is_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 2 has no dict form
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not _blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
+def test_a_motor_run_does_not_depend_on_the_openblas_kernel(tmp_path):
+    # Two kernels that give the numpy 5x5 solve different bits on an x86-64 CPU; the
+    # equilibrium solve runs on plain floats, so the trajectories are equal byte for byte.
+    files = []
+    for core in ("Haswell", "Sandybridge"):
+        out = tmp_path / core
+        assert _fresh_cli("run", "--config", SCENARIOS / "motor_a_playback.yaml", "--out-dir", out,
+                          "--t-end", "1.5", OPENBLAS_CORETYPE=core)[0] == 0
+        files.append(next(out.glob("*.csv")).read_bytes())
+    assert files[0] == files[1]

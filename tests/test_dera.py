@@ -416,10 +416,10 @@ class _NanVoltageBus:
     """V = 1 before t = 0.5 s and nan from then on, at nominal frequency."""
 
     def voltage(self, t):
-        return np.where(np.asarray(t) >= 0.5, math.nan, 1.0)
+        return np.where(np.asarray(t) >= 0.5, math.nan, 1.0).tolist()
 
     def frequency(self, t):
-        return np.ones(np.shape(t))
+        return np.ones(np.shape(t)).tolist()
 
 
 def test_rejects_non_finite_inputs():

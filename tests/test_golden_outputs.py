@@ -19,21 +19,21 @@ from clm_sim.cli import main
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN_CSV_SHA256 = {
-    "composite_fault/rk4": "f0f93380f5e64d659171d87ae197998c6b4e37269a79041cf66ac1f94092735f",
-    "composite_fault/heun": "2edb3ebb7cfedc78fecdc8a897e75b3bd6a234d752a9dc564a545694a9147a0e",
-    "composite_fault/euler": "11834787c4888a9747bbada8ed54ed54e0974050ab6824bcae176bb7d28b4926",
+    "composite_fault/rk4": "3c35717a60064ef9f2302ebfb02ba9141bb86db034e74958c4cc4a6b07141ff0",
+    "composite_fault/heun": "e14786d8e9891706e7d27b428457cddbe63280dc425212a53b27c45d51c9cdce",
+    "composite_fault/euler": "7320077e8821d2cf8d00caea4836d7b2bc115c268c7989a8307707497e11ba88",
     "dera_playback/rk4": "6c85512d9b6b3b294b372a8c5d0f4c7a2b3f6e5b83352af9cc4f13c3c01b83df",
     "dera_playback/heun": "26460c9ac49339423a7aafce7b5412a998e64ea75cc7c526f18f583612fcf14b",
     "dera_playback/euler": "6cc133a2572b1a032d6f214e6d634db5cee141dd695175c4e21eded204f6daa5",
-    "motor_a_playback/rk4": "fa8c35bc569f092e43ff3e1a6964355aa05434c4f82de9df9c8f56c477455511",
-    "motor_a_playback/heun": "efe3d4e0449662e3d56b721ece3546d8a958e1a2ab6ddd6054db3e6f5a17d06a",
-    "motor_a_playback/euler": "569e74898365a943f7d67559b73863590798ea32bf202f26b9b770df44bb4230",
+    "motor_a_playback/rk4": "ab1c31d7645ba2ff84caa6a733643326dc39ab29475cdcc0087b8008a37f8d3c",
+    "motor_a_playback/heun": "76a9b506887c37fde6c5fa01d427e299e2f0ed15a4e88a56c6e07624a82e949f",
+    "motor_a_playback/euler": "6cf04d93b4ddf910bd554780d639407328193bbdb13a1ccbb097f4763d588912",
 }
 
 GOLDEN_FIGURE_SHA256 = {
-    "figure_motor_a.csv": "4783aa97cbc3a0d7702126b3f3f8474d7e1cee122ef068ee2e5a8a1a88927c73",
-    "figure_motor_b.csv": "0d1326cda59318aaccca9ed3f9e27654d95624d7b60b4edb49b88d4a3c203494",
-    "figure_motor_c.csv": "c91326c65cf67bfe20ed923aab326c186d21adc7b3e782804722b94dd6e336f7",
+    "figure_motor_a.csv": "b4a9373b570627e2f81e111e8fcb4577bd72fdd34fcc78c82ac29c6b7461b2a3",
+    "figure_motor_b.csv": "69e89694e1e1dd08e5acb9c5990947d720364ebfb76d80599e97883a17a7eead",
+    "figure_motor_c.csv": "d493de495320b69943ae6ecf721c1c49f7690c5b3b39a19cf84c026f5f28a8fd",
     "figure_dera.csv": "301d730747f3577e0d75dcc461189896e6026c264b14fff5dcac3757f0fca3b8",
     "figure_zip.csv": "b8550a9d5324ccea574cf63357bba76bef1134b30faf71eb578304268a7925f7",
     "figure_elec.csv": "7505670878584d2777bb799f5f0274740452c68f001bc096faf841f9051f8338",

@@ -22,6 +22,7 @@ from clm_sim.motor3 import (
     MOTOR_PRESETS,
     MotorParams,
     MotorState,
+    _solve,
     motor_initialize,
     motor_kernel,
 )
@@ -82,10 +83,10 @@ class _InfVoltageBus:
     """V = 1 before t = 0.5 s and inf from then on, at nominal frequency."""
 
     def voltage(self, t):
-        return np.where(np.asarray(t) >= 0.5, math.inf, 1.0)
+        return np.where(np.asarray(t) >= 0.5, math.inf, 1.0).tolist()
 
     def frequency(self, t):
-        return np.ones(np.shape(t))
+        return np.ones(np.shape(t)).tolist()
 
 
 def test_rejects_non_finite_inputs():
@@ -231,6 +232,18 @@ def test_initialize_infeasible_loading_raises():
 def test_initialize_refuses_a_zero_terminal_voltage():
     with pytest.raises(NoEquilibrium, match="^terminal voltage magnitude must be positive$"):
         motor_initialize(0.8, None, 0.0, 0.0, MOTOR_PRESETS["motor_a"])
+
+
+def test_linear_solve_matches_numpy_and_stops_at_a_zero_pivot(monkeypatch):
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        a, b = rng.normal(size=(5, 5)) + 5.0 * np.eye(5), rng.normal(size=5)
+        assert np.allclose(_solve(a.tolist(), b.tolist()), np.linalg.solve(a, b),
+                           rtol=1e-12, atol=1e-14)
+    assert _solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0]) is None  # the second pivot is 0
+    monkeypatch.setattr("clm_sim.motor3._solve", lambda a, b: None)
+    with pytest.raises(NoEquilibrium, match="^singular Jacobian in equilibrium solve"):
+        motor_initialize(0.8, None, *V1, MOTOR_PRESETS["motor_a"])
 
 
 def test_inconsistent_q_logs_warning(caplog):

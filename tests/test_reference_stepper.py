@@ -216,7 +216,7 @@ class DeepFaultFrequencyStepBus:
         return self.playback.voltage(t)
 
     def frequency(self, t):
-        return np.where(np.asarray(t) >= 0.3, 1.02, 1.0)
+        return np.where(np.asarray(t) >= 0.3, 1.02, 1.0).tolist()
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -9,7 +9,9 @@ jumps, stepped at as the bus's breakpoints, keep that order too.
 import dataclasses
 import logging
 import math
+import random
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -26,10 +28,13 @@ from clm_sim.errors import (
     OutOfRange,
 )
 from clm_sim.sim import (
+    _STEPPERS,
+    INTEGRATION_METHODS,
     Component,
     IntegratorConfig,
     Scenario,
     Trajectory,
+    _read_bus,
     mse,
     read_binary,
     read_csv,
@@ -280,7 +285,7 @@ def test_split_steps_read_the_bus_on_one_side_of_each_breakpoint():
 
 
 class CountingBus:
-    """A bus that reads inner, recording each call's np.ndim(t): 0 for one time, 1 for an array."""
+    """A bus that reads inner, recording each call's np.ndim(t): 0 for one time, 1 for a list."""
 
     def __init__(self, inner):
         self.inner, self.calls = inner, {"voltage": [], "frequency": []}
@@ -318,10 +323,10 @@ def test_split_step_never_starts_a_run_of_repeats(monkeypatch, block):
 
     class SpikeBus:
         def voltage(self, t):
-            return np.where(np.isin(t, (1.0625, 1.1875)), 0.5, 1.0)
+            return np.where(np.isin(t, (1.0625, 1.1875)), 0.5, 1.0).tolist()
 
         def frequency(self, t):
-            return np.ones(np.shape(t))
+            return np.ones(np.shape(t)).tolist()
 
         def breakpoints(self):
             return (1.0625,)
@@ -333,6 +338,96 @@ def test_split_step_never_starts_a_run_of_repeats(monkeypatch, block):
     scenario = Scenario(SpikeBus(), [("zip", 1.0, build)])
     traj = run_simulation(scenario, IntegratorConfig(dt=0.125, t_end=2.0)).trajectory
     assert traj.channel("zip.x")[traj.t == 1.25].tolist() == [1.0 / 24.0]
+
+
+class WithoutHeld:
+    """inner without its held(): the stepper reads it at every time."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def voltage(self, t):
+        return self.inner.voltage(t)
+
+    def frequency(self, t):
+        return self.inner.frequency(t)
+
+    def breakpoints(self):
+        return self.inner.breakpoints()
+
+
+class CountingHeld(WithoutHeld):
+    """inner with its held(), counting the calls that found a held stretch."""
+
+    hits = 0
+
+    def held(self, lo, hi):
+        vf = self.inner.held(lo, hi)
+        self.hits += vf is not None
+        return vf
+
+
+class HeldBeforeTheFault(WithoutHeld):
+    """A bus that wrongly claims to hold its pre-fault value everywhere."""
+
+    def held(self, lo, hi):
+        return 1.0, self.inner.freq
+
+
+def _read_bits(bus, method, dt, i0, n, last):
+    """_read_bus's (t, vf, plans, changed, last, bad), every float as its bytes."""
+    t, vf, plan, changed, last, bad = _read_bus(bus, _STEPPERS[method][0],
+                                                sorted(bus.breakpoints()), dt, i0, n, last)
+    return ([struct.pack(f"{len(x)}d", *x) for x in (t, *vf, *plan)], changed, last, bad)
+
+
+HELD_BUSES = {
+    "fault": PlaybackBus(a=0.8, b=5.0, c=1.0, d=0.9),
+    "ramp": PlaybackBus(a=0.5, b=12.0, c=0.3, d=0.7, shape="ramp", freq=1.01),
+    "constant": ConstantBus(v=0.95, freq=0.99),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELD_BUSES))
+def test_a_held_read_equals_the_read_at_every_time(name):
+    # Blocks anywhere on [0, 3] s, of any length and step, after the block before them, after
+    # none or after a block elsewhere: the held read's plans, change mask, boundary values
+    # and last equal the read of every time bit for bit.
+    rng, bus = random.Random(16), CountingHeld(HELD_BUSES[name])
+    for _ in range(400):
+        method, dt = rng.choice(INTEGRATION_METHODS), rng.choice([1e-3, 1 / 120, 0.0123, 0.05])
+        i0, n = rng.randrange(1, int(3.0 / dt)), rng.randrange(251)
+        before = rng.choice([i0, 0, rng.randrange(1, int(3.0 / dt))])  # the end of that block
+        back = rng.randrange(1, min(before, 250) + 1) if before else 0
+        last = _read_bits(WithoutHeld(bus.inner), method, dt, before - back, back, b"")[2]
+        assert (_read_bits(bus, method, dt, i0, n, last)
+                == _read_bits(WithoutHeld(bus.inner), method, dt, i0, n, last)), (method, dt, i0, n)
+    assert bus.hits > 100
+
+
+def test_a_bus_that_claims_a_wrong_held_stretch_reads_otherwise():
+    # The comparison above catches a wrong held(): a block inside the fault read as held
+    # at 1 pu differs from the read at every time.
+    bus = HELD_BUSES["fault"]
+    assert (_read_bits(HeldBeforeTheFault(bus), "rk4", 1e-3, 1005, 50, b"")
+            != _read_bits(WithoutHeld(bus), "rk4", 1e-3, 1005, 50, b""))
+
+
+@pytest.mark.parametrize("name", sorted(HELD_BUSES))
+def test_a_run_reads_held_blocks_as_it_reads_every_time(monkeypatch, name):
+    # Whole runs, blocks of 7 to 40 steps, decimated or not: the trajectories and summaries
+    # are equal bit for bit with and without the held read.
+    rng = random.Random(name)
+    for _ in range(3):
+        monkeypatch.setattr("clm_sim.sim.STEP_BLOCK", rng.randrange(7, 41))
+        config = IntegratorConfig(method=rng.choice(INTEGRATION_METHODS),
+                                  dt=rng.choice([5e-4, 1e-3]), t_end=2.5,
+                                  record_every=rng.randrange(1, 9))
+        held, every = [run_simulation(build_scenario(LoadMix(f_a=0.5, f_zip=0.5), bus, {
+            "motor_a": MotorSection(preset="motor_a", p0=0.8), "zip": ZIP}), config)
+            for bus in (HELD_BUSES[name], WithoutHeld(HELD_BUSES[name]))]
+        assert held.trajectory.data.tobytes() == every.trajectory.data.tobytes()
+        assert held.summary == every.summary
 
 
 def test_euler_and_heun_agree_with_rk4_in_the_limit():
@@ -516,10 +611,10 @@ class NanFromHalfSecondBus:
     """V = 1 before t = 0.5 s and nan from then on."""
 
     def voltage(self, t):
-        return np.where(np.asarray(t) >= 0.5, math.nan, 1.0)
+        return np.where(np.asarray(t) >= 0.5, math.nan, 1.0).tolist()
 
     def frequency(self, t):
-        return np.ones(np.shape(t))
+        return np.ones(np.shape(t)).tolist()
 
 
 @pytest.mark.parametrize("block", [3, 1000])
@@ -545,10 +640,10 @@ class NanJustAfterHalfSecondBus:
 
     def voltage(self, t):
         t = np.asarray(t)
-        return np.where((t > 0.5) & (t < 0.501), math.nan, 1.0)
+        return np.where((t > 0.5) & (t < 0.501), math.nan, 1.0).tolist()
 
     def frequency(self, t):
-        return np.ones(np.shape(t))
+        return np.ones(np.shape(t)).tolist()
 
     def breakpoints(self):
         return (0.5,)
