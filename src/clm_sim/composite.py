@@ -11,13 +11,15 @@ Bus disturbances are playback signals, i.e. scripted voltage/frequency
 time series with no network solution: the piecewise fault/recovery voltage
 generator, a constant bus, or an externally supplied sampled series.
 A bus maps times to values: voltage(t) and frequency(t) take a list of
-times and give a list of floats, and a float is one time. A bus also
-gives breakpoints(), the times at which a signal jumps or its slope does:
-the stepper takes sub-steps there, so that no integrator stage reads the
-bus across one (a bus without the method has none), and held(lo, hi), the
-(V, F) that voltage() and frequency() give at every time of [lo, hi], or
-None where they may vary there: the stepper reads such a stretch once (a
-bus without the method holds nowhere). PlaybackBus
+times and give a list of floats, one per time. A bus may also give
+breakpoints(), the times at which a signal jumps or its slope does: the
+stepper takes sub-steps there, so that no integrator stage reads the bus
+across one (a bus without the method has none, as SeriesBus, whose knots
+are stepped through), and held(lo, hi), the (V, F) that voltage() and
+frequency() give at every time of [lo, hi], or None where they may vary
+there: the stepper reads such a stretch once, and only there does a
+component at its fixed point repeat its steps (a bus without the method,
+as SeriesBus, holds nowhere, and is computed at every step). PlaybackBus
 and ConstantBus are frozen dataclasses whose fields are the YAML keys of
 their disturbance types, checked as the bus is made, every float finite.
 """
@@ -55,11 +57,6 @@ class LoadMix:
         if not self.p_base_mva > 0.0:
             raise ValueError("need p_base_mva > 0")
         require_finite(self)
-
-
-def _held(t, value: float):
-    """value at each time of t (a list, or one number)."""
-    return value if isinstance(t, (int, float)) else [value] * len(t)
 
 
 def _check_freq(bus) -> None:
@@ -112,13 +109,11 @@ class PlaybackBus:
         # t - t_clear), else (1 - d)(t - c - 1)/(b/60 - c) + 1.
         base, k, t0, t1, span = ((a, 1.0 - a, t_clear, 0.0, t_end - t_clear) if self.shape == "ramp"
                                  else (1.0, 1.0 - d, c, 1.0, b / 60.0 - c))
-        one = isinstance(t, (int, float))
-        v = [a if 1.0 <= x <= t_clear else base + k * (x - t0 - t1) / span
-             if t_clear <= x <= t_end else 1.0 for x in ([t] if one else t)]
-        return v[0] if one else v
+        return [a if 1.0 <= x <= t_clear else base + k * (x - t0 - t1) / span
+                if t_clear <= x <= t_end else 1.0 for x in t]
 
     def frequency(self, t):
-        return _held(t, self.freq)
+        return [self.freq] * len(t)
 
     def breakpoints(self) -> tuple[float, ...]:
         """The fault's start, its clearing and the recovery's end, as voltage() computes them."""
@@ -147,10 +142,10 @@ class ConstantBus:
         require_finite(self)
 
     def voltage(self, t):
-        return _held(t, self.v)
+        return [self.v] * len(t)
 
     def frequency(self, t):
-        return _held(t, self.freq)
+        return [self.freq] * len(t)
 
     def breakpoints(self) -> tuple[float, ...]:
         return ()
@@ -209,20 +204,10 @@ class SeriesBus:
             i = min(bisect_right(ts, x), last)  # a nan time bisects past the end
             w = (x - ts[i - 1]) / (ts[i] - ts[i - 1])
             return ys[i - 1] + w * (ys[i] - ys[i - 1])
-        return at(t) if isinstance(t, (int, float)) else [at(x) for x in t]
+        return [at(x) for x in t]
 
     def voltage(self, t):
         return self._interp(t, self.v)
 
     def frequency(self, t):
-        if self.f is None:
-            return _held(t, self.freq)
-        return self._interp(t, self.f)
-
-    def breakpoints(self) -> tuple[float, ...]:
-        """None: the knots between samples are stepped through."""
-        return ()
-
-    def held(self, lo: float, hi: float) -> None:
-        """None: the stepper reads a series at every time."""
-        return None
+        return [self.freq] * len(t) if self.f is None else self._interp(t, self.f)

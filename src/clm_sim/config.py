@@ -357,7 +357,7 @@ def build_scenario(mix: LoadMix, bus, sections: dict[str, object]) -> Scenario:
         if name in sections and not isinstance(sections[name], kind.section):
             raise ConfigError(f"{name} needs a {kind.section.__name__}, "
                               f"got {type(sections[name]).__name__}", field=name)
-    v0, f0 = float(bus.voltage(0.0)), float(bus.frequency(0.0))
+    v0, f0 = float(bus.voltage([0.0])[0]), float(bus.frequency([0.0])[0])
     parts = [(name, kind.sign * getattr(mix, kind.mix_key), kind.initialise(sections[name], v0, f0))
              for name, kind in COMPONENTS.items() if name in sections]
     return Scenario(bus, parts)

@@ -23,27 +23,29 @@ values), flags(s) gives the limiter flag values, and advance(m, v, f)
 gives (the memory at the end of an accepted step, the events it fired).
 The bus total is the weighted sum of the components' P and Q.
 
-The run goes STEP_BLOCK steps at a time. For each block the bus is read as
-lists, one voltage and one frequency call over every time the method uses
-(each stage time, each step's end and each sub-step's stage time, below),
-so a bus must accept a list of times (see composite.py); a block that lies
-in a stretch where the bus's held(lo, hi) gives its (V, F) is read by that
-one call, its steps sharing one plan. That read gives
-each step its plan, the sub-steps it runs as one flat list of floats: per
-sub-step its h, then V and F at each stage time. A step whose closed
-interval [t, t + dt] holds one of the bus's breakpoints() is split: it runs
-as one sub-step per piece between its interior breakpoints, each stage
-reading the bus at its time clamped to just inside its piece (the one-sided
-limits at a jump), so no stage reads the bus across a jump or a kink; any
-other step is one sub-step of dt. The method's step runs a whole plan, so a
-component takes one step call per step, split or not. The rows, the
+The run goes in blocks of steps. A step whose closed interval [t, t + dt]
+holds one of the bus's breakpoints() is split, and is a block of its own:
+it runs as one sub-step per piece between its interior breakpoints, each
+stage reading the bus at its time clamped to just inside its piece (the
+one-sided limits at a jump), so no stage reads the bus across a jump or a
+kink. Any other block runs up to STEP_BLOCK steps of dt, and stops before
+the next split step. For each block the bus is read as lists, one voltage
+and one frequency call over every time the method uses (each stage time,
+each step's end and each sub-step's stage time), so a bus must accept a
+list of times (see composite.py); a block of grid steps that lies in a
+stretch where the bus's held(lo, hi) gives its (V, F) is read by that one
+call instead, its steps sharing one plan. That read gives each step its
+plan, the sub-steps it runs as one flat list of floats: per sub-step its
+h, then V and F at each stage time. The method's step runs a whole plan,
+so a component takes one step call per step, split or not. The rows, the
 end-of-step memory advance and every other step are as without the split.
-The steps whose inputs equal the step before's bit for bit are marked, and
-each component is stepped through the block on its own, in channel order. A
-component whose last computed step left its state and memory bit for bit as
-they were skips to the next step whose inputs change, its rows and limiter
-flags repeated: outputs are unchanged. Every component computes a split
-step and the step after it, so a split step never starts such a skip.
+Each component is stepped through the block on its own, in channel order.
+Steps repeat only inside a held stretch: in a held block, a component
+whose last computed step left its state and memory bit for bit as they
+were skips the block's remaining steps, its rows and limiter flags
+repeated (outputs are unchanged), from its second step on, or from its
+first when the block before was held at the same (V, F) bits. Every other
+block, and every block of a bus without held(), computes every step.
 Limiter activity is counted by runs of equal flags, added up when the flags
 change and at the end. A run that fails raises the error of its earliest
 failing step: a non-finite bus value at a stage time (a split step's
@@ -284,76 +286,63 @@ def _step(method: str, n: int) -> Callable:
     return scope["step"]
 
 
-def _read_bus(bus, stages: tuple, breaks: list[float], dt: float, i0: int, n: int,
-              last: bytes) -> tuple:
-    """The bus over the n steps from step i0, read once per signal, as each step's plan.
+def _split_steps(breaks: list[float], dt: float, n_steps: int) -> list[int]:
+    """The steps k < n_steps whose closed interval [k * dt, (k + 1) * dt] holds one of breaks."""
+    split = set()
+    for b in breaks:
+        if 0.0 <= b <= n_steps * dt:  # k * dt and b / dt round by far less than a step here
+            k = int(b / dt)
+            split.update(j for j in range(k - 1, k + 2)
+                         if 0 <= j < n_steps and j * dt <= b <= (j + 1) * dt)
+    return sorted(split)
 
-    Returns (t, vf, plan, changed, last, bad): t and vf hold the n + 1 step
+
+def _read_bus(bus, stages: tuple, dt: float, i0: int, n: int, breaks: list[float] | None) -> tuple:
+    """The bus over the n >= 1 steps from step i0, read once per signal, as each step's plan.
+
+    Returns (t, vf, plan, held, bad): t and vf hold the n + 1 step
     boundaries' times and (V, F). plan[r] is step r's plan, the flat list
     of floats that _step's step runs: per piece its h, then V and F at each
-    stage time. A grid step is one piece, (dt, the bus at t + stage * dt). A
-    step whose closed interval [t, t + dt] holds one of breaks is split: its
-    plan is its pieces [lo, hi] between its ends and its interior
-    breakpoints, one after the other, each (hi - lo, the bus at lo + stage *
-    (hi - lo) clamped to [nextafter(lo, inf), nextafter(hi, -inf)]), the
-    one-sided limits at a jump, even at a grid point. changed[r] says whether
-    step r's grid inputs (at its stage times and its end) differ from the
-    step before's bit for bit, the first step's from last, their bytes, which
-    is returned for the next block. It is also set for row n, for a split
-    step and for the step after one, in the next block too: a split step
-    never starts a run of repeats. bad is (r, t) for the earliest step r with
-    a non-finite V or F at a stage time (a split step's grid ones too), t the
-    earliest such time in it, or None. A block with no split step, nor one
-    before it, whose times lie where the bus's held(lo, hi) gives its (V, F)
-    takes them from that one call, its steps sharing one plan. (Kept out of
-    run_simulation's long body, where tracemalloc traces an allocation far
-    slower: it finds the line by scanning the function's line table.)
+    stage time. A grid step is one piece, (dt, the bus at t + stage * dt).
+    breaks, the run's sorted breakpoints, is given for a split block, the
+    one step whose closed interval [t, t + dt] holds one of them: its plan
+    is its pieces [lo, hi] between its ends and its interior breakpoints,
+    one after the other, each (hi - lo, the bus at lo + stage * (hi - lo)
+    clamped to [nextafter(lo, inf), nextafter(hi, -inf)]), the one-sided
+    limits at a jump, even at a grid point. A block of grid steps whose
+    times lie where the bus's held(lo, hi) gives its (V, F) takes them from
+    that one call, its steps sharing one plan; held is that (V, F), or None
+    for a block read at every time. bad is (r, t) for the earliest step r
+    with a non-finite V or F at a stage time (a split step's grid ones too),
+    t the earliest such time in it, or None. (Kept out of run_simulation's
+    long body, where tracemalloc traces an allocation far slower: it finds
+    the line by scanning the function's line table.)
     """
     width, offsets = len(stages), [h * dt for h in stages]
-    end = (i0 + n) * dt
-    top = max(end, (i0 + n - 1) * dt + offsets[-1]) if n else end  # the latest time read
-    held = getattr(bus, "held", None)
-    if (held and bisect_left(breaks, (i0 - 1) * dt) == bisect_right(breaks, end)
-            and (vf := held(i0 * dt, top))):
-        key = struct.pack(f"{2 * width + 2}d", *vf * (width + 1))
-        changed = [key != last] + [False] * (n - 1) + [True] if n else [True]
-        return ([k * dt for k in range(i0, i0 + n + 1)], [vf] * (n + 1), [[dt, *vf * width]] * n,
-                changed, key if n else last, None)
+    edges = [k * dt for k in range(i0, i0 + n + 1)]
+    held = breaks is None and getattr(bus, "held", None)
+    top = max(edges[-1], edges[-2] + offsets[-1])  # the latest time read
+    if held and (vf := held(edges[0], top)):
+        return edges, [vf] * (n + 1), [[dt, *vf * width]] * n, vf, None
 
-    edges = [k * dt for k in range(i0 - 1, i0 + n + 1)]  # the step before the block's t, then each
-    split = set()  # the steps with a breakpoint in [t, t + dt], by their index in edges
-    for b in breaks[bisect_left(breaks, edges[0]):bisect_right(breaks, edges[-1])]:
-        split.update(range(max(bisect_left(edges, b) - 1, 0), min(bisect_right(edges, b), n + 1)))
-    pieces = {j - 1: list(pairwise([edges[j], *breaks[bisect_right(breaks, edges[j]):
-                                                       bisect_left(breaks, edges[j + 1])],
-                                    edges[j + 1]]))
-              for j in sorted(split) if j}  # each split step's [lo, hi], by its row
-    grid = len(times := [t + h for t in edges[1:-1] for h in offsets] + edges[-1:])
+    pieces = () if breaks is None else list(pairwise([
+        edges[0], *breaks[bisect_right(breaks, edges[0]):bisect_left(breaks, edges[1])], edges[1]]))
+    grid = len(times := [t + h for t in edges[:-1] for h in offsets] + edges[-1:])
     times += [min(max(lo + h * (hi - lo), nextafter(lo, inf)), nextafter(hi, -inf))
-              for own in pieces.values() for lo, hi in own for h in stages]
+              for lo, hi in pieces for h in stages]  # the pieces' times follow the grid's
     V, F = bus.voltage(times), bus.frequency(times)
     vf = list(zip(V[:grid:width], F[:grid:width]))  # at each boundary
-    args = list(chain.from_iterable(zip(V, F)))  # per time, (V, F)
     plan = list(map(list, zip(repeat(dt, n), *(x[j:n * width:width]
                                                for j in range(width) for x in (V, F)))))
-    k = grid  # the pieces' times follow the grid's
-    for r, own in pieces.items():
-        plan[r] = []
-        for lo, hi in own:
-            plan[r] += [hi - lo, *args[2 * k:2 * (k + width)]]
-            k += width
-    packed, size = struct.pack(f"{2 * grid}d", *args[:2 * grid]), 16 * width
-    keys = [packed[a:a + size + 16] for a in range(0, n * size, size)]  # a step's inputs, its end's
-    changed = [*map(ne, keys, [last, *keys]), True]
-    for j in split:  # a split step (row j - 1) and the step after it (row j)
-        changed[max(j - 1, 0)] = changed[j] = True
+    if pieces:
+        args, size = list(chain.from_iterable(zip(V[grid:], F[grid:]))), 2 * width
+        plan = [[x for p, (lo, hi) in enumerate(pieces)
+                 for x in (hi - lo, *args[p * size:(p + 1) * size])]]
     bad = None
     if not isfinite(sum(V) + sum(F)):  # a finite sum: every value finite
-        owner = [r for r in range(n) for _ in offsets] + [None] + [
-            r for r, own in pieces.items() for _ in own for _ in offsets]
-        bad = min(((owner[j], times[j]) for j, (v, f) in enumerate(zip(V, F))
+        bad = min(((min(j // width, n - 1), times[j]) for j, (v, f) in enumerate(zip(V, F))
                    if j != grid - 1 and not (isfinite(v) and isfinite(f))), default=None)
-    return edges[1:], vf, plan, changed, keys[-1] if n else last, bad
+    return edges, vf, plan, None, bad
 
 
 @cache
@@ -398,12 +387,13 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
     samples = n_steps // every + 1
     stages = _STEPPERS[config.method][0]
     breaks = sorted(map(float, getattr(scenario.bus, "breakpoints", tuple)()))
+    splits = [*_split_steps(breaks, dt, n_steps), n_steps]  # each a block's end, or a block
     components = scenario.components(dt)
     channels = channel_names(components)
     kept = None if write else _Kept(channels)  # without a writer, the rows are kept
     write = write or kept.write
     totals = [(c.weight, len(c.states)) for c in components]  # where P is in a component's row
-    v0, f0 = float(scenario.bus.voltage(0.0)), float(scenario.bus.frequency(0.0))
+    v0, f0 = float(scenario.bus.voltage([0.0])[0]), float(scenario.bus.frequency([0.0])[0])
     residuals = {c.name: max(map(abs, c.rhs(c.state0, c.memory0, v0, f0)))
                  for c in components if c.states}  # 0 at equilibrium
 
@@ -417,29 +407,32 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
                      (False,) * len(c.flag_names), 0])
         count_names += [f"{c.name}.{flag}" for flag in c.flag_names]
     diverged = "a state left the finite range during integration (instability or too large a step)"
-    events, repeated, last, above, total = [], 0, b"", None, None
-    for i0 in range(0, n_steps + 1, STEP_BLOCK):
-        rows = min(STEP_BLOCK, n_steps + 1 - i0)  # rows i0 + r of the trajectory
-        n = min(rows, n_steps - i0)  # the steps among them: the row at t_end has none
-        t, vf, plan, changed, last, bad = _read_bus(scenario.bus, stages, breaks, dt, i0, n,
-                                                    last)
-        stop = bad[0] if bad else rows
+    events, repeated, before, above, total, i0 = [], 0, None, None, None, 0
+    while i0 < n_steps:  # steps i0 to i0 + n - 1: a split step alone, or up to the next one
+        split = splits[bisect_left(splits, i0)]
+        n = 1 if split == i0 else min(STEP_BLOCK, split - i0)
+        rows = n + (i0 + n == n_steps)  # rows i0 + r of the trajectory: the last block's ends it
+        t, vf, plan, held, bad = _read_bus(scenario.bus, stages, dt, i0, n,
+                                           breaks if split == i0 else None)
+        # In a held block a component at its fixed point repeats each step after the first,
+        # and the first too when the block before was held at the same (V, F).
+        free = n if held is None else 0 if before and same_bits(held, before) else 1
+        before, stop = held, bad[0] if bad else rows
         fails = []
         lo, hi = -(-i0 // every), -(-(i0 + rows) // every)  # the samples of this block
         outs = []  # per component, its row at each sample, sample lo first
         for k, (c, run) in enumerate(zip(components, runs)):
-            s, m, repeat, held, counts, flagged, since = run
+            s, m, repeat, fixed, counts, flagged, since = run
             out = [None] * (hi - lo)
             rhs, output, flags, advance = c.rhs, c.output, c.flags, c.advance
             step = _step(config.method, len(c.states)) if c.states else lambda rhs, s, m, plan: s
             r = 0
             while r < stop:
                 i = i0 + r
-                if repeat and not changed[r]:  # steps r to j - 1 repeat the fixed point
-                    j = changed.index(True, r)  # changed ends with True: t_end or the next block
-                    p0, p1 = -(-i // every) - lo, -(-(i0 + j) // every) - lo
-                    out[p0:p1] = [held] * (p1 - p0)  # the flags' run goes on
-                    repeated, r = repeated + j - r, j
+                if repeat and free <= r < n:  # steps r to n - 1 repeat the fixed point
+                    p0, p1 = -(-i // every) - lo, -(-(i0 + n) // every) - lo
+                    out[p0:p1] = [fixed] * (p1 - p0)  # the flags' run goes on
+                    repeated, r = repeated + n - r, n
                     continue
                 raised = flags(s)  # limiter activity: each run of equal flags counted at its end
                 if raised != flagged:
@@ -468,12 +461,12 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
                     m = mem
                 s = new
                 if repeat:
-                    held = row if i % every == 0 else (*s, *output(s, m, *vf[r]))
+                    fixed = row if i % every == 0 else (*s, *output(s, m, *vf[r]))
                 r += 1
             if fails:  # later components need only reach the earliest failing step
                 stop = min(fails)[0] + 1
             outs.append(out)
-            run[:] = s, m, repeat, held, counts, flagged, since
+            run[:] = s, m, repeat, fixed, counts, flagged, since
         if fails:
             raise min(fails)[-1]
         if bad:
@@ -489,6 +482,7 @@ def run_simulation(scenario: Scenario, config: IntegratorConfig,
             above = parts
         at = slice(lo * every - i0, rows, every)  # the samples' boundaries
         write(list(map(_row(len(outs)), t[at], vf[at], *outs, sums)))
+        i0 += n
     logging.getLogger(__name__).info("repeated %d of %d steps at a fixed point",
                                      repeated, n_steps * len(components))
     events.sort(key=lambda e: e[:2])  # by step, then channel order
@@ -604,7 +598,12 @@ def write_csv(traj: Trajectory, files: dict) -> None:
     them over, so one block's text is the writer's peak memory: the bytes of
     formatting every row on its own.
     """
-    with BlockWriter(traj.channels, files) as writer:
+    _write_blocks(traj, files)
+
+
+def _write_blocks(traj: Trajectory, files: dict, binary=None) -> None:
+    """Hand the trajectory's rows to one BlockWriter(files, binary), STEP_BLOCK at a time."""
+    with BlockWriter(traj.channels, files, binary) as writer:
         for start in range(0, len(traj), STEP_BLOCK):
             writer.write(traj.data[start:start + STEP_BLOCK].tolist())
 
@@ -696,9 +695,7 @@ def write_binary(traj: Trajectory, path) -> None:
     The layout carries no header; pair it with the channel list (CSV header
     or run summary) to interpret the columns.
     """
-    with BlockWriter(traj.channels, {}, path) as writer:
-        for start in range(0, len(traj), STEP_BLOCK):
-            writer.write(traj.data[start:start + STEP_BLOCK].tolist())
+    _write_blocks(traj, {}, path)
 
 
 def read_binary(path, channels: list[str]) -> Trajectory:

@@ -130,9 +130,7 @@ def test_criterion_1_piecewise_truth_tables():
     assert commands(1, 1.2, 0)[6:8] == (0.0, 0.0)
 
     bus = PlaybackBus(a=0.8, b=5.0, c=1.0, d=0.9)
-    assert bus.voltage(0.5) == 1.0
-    assert bus.voltage(1.04) == 0.8
-    assert bus.voltage(2.0) == 1.0
+    assert bus.voltage([0.5, 1.04, 2.0]) == [1.0, 0.8, 1.0]
 
     assert component_output((1, 0, 0, 0, 1, 1, 0, 0, 0, 0), mem, 1.0, 1.0) == (0.0, 0.0, 0.0)
     assert component_output((1, 0, 0, 0, 1, 1, 0, 0.5, 0.5, 0.5), mem, 1.0, 1.0)[0] == 0.5

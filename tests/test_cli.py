@@ -576,9 +576,10 @@ def test_torque_overflow_reports_non_finite_state(tmp_path, capsys, monkeypatch)
     rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "a" / "b")])
     assert rc == 4
     assert _single_error_line(capsys, "NON_FINITE_STATE").endswith("(step 1018)")
-    # Four blocks of 250 steps were written before step 1018 failed: no file of
+    # Steps 0-998 in blocks of up to 250, then the split steps 999 and 1000 (the fault at
+    # t = 1 s), each a block of its own, were written before step 1018 failed: no file of
     # them is left, nor a directory that the run made.
-    assert blocks == [250] * 4
+    assert blocks == [250, 250, 250, 249, 1, 1]
     assert [p.name for p in tmp_path.iterdir()] == ["scenario.yaml"]
 
 

@@ -26,7 +26,7 @@ PB = PlaybackBus(a=0.8, b=5.0, c=1.0, d=0.9)
 
 
 def _voltage(t, bus):
-    return bus.voltage(t)
+    return bus.voltage([t])[0]
 
 
 def test_playback_pre_fault_is_nominal():
@@ -243,8 +243,8 @@ def test_composite_linear_in_each_component():
 
 def test_constant_bus():
     bus = ConstantBus(v=0.95, freq=1.01)
-    assert bus.voltage(123.0) == 0.95
-    assert bus.frequency(0.0) == 1.01
+    assert bus.voltage([123.0]) == [0.95]
+    assert bus.frequency([0.0]) == [1.01]
 
 
 def test_series_bus_interpolates_and_holds_ends():
@@ -252,15 +252,15 @@ def test_series_bus_interpolates_and_holds_ends():
     v = [1.0, 0.8, 1.0]
     f = [1.0, 0.99, 1.0]
     bus = SeriesBus(t, v, f)
-    assert bus.voltage(0.5) == pytest.approx(0.9, abs=1e-15)
-    assert bus.voltage(-1.0) == 1.0 and bus.voltage(5.0) == 1.0
-    assert bus.frequency(1.5) == pytest.approx(0.995, abs=1e-15)
-    assert bus.voltage(1.0) == 0.8  # exact at the samples
+    assert bus.voltage([0.5]) == pytest.approx([0.9], abs=1e-15)
+    assert bus.voltage([-1.0, 5.0]) == [1.0, 1.0]
+    assert bus.frequency([1.5]) == pytest.approx([0.995], abs=1e-15)
+    assert bus.voltage([1.0]) == [0.8]  # exact at the samples
 
 
 def test_series_bus_without_frequency_column():
     bus = SeriesBus([0.0, 1.0], [1.0, 0.9], None, freq=1.02)
-    assert bus.frequency(0.5) == 1.02
+    assert bus.frequency([0.5]) == [1.02]
 
 
 @pytest.mark.parametrize("args, freq, message", [
@@ -287,8 +287,8 @@ def test_series_bus_checks_its_samples_as_a_series_file_is_checked(args, freq, m
 
 def test_playback_bus_wraps_generator():
     bus = PlaybackBus(a=0.8, b=5.0, c=1.0, d=0.9, freq=1.0)
-    assert bus.voltage(1.05) == 0.8
-    assert bus.frequency(1.05) == 1.0
+    assert bus.voltage([1.05]) == [0.8]
+    assert bus.frequency([1.05]) == [1.0]
 
 
 def _bits(values):
@@ -300,8 +300,8 @@ def _with_neighbours(*times):
 
 
 def _read(signal, times):
-    """(the signal over the array of times, the signal at each time on its own), as bits."""
-    return _bits(signal(np.array(times))), _bits([signal(t) for t in times])
+    """(the signal over the list of times, the signal at each time read on its own), as bits."""
+    return _bits(signal(times)), _bits([signal([t])[0] for t in times])
 
 
 # The rk4 stage times of a 1 ms grid over 3 s, as run_simulation makes them.

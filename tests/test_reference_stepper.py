@@ -113,7 +113,7 @@ def reference_run(inputs, config):
     comps = scenario.components(dt)
 
     def bus_at(t):  # (V, F) at one time
-        return float(bus.voltage(t)), float(bus.frequency(t))
+        return float(bus.voltage([t])[0]), float(bus.frequency([t])[0])
 
     v0, f0 = bus_at(0.0)
     channels = ["t", "V", "Freq", *(f"{c.name}.{x}" for c in comps for x in CHANNELS[c.name]),

@@ -12,12 +12,13 @@ import math
 import random
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from clm_sim.composite import ConstantBus, LoadMix, PlaybackBus
-from clm_sim.config import DeraSection, MotorSection, build_scenario, zip_component
+from clm_sim.config import DeraSection, MotorSection, build_scenario, load_config, zip_component
 from clm_sim.errors import (
     ChannelError,
     ConfigError,
@@ -53,6 +54,9 @@ from scenarios import (
     full_composite_scenario,
     motor_playback_scenario,
 )
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _toy_traj(n=101, dt=0.01):
@@ -285,17 +289,17 @@ def test_split_steps_read_the_bus_on_one_side_of_each_breakpoint():
 
 
 class CountingBus:
-    """A bus that reads inner, recording each call's np.ndim(t): 0 for one time, 1 for a list."""
+    """A bus that reads inner, recording the number of times in each call."""
 
     def __init__(self, inner):
         self.inner, self.calls = inner, {"voltage": [], "frequency": []}
 
     def voltage(self, t):
-        self.calls["voltage"].append(np.ndim(t))
+        self.calls["voltage"].append(len(t))
         return self.inner.voltage(t)
 
     def frequency(self, t):
-        self.calls["frequency"].append(np.ndim(t))
+        self.calls["frequency"].append(len(t))
         return self.inner.frequency(t)
 
     def breakpoints(self):
@@ -303,13 +307,17 @@ class CountingBus:
 
 
 def test_bus_is_read_once_per_block(monkeypatch):
-    # Breakpoints at 1.0 and 1.5 (grid points) and 1.05 (inside a step): the blocks of
-    # steps 5-9 and 10-14 hold split steps, and still read each signal once.
+    # Breakpoints at 1.0 and 1.5 (grid points) and 1.05 (inside a step): steps 7, 8, 11
+    # and 12 are split, each a block of its own, and the blocks are steps 0-4, 5-6, 7, 8,
+    # 9-10, 11, 12 and 13-15 (with the row at t_end). After the read at t = 0, each signal
+    # is read once per block: 3 rk4 stage times a step and the block's end, and a split
+    # step's 3 more per piece (two pieces in step 8).
     monkeypatch.setattr("clm_sim.sim.STEP_BLOCK", 5)
     bus = CountingBus(PlaybackBus(a=0.5, b=3.0, c=0.5, d=0.9))
     scenario = Scenario(bus, [("zip", 1.0, zip_component(ZIP, 1.0, 1.0))])
     run_simulation(scenario, IntegratorConfig(dt=0.125, t_end=2.0))  # 16 steps, 17 rows
-    assert bus.calls == {"voltage": [0, 1, 1, 1, 1], "frequency": [0, 1, 1, 1, 1]}
+    reads = [1, 16, 7, 7, 10, 7, 7, 7, 10]
+    assert bus.calls == {"voltage": reads, "frequency": reads}
 
 
 @pytest.mark.parametrize("block", [9, 250])
@@ -317,8 +325,8 @@ def test_split_step_never_starts_a_run_of_repeats(monkeypatch, block):
     # x stays at its fixed point 0 until t = 1.125: V = 1 at every stage time but the
     # midpoints 1.0625 and 1.1875 of steps 8 and 9. Step 8 is split at its midpoint, so
     # none of its stages sees the 0.5 there, and it leaves x at 0. Step 9's grid inputs
-    # equal step 8's, yet it must be computed: its midpoint stages read 0.5. With a block
-    # of 9, step 8 ends the first block and step 9 starts the next.
+    # equal step 8's, yet it must be computed: its midpoint stages read 0.5. Step 8 is a
+    # block of its own whatever the block size, and step 9 starts the next.
     monkeypatch.setattr("clm_sim.sim.STEP_BLOCK", block)
 
     class SpikeBus:
@@ -374,11 +382,11 @@ class HeldBeforeTheFault(WithoutHeld):
         return 1.0, self.inner.freq
 
 
-def _read_bits(bus, method, dt, i0, n, last):
-    """_read_bus's (t, vf, plans, changed, last, bad), every float as its bytes."""
-    t, vf, plan, changed, last, bad = _read_bus(bus, _STEPPERS[method][0],
-                                                sorted(bus.breakpoints()), dt, i0, n, last)
-    return ([struct.pack(f"{len(x)}d", *x) for x in (t, *vf, *plan)], changed, last, bad)
+def _read_bits(bus, method, dt, i0, n):
+    """A block of grid steps as _read_bus reads it: (t, vf, plans), every float as its bytes,
+    and bad."""
+    t, vf, plan, _, bad = _read_bus(bus, _STEPPERS[method][0], dt, i0, n, None)
+    return [struct.pack(f"{len(x)}d", *x) for x in (t, *vf, *plan)], bad
 
 
 HELD_BUSES = {
@@ -390,18 +398,14 @@ HELD_BUSES = {
 
 @pytest.mark.parametrize("name", sorted(HELD_BUSES))
 def test_a_held_read_equals_the_read_at_every_time(name):
-    # Blocks anywhere on [0, 3] s, of any length and step, after the block before them, after
-    # none or after a block elsewhere: the held read's plans, change mask, boundary values
-    # and last equal the read of every time bit for bit.
+    # Blocks anywhere on [0, 3] s, of any length and step: the held read's times, boundary
+    # values, plans and bad equal the read of every time bit for bit.
     rng, bus = random.Random(16), CountingHeld(HELD_BUSES[name])
     for _ in range(400):
         method, dt = rng.choice(INTEGRATION_METHODS), rng.choice([1e-3, 1 / 120, 0.0123, 0.05])
-        i0, n = rng.randrange(1, int(3.0 / dt)), rng.randrange(251)
-        before = rng.choice([i0, 0, rng.randrange(1, int(3.0 / dt))])  # the end of that block
-        back = rng.randrange(1, min(before, 250) + 1) if before else 0
-        last = _read_bits(WithoutHeld(bus.inner), method, dt, before - back, back, b"")[2]
-        assert (_read_bits(bus, method, dt, i0, n, last)
-                == _read_bits(WithoutHeld(bus.inner), method, dt, i0, n, last)), (method, dt, i0, n)
+        i0, n = rng.randrange(1, int(3.0 / dt)), rng.randrange(1, 251)
+        assert (_read_bits(bus, method, dt, i0, n)
+                == _read_bits(WithoutHeld(bus.inner), method, dt, i0, n)), (method, dt, i0, n)
     assert bus.hits > 100
 
 
@@ -409,25 +413,28 @@ def test_a_bus_that_claims_a_wrong_held_stretch_reads_otherwise():
     # The comparison above catches a wrong held(): a block inside the fault read as held
     # at 1 pu differs from the read at every time.
     bus = HELD_BUSES["fault"]
-    assert (_read_bits(HeldBeforeTheFault(bus), "rk4", 1e-3, 1005, 50, b"")
-            != _read_bits(WithoutHeld(bus), "rk4", 1e-3, 1005, 50, b""))
+    assert (_read_bits(HeldBeforeTheFault(bus), "rk4", 1e-3, 1005, 50)
+            != _read_bits(WithoutHeld(bus), "rk4", 1e-3, 1005, 50))
 
 
 @pytest.mark.parametrize("name", sorted(HELD_BUSES))
-def test_a_run_reads_held_blocks_as_it_reads_every_time(monkeypatch, name):
+def test_a_run_reads_held_blocks_as_it_reads_every_time(monkeypatch, caplog, name):
     # Whole runs, blocks of 7 to 40 steps, decimated or not: the trajectories and summaries
-    # are equal bit for bit with and without the held read.
+    # are equal bit for bit with and without the held read. Only a held stretch repeats
+    # steps: the run of the bus with held() hidden computes every one.
     rng = random.Random(name)
     for _ in range(3):
         monkeypatch.setattr("clm_sim.sim.STEP_BLOCK", rng.randrange(7, 41))
         config = IntegratorConfig(method=rng.choice(INTEGRATION_METHODS),
                                   dt=rng.choice([5e-4, 1e-3]), t_end=2.5,
                                   record_every=rng.randrange(1, 9))
-        held, every = [run_simulation(build_scenario(LoadMix(f_a=0.5, f_zip=0.5), bus, {
-            "motor_a": MotorSection(preset="motor_a", p0=0.8), "zip": ZIP}), config)
+        (held, held_repeats, _), (every, every_repeats, _) = [_repeats(
+            caplog, lambda: run_simulation(build_scenario(LoadMix(f_a=0.5, f_zip=0.5), bus, {
+                "motor_a": MotorSection(preset="motor_a", p0=0.8), "zip": ZIP}), config))
             for bus in (HELD_BUSES[name], WithoutHeld(HELD_BUSES[name]))]
         assert held.trajectory.data.tobytes() == every.trajectory.data.tobytes()
         assert held.summary == every.summary
+        assert held_repeats > 0 and every_repeats == 0
 
 
 def test_euler_and_heun_agree_with_rk4_in_the_limit():
@@ -700,15 +707,36 @@ def test_fixed_point_on_a_flat_bus_is_not_recomputed():
     assert (traj.channel("zip.x") == 0.5).all() and (traj.channel("total.P") == 0.5).all()
 
 
-def test_run_logs_repeated_steps_and_keeps_summary(caplog):
+def _repeats(caplog, run) -> tuple:
+    """(run(), K, N) of the one line "repeated K of N steps at a fixed point" that it logs."""
+    caplog.clear()
     with caplog.at_level(logging.INFO, logger="clm_sim.sim"):
-        result = run_simulation(motor_playback_scenario(), IntegratorConfig(dt=1e-3, t_end=2.0))
+        result = run()
     [message] = [r.getMessage() for r in caplog.records if r.name == "clm_sim.sim"]
-    match = re.fullmatch(r"repeated (\d+) of 2000 steps at a fixed point", message)
-    assert match and 0 < int(match.group(1)) < 2000
+    match = re.fullmatch(r"repeated (\d+) of (\d+) steps at a fixed point", message)
+    assert match, message
+    return result, int(match[1]), int(match[2])
+
+
+def test_run_logs_repeated_steps_and_keeps_summary(caplog):
+    result, repeated, steps = _repeats(caplog, lambda: run_simulation(
+        motor_playback_scenario(), IntegratorConfig(dt=1e-3, t_end=2.0)))
+    assert steps == 2000 and 0 < repeated < 2000
     assert list(result.summary) == ["method", "dt", "t_end_requested", "t_end_actual", "steps",
                                     "samples", "initial_residuals", "trip_events",
                                     "limiter_activity"]
+
+
+@pytest.mark.parametrize("name, repeated, steps", [
+    ("composite_fault", 19833, 30000), ("dera_playback", 7390, 10000),
+    ("motor_a_playback", 3683, 5000)])
+def test_bundled_runs_repeat_as_many_steps_as_an_input_comparison(caplog, name, repeated, steps):
+    # Steps repeat only inside the bus's held stretches. The bundled runs repeat as many as
+    # a step-by-step comparison of each step's bus inputs with the step before's finds.
+    cfg = load_config(SCENARIOS / f"{name}.yaml")
+    scenario = build_scenario(cfg.mix, cfg.disturbance, cfg.components)
+    assert _repeats(caplog, lambda: run_simulation(scenario, cfg.integrator))[1:] == (repeated,
+                                                                                   steps)
 
 
 def test_scenario_runs_twice_to_the_same_result():
